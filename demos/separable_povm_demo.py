@@ -7,6 +7,12 @@ operator T explicitly, certifies that BOTH outcomes {T, I - T} are sums of
 product terms with positive factors, and checks the phase-averaging
 identity that makes the complement separable.
 
+The product terms come from averaging rank-one seeds over a Sidon phase
+grid (phases exp(2 pi i m s_j / N) for a Sidon set s and N = 2 max(s) + 1),
+so T is a sum of 2 max(s) + 1 terms (3 / 7 / 15 at d = 2 / 3 / 4) and each
+of the d(d - 1) pair seeds of I - T contributes 3 terms plus one diagonal
+term.
+
 The trace of T minus one is the state's global robustness of entanglement,
 so the demo doubles as a robustness calculator.
 

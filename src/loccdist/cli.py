@@ -22,7 +22,7 @@ from .bounds import pure_state_report
 from .families import get_family, sweep
 from .one_way import build_one_way_test
 from .operators import eig_hermitian
-from .optimize import OptimizerConfig, beta_two_way_upper, grid_oracle
+from .optimize import OptimizerConfig, beta_two_way_upper, grid_oracle, grid_size
 from .separable import (
     beta_sep_pure,
     build_optimal_separable_povm,
@@ -122,6 +122,8 @@ def cmd_sweep(args) -> int:
 def cmd_optimize(args) -> int:
     try:
         s = parse_spectrum(args.schmidt)
+        if args.grid_step is not None:
+            grid_size(s.rank, args.grid_step)
     except ValueError as exc:
         return _fail_parse(str(exc))
     config = OptimizerConfig(starts=args.starts, tol=args.tol, seed=args.seed)
@@ -210,6 +212,8 @@ def _verify_checks(s, mc_samples: int, seed: int):
 def cmd_verify(args) -> int:
     try:
         s = parse_spectrum(args.schmidt)
+        if args.mc_samples < 1:
+            raise ValueError("--mc-samples must be at least 1")
     except ValueError as exc:
         return _fail_parse(str(exc))
     failures = 0

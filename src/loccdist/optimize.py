@@ -274,6 +274,28 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     return np.vstack(chunks)
 
 
+def grid_size(d: int, step: float) -> tuple[int, int]:
+    """(units per row, total points) of the oracle grid for d outcomes.
+
+    Raises ValueError for a step that is not positive, or for a grid too
+    large to enumerate.
+    """
+    if not step > 0:
+        raise ValueError("grid step must be positive")
+    if not math.isfinite(1.0 / step):
+        raise ValueError(f"grid step {step!r} is too small")
+    units = max(int(round(1.0 / step)), 1)
+    total = 1
+    for k in range(d):
+        total *= math.comb(units + d - k - 1, d - k - 1)
+    if total > 50_000_000:
+        raise ValueError(
+            f"grid of {total} points is too large; increase the step or use "
+            f"the projected-gradient method for d = {d}"
+        )
+    return units, total
+
+
 def grid_oracle(
     s: SchmidtSpectrum, step: float, chunk: int = 1 << 18
 ) -> OptimizationResult:
@@ -282,11 +304,10 @@ def grid_oracle(
     Deterministic brute force, intended as an independent oracle for small
     d (the point count grows combinatorially).
     """
-    if step <= 0:
-        raise ValueError("grid step must be positive")
     lam = s.effective
     D = s.dim**2
     d = lam.size
+    units, total = grid_size(d, step)
     if d == 1:
         return OptimizationResult(
             best_delta=DeltaMatrix(np.ones((1, 1))),
@@ -296,15 +317,6 @@ def grid_oracle(
             converged=True,
             t_value=1.0,
             D=D,
-        )
-    units = max(int(round(1.0 / step)), 1)
-    total = 1
-    for k in range(d):
-        total *= math.comb(units + d - k - 1, d - k - 1)
-    if total > 50_000_000:
-        raise ValueError(
-            f"grid of {total} points is too large; increase the step or use "
-            f"the projected-gradient method for d = {d}"
         )
     obj = _FlatObjective(lam)
     row_grids = [

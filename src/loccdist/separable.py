@@ -11,10 +11,14 @@ equivalent exact ways:
   * `twirl` pinches an operator onto the invariant subspace spanned by
     {|e_j f_k><e_j f_k|, j != k} and {|e_j f_j><e_l f_l|} (used for
     numerical identities), and
-  * the separable certificates average over third-roots-of-unity phase
-    grids, which reproduces the continuous average exactly because every
-    Fourier frequency appearing in a rank-one product term lies in
-    {-2, .., 2} per phase.
+  * the separable certificates average over a Sidon phase grid: phases
+    exp(2 pi i m s_j / N), m = 0..N-1, where s is a Sidon set (all pairwise
+    sums distinct) and N = 2 max(s) + 1.  A rank-one product term carries
+    the phase factor phi_i conj(phi_j) conj(phi_k) phi_l, which averages to
+    zero unless s_i + s_l = s_j + s_k, i.e. unless {i, l} = {j, k}: exactly
+    the invariant modes kept by `twirl`.  The T certificate has
+    2 max(s) + 1 terms (3 / 7 / 15 / 41 / 89 / 131 at d = 2 / 3 / 4 / 6 /
+    8 / 9), each pair seed of the complement 3.
 """
 
 from __future__ import annotations
@@ -23,10 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import as_operator, eig_hermitian, tensor_vec
+from .operators import as_operator, eig_hermitian
 from .states import BipartiteState, SchmidtSpectrum, sqrt_trace_reduced
-
-_PHASES = np.exp(2j * np.pi * np.arange(3) / 3)
 
 
 @dataclass(frozen=True)
@@ -41,9 +43,10 @@ class SeparableForm:
         if not self.terms:
             return np.zeros((dA * dB, dA * dB), dtype=complex)
         w = np.array([t[0] for t in self.terms], dtype=float)
-        A = np.stack([t[1] for t in self.terms])
-        B = np.stack([t[2] for t in self.terms])
-        out = np.einsum("n,nij,nkl->ikjl", w, A, B)
+        A = np.stack([t[1] for t in self.terms]).reshape(w.size, dA * dA)
+        B = np.stack([t[2] for t in self.terms]).reshape(w.size, dB * dB)
+        # One matrix product sums the terms: out[(i,j),(k,l)] = sum_n w_n A_ij B_kl.
+        out = ((w[:, None] * A).T @ B).reshape(dA, dA, dB, dB).transpose(0, 2, 1, 3)
         return np.ascontiguousarray(out.reshape(dA * dB, dA * dB))
 
     def min_term_eigenvalue(self) -> float:
@@ -112,10 +115,28 @@ def twirl(t, bases: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     return out.reshape(D, D)
 
 
-def _phase_grid(n: int):
-    """All n-tuples over the three third-roots of unity."""
-    grids = np.meshgrid(*([_PHASES] * n), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+def sidon_set(n: int) -> tuple[int, ...]:
+    """The first n terms of the greedy (Mian-Chowla) Sidon sequence from 0:
+    0, 1, 3, 7, 12, 20, 30, 44, 65, 80, ..., all sums s_i + s_j (i <= j)
+    distinct."""
+    s: list[int] = []
+    sums: set[int] = set()
+    c = 0
+    while len(s) < n:
+        new = {c + x for x in s} | {2 * c}
+        if not new & sums:
+            s.append(c)
+            sums |= new
+        c += 1
+    return tuple(s)
+
+
+def sidon_phase_grid(n: int) -> np.ndarray:
+    """N x n phase rows exp(2 pi i m s_j / N), m = 0..N-1, with s = sidon_set(n)
+    and N = 2 max(s) + 1; each row carries weight 1 / N in an average."""
+    s = np.array(sidon_set(n))
+    N = 2 * s[-1] + 1
+    return np.exp(2j * np.pi * np.outer(np.arange(N), s) / N)
 
 
 def optimal_test_operator(s: SchmidtSpectrum) -> np.ndarray:
@@ -136,84 +157,59 @@ def optimal_test_operator(s: SchmidtSpectrum) -> np.ndarray:
     return T
 
 
-def build_optimal_separable_povm(s: SchmidtSpectrum) -> SeparablePovmPair:
-    """Construct {T, I - T} with explicit separable forms for both outcomes.
+def _complement_terms(s: SchmidtSpectrum, pair_grid: np.ndarray) -> tuple:
+    """Product terms (w, A, B) of the complement seed, each pair seed averaged
+    over the rows (phase_i, phase_j) of pair_grid.
 
-    T is the phase average of the product seed |a><a| (x) |b><b| with
-    a = b = sum_i l_i**(1/4) |i>; its complement averages the product seed
-    made of the pair vectors
+    For every ordered pair i != j the seed is half the projector onto
+    abar_ij (x) bbar_ij, with
         abar_ij = l_j**(1/4) |e_i> - l_i**(1/4) |e_j>,
         bbar_ij = l_j**(1/4) |f_i> + l_i**(1/4) |f_j>,
-    plus diagonal product terms that are already invariant.
+    plus the already invariant diagonal term q_ij |e_i f_j><e_i f_j|.
     """
     lam = s.lambdas
     d = s.dim
     root4 = lam**0.25
-    T = optimal_test_operator(s)
-
-    # Certificate for T: full-grid phase average of the rank-one seed.
-    t_terms = []
-    grid = _phase_grid(d)
-    w = 1.0 / len(grid)
-    for phases in grid:
-        a = phases * root4
-        b = phases.conj() * root4
-        t_terms.append((w, np.outer(a, a.conj()), np.outer(b, b.conj())))
-
-    # Certificate for I - T: each pair seed only involves two phases, so a
-    # 3 x 3 subgrid reproduces its average exactly.
-    c_terms = []
-    pair_grid = _phase_grid(2)
-    wp = 0.5 / len(pair_grid)
     sq = np.sqrt(lam)
+    unit = np.eye(d, dtype=complex)
+    w = 0.5 / len(pair_grid)
+    terms = []
     for i in range(d):
         for j in range(d):
             if i == j:
                 continue
             for pi, pj in pair_grid:
                 abar = np.zeros(d, dtype=complex)
-                abar[i] = pi * root4[j]
-                abar[j] = -pj * root4[i]
+                abar[[i, j]] = pi * root4[j], -pj * root4[i]
                 bbar = np.zeros(d, dtype=complex)
-                bbar[i] = pi.conjugate() * root4[j]
-                bbar[j] = pj.conjugate() * root4[i]
-                c_terms.append((wp, np.outer(abar, abar.conj()), np.outer(bbar, bbar.conj())))
+                bbar[[i, j]] = np.conj(pi) * root4[j], np.conj(pj) * root4[i]
+                terms.append((w, np.outer(abar, abar.conj()), np.outer(bbar, bbar.conj())))
             q = float(lam.sum() - lam[i] - lam[j] + (sq[i] - sq[j]) ** 2)
-            ea = np.zeros((d, d), dtype=complex)
-            ea[i, i] = 1.0
-            fb = np.zeros((d, d), dtype=complex)
-            fb[j, j] = 1.0
-            c_terms.append((q, ea, fb))
+            terms.append((q, np.diag(unit[i]), np.diag(unit[j])))
+    return tuple(terms)
 
+
+def build_optimal_separable_povm(s: SchmidtSpectrum) -> SeparablePovmPair:
+    """Construct {T, I - T} with explicit separable forms for both outcomes.
+
+    T is the Sidon-grid phase average of the product seed |a><a| (x) |b><b|
+    with a = b = sum_i l_i**(1/4) |i>; its complement is the average of the
+    complement seed, whose pair terms involve only two phases each.
+    """
+    d = s.dim
+    a = sidon_phase_grid(d) * s.lambdas**0.25
+    A = np.einsum("ni,nj->nij", a, a.conj())
     return SeparablePovmPair(
-        T=T,
-        T_form=SeparableForm((d, d), tuple(t_terms)),
-        complement_form=SeparableForm((d, d), tuple(c_terms)),
+        T=optimal_test_operator(s),
+        T_form=SeparableForm((d, d), tuple((1.0 / len(A), An, An.conj()) for An in A)),
+        complement_form=SeparableForm((d, d), _complement_terms(s, sidon_phase_grid(2))),
     )
 
 
 def complement_seed(s: SchmidtSpectrum) -> np.ndarray:
     """The un-twirled complement seed (pair projectors plus diagonal terms)."""
-    lam = s.lambdas
     d = s.dim
-    root4 = lam**0.25
-    sq = np.sqrt(lam)
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            abar = np.zeros(d, dtype=complex)
-            abar[i] = root4[j]
-            abar[j] = -root4[i]
-            bbar = np.zeros(d, dtype=complex)
-            bbar[i] = root4[j]
-            bbar[j] = root4[i]
-            vec = tensor_vec(abar, bbar)
-            out += 0.5 * np.outer(vec, vec.conj())
-            q = lam.sum() - lam[i] - lam[j] + (sq[i] - sq[j]) ** 2
-            out[i * d + j, i * d + j] += q
-    return out
+    return SeparableForm((d, d), _complement_terms(s, np.ones((1, 2)))).assemble()
 
 
 def verify_appendix_identity(s: SchmidtSpectrum) -> float:

@@ -45,6 +45,8 @@ class SchmidtSpectrum:
         lam = np.asarray(self.lambdas, dtype=float)
         if lam.ndim != 1 or lam.size == 0:
             raise ValueError("spectrum must be a nonempty 1-D sequence")
+        if not np.all(np.isfinite(lam)):
+            raise ValueError("Schmidt coefficients must be finite")
         if np.min(lam) < -RANK_TOL:
             raise ValueError(f"negative Schmidt coefficient {np.min(lam):.3e}")
         lam = np.clip(lam, 0.0, None)

@@ -126,6 +126,14 @@ def sigma_A(s: SchmidtSpectrum, M, N) -> np.ndarray:
     return (sm @ core_half @ sm) / normalizer
 
 
+def _branch_occurs(den: float, i: int) -> bool:
+    """Whether Alice's outcome i (0-indexed), of probability den on the state,
+    keeps a branch.  Bob's at most i + 1 outcomes in the branch each have
+    probability den / rank, so gating on den / (i + 1) keeps sigma_A from
+    ever conditioning on a zero-probability outcome."""
+    return den > (i + 1) * DENOM_TOL
+
+
 def build_mub_basis(omega, r: int | None = None) -> np.ndarray:
     """Orthonormal columns spanning the support of omega, each with
     expectation Tr(omega)/rank against omega.
@@ -152,8 +160,8 @@ def build_two_way_T(s: SchmidtSpectrum, delta: DeltaMatrix):
     """Assemble the full POVM element of the three-step protocol.
 
     Returns (T, protocol).  T = sum_ij (sqrt(M_i) P_ij sqrt(M_i)) (x) N_j^i
-    detects the state perfectly; branches whose Alice outcome has zero
-    weight are skipped entirely.
+    detects the state perfectly; branches whose Bob outcomes have zero
+    probability are skipped entirely, as in trace_T_closed_form.
     """
     lam = s.effective
     d = lam.size
@@ -167,7 +175,7 @@ def build_two_way_T(s: SchmidtSpectrum, delta: DeltaMatrix):
     for i in range(d):
         weights = lam * np.diag(alice[i])
         den = weights.sum()
-        if den <= DENOM_TOL:
+        if not _branch_occurs(den, i):
             bob_bases.append(None)
             continue
         omega = np.diag(weights / den)
@@ -200,7 +208,7 @@ def trace_T_closed_form(s: SchmidtSpectrum, delta: DeltaMatrix) -> float:
     for i in range(d):
         col = delta.table[: i + 1, i]
         den = float(np.dot(lam[: i + 1], col))
-        if den <= DENOM_TOL:
+        if not _branch_occurs(den, i):
             continue
         num = float(np.dot(lam[: i + 1], col**2))
         total += (i + 1) * num / den

@@ -148,6 +148,41 @@ def test_verify_rejects_malformed(capsys):
     assert "sum" in err
 
 
+@pytest.mark.parametrize("schmidt", [",".join(["0.25"] * 4), ",".join([repr(1 / 7)] * 7)])
+def test_verify_exactly_uniform_spectrum(capsys, schmidt):
+    code, out, _ = run(capsys, "verify", "--schmidt", schmidt, "--mc-samples", "5000")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 11
+    for line in lines:
+        assert line.endswith("PASS")
+
+
+@pytest.mark.parametrize("schmidt", ["nan,1", "inf,0"])
+def test_bounds_rejects_non_finite(capsys, schmidt):
+    code, out, err = run(capsys, "bounds", "--schmidt", schmidt)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_rejects_bad_mc_samples(capsys, samples):
+    code, out, err = run(capsys, "verify", "--schmidt", "0.5,0.5", "--mc-samples", samples)
+    assert code == 2
+    assert out == ""
+    assert "--mc-samples" in err
+
+
+def test_optimize_rejects_oversize_grid(capsys):
+    code, out, err = run(
+        capsys, "optimize", "--schmidt", "0.5,0.3,0.2", "--grid-step", "1e-9"
+    )
+    assert code == 2
+    assert out == ""
+    assert "too large" in err
+
+
 def test_cli_entry_point_runs():
     with pytest.raises(SystemExit):
         main(["--help"])

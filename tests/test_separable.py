@@ -10,6 +10,7 @@ from loccdist.separable import (
     global_robustness_pure,
     optimal_test_operator,
     sep_lower_bound_mixed,
+    sidon_set,
     twirl,
     verify_appendix_identity,
 )
@@ -163,6 +164,40 @@ def test_povm_corpus_invariants():
         eye = np.eye(d * d)
         assert np.max(np.abs(pair.complement_form.assemble() - (eye - pair.T))) <= 1e-9
         assert verify_appendix_identity(s) <= 1e-9
+
+
+def _check_sidon_certificates(s):
+    d = s.dim
+    pair = build_optimal_separable_povm(s)
+    assert np.max(np.abs(pair.T_form.assemble() - pair.T)) <= 1e-9
+    eye = np.eye(d * d)
+    assert np.max(np.abs(pair.complement_form.assemble() - (eye - pair.T))) <= 1e-9
+    assert pair.T_form.min_term_eigenvalue() >= -1e-10
+    assert pair.complement_form.min_term_eigenvalue() >= -1e-10
+    assert len(pair.T_form.terms) == 2 * max(sidon_set(d)) + 1
+
+
+def test_sidon_grid_certificates_random_d1_to_16():
+    rng = np.random.default_rng(7)
+    for d in range(1, 17):
+        _check_sidon_certificates(random_spectrum(d, rng))
+
+
+def test_sidon_grid_certificates_zero_padded_to_d9():
+    rng = np.random.default_rng(8)
+    for rank in (2, 3, 4):
+        padded = np.zeros(9)
+        padded[:rank] = random_spectrum(rank, rng).lambdas
+        _check_sidon_certificates(spectrum(padded))
+
+
+def test_sidon_set_is_sidon():
+    assert sidon_set(10) == (0, 1, 3, 7, 12, 20, 30, 44, 65, 80)
+    for n in range(1, 17):
+        s = sidon_set(n)
+        assert len(s) == n
+        sums = [a + b for k, a in enumerate(s) for b in s[k:]]
+        assert len(sums) == len(set(sums))
 
 
 def test_sep_lower_bound_pure_equality():

@@ -31,6 +31,12 @@ def test_spectrum_rejects_bad_sum():
         spectrum([0.9, 0.2])
 
 
+@pytest.mark.parametrize("values", [[np.nan, 1.0], [np.inf, 0.0], [1.0, -np.inf]])
+def test_spectrum_rejects_non_finite(values):
+    with pytest.raises(ValueError, match="finite"):
+        spectrum(values)
+
+
 def test_spectrum_rejects_negative():
     with pytest.raises(ValueError):
         spectrum([1.2, -0.2])
