@@ -24,6 +24,10 @@ class BoundsReport:
     decimals (a single number for a two-outcome system's first row entry
     plus its complements).  flags is empty for pure states; mixed-state
     reports carry "lower-bound" because only beta_g is exact there.
+
+    spectrum holds the Schmidt coefficients for a pure-state report; a
+    mixed-state report (mixed_state_report) puts the eigenvalues of rho
+    there instead, in decreasing order, under the same field and JSON key.
     """
 
     spectrum: tuple

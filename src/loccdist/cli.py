@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .bounds import pure_state_report
+from .bounds import _delta_string, pure_state_report
 from .families import get_family, sweep
 from .one_way import build_one_way_test
 from .operators import eig_hermitian
@@ -132,11 +132,7 @@ def cmd_optimize(args) -> int:
         "beta_two_way_upper": result.beta_value,
         "t_value": result.t_value,
         "D": result.D,
-        "delta": ",".join(
-            format(result.best_delta.table[k, i], ".9g")
-            for k in range(result.best_delta.d)
-            for i in range(k, result.best_delta.d)
-        ),
+        "delta": _delta_string(result.best_delta),
         "method": result.method,
         "iterations": result.iterations,
         "converged": result.converged,

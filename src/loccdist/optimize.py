@@ -4,10 +4,19 @@ The objective
 
     t(delta) = sum_i i * (sum_{k<=i} l_k d_ki**2) / (sum_{k<=i} l_k d_ki)
 
-is a sum of quadratic-over-linear ratios over a product of row simplices
-(one simplex per level k, spread over outcomes i >= k).  It is smooth on
-the interior but not obviously convex, so the main method is multi-start
-projected gradient (Barzilai-Borwein trial steps, Armijo halving), guarded
+(two_way.trace_T_batch) is minimised over a product of row simplices (one
+simplex per level k, spread over outcomes i >= k).  It is convex: column
+i's term is ||diag(sqrt l) x||**2 / (l . x) for the column x, a
+quadratic-over-linear function of a linear map (Boyd & Vandenberghe,
+Convex Optimization, 3.1.5 and 3.2.2), extended by its limit 0 where the
+column is empty.  It is not smooth there: each term has a kink where its
+column's weight vanishes, and the one-way corner (every column but the
+last empty) is such a point.  Near those faces the gradient jumps, the
+gradient-mapping test need not settle, and one projected-gradient run can
+creep along a face and stop short (two starts lose 3.5e-8 in beta against
+sixteen on the spectrum (4, 4, 3, 2)/13).  So the method stays multi-start
+projected gradient (Barzilai-Borwein trial steps, Armijo halving) with a
+stall rule that retires a start whose value has stopped improving, guarded
 by an exhaustive grid oracle for small d and by the exact two-outcome
 solution
 
@@ -23,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import SchmidtSpectrum
-from .two_way import DENOM_TOL, DeltaMatrix, trace_T_closed_form
+from .two_way import DeltaMatrix, trace_T_batch, trace_T_closed_form
 
 
 @dataclass(frozen=True)
@@ -45,92 +54,32 @@ class OptimizationResult:
     D: int
 
 
-class _FlatObjective:
-    """Vectorised objective/gradient over row-major flattened feasible tables."""
-
-    def __init__(self, lam: np.ndarray):
-        self.lam = np.asarray(lam, dtype=float)
-        d = self.lam.size
-        self.d = d
-        rows, cols = [], []
-        for k in range(d):
-            for i in range(k, d):
-                rows.append(k)
-                cols.append(i)
-        self.rows = np.array(rows)
-        self.cols = np.array(cols)
-        self.nvars = len(rows)
-        self.lam_flat = self.lam[self.rows]
-        self.col_onehot = np.zeros((self.nvars, d))
-        self.col_onehot[np.arange(self.nvars), self.cols] = 1.0
-        self.weights = np.arange(1, d + 1, dtype=float)
-        self.blocks = []
-        start = 0
-        for k in range(d):
-            m = d - k
-            self.blocks.append(slice(start, start + m))
-            start += m
-
-    def table(self, x: np.ndarray) -> DeltaMatrix:
-        t = np.zeros((self.d, self.d))
-        t[self.rows, self.cols] = x
-        # Clean rounding before constructing the (validating) table.
-        t = np.clip(t, 0.0, None)
-        sums = t.sum(axis=1)
-        t /= sums[:, None]
-        return DeltaMatrix(t)
-
-    def flatten(self, delta: DeltaMatrix) -> np.ndarray:
-        return delta.table[self.rows, self.cols].copy()
-
-    def value_grad(self, X: np.ndarray):
-        """Objective and gradient for a batch X of shape (n, nvars)."""
-        W = X * self.lam_flat
-        Dcol = W @ self.col_onehot
-        Ncol = (X * W) @ self.col_onehot
-        safe = Dcol > DENOM_TOL
-        ratio = np.where(safe, Ncol / np.where(safe, Dcol, 1.0), 0.0)
-        f = ratio @ self.weights
-        Dx = Dcol[:, self.cols]
-        Nx = Ncol[:, self.cols]
-        ok = Dx > DENOM_TOL
-        grad = np.where(
-            ok,
-            self.weights[self.cols]
-            * self.lam_flat
-            * (2.0 * X * np.where(ok, Dx, 1.0) - Nx)
-            / np.where(ok, Dx, 1.0) ** 2,
-            0.0,
-        )
-        return f, grad
-
-    def value(self, X: np.ndarray) -> np.ndarray:
-        W = X * self.lam_flat
-        Dcol = W @ self.col_onehot
-        Ncol = (X * W) @ self.col_onehot
-        safe = Dcol > DENOM_TOL
-        ratio = np.where(safe, Ncol / np.where(safe, Dcol, 1.0), 0.0)
-        return ratio @ self.weights
-
-    def project(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty_like(X)
-        for block in self.blocks:
-            out[:, block] = _project_simplex_rows(X[:, block])
-        return out
+def _as_delta(table: np.ndarray) -> DeltaMatrix:
+    """Clean rounding (clip, renormalise rows) before the validating constructor."""
+    t = np.clip(table, 0.0, None)
+    return DeltaMatrix(t / t.sum(axis=1, keepdims=True))
 
 
-def _project_simplex_rows(X: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row of X onto the unit simplex."""
-    n, m = X.shape
-    if m == 1:
-        return np.ones_like(X)
-    u = -np.sort(-X, axis=1)
-    css = np.cumsum(u, axis=1)
-    idx = np.arange(1, m + 1)
-    cond = u + (1.0 - css) / idx > 0
-    rho = np.count_nonzero(cond, axis=1)
-    theta = (css[np.arange(n), rho - 1] - 1.0) / rho
-    return np.maximum(X - theta[:, None], 0.0)
+def _project_rows(X: np.ndarray) -> np.ndarray:
+    """Euclidean projection of every row k of each table in the (n, d, d)
+    batch X onto the unit simplex over its entries i >= k; entries with
+    k > i come back zero.
+
+    With a row's entries sorted in decreasing order u_1 >= u_2 >= ..., the
+    shift is theta = max_j (u_1 + ... + u_j - 1) / j: that ratio increases
+    while u_j exceeds it and decreases after, so its maximum sits at the
+    last entry the projection keeps.
+    """
+    cols = np.arange(X.shape[-1])
+    upper = cols[:, None] <= cols
+    # Row k has d - k free entries; sorted in decreasing order they lead.
+    lead = upper[:, ::-1]
+    u = np.sort(np.where(upper, X, -np.inf), axis=-1)[..., ::-1]
+    css = np.cumsum(np.where(lead, u, 0.0), axis=-1)
+    theta = np.where(lead, (css - 1.0) / (cols + 1.0), -np.inf).max(axis=-1, keepdims=True)
+    out = np.where(upper, np.maximum(X - theta, 0.0), 0.0)
+    out[..., -1, -1] = 1.0  # the last row's one entry, free of rounding
+    return out
 
 
 def beta_two_way_qubit_analytic(lam: float) -> tuple[float, float]:
@@ -159,36 +108,23 @@ def beta_two_way_upper(
     lam = s.effective
     D = s.dim**2
     d = lam.size
-    if d == 1:
-        return OptimizationResult(
-            best_delta=DeltaMatrix(np.ones((1, 1))),
-            beta_value=1.0 / D,
-            method="projected-gradient",
-            iterations=0,
-            converged=True,
-            t_value=1.0,
-            D=D,
-        )
-
-    obj = _FlatObjective(lam)
     rng = np.random.default_rng(config.seed)
     # The trivial-first-measurement corner always achieves the one-way value
     # and is the exact optimum at uniform spectra, so it is seeded alongside
     # the uniform table; the rest are random.
-    starts = [obj.flatten(DeltaMatrix.uniform(d)), obj.flatten(DeltaMatrix.one_way(d))]
-    for _ in range(max(config.starts - 2, 0)):
-        starts.append(obj.flatten(DeltaMatrix.random(d, rng)))
-    X = np.stack(starts)
+    starts = [DeltaMatrix.uniform(d), DeltaMatrix.one_way(d)]
+    starts += [DeltaMatrix.random(d, rng) for _ in range(config.starts - 2)]
+    X = np.stack([delta.table for delta in starts])
     n = X.shape[0]
 
     alpha = np.full(n, 1.0)
     done = np.zeros(n, dtype=bool)
-    f, g = obj.value_grad(X)
+    f, g = trace_T_batch(lam, X, grad=True)
     best_f = f.copy()
     stall = np.zeros(n, dtype=int)
     iterations = 0
     for iterations in range(1, config.max_iters + 1):
-        gm = np.linalg.norm(X - obj.project(X - g), axis=1)
+        gm = np.linalg.norm(X - _project_rows(X - g), axis=(1, 2))
         done |= gm <= config.tol
         if done.all():
             break
@@ -199,9 +135,9 @@ def beta_two_way_upper(
         step = alpha.copy()
         pending = idx.copy()
         while pending.size:
-            trial = obj.project(X[pending] - step[pending, None] * g[pending])
-            ftrial = obj.value(trial)
-            slope = np.einsum("ij,ij->i", g[pending], trial - X[pending])
+            trial = _project_rows(X[pending] - step[pending, None, None] * g[pending])
+            ftrial = trace_T_batch(lam, trial)
+            slope = np.einsum("nki,nki->n", g[pending], trial - X[pending])
             ok = ftrial <= f[pending] + 1e-4 * slope
             accepted = pending[ok]
             trial_ok = trial[ok]
@@ -209,7 +145,7 @@ def beta_two_way_upper(
             fc[accepted] = ftrial[ok]
             # An accepted step that moves nothing means the iterate is
             # stationary to floating-point resolution.
-            moved = np.linalg.norm(trial_ok - X[accepted], axis=1)
+            moved = np.linalg.norm(trial_ok - X[accepted], axis=(1, 2))
             done[accepted[moved <= 1e-13]] = True
             rejected = pending[~ok]
             step[rejected] *= 0.5
@@ -219,13 +155,13 @@ def beta_two_way_upper(
             pending = rejected[step[rejected] >= 1e-14]
         X_old, g_old = X.copy(), g
         X[idx] = cand[idx]
-        f, g = obj.value_grad(X)
+        f, g = trace_T_batch(lam, X, grad=True)
         # Barzilai-Borwein step for the next round; fall back to the last
         # accepted step where the curvature estimate is unusable.
         dx = X - X_old
         dg = g - g_old
-        num = np.einsum("ij,ij->i", dx, dx)
-        den = np.einsum("ij,ij->i", dx, dg)
+        num = np.einsum("nki,nki->n", dx, dx)
+        den = np.einsum("nki,nki->n", dx, dg)
         bb = np.where(den > 1e-18, num / np.where(den > 1e-18, den, 1.0), step)
         alpha = np.clip(bb, 1e-10, 1e4)
         # A start whose value has stopped moving is done even if its
@@ -236,7 +172,7 @@ def beta_two_way_upper(
         done |= stall >= 30
 
     best = int(np.argmin(f))
-    delta = obj.table(X[best])
+    delta = _as_delta(X[best])
     t_value = trace_T_closed_form(s, delta)
     converged = bool(done.all())
 
@@ -308,36 +244,21 @@ def grid_oracle(
     D = s.dim**2
     d = lam.size
     units, total = grid_size(d, step)
-    if d == 1:
-        return OptimizationResult(
-            best_delta=DeltaMatrix(np.ones((1, 1))),
-            beta_value=1.0 / D,
-            method="grid",
-            iterations=1,
-            converged=True,
-            t_value=1.0,
-            D=D,
-        )
-    obj = _FlatObjective(lam)
-    row_grids = [
-        _compositions(units, d - k).astype(float) / units for k in range(d)
-    ]
+    row_grids = [_compositions(units, d - k) / units for k in range(d)]
     counts = [grid.shape[0] for grid in row_grids]
     best_val = np.inf
-    best_x = None
+    best_table = None
     for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        flat_idx = np.arange(lo, hi)
-        per_row = np.unravel_index(flat_idx, counts)
-        X = np.concatenate(
-            [row_grids[k][per_row[k]] for k in range(d)], axis=1
-        )
-        vals = obj.value(X)
+        per_row = np.unravel_index(np.arange(lo, min(lo + chunk, total)), counts)
+        X = np.zeros((per_row[0].size, d, d))
+        for k in range(d):
+            X[:, k, k:] = row_grids[k][per_row[k]]
+        vals = trace_T_batch(lam, X)
         j = int(np.argmin(vals))
         if vals[j] < best_val:
             best_val = float(vals[j])
-            best_x = X[j].copy()
-    delta = obj.table(best_x)
+            best_table = X[j].copy()
+    delta = _as_delta(best_table)
     t_value = trace_T_closed_form(s, delta)
     return OptimizationResult(
         best_delta=delta,

@@ -43,7 +43,8 @@ class DeltaMatrix:
         t = np.asarray(self.table, dtype=float)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise ValueError("delta table must be square")
-        d = t.shape[0]
+        if not np.all(np.isfinite(t)):
+            raise ValueError("delta entries must be finite")
         if np.min(t) < -1e-12:
             raise ValueError(f"negative delta entry {np.min(t):.3e}")
         lower = np.tril(t, -1)
@@ -126,11 +127,11 @@ def sigma_A(s: SchmidtSpectrum, M, N) -> np.ndarray:
     return (sm @ core_half @ sm) / normalizer
 
 
-def _branch_occurs(den: float, i: int) -> bool:
+def _branch_occurs(den, i):
     """Whether Alice's outcome i (0-indexed), of probability den on the state,
-    keeps a branch.  Bob's at most i + 1 outcomes in the branch each have
-    probability den / rank, so gating on den / (i + 1) keeps sigma_A from
-    ever conditioning on a zero-probability outcome."""
+    keeps a branch; elementwise for arrays.  Bob's at most i + 1 outcomes in
+    the branch each have probability den / rank, so gating on den / (i + 1)
+    keeps sigma_A from ever conditioning on a zero-probability outcome."""
     return den > (i + 1) * DENOM_TOL
 
 
@@ -198,21 +199,37 @@ def build_two_way_T(s: SchmidtSpectrum, delta: DeltaMatrix):
     return T, protocol
 
 
+def trace_T_batch(lam: np.ndarray, tables: np.ndarray, grad: bool = False):
+    """Closed-form Tr T for a batch of (n, d, d) upper-triangular tables.
+
+    Column i contributes (i + 1) N_i / D_i with D_i = sum_k l_k d_ki and
+    N_i = sum_k l_k d_ki**2; columns whose branch never occurs contribute
+    nothing.  With grad=True also returns dTr T / dd_ki = (i + 1) l_k
+    (2 d_ki - N_i / D_i) / D_i, zero below the diagonal and on dropped
+    columns.
+    """
+    cols = np.arange(lam.size)
+    weights = cols + 1.0
+    den = lam @ tables
+    live = _branch_occurs(den, cols)
+    safe = np.where(live, den, 1.0)
+    ratio = np.where(live, lam @ (tables * tables), 0.0) / safe
+    # A row reduction, not a matrix product, so a table's value does not
+    # depend on the batch it is evaluated in.
+    value = (ratio * weights).sum(axis=1)
+    if not grad:
+        return value
+    scale = np.where(live, weights / safe, 0.0)[:, None, :]
+    g = lam[:, None] * (2.0 * tables - ratio[:, None, :]) * scale
+    return value, np.where(cols[:, None] <= cols, g, 0.0)
+
+
 def trace_T_closed_form(s: SchmidtSpectrum, delta: DeltaMatrix) -> float:
     """Closed-form Tr T; zero-weight outcomes contribute nothing."""
     lam = s.effective
-    d = lam.size
-    if delta.d != d:
-        raise ValueError(f"delta has d = {delta.d}, spectrum has effective rank {d}")
-    total = 0.0
-    for i in range(d):
-        col = delta.table[: i + 1, i]
-        den = float(np.dot(lam[: i + 1], col))
-        if not _branch_occurs(den, i):
-            continue
-        num = float(np.dot(lam[: i + 1], col**2))
-        total += (i + 1) * num / den
-    return total
+    if delta.d != lam.size:
+        raise ValueError(f"delta has d = {delta.d}, spectrum has effective rank {lam.size}")
+    return float(trace_T_batch(lam, delta.table[None])[0])
 
 
 def _branch_probabilities(protocol: TwoWayProtocol, source: str):

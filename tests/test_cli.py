@@ -114,6 +114,22 @@ def test_sweep_rejects_infeasible_custom_family(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "family,t_range",
+    [("0.5+0.5t,0.5-0.5t", "0.5,0"), ("0.5+0.5t,0.5-0.5t", "nan,0"), ("fig1", "nan,0.5")],
+)
+def test_sweep_rejects_bad_range(capsys, tmp_path, family, t_range):
+    out_path = tmp_path / "x.csv"
+    code, out, err = run(
+        capsys, "sweep", "--family", family, "--points", "3", "--out", str(out_path),
+        "--range", t_range,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert not out_path.exists()
+
+
 def test_optimize_with_grid(capsys):
     code, out, _ = run(
         capsys, "optimize", "--schmidt", "0.875,0.125", "--grid-step", "0.001"

@@ -3,12 +3,13 @@ import pytest
 
 from loccdist.optimize import (
     OptimizerConfig,
+    _project_rows,
     beta_two_way_qubit_analytic,
     beta_two_way_upper,
     grid_oracle,
 )
 from loccdist.states import spectrum
-from loccdist.two_way import trace_T_closed_form
+from loccdist.two_way import trace_T_batch, trace_T_closed_form
 
 
 def random_spectrum(d, rng):
@@ -46,6 +47,39 @@ def test_optimizer_rank_one():
     assert abs(res.beta_value - 0.25) <= 1e-12
     assert res.t_value == 1.0
     assert res.converged
+    grid = grid_oracle(spectrum([1.0, 0.0]), 0.1)
+    assert grid.t_value == 1.0 and grid.beta_value == 0.25
+
+
+def test_optimizer_objective_is_reported_value():
+    # The minimised objective and the reported t_value share one gate: on an
+    # exactly uniform spectrum, whose optimum empties every column but the
+    # last, they agree to the bit.
+    s = spectrum([1 / 7] * 7)
+    res = beta_two_way_upper(s)
+    assert trace_T_batch(s.effective, res.best_delta.table[None])[0] == res.t_value
+    assert abs(res.t_value - 7.0) <= 1e-9
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+def test_project_rows(d):
+    rng = np.random.default_rng(d)
+    X = 3.0 * rng.standard_normal((20, d, d))
+    P = _project_rows(X)
+    upper = np.triu(np.ones((d, d), dtype=bool))
+    assert np.all(P[:, ~upper] == 0.0)
+    assert np.min(P) >= 0.0
+    assert np.max(np.abs(P.sum(axis=2) - 1.0)) <= 1e-12
+    assert np.max(np.abs(_project_rows(P) - P)) <= 1e-12
+    # Euclidean projection onto a simplex: P = max(X - theta, 0) per row,
+    # one theta per row, so every kept entry is shifted by the same amount
+    # and every dropped entry sits at or below the shift.
+    for n in range(X.shape[0]):
+        for k in range(d):
+            x, p = X[n, k, k:], P[n, k, k:]
+            theta = np.mean((x - p)[p > 0])
+            assert np.max(np.abs((x - p)[p > 0] - theta)) <= 1e-12
+            assert np.all(x[p == 0] <= theta + 1e-12)
 
 
 def test_optimizer_maximally_entangled_two_outcomes():

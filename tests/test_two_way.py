@@ -10,6 +10,7 @@ from loccdist.two_way import (
     build_two_way_T,
     sigma_A,
     simulate_protocol,
+    trace_T_batch,
     trace_T_closed_form,
     wilson_interval,
 )
@@ -35,6 +36,10 @@ def test_delta_validation():
         DeltaMatrix(np.array([[1.0, 0.0], [0.5, 0.5]]))  # structural zero broken
     with pytest.raises(ValueError):
         DeltaMatrix(np.array([[1.5, -0.5], [0.0, 1.0]]))  # negative entry
+    with pytest.raises(ValueError):
+        DeltaMatrix(np.array([[np.nan, 1.0], [0.0, 1.0]]))  # NaN fails every comparison
+    with pytest.raises(ValueError):
+        DeltaMatrix(np.array([[np.inf, -np.inf], [0.0, 1.0]]))
 
 
 def test_delta_constructors():
@@ -182,6 +187,38 @@ def test_oracle_equivalence_corpus():
         assert abs(np.trace(T).real - trace_T_closed_form(s, delta)) <= 1e-9
         psi = state_from_spectrum(s).psi
         assert abs((psi.conj() @ T @ psi).real - 1.0) <= 1e-9
+    # The batched objective on random, degenerate and zero-padded spectra,
+    # including tables with empty columns.
+    spectra = [random_spectrum(d, rng) for d in (2, 3, 4, 5)]
+    spectra += [spectrum([0.4, 0.2, 0.2, 0.2]), spectrum([1 / 3] * 3)]
+    spectra += [spectrum([0.5, 0.3, 0.2, 0.0, 0.0]), spectrum([0.7, 0.3, 0.0])]
+    for s in spectra:
+        d = s.rank
+        deltas = [DeltaMatrix.random(d, rng) for _ in range(3)]
+        deltas += [DeltaMatrix.uniform(d), DeltaMatrix.one_way(d)]
+        values = trace_T_batch(s.effective, np.stack([delta.table for delta in deltas]))
+        for delta, value in zip(deltas, values):
+            T, _ = build_two_way_T(s, delta)
+            assert abs(np.trace(T).real - value) <= 1e-9
+            assert value == trace_T_closed_form(s, delta)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_objective_gradient_matches_finite_differences(d):
+    rng = np.random.default_rng(10 + d)
+    lam = random_spectrum(d, rng).effective
+    tables = np.stack([DeltaMatrix.random(d, rng).table for _ in range(3)])
+    _, grad = trace_T_batch(lam, tables, grad=True)
+    h = 1e-6
+    for k in range(d):
+        for i in range(d):
+            step = np.zeros((d, d))
+            step[k, i] = h
+            fd = (trace_T_batch(lam, tables + step) - trace_T_batch(lam, tables - step)) / (2 * h)
+            if k > i:
+                assert np.all(grad[:, k, i] == 0.0)
+            else:
+                assert np.max(np.abs(grad[:, k, i] - fd)) <= 1e-7
 
 
 def test_oracle_equivalence_degenerate_spectrum():
