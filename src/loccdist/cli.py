@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification failure, 2 unparseable input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -47,6 +48,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 
+SEED_HELP = "accepted and ignored: the two-way solve is deterministic"
+
 
 def _fail_parse(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -73,7 +76,7 @@ def cmd_bounds(args) -> int:
             )
     except ValueError as exc:
         return _fail_parse(str(exc))
-    report = pure_state_report(s, dims=dims, config=OptimizerConfig(seed=args.seed))
+    report = pure_state_report(s, dims=dims)
     print(json.dumps(report.to_dict()))
     if not report.ordering_ok():
         print("error: bound ordering violated", file=sys.stderr)
@@ -93,7 +96,7 @@ def cmd_sweep(args) -> int:
             raise ValueError("--points must be at least 2")
     except ValueError as exc:
         return _fail_parse(str(exc))
-    rows = sweep(family, args.points, config=OptimizerConfig(seed=args.seed))
+    rows = sweep(family, args.points)
     lines = ["t,beta_g,beta_one_way,beta_sep,beta_two_way_upper"]
     for t, report in rows:
         lines.append(
@@ -122,12 +125,13 @@ def cmd_sweep(args) -> int:
 def cmd_optimize(args) -> int:
     try:
         s = parse_spectrum(args.schmidt)
+        if not 0 < args.tol < np.inf:
+            raise ValueError("--tol must be a positive number")
         if args.grid_step is not None:
             grid_size(s.rank, args.grid_step)
     except ValueError as exc:
         return _fail_parse(str(exc))
-    config = OptimizerConfig(starts=args.starts, tol=args.tol, seed=args.seed)
-    result = beta_two_way_upper(s, config)
+    result = beta_two_way_upper(s, OptimizerConfig(tol=args.tol))
     payload = {
         "beta_two_way_upper": result.beta_value,
         "t_value": result.t_value,
@@ -136,6 +140,7 @@ def cmd_optimize(args) -> int:
         "method": result.method,
         "iterations": result.iterations,
         "converged": result.converged,
+        "certified_gap": result.certified_gap,
     }
     if args.grid_step:
         oracle = grid_oracle(s, args.grid_step)
@@ -195,7 +200,7 @@ def _verify_checks(s, mc_samples: int, seed: int):
     yield "two-way-trace-oracle", worst_oracle, 1e-9
     yield "two-way-perfect-detection", worst_detect, 1e-9
 
-    result = beta_two_way_upper(s, OptimizerConfig(seed=seed))
+    result = beta_two_way_upper(s)
     _, protocol = build_two_way_T(s, result.best_delta)
     rate_psi, _ = simulate_protocol(protocol, "psi", mc_samples, seed)
     yield "monte-carlo-type-1", abs(rate_psi - 1.0), 0.0
@@ -233,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="report the four bounds for one spectrum")
     p.add_argument("--schmidt", required=True, help="comma-separated Schmidt coefficients")
     p.add_argument("--dims", help="override embedding as 'dA,dB'")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("sweep", help="CSV sweep over a spectrum family")
@@ -241,15 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--range", help="t range 'lo,hi' (custom families)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("optimize", help="minimise the two-way bound for one spectrum")
     p.add_argument("--schmidt", required=True)
-    p.add_argument("--starts", type=int, default=16)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--grid-step", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("verify", help="run construction self-checks for one spectrum")
@@ -261,8 +265,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # One per process: a fresh parser per main() call leaves ~200 objects in
+    # reference cycles, which pile up when one process calls main() often.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -173,14 +173,16 @@ def parse_family(expr: str, t_range: tuple[float, float], name: str = "custom") 
 def get_family(name_or_expr: str, t_range=None) -> FamilySpec:
     """A built-in family by name, or a parsed expression on t_range.
 
-    A given t_range must be two finite numbers lo < hi, whichever family is
-    named (built-in families keep their own range).
+    A built-in family has its own range and takes no t_range; a custom
+    expression needs one of two finite numbers lo < hi.
     """
     if t_range is not None:
         lo, hi = (float(x) for x in t_range)
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"range must be finite with lo < hi, got {lo!r},{hi!r}")
     if name_or_expr in BUILTIN_FAMILIES:
+        if t_range is not None:
+            raise ValueError(f"family {name_or_expr} has a fixed t range; only custom families take one")
         return BUILTIN_FAMILIES[name_or_expr]
     if t_range is None:
         raise ValueError(

@@ -9,18 +9,18 @@ simplex per level k, spread over outcomes i >= k).  It is convex: column
 i's term is ||diag(sqrt l) x||**2 / (l . x) for the column x, a
 quadratic-over-linear function of a linear map (Boyd & Vandenberghe,
 Convex Optimization, 3.1.5 and 3.2.2), extended by its limit 0 where the
-column is empty.  It is not smooth there: each term has a kink where its
-column's weight vanishes, and the one-way corner (every column but the
-last empty) is such a point.  Near those faces the gradient jumps, the
-gradient-mapping test need not settle, and one projected-gradient run can
-creep along a face and stop short (two starts lose 3.5e-8 in beta against
-sixteen on the spectrum (4, 4, 3, 2)/13).  So the method stays multi-start
-projected gradient (Barzilai-Borwein trial steps, Armijo halving) with a
-stall rule that retires a start whose value has stopped improving, guarded
-by an exhaustive grid oracle for small d and by the exact two-outcome
-solution
+column is empty, where it has a kink.
 
-    beta = 1/2 - (1 - sqrt(2 l))**2 / (4 (1 - l)),   delta* = (1 - sqrt(2 l)) / (1 - l).
+beta_two_way_upper is one deterministic log-barrier Newton solve (ibid.,
+ch. 11) whose iterates stay strictly interior, away from those kinks.  It
+stops when the Frank-Wolfe gap sum_k (sum_i g_ki x_ki - min_i g_ki) is at
+most the tolerance; by convexity that gap bounds how far the value lies
+above the minimum (Jaggi, ICML 2013), and it is reported as certified_gap.
+The exhaustive grid oracle for small d and the exact two-outcome solution
+
+    beta = 1/2 - (1 - sqrt(2 l))**2 / (4 (1 - l)),   delta* = (1 - sqrt(2 l)) / (1 - l)
+
+stay as independent checks.
 """
 
 from __future__ import annotations
@@ -35,16 +35,21 @@ from .states import SchmidtSpectrum
 from .two_way import DeltaMatrix, trace_T_batch, trace_T_closed_form
 
 
+MAX_ITERS = 500  # Newton steps and barrier updates together
+BARRIER_GROWTH = 10.0
+CENTRING_TOL = 1e-6  # Newton decrement**2 / 2 of t * f - sum log x at a centred point
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    starts: int = 16
-    tol: float = 1e-9
-    max_iters: int = 10_000
-    seed: int = 0
+    tol: float = 1e-9  # certified bound on t_value minus the minimum of Tr T
 
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """certified_gap bounds t_value minus the true minimum; it is inf for
+    grid_oracle, whose grid point carries no certificate."""
+
     best_delta: DeltaMatrix
     beta_value: float
     method: str
@@ -52,34 +57,13 @@ class OptimizationResult:
     converged: bool
     t_value: float
     D: int
+    certified_gap: float
 
 
 def _as_delta(table: np.ndarray) -> DeltaMatrix:
     """Clean rounding (clip, renormalise rows) before the validating constructor."""
     t = np.clip(table, 0.0, None)
     return DeltaMatrix(t / t.sum(axis=1, keepdims=True))
-
-
-def _project_rows(X: np.ndarray) -> np.ndarray:
-    """Euclidean projection of every row k of each table in the (n, d, d)
-    batch X onto the unit simplex over its entries i >= k; entries with
-    k > i come back zero.
-
-    With a row's entries sorted in decreasing order u_1 >= u_2 >= ..., the
-    shift is theta = max_j (u_1 + ... + u_j - 1) / j: that ratio increases
-    while u_j exceeds it and decreases after, so its maximum sits at the
-    last entry the projection keeps.
-    """
-    cols = np.arange(X.shape[-1])
-    upper = cols[:, None] <= cols
-    # Row k has d - k free entries; sorted in decreasing order they lead.
-    lead = upper[:, ::-1]
-    u = np.sort(np.where(upper, X, -np.inf), axis=-1)[..., ::-1]
-    css = np.cumsum(np.where(lead, u, 0.0), axis=-1)
-    theta = np.where(lead, (css - 1.0) / (cols + 1.0), -np.inf).max(axis=-1, keepdims=True)
-    out = np.where(upper, np.maximum(X - theta, 0.0), 0.0)
-    out[..., -1, -1] = 1.0  # the last row's one entry, free of rounding
-    return out
 
 
 def beta_two_way_qubit_analytic(lam: float) -> tuple[float, float]:
@@ -96,91 +80,79 @@ def beta_two_way_qubit_analytic(lam: float) -> tuple[float, float]:
 def beta_two_way_upper(
     s: SchmidtSpectrum, config: OptimizerConfig | None = None
 ) -> OptimizationResult:
-    """Multi-start projected-gradient minimiser of the protocol error.
+    """Log-barrier Newton minimiser of the protocol error.
 
-    The returned table is always feasible; `converged` reports whether every
-    surviving start reached the gradient-mapping tolerance or a numerical
-    stationary point before the iteration cap.  For d = 2 the result is
-    cross-checked against the analytic solution.
+    From the uniform table, takes Newton steps on f(x) - (1/t) sum log x_ki
+    under the row sums (one KKT system each, kept interior by a
+    fraction-to-boundary rule and Armijo halving), multiplying t by
+    BARRIER_GROWTH whenever the iterate is centred.  Stops once the
+    Frank-Wolfe gap is at most config.tol and returns the better of the
+    iterate and the one-way corner, so t_value exceeds the minimum by at
+    most certified_gap; `converged` says whether that happened within
+    MAX_ITERS steps and, for d = 2, matches the analytic solution.
     """
     if config is None:
         config = OptimizerConfig()
     lam = s.effective
     D = s.dim**2
     d = lam.size
-    rng = np.random.default_rng(config.seed)
-    # The trivial-first-measurement corner always achieves the one-way value
-    # and is the exact optimum at uniform spectra, so it is seeded alongside
-    # the uniform table; the rest are random.
-    starts = [DeltaMatrix.uniform(d), DeltaMatrix.one_way(d)]
-    starts += [DeltaMatrix.random(d, rng) for _ in range(config.starts - 2)]
-    X = np.stack([delta.table for delta in starts])
-    n = X.shape[0]
+    upper = np.triu(np.ones((d, d), dtype=bool))
+    rows, cols = np.nonzero(upper)
+    m = rows.size
+    # Equality-constrained Newton system [[H, A^T], [A, 0]]: A sums each row.
+    kkt = np.zeros((m + d, m + d))
+    kkt[m + rows, np.arange(m)] = 1.0
+    kkt[np.arange(m), m + rows] = 1.0
+    same_col = cols[:, None] == cols
+    rhs = np.zeros(m + d)
 
-    alpha = np.full(n, 1.0)
-    done = np.zeros(n, dtype=bool)
-    f, g = trace_T_batch(lam, X, grad=True)
-    best_f = f.copy()
-    stall = np.zeros(n, dtype=int)
-    iterations = 0
-    for iterations in range(1, config.max_iters + 1):
-        gm = np.linalg.norm(X - _project_rows(X - g), axis=(1, 2))
-        done |= gm <= config.tol
-        if done.all():
+    X = DeltaMatrix.uniform(d).table
+    f, g, H = (a[0] for a in trace_T_batch(lam, X[None], hess=True))
+    t = 1.0
+    for iterations in range(1, MAX_ITERS + 1):
+        # By convexity f(X) - min f <= max over vertices V of g . (X - V).
+        gap = float(np.sum(g * X) - np.min(np.where(upper, g, np.inf), axis=1).sum())
+        if gap <= config.tol:
             break
-        active = ~done
-        idx = np.flatnonzero(active)
-        cand = X.copy()
-        fc = f.copy()
-        step = alpha.copy()
-        pending = idx.copy()
-        while pending.size:
-            trial = _project_rows(X[pending] - step[pending, None, None] * g[pending])
-            ftrial = trace_T_batch(lam, trial)
-            slope = np.einsum("nki,nki->n", g[pending], trial - X[pending])
-            ok = ftrial <= f[pending] + 1e-4 * slope
-            accepted = pending[ok]
-            trial_ok = trial[ok]
-            cand[accepted] = trial_ok
-            fc[accepted] = ftrial[ok]
-            # An accepted step that moves nothing means the iterate is
-            # stationary to floating-point resolution.
-            moved = np.linalg.norm(trial_ok - X[accepted], axis=(1, 2))
-            done[accepted[moved <= 1e-13]] = True
-            rejected = pending[~ok]
-            step[rejected] *= 0.5
-            floored = rejected[step[rejected] < 1e-14]
-            # No descent at any step length: numerically stationary.
-            done[floored] = True
-            pending = rejected[step[rejected] >= 1e-14]
-        X_old, g_old = X.copy(), g
-        X[idx] = cand[idx]
-        f, g = trace_T_batch(lam, X, grad=True)
-        # Barzilai-Borwein step for the next round; fall back to the last
-        # accepted step where the curvature estimate is unusable.
-        dx = X - X_old
-        dg = g - g_old
-        num = np.einsum("nki,nki->n", dx, dx)
-        den = np.einsum("nki,nki->n", dx, dg)
-        bb = np.where(den > 1e-18, num / np.where(den > 1e-18, den, 1.0), step)
-        alpha = np.clip(bb, 1e-10, 1e4)
-        # A start whose value has stopped moving is done even if its
-        # gradient mapping plateaus above tol (flat valleys, corner creep).
-        improved = f < best_f - 1e-12 * (1.0 + np.abs(best_f))
-        stall = np.where(improved, 0, stall + 1)
-        best_f = np.minimum(best_f, f)
-        done |= stall >= 30
+        x = X[upper]
+        grad = g[upper] - 1.0 / (t * x)
+        kkt[:m, :m] = np.where(same_col, H[cols[:, None], rows[:, None], rows], 0.0)
+        kkt[:m, :m] += np.diag(1.0 / (t * x * x))
+        rhs[:m] = -grad
+        dx = np.linalg.solve(kkt, rhs)[:m]
+        decrement = -float(grad @ dx)
+        if t * decrement <= 2.0 * CENTRING_TOL:
+            t *= BARRIER_GROWTH
+            continue
+        # Fraction to the boundary, then Armijo halving on the barrier
+        # objective; a slack of a few ulps of phi lets through a step whose
+        # predicted decrease is below rounding.
+        shrink = dx < 0
+        alpha = min(1.0, 0.99 * float(np.min(-x[shrink] / dx[shrink]))) if shrink.any() else 1.0
+        step = np.zeros((d, d))
+        step[upper] = dx
+        phi = f - np.log(x).sum() / t
+        slack = 8.0 * np.finfo(float).eps * abs(phi)
+        while True:
+            X_new = X + alpha * step
+            phi_new = trace_T_batch(lam, X_new[None])[0] - np.log(X_new[upper]).sum() / t
+            if phi_new <= phi - 0.25 * alpha * decrement + slack:
+                break
+            alpha *= 0.5
+        X = X_new
+        f, g, H = (a[0] for a in trace_T_batch(lam, X[None], hess=True))
 
-    best = int(np.argmin(f))
-    delta = _as_delta(X[best])
+    # The one-way corner is feasible and exact at uniform spectra; taking
+    # the better of the two keeps beta_two_way_upper <= beta_one_way exactly.
+    delta = min((_as_delta(X), DeltaMatrix.one_way(d)), key=lambda c: trace_T_closed_form(s, c))
     t_value = trace_T_closed_form(s, delta)
-    converged = bool(done.all())
+    converged = gap <= config.tol
 
     if d == 2:
         beta_exact, _ = beta_two_way_qubit_analytic(float(lam[1]))
         if abs(t_value / (d * d) - beta_exact) > 1e-6:
             warnings.warn(
-                f"projected gradient missed the analytic two-outcome value: "
+                f"barrier solve missed the analytic two-outcome value: "
                 f"{t_value / (d * d):.9f} vs {beta_exact:.9f}",
                 RuntimeWarning,
             )
@@ -189,11 +161,12 @@ def beta_two_way_upper(
     return OptimizationResult(
         best_delta=delta,
         beta_value=t_value / D,
-        method="projected-gradient",
+        method="log-barrier-newton",
         iterations=iterations,
         converged=converged,
         t_value=t_value,
         D=D,
+        certified_gap=gap,
     )
 
 
@@ -227,7 +200,7 @@ def grid_size(d: int, step: float) -> tuple[int, int]:
     if total > 50_000_000:
         raise ValueError(
             f"grid of {total} points is too large; increase the step or use "
-            f"the projected-gradient method for d = {d}"
+            f"beta_two_way_upper for d = {d}"
         )
     return units, total
 
@@ -268,4 +241,5 @@ def grid_oracle(
         converged=True,
         t_value=t_value,
         D=D,
+        certified_gap=math.inf,
     )

@@ -199,14 +199,17 @@ def build_two_way_T(s: SchmidtSpectrum, delta: DeltaMatrix):
     return T, protocol
 
 
-def trace_T_batch(lam: np.ndarray, tables: np.ndarray, grad: bool = False):
+def trace_T_batch(lam: np.ndarray, tables: np.ndarray, grad: bool = False, hess: bool = False):
     """Closed-form Tr T for a batch of (n, d, d) upper-triangular tables.
 
     Column i contributes (i + 1) N_i / D_i with D_i = sum_k l_k d_ki and
     N_i = sum_k l_k d_ki**2; columns whose branch never occurs contribute
     nothing.  With grad=True also returns dTr T / dd_ki = (i + 1) l_k
     (2 d_ki - N_i / D_i) / D_i, zero below the diagonal and on dropped
-    columns.
+    columns.  With hess=True also returns the (n, d, d, d) column blocks
+    H[n, i, k, k'] = d2 Tr T / dd_ki dd_k'i = 2 (i + 1) / D_i (l_k [k = k']
+    - l_k l_k' (d_ki + d_k'i - N_i / D_i) / D_i), zero where k or k' > i
+    and on dropped columns; entries of different columns do not interact.
     """
     cols = np.arange(lam.size)
     weights = cols + 1.0
@@ -217,11 +220,19 @@ def trace_T_batch(lam: np.ndarray, tables: np.ndarray, grad: bool = False):
     # A row reduction, not a matrix product, so a table's value does not
     # depend on the batch it is evaluated in.
     value = (ratio * weights).sum(axis=1)
-    if not grad:
+    if not (grad or hess):
         return value
+    upper = cols[:, None] <= cols
     scale = np.where(live, weights / safe, 0.0)[:, None, :]
     g = lam[:, None] * (2.0 * tables - ratio[:, None, :]) * scale
-    return value, np.where(cols[:, None] <= cols, g, 0.0)
+    g = np.where(upper, g, 0.0)
+    if not hess:
+        return value, g
+    x = np.swapaxes(tables, 1, 2)[..., None]  # d_ki at [n, i, k, 0]
+    coupling = (x + np.swapaxes(x, 2, 3) - ratio[..., None, None]) / safe[..., None, None]
+    H = 2.0 * scale[:, 0, :, None, None] * (np.diag(lam) - np.outer(lam, lam) * coupling)
+    keep = upper.T[:, :, None] & upper.T[:, None, :]
+    return value, g, np.where(keep, H, 0.0)
 
 
 def trace_T_closed_form(s: SchmidtSpectrum, delta: DeltaMatrix) -> float:

@@ -116,7 +116,12 @@ def test_sweep_rejects_infeasible_custom_family(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "family,t_range",
-    [("0.5+0.5t,0.5-0.5t", "0.5,0"), ("0.5+0.5t,0.5-0.5t", "nan,0"), ("fig1", "nan,0.5")],
+    [
+        ("0.5+0.5t,0.5-0.5t", "0.5,0"),
+        ("0.5+0.5t,0.5-0.5t", "nan,0"),
+        ("fig1", "nan,0.5"),
+        ("fig1", "0,0.1"),
+    ],
 )
 def test_sweep_rejects_bad_range(capsys, tmp_path, family, t_range):
     out_path = tmp_path / "x.csv"
@@ -138,7 +143,8 @@ def test_optimize_with_grid(capsys):
     payload = json.loads(out)
     assert abs(payload["beta_two_way_upper"] - 0.4285714285714286) <= 1e-6
     assert payload["grid_gap"] <= 1e-6
-    assert payload["method"] == "projected-gradient"
+    assert payload["method"] == "log-barrier-newton"
+    assert payload["converged"] and 0.0 <= payload["certified_gap"] <= 1e-9
 
 
 def test_verify_passes(capsys):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from loccdist.families import BUILTIN_FAMILIES
 from loccdist.optimize import (
     OptimizerConfig,
-    _project_rows,
     beta_two_way_qubit_analytic,
     beta_two_way_upper,
     grid_oracle,
@@ -59,27 +59,6 @@ def test_optimizer_objective_is_reported_value():
     res = beta_two_way_upper(s)
     assert trace_T_batch(s.effective, res.best_delta.table[None])[0] == res.t_value
     assert abs(res.t_value - 7.0) <= 1e-9
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
-def test_project_rows(d):
-    rng = np.random.default_rng(d)
-    X = 3.0 * rng.standard_normal((20, d, d))
-    P = _project_rows(X)
-    upper = np.triu(np.ones((d, d), dtype=bool))
-    assert np.all(P[:, ~upper] == 0.0)
-    assert np.min(P) >= 0.0
-    assert np.max(np.abs(P.sum(axis=2) - 1.0)) <= 1e-12
-    assert np.max(np.abs(_project_rows(P) - P)) <= 1e-12
-    # Euclidean projection onto a simplex: P = max(X - theta, 0) per row,
-    # one theta per row, so every kept entry is shifted by the same amount
-    # and every dropped entry sits at or below the shift.
-    for n in range(X.shape[0]):
-        for k in range(d):
-            x, p = X[n, k, k:], P[n, k, k:]
-            theta = np.mean((x - p)[p > 0])
-            assert np.max(np.abs((x - p)[p > 0] - theta)) <= 1e-12
-            assert np.all(x[p == 0] <= theta + 1e-12)
 
 
 def test_optimizer_maximally_entangled_two_outcomes():
@@ -174,8 +153,45 @@ def test_optimizer_value_independent_of_coefficient_order():
 
 
 def test_optimizer_config_seed_determinism():
+    # One deterministic solve: no seed, and repeated calls agree to the bit.
     s = spectrum([0.55, 0.3, 0.15])
-    a = beta_two_way_upper(s, OptimizerConfig(seed=5))
-    b = beta_two_way_upper(s, OptimizerConfig(seed=5))
-    assert a.beta_value == b.beta_value
+    a = beta_two_way_upper(s)
+    b = beta_two_way_upper(s, OptimizerConfig())
+    assert (a.t_value, a.iterations, a.certified_gap) == (b.t_value, b.iterations, b.certified_gap)
     assert np.array_equal(a.best_delta.table, b.best_delta.table)
+
+
+def _certificate_spectrum(kind, d):
+    rng = np.random.default_rng(d)
+    if kind == "random":
+        return np.sort(rng.dirichlet(np.ones(d)))[::-1]
+    if kind == "tied":
+        big, small = np.sort(rng.dirichlet(np.ones(2)))[::-1]
+        lam = np.array([big] + [small] * (d - 1))
+        return lam / lam.sum()
+    if kind == "near-zero":
+        head = np.sort(rng.dirichlet(np.ones(d - 1)))[::-1]
+        return np.append(head * (1.0 - 1e-11), 1e-11)
+    return np.append(np.sort(rng.dirichlet(np.ones(d)))[::-1], [0.0, 0.0])  # zero-padded
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("kind", ["random", "tied", "near-zero", "zero-padded"])
+def test_certified_gap_fuzz(kind, d):
+    s = spectrum(_certificate_spectrum(kind, d))
+    res = beta_two_way_upper(s)
+    assert res.certified_gap >= 0.0
+    assert res.converged and res.certified_gap <= 1e-9
+    assert res.beta_value <= s.rank / s.dim**2
+    if s.rank <= 3:
+        # The gap bounds t_value minus the minimum, so no grid point beats it.
+        assert res.t_value - res.certified_gap <= grid_oracle(s, 0.01).t_value
+
+
+@pytest.mark.parametrize("t, ceiling", [(11 / 49, 0.248422275), (12 / 49, 0.24992565)])
+def test_fig5_rows_reach_the_minimum(t, ceiling):
+    # Both points stopped short of the minimum under multi-start projected
+    # gradient while reporting convergence.
+    res = beta_two_way_upper(BUILTIN_FAMILIES["fig5"].spectrum_at(t))
+    assert res.converged
+    assert res.beta_value <= ceiling

@@ -208,17 +208,28 @@ def test_objective_gradient_matches_finite_differences(d):
     rng = np.random.default_rng(10 + d)
     lam = random_spectrum(d, rng).effective
     tables = np.stack([DeltaMatrix.random(d, rng).table for _ in range(3)])
-    _, grad = trace_T_batch(lam, tables, grad=True)
+    _, grad, hess = trace_T_batch(lam, tables, hess=True)
+    assert np.array_equal(trace_T_batch(lam, tables, grad=True)[1], grad)
     h = 1e-6
     for k in range(d):
         for i in range(d):
             step = np.zeros((d, d))
             step[k, i] = h
             fd = (trace_T_batch(lam, tables + step) - trace_T_batch(lam, tables - step)) / (2 * h)
+            _, g_plus = trace_T_batch(lam, tables + step, grad=True)
+            _, g_minus = trace_T_batch(lam, tables - step, grad=True)
+            fd_hess = (g_plus - g_minus) / (2 * h)
             if k > i:
                 assert np.all(grad[:, k, i] == 0.0)
+                assert np.all(hess[:, i, k, :] == 0.0) and np.all(hess[:, i, :, k] == 0.0)
             else:
                 assert np.max(np.abs(grad[:, k, i] - fd)) <= 1e-7
+                # Column i's block holds every second derivative through d_ki;
+                # other columns do not move.
+                scale = 1.0 + np.max(np.abs(hess[:, i]))
+                assert np.max(np.abs(hess[:, i, :, k] - fd_hess[:, :, i])) <= 1e-7 * scale
+                others = np.arange(d) != i
+                assert np.max(np.abs(fd_hess[:, :, others])) <= 1e-7 * scale
 
 
 def test_oracle_equivalence_degenerate_spectrum():
