@@ -25,6 +25,7 @@ from .operators import (
     psd_sqrt,
     support_projection,
     tensor,
+    tensor_sum,
     tensor_vec,
 )
 from .optimize import (
@@ -121,6 +122,7 @@ __all__ = [
     "support_projection",
     "sweep",
     "tensor",
+    "tensor_sum",
     "tensor_vec",
     "trace_T_closed_form",
     "twirl",

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .bounds import _delta_string, pure_state_report
-from .families import get_family, sweep
+from .families import check_points, get_family, sweep
 from .one_way import build_one_way_test
 from .operators import eig_hermitian
 from .optimize import OptimizerConfig, beta_two_way_upper, grid_oracle, grid_size
@@ -36,6 +36,7 @@ from .states import (
     state_from_spectrum,
 )
 from .two_way import (
+    MAX_SAMPLES,
     DeltaMatrix,
     build_two_way_T,
     simulate_protocol,
@@ -51,11 +52,6 @@ EXIT_INVARIANT = 3
 SEED_HELP = "accepted and ignored: the two-way solve is deterministic"
 
 
-def _fail_parse(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_PARSE
-
-
 def _parse_dims(text: str):
     parts = text.split(",")
     if len(parts) != 2:
@@ -66,16 +62,15 @@ def _parse_dims(text: str):
     return dA, dB
 
 
-def cmd_bounds(args) -> int:
-    try:
-        s = parse_spectrum(args.schmidt)
-        dims = _parse_dims(args.dims) if args.dims else None
-        if dims is not None and dims[0] * dims[1] < s.rank**2:
-            raise ValueError(
-                f"dims {dims} too small for a Schmidt-rank-{s.rank} state"
-            )
-    except ValueError as exc:
-        return _fail_parse(str(exc))
+def check_bounds(args):
+    s = parse_spectrum(args.schmidt)
+    dims = _parse_dims(args.dims) if args.dims else None
+    if dims is not None and dims[0] * dims[1] < s.rank**2:
+        raise ValueError(f"dims {dims} too small for a Schmidt-rank-{s.rank} state")
+    return s, dims
+
+
+def cmd_bounds(s, dims) -> int:
     report = pure_state_report(s, dims=dims)
     print(json.dumps(report.to_dict()))
     if not report.ordering_ok():
@@ -84,19 +79,21 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    try:
-        t_range = None
-        if args.range:
-            lo, hi = (float(x) for x in args.range.split(","))
-            t_range = (lo, hi)
-        family = get_family(args.family, t_range)
-        family.validate()
-        if args.points < 2:
-            raise ValueError("--points must be at least 2")
-    except ValueError as exc:
-        return _fail_parse(str(exc))
-    rows = sweep(family, args.points)
+def check_sweep(args):
+    t_range = None
+    if args.range:
+        lo, hi = (float(x) for x in args.range.split(","))
+        t_range = (lo, hi)
+    family = get_family(args.family, t_range)
+    family.validate()
+    check_points(args.points)
+    # Fail on an unwritable --out now, not after every row is computed.
+    open(args.out, "a").close()
+    return family, args.points, args.out
+
+
+def cmd_sweep(family, points, out) -> int:
+    rows = sweep(family, points)
     lines = ["t,beta_g,beta_one_way,beta_sep,beta_two_way_upper"]
     for t, report in rows:
         lines.append(
@@ -112,9 +109,9 @@ def cmd_sweep(args) -> int:
             )
         )
     text = "\n".join(lines) + "\n"
-    with open(args.out, "w") as fh:
+    with open(out, "w") as fh:
         fh.write(text)
-    print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
+    print(f"wrote {len(rows)} rows to {out}", file=sys.stderr)
     for _, report in rows:
         if not report.ordering_ok():
             print("error: bound ordering violated in sweep", file=sys.stderr)
@@ -122,16 +119,17 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_optimize(args) -> int:
-    try:
-        s = parse_spectrum(args.schmidt)
-        if not 0 < args.tol < np.inf:
-            raise ValueError("--tol must be a positive number")
-        if args.grid_step is not None:
-            grid_size(s.rank, args.grid_step)
-    except ValueError as exc:
-        return _fail_parse(str(exc))
-    result = beta_two_way_upper(s, OptimizerConfig(tol=args.tol))
+def check_optimize(args):
+    s = parse_spectrum(args.schmidt)
+    if not 0 < args.tol < np.inf:
+        raise ValueError("--tol must be a positive number")
+    if args.grid_step is not None:
+        grid_size(s.rank, args.grid_step)
+    return s, args.tol, args.grid_step
+
+
+def cmd_optimize(s, tol, grid_step) -> int:
+    result = beta_two_way_upper(s, OptimizerConfig(tol=tol))
     payload = {
         "beta_two_way_upper": result.beta_value,
         "t_value": result.t_value,
@@ -142,8 +140,8 @@ def cmd_optimize(args) -> int:
         "converged": result.converged,
         "certified_gap": result.certified_gap,
     }
-    if args.grid_step:
-        oracle = grid_oracle(s, args.grid_step)
+    if grid_step is not None:
+        oracle = grid_oracle(s, grid_step)
         payload["grid_beta"] = oracle.beta_value
         payload["grid_gap"] = result.beta_value - oracle.beta_value
     print(json.dumps(payload))
@@ -210,15 +208,18 @@ def _verify_checks(s, mc_samples: int, seed: int):
     yield "monte-carlo-type-2", abs(rate_mix - beta), max(hi - lo, 1e-12)
 
 
-def cmd_verify(args) -> int:
-    try:
-        s = parse_spectrum(args.schmidt)
-        if args.mc_samples < 1:
-            raise ValueError("--mc-samples must be at least 1")
-    except ValueError as exc:
-        return _fail_parse(str(exc))
+def check_verify(args):
+    s = parse_spectrum(args.schmidt)
+    if not 1 <= args.mc_samples <= MAX_SAMPLES:
+        raise ValueError(f"--mc-samples must be between 1 and {MAX_SAMPLES}")
+    if args.seed < 0:
+        raise ValueError("--seed must be a non-negative integer")
+    return s, args.mc_samples, args.seed
+
+
+def cmd_verify(s, mc_samples, seed) -> int:
     failures = 0
-    for name, dev, tol in _verify_checks(s, args.mc_samples, args.seed):
+    for name, dev, tol in _verify_checks(s, mc_samples, seed):
         ok = dev <= tol
         failures += 0 if ok else 1
         print(f"{name:<28s} deviation={dev:.3e}  {'PASS' if ok else 'FAIL'}")
@@ -239,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schmidt", required=True, help="comma-separated Schmidt coefficients")
     p.add_argument("--dims", help="override embedding as 'dA,dB'")
     p.add_argument("--seed", type=int, default=0, help=SEED_HELP)
-    p.set_defaults(func=cmd_bounds)
+    p.set_defaults(check=check_bounds, run=cmd_bounds)
 
     p = sub.add_parser("sweep", help="CSV sweep over a spectrum family")
     p.add_argument("--family", required=True, help="fig1..fig6 or 'a+bt,...' expression")
@@ -247,20 +248,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--range", help="t range 'lo,hi' (custom families)")
     p.add_argument("--seed", type=int, default=0, help=SEED_HELP)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(check=check_sweep, run=cmd_sweep)
 
     p = sub.add_parser("optimize", help="minimise the two-way bound for one spectrum")
     p.add_argument("--schmidt", required=True)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--grid-step", type=float, default=None)
     p.add_argument("--seed", type=int, default=0, help=SEED_HELP)
-    p.set_defaults(func=cmd_optimize)
+    p.set_defaults(check=check_optimize, run=cmd_optimize)
 
     p = sub.add_parser("verify", help="run construction self-checks for one spectrum")
     p.add_argument("--schmidt", required=True)
     p.add_argument("--mc-samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(check=check_verify, run=cmd_verify)
 
     return parser
 
@@ -273,8 +274,19 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Parse argv, check every input of the command, then run it.
+
+    Each command's check turns its arguments into validated inputs; any
+    error it raises, or a --out that cannot be opened, ends in exit 2 with
+    one `error:` line, before any work is done.
+    """
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        inputs = args.check(args)
+    except (ValueError, ArithmeticError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    return args.run(*inputs)
 
 
 if __name__ == "__main__":

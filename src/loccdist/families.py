@@ -29,6 +29,7 @@ from .optimize import OptimizerConfig
 from .states import SchmidtSpectrum
 
 FEAS_TOL = 1e-12
+MAX_POINTS = 1_000_000  # one two-way solve per point: about an hour of work
 
 
 @dataclass(frozen=True)
@@ -69,9 +70,14 @@ class FamilySpec:
         return SchmidtSpectrum(np.clip(self.coefficients(t), 0.0, None))
 
     def grid(self, points: int) -> np.ndarray:
-        if points < 2:
-            raise ValueError("need at least two grid points")
+        check_points(points)
         return np.linspace(self.t_range[0], self.t_range[1], points)
+
+
+def check_points(points: int) -> None:
+    """Raise unless a sweep grid of this many points can be built and run."""
+    if not 2 <= points <= MAX_POINTS:
+        raise ValueError(f"a sweep takes 2 to {MAX_POINTS} points, got {points}")
 
 
 BUILTIN_FAMILIES = {
@@ -134,10 +140,15 @@ _AFFINE_RE = re.compile(rf"^(?P<a>[+-]?{_NUM})(?P<sign>[+-])(?P<coef>{_NUM})?\*?
 
 
 def _parse_number(text: str) -> float:
-    if "/" in text:
-        num, den = text.split("/")
-        return float(num) / float(den)
-    return float(text)
+    num, _, den = text.partition("/")
+    value = float(num)
+    if den:
+        if not float(den):
+            raise ValueError(f"zero denominator in {text!r}")
+        value /= float(den)
+    if not math.isfinite(value):
+        raise ValueError(f"coefficient {text!r} is not finite")
+    return value
 
 
 def _parse_term(token: str) -> tuple[float, float]:

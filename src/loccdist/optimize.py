@@ -186,11 +186,11 @@ def _compositions(total: int, parts: int) -> np.ndarray:
 def grid_size(d: int, step: float) -> tuple[int, int]:
     """(units per row, total points) of the oracle grid for d outcomes.
 
-    Raises ValueError for a step that is not positive, or for a grid too
-    large to enumerate.
+    Raises ValueError for a step outside (0, 1] (NaN and inf included), or
+    for a grid too large to enumerate.
     """
-    if not step > 0:
-        raise ValueError("grid step must be positive")
+    if not 0 < step <= 1:
+        raise ValueError(f"grid step must be in (0, 1], got {step!r}")
     if not math.isfinite(1.0 / step):
         raise ValueError(f"grid step {step!r} is too small")
     units = max(int(round(1.0 / step)), 1)

@@ -27,37 +27,54 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import as_operator, eig_hermitian
+from .operators import as_operator, eig_hermitian, tensor_sum
 from .states import BipartiteState, SchmidtSpectrum, sqrt_trace_reduced
 
 
-@dataclass(frozen=True)
 class SeparableForm:
-    """A positive operator written as sum_i w_i * A_i (x) B_i with A_i, B_i PSD."""
+    """A positive operator written as sum_n w_n * A_n (x) B_n with A_n, B_n PSD.
 
-    dims: tuple[int, int]
-    terms: tuple  # of (weight, A, B)
+    Built from (w, A, B) triples, or with `from_stacks` from the stacks
+    themselves; either way the factors are copied once into read-only
+    stacks `weights` (n,), `A` (n, dA, dA) and `B` (n, dB, dB).
+    """
+
+    def __init__(self, dims: tuple[int, int], terms):
+        terms = tuple(terms)
+        self._store(dims, [t[0] for t in terms], [t[1] for t in terms], [t[2] for t in terms])
+
+    @classmethod
+    def from_stacks(cls, dims: tuple[int, int], weights, A, B) -> "SeparableForm":
+        form = cls.__new__(cls)
+        form._store(dims, weights, A, B)
+        return form
+
+    def _store(self, dims, weights, A, B) -> None:
+        dA, dB = dims
+        self.dims = (dA, dB)
+        self.weights = np.array(weights, dtype=float).reshape(-1)
+        n = self.weights.size
+        self.A = np.array(A, dtype=complex).reshape(n, dA, dA)
+        self.B = np.array(B, dtype=complex).reshape(n, dB, dB)
+        for stack in (self.weights, self.A, self.B):
+            stack.setflags(write=False)
+
+    @property
+    def terms(self) -> tuple:
+        """The (w, A, B) triples, as views into the stacks."""
+        return tuple(zip(self.weights, self.A, self.B))
 
     def assemble(self) -> np.ndarray:
-        dA, dB = self.dims
-        if not self.terms:
-            return np.zeros((dA * dB, dA * dB), dtype=complex)
-        w = np.array([t[0] for t in self.terms], dtype=float)
-        A = np.stack([t[1] for t in self.terms]).reshape(w.size, dA * dA)
-        B = np.stack([t[2] for t in self.terms]).reshape(w.size, dB * dB)
-        # One matrix product sums the terms: out[(i,j),(k,l)] = sum_n w_n A_ij B_kl.
-        out = ((w[:, None] * A).T @ B).reshape(dA, dA, dB, dB).transpose(0, 2, 1, 3)
-        return np.ascontiguousarray(out.reshape(dA * dB, dA * dB))
+        return tensor_sum(self.weights[:, None, None] * self.A, self.B)
 
     def min_term_eigenvalue(self) -> float:
-        """Most negative eigenvalue over all factors (>= ~0 for a valid form)."""
-        worst = np.inf
-        for w, A, B in self.terms:
-            worst = min(worst, w)
-            for m in (A, B):
-                vals, _ = eig_hermitian(m)
-                worst = min(worst, vals[-1])
-        return float(worst) if self.terms else 0.0
+        """Most negative weight or factor eigenvalue (>= ~0 for a valid form);
+        one stacked eigensolve per factor side."""
+        if not self.weights.size:
+            return 0.0
+        low_A = eig_hermitian(self.A)[0][:, -1]
+        low_B = eig_hermitian(self.B)[0][:, -1]
+        return float(min(self.weights.min(), low_A.min(), low_B.min()))
 
 
 @dataclass(frozen=True)
@@ -157,36 +174,44 @@ def optimal_test_operator(s: SchmidtSpectrum) -> np.ndarray:
     return T
 
 
-def _complement_terms(s: SchmidtSpectrum, pair_grid: np.ndarray) -> tuple:
-    """Product terms (w, A, B) of the complement seed, each pair seed averaged
-    over the rows (phase_i, phase_j) of pair_grid.
+def _complement_form(s: SchmidtSpectrum, pair_grid: np.ndarray) -> SeparableForm:
+    """The complement seed as a separable form, each pair seed averaged over
+    the rows (phase_i, phase_j) of pair_grid.
 
     For every ordered pair i != j the seed is half the projector onto
     abar_ij (x) bbar_ij, with
         abar_ij = l_j**(1/4) |e_i> - l_i**(1/4) |e_j>,
         bbar_ij = l_j**(1/4) |f_i> + l_i**(1/4) |f_j>,
-    plus the already invariant diagonal term q_ij |e_i f_j><e_i f_j|.
+    plus the already invariant diagonal term q_ij |e_i f_j><e_i f_j|.  The
+    terms of pair (i, j) are its grid terms, then its diagonal term.
     """
     lam = s.lambdas
     d = s.dim
     root4 = lam**0.25
     sq = np.sqrt(lam)
-    unit = np.eye(d, dtype=complex)
-    w = 0.5 / len(pair_grid)
-    terms = []
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            for pi, pj in pair_grid:
-                abar = np.zeros(d, dtype=complex)
-                abar[[i, j]] = pi * root4[j], -pj * root4[i]
-                bbar = np.zeros(d, dtype=complex)
-                bbar[[i, j]] = np.conj(pi) * root4[j], np.conj(pj) * root4[i]
-                terms.append((w, np.outer(abar, abar.conj()), np.outer(bbar, bbar.conj())))
-            q = float(lam.sum() - lam[i] - lam[j] + (sq[i] - sq[j]) ** 2)
-            terms.append((q, np.diag(unit[i]), np.diag(unit[j])))
-    return tuple(terms)
+    ii, jj = np.nonzero(~np.eye(d, dtype=bool))  # ordered pairs, row-major
+    pairs = np.arange(ii.size)
+    g = len(pair_grid)
+    pi, pj = pair_grid[:, 0], pair_grid[:, 1]
+    # Factor vectors (pairs, grid rows + 1, d); the last row is the diagonal term.
+    a = np.zeros((ii.size, g + 1, d), dtype=complex)
+    b = np.zeros_like(a)
+    a[pairs, :g, ii] = pi * root4[jj][:, None]
+    a[pairs, :g, jj] = -pj * root4[ii][:, None]
+    b[pairs, :g, ii] = np.conj(pi) * root4[jj][:, None]
+    b[pairs, :g, jj] = np.conj(pj) * root4[ii][:, None]
+    a[pairs, g, ii] = 1.0
+    b[pairs, g, jj] = 1.0
+    q = lam.sum() - lam[ii] - lam[jj] + (sq[ii] - sq[jj]) ** 2
+    w = np.concatenate([np.full((ii.size, g), 0.5 / g), q[:, None]], axis=1)
+    a = a.reshape(-1, d)
+    b = b.reshape(-1, d)
+    return SeparableForm.from_stacks(
+        (d, d),
+        w.ravel(),
+        a[:, :, None] * a.conj()[:, None, :],
+        b[:, :, None] * b.conj()[:, None, :],
+    )
 
 
 def build_optimal_separable_povm(s: SchmidtSpectrum) -> SeparablePovmPair:
@@ -201,15 +226,14 @@ def build_optimal_separable_povm(s: SchmidtSpectrum) -> SeparablePovmPair:
     A = np.einsum("ni,nj->nij", a, a.conj())
     return SeparablePovmPair(
         T=optimal_test_operator(s),
-        T_form=SeparableForm((d, d), tuple((1.0 / len(A), An, An.conj()) for An in A)),
-        complement_form=SeparableForm((d, d), _complement_terms(s, sidon_phase_grid(2))),
+        T_form=SeparableForm.from_stacks((d, d), np.full(len(A), 1.0 / len(A)), A, A.conj()),
+        complement_form=_complement_form(s, sidon_phase_grid(2)),
     )
 
 
 def complement_seed(s: SchmidtSpectrum) -> np.ndarray:
     """The un-twirled complement seed (pair projectors plus diagonal terms)."""
-    d = s.dim
-    return SeparableForm((d, d), _complement_terms(s, np.ones((1, 2)))).assemble()
+    return _complement_form(s, np.ones((1, 2))).assemble()
 
 
 def verify_appendix_identity(s: SchmidtSpectrum) -> float:

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import eig_hermitian, psd_sqrt, support_projection, tensor
+from .operators import eig_hermitian, psd_sqrt, support_projection, tensor_sum
 from .states import RANK_TOL, SchmidtSpectrum, state_from_spectrum
 
 DENOM_TOL = 1e-14  # branch weights below this never occur
+MAX_SAMPLES = np.iinfo(np.int64).max  # numpy's samplers take int64 counts
 
 
 class ZeroProbabilityError(ValueError):
@@ -113,18 +114,25 @@ def sigma_A(s: SchmidtSpectrum, M, N) -> np.ndarray:
     """Alice's conditional state after outcomes (M, N):
 
     sqrt(M) sqrt(rho_A) N^T sqrt(rho_A) sqrt(M), normalised.  The transpose
-    is taken in the Schmidt basis (here the computational basis).
+    is taken in the Schmidt basis (here the computational basis).  N may be
+    a (r, d, d) stack of Bob's elements; the result is then the matching
+    stack of states, and sqrt(M) is taken once.
     """
     lam = s.effective
     sqrt_rho = np.diag(np.sqrt(lam))
     M = np.asarray(M, dtype=complex)
     N = np.asarray(N, dtype=complex)
-    core_half = sqrt_rho @ N.T @ sqrt_rho
-    normalizer = np.trace(M @ core_half).real
-    if normalizer <= DENOM_TOL:
+    core_half = sqrt_rho @ np.swapaxes(N, -1, -2) @ sqrt_rho
+    normalizer = np.trace(M @ core_half, axis1=-2, axis2=-1).real
+    if np.any(normalizer <= DENOM_TOL):
         raise ZeroProbabilityError("outcome has probability zero")
     sm = psd_sqrt(M)
-    return (sm @ core_half @ sm) / normalizer
+    return (sm @ core_half @ sm) / normalizer[..., None, None]
+
+
+def _rank_one(columns: np.ndarray) -> np.ndarray:
+    """(r, d, d) stack of the projectors |c_j><c_j| onto the columns c_j."""
+    return columns.T[:, :, None] * columns.T.conj()[:, None, :]
 
 
 def _branch_occurs(den, i):
@@ -182,13 +190,11 @@ def build_two_way_T(s: SchmidtSpectrum, delta: DeltaMatrix):
         omega = np.diag(weights / den)
         xi = build_mub_basis(omega)
         bob_bases.append(xi)
-        sm = np.diag(np.sqrt(np.diag(alice[i])))
-        for j in range(xi.shape[1]):
-            N = np.outer(xi[:, j], xi[:, j].conj())
-            sig = sigma_A(s, alice[i], N)
-            P = support_projection(sig)
-            projectors[(i, j)] = P
-            T += tensor(sm @ P @ sm, N)
+        root = np.sqrt(np.diag(alice[i]))
+        N = _rank_one(xi)
+        P = support_projection(sigma_A(s, alice[i], N))
+        projectors.update(((i, j), Pj) for j, Pj in enumerate(P))
+        T += tensor_sum(root[:, None] * P * root, N)  # sqrt(M_i) P sqrt(M_i)
     protocol = TwoWayProtocol(
         spectrum=s,
         delta=delta,
@@ -243,12 +249,23 @@ def trace_T_closed_form(s: SchmidtSpectrum, delta: DeltaMatrix) -> float:
     return float(trace_T_batch(lam, delta.table[None])[0])
 
 
+def _expectations(X, Y, rho_bd_ac) -> np.ndarray:
+    """Tr((X_n (x) Y_n) rho) = sum X_n[c, a] Y_n[e, b] rho[(a, b), (c, e)]
+    for (n, d, d) stacks X, Y (either may have n = 1), with rho rearranged
+    to rows (b, e) and columns (a, c): two products of O(n d**4), where
+    forming X_n (x) Y_n would cost O(n d**6)."""
+    partial = np.swapaxes(Y, 1, 2).reshape(len(Y), -1) @ rho_bd_ac  # [n, (a, c)]
+    return (np.swapaxes(X, 1, 2).reshape(len(X), -1) * partial).sum(axis=1).real
+
+
 def _branch_probabilities(protocol: TwoWayProtocol, source: str):
     """Exact outcome probabilities of the cascade for either source state.
 
     Returns (level-1 probs including 'lost' mass, per-branch records), where
     each record is (i, p_i, [(p_j_given_i, p_accept_given_ij), ...],
-    p_reject_given_i).
+    p_reject_given_i).  Every probability is a local expectation
+    Tr((X (x) Y) rho): p_i with X = M_i, Y = I; p_i p_j with Y = N_j; and
+    p_i p_j p_accept with X = sqrt(M_i) P_ij sqrt(M_i).
     """
     d = protocol.d
     D = d * d
@@ -258,13 +275,12 @@ def _branch_probabilities(protocol: TwoWayProtocol, source: str):
         rho = np.eye(D, dtype=complex) / D
     else:
         raise ValueError(f"source must be 'psi' or 'mixed', got {source!r}")
-    eye_b = np.eye(d)
+    rho_bd_ac = rho.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(D, D)
     records = []
     for i in range(d):
-        sm = np.diag(np.sqrt(np.diag(protocol.alice_povm[i])))
-        K = tensor(sm, eye_b)
-        rho_i = K @ rho @ K
-        p_i = float(np.trace(rho_i).real)
+        M = protocol.alice_povm[i][None]
+        root = np.sqrt(np.diag(M[0]))
+        p_i = float(_expectations(M, np.eye(d)[None], rho_bd_ac)[0])
         if p_i <= DENOM_TOL:
             records.append((i, 0.0, [], 0.0))
             continue
@@ -272,17 +288,15 @@ def _branch_probabilities(protocol: TwoWayProtocol, source: str):
         branch = []
         covered = 0.0
         if xi is not None:
-            for j in range(xi.shape[1]):
-                N = np.outer(xi[:, j], xi[:, j].conj())
-                Kb = tensor(np.eye(d), N)
-                rho_ij = Kb @ rho_i @ Kb
-                p_j = float(np.trace(rho_ij).real) / p_i
-                p_j = min(max(p_j, 0.0), 1.0)
+            N = _rank_one(xi)
+            P = np.array([protocol.final_projectors[(i, j)] for j in range(len(N))])
+            p_js = np.clip(_expectations(M, N, rho_bd_ac) / p_i, 0.0, 1.0)
+            accepted = _expectations(root[:, None] * P * root, N, rho_bd_ac)
+            for p_j, acc in zip(p_js.tolist(), accepted.tolist()):
                 if p_j <= DENOM_TOL:
                     branch.append((0.0, 0.0))
                     continue
-                P = tensor(protocol.final_projectors[(i, j)], eye_b)
-                p_acc = float(np.trace(P @ rho_ij).real) / (p_j * p_i)
+                p_acc = acc / (p_j * p_i)
                 # Snap probabilities that are 0 or 1 up to rounding, so the
                 # zero-type-1-error property is exact in simulation.
                 if p_acc > 1.0 - 1e-12:
@@ -317,8 +331,8 @@ def simulate_protocol(protocol: TwoWayProtocol, source: str, n: int, seed: int =
     final projective check.  Deterministic given (seed, n).  Returns
     (accept_rate, wilson 95% interval).
     """
-    if n < 1:
-        raise ValueError("sample count must be >= 1")
+    if not 1 <= n <= MAX_SAMPLES:
+        raise ValueError(f"sample count must be between 1 and {MAX_SAMPLES}")
     rng = np.random.default_rng(seed)
     records = _branch_probabilities(protocol, source)
     p_first = np.array([rec[1] for rec in records])

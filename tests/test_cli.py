@@ -1,8 +1,24 @@
 import json
 
+import numpy as np
 import pytest
 
+import loccdist.cli
 from loccdist.cli import main
+
+VERIFY_CHECKS = [
+    "appendix-identity",
+    "povm-element-range",
+    "perfect-detection-sep",
+    "trace-formula-sep",
+    "separable-form-assembly",
+    "separable-form-psd",
+    "perfect-detection-one-way",
+    "two-way-trace-oracle",
+    "two-way-perfect-detection",
+    "monte-carlo-type-1",
+    "monte-carlo-type-2",
+]
 
 
 def run(capsys, *argv):
@@ -208,3 +224,68 @@ def test_optimize_rejects_oversize_grid(capsys):
 def test_cli_entry_point_runs():
     with pytest.raises(SystemExit):
         main(["--help"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--family", "fig1", "--points", "100000000000000000000", "--out", "{tmp}/x.csv"],
+        ["sweep", "--family", "fig1", "--points", "1", "--out", "{tmp}/x.csv"],
+        ["sweep", "--family", "1/0-t,t", "--range", "0,0.4", "--points", "3", "--out", "{tmp}/x.csv"],
+        ["verify", "--schmidt", "0.5,0.5", "--mc-samples", "100000000000000000000"],
+        ["verify", "--schmidt", "0.5,0.5", "--seed", "-1"],
+        ["optimize", "--schmidt", "0.5,0.5", "--grid-step", "inf"],
+        ["optimize", "--schmidt", "0.5,0.5", "--grid-step", "nan"],
+        ["optimize", "--schmidt", "0.5,0.5", "--grid-step", "1.5"],
+    ],
+)
+def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("out_path", ["{tmp}/missing/x.csv", "{tmp}"])
+def test_sweep_unwritable_out_fails_before_any_row(capsys, tmp_path, monkeypatch, out_path):
+    def no_rows(*args, **kwargs):
+        raise AssertionError("sweep ran before --out was checked")
+
+    monkeypatch.setattr(loccdist.cli, "sweep", no_rows)
+    out_path = out_path.format(tmp=tmp_path)
+    code, out, err = run(capsys, "sweep", "--family", "fig1", "--points", "3", "--out", out_path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def fuzz_spectra():
+    """Seeded spectra at d = 2..9: random, tied, zero-padded, exactly
+    uniform, plus a 1e-300 coefficient."""
+    rng = np.random.default_rng(2007)
+    out = [[1e-300, 1.0], [0.5, 0.5, 1e-300]]
+    for d in range(2, 10):
+        out.append(np.sort(rng.dirichlet(np.ones(d)))[::-1])
+        tied = np.repeat(rng.dirichlet(np.ones(2)), [d - d // 2, d // 2])
+        out.append(np.sort(tied / tied.sum())[::-1])
+        rank = int(rng.integers(1, d))
+        padded = np.zeros(d)
+        padded[:rank] = np.sort(rng.dirichlet(np.ones(rank)))[::-1]
+        out.append(padded)
+        out.append([1.0 / d] * d)
+    return [",".join(repr(float(x)) for x in lam) for lam in out]
+
+
+@pytest.mark.parametrize("schmidt", fuzz_spectra())
+def test_verify_fuzz(capsys, schmidt):
+    code, out, _ = run(
+        capsys, "verify", "--schmidt", schmidt, "--mc-samples", "2000", "--seed", "5"
+    )
+    lines = out.strip().splitlines()
+    assert [line.split()[0] for line in lines] == VERIFY_CHECKS
+    assert all(line.endswith("PASS") for line in lines)
+    assert code == 0
+    # The ordering chain: `bounds` exits 3 when it is violated.
+    code, _, _ = run(capsys, "bounds", "--schmidt", schmidt)
+    assert code == 0

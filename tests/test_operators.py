@@ -11,6 +11,7 @@ from loccdist.operators import (
     psd_sqrt,
     support_projection,
     tensor,
+    tensor_sum,
     tensor_vec,
 )
 
@@ -199,3 +200,93 @@ def test_tensor_vec_convention():
     u = np.array([1.0, 0.0])
     v = np.array([0.0, 1.0])
     assert np.allclose(tensor_vec(u, v), [0.0, 1.0, 0.0, 0.0])
+
+
+def stack_corpus(d, rng):
+    """A (k, d, d) stack of PSD matrices: random full rank, rank-deficient,
+    tied spectra, zero and rank-one members."""
+    members = [random_psd(d, rng) for _ in range(3)]
+    for rank in range(1, d):
+        g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+        members.append(g @ g.conj().T)
+    u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    ties = np.repeat([0.7, 0.2], [d - d // 2, d // 2])
+    members += [(u * ties) @ u.conj().T, np.eye(d) / d, np.zeros((d, d))]
+    return np.array(members)
+
+
+def reference_psd_sqrt(m):
+    w, v = np.linalg.eigh(m)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
+def reference_support_projection(m):
+    w, v = np.linalg.eigh(m)
+    cols = v[:, w > m.shape[0] * np.finfo(float).eps * max(w[-1], 0.0)]
+    return cols @ cols.conj().T
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 9])
+def test_stacked_kernel_matches_per_matrix(d):
+    rng = np.random.default_rng(40 + d)
+    stack = stack_corpus(d, rng)
+    w, v = eig_hermitian(stack)
+    roots = psd_sqrt(stack)
+    projs = support_projection(stack)
+    assert w.shape == (len(stack), d) and v.shape == stack.shape
+    for k, m in enumerate(stack):
+        w1, v1 = eig_hermitian(m)
+        assert np.max(np.abs(w[k] - w1)) <= 1e-12
+        assert np.max(np.abs(w[k] - np.linalg.eigvalsh(m)[::-1])) <= 1e-12
+        assert np.all(np.diff(w[k]) <= 0)
+        assert np.max(np.abs((v[k] * w[k]) @ v[k].conj().T - m)) <= 1e-10
+        assert np.max(np.abs(v[k].conj().T @ v[k] - np.eye(d))) <= 1e-12
+        assert np.max(np.abs(roots[k] - psd_sqrt(m))) <= 1e-12
+        assert np.max(np.abs(roots[k] - reference_psd_sqrt(m))) <= 1e-12
+        assert np.max(np.abs(projs[k] - support_projection(m))) <= 1e-12
+        assert np.max(np.abs(projs[k] - reference_support_projection(m))) <= 1e-12
+    assert np.max(np.abs(projs[-1])) == 0.0  # the zero member projects to zero
+
+
+def test_stacked_kernel_keeps_leading_axes():
+    rng = np.random.default_rng(50)
+    stack = stack_corpus(3, rng)[:6].reshape(2, 3, 3, 3)
+    flat = stack.reshape(6, 3, 3)
+    assert np.array_equal(eig_hermitian(stack)[0].reshape(6, 3), eig_hermitian(flat)[0])
+    assert np.array_equal(psd_sqrt(stack).reshape(6, 3, 3), psd_sqrt(flat))
+    assert np.array_equal(support_projection(stack).reshape(6, 3, 3), support_projection(flat))
+
+
+def test_stack_with_one_bad_member_raises():
+    rng = np.random.default_rng(51)
+    stack = stack_corpus(3, rng)
+    stack[4] = np.diag([1.0, 0.5, -0.5])
+    with pytest.raises(ValueError, match="PSD"):
+        psd_sqrt(stack)
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        support_projection(stack)
+    stack[4] = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    with pytest.raises(ValueError, match="Hermitian"):
+        eig_hermitian(stack)
+
+
+def test_tensor_sum_matches_kron_loop():
+    rng = np.random.default_rng(52)
+    for n, p, q in ((1, 2, 3), (5, 3, 3), (7, 4, 2), (0, 2, 2)):
+        a = rng.standard_normal((n, p, p)) + 1j * rng.standard_normal((n, p, p))
+        b = rng.standard_normal((n, q, q)) + 1j * rng.standard_normal((n, q, q))
+        ref = sum((np.kron(x, y) for x, y in zip(a, b)), np.zeros((p * q, p * q)))
+        assert np.max(np.abs(tensor_sum(a, b) - ref), initial=0.0) <= 1e-12
+
+
+def test_single_matrix_functions_reject_stacks():
+    stack = np.array([np.eye(2), np.eye(2)])
+    for call in (
+        lambda: tensor(stack, np.eye(2)),
+        lambda: partial_trace(stack, (1, 2), "A"),
+        lambda: numerical_rank(stack),
+        lambda: psd_check(stack),
+        lambda: povm_element_check(stack),
+    ):
+        with pytest.raises(ValueError, match="square matrix"):
+            call()

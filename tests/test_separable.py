@@ -3,6 +3,8 @@ import pytest
 
 from loccdist.operators import eig_hermitian, povm_element_check
 from loccdist.separable import (
+    SeparableForm,
+    _complement_form,
     beta_sep_pure,
     build_optimal_separable_povm,
     complement_seed,
@@ -10,6 +12,7 @@ from loccdist.separable import (
     global_robustness_pure,
     optimal_test_operator,
     sep_lower_bound_mixed,
+    sidon_phase_grid,
     sidon_set,
     twirl,
     verify_appendix_identity,
@@ -225,3 +228,96 @@ def test_distinguishable_set_bound():
         distinguishable_set_bound([], 4)
     with pytest.raises(ValueError):
         distinguishable_set_bound([0.5], 4)
+
+
+def equivalence_spectra():
+    """Random, tied, zero-padded (rank 2..4 -> d = 9) and 7 x 1/7 spectra."""
+    rng = np.random.default_rng(30)
+    out = [random_spectrum(d, rng) for d in range(1, 11)]
+    out += [spectrum([0.4, 0.4, 0.2]), spectrum([0.3, 0.3, 0.2, 0.2]), spectrum([1 / 7] * 7)]
+    for rank in (2, 3, 4):
+        padded = np.zeros(9)
+        padded[:rank] = random_spectrum(rank, rng).lambdas
+        out.append(spectrum(padded))
+    return out
+
+
+def reference_complement_terms(s, pair_grid):
+    """The pair seed term by term: for each ordered pair i != j, its grid
+    terms, then its diagonal term."""
+    lam = s.lambdas
+    d = s.dim
+    root4 = lam**0.25
+    sq = np.sqrt(lam)
+    unit = np.eye(d, dtype=complex)
+    terms = []
+    for i in range(d):
+        for j in range(d):
+            if i == j:
+                continue
+            for pi, pj in pair_grid:
+                abar = np.zeros(d, dtype=complex)
+                abar[[i, j]] = pi * root4[j], -pj * root4[i]
+                bbar = np.zeros(d, dtype=complex)
+                bbar[[i, j]] = np.conj(pi) * root4[j], np.conj(pj) * root4[i]
+                terms.append(
+                    (0.5 / len(pair_grid), np.outer(abar, abar.conj()), np.outer(bbar, bbar.conj()))
+                )
+            q = float(lam.sum() - lam[i] - lam[j] + (sq[i] - sq[j]) ** 2)
+            terms.append((q, np.diag(unit[i]), np.diag(unit[j])))
+    return terms
+
+
+def test_complement_form_matches_term_loop():
+    for s in equivalence_spectra():
+        for grid in (sidon_phase_grid(2), np.ones((1, 2))):
+            form = _complement_form(s, grid)
+            ref = reference_complement_terms(s, grid)
+            assert len(form.terms) == len(ref)
+            for (w, A, B), (w_ref, A_ref, B_ref) in zip(form.terms, ref):
+                assert abs(w - w_ref) <= 1e-15
+                assert np.max(np.abs(A - A_ref)) <= 1e-15
+                assert np.max(np.abs(B - B_ref)) <= 1e-15
+
+
+def random_hermitian_form(rng, n, dA, dB):
+    """A form with random Hermitian (mostly indefinite) factors."""
+    g = rng.standard_normal((2, n, dA, dA)) + 1j * rng.standard_normal((2, n, dA, dA))
+    h = rng.standard_normal((2, n, dB, dB)) + 1j * rng.standard_normal((2, n, dB, dB))
+    A = g[0] @ g[0].conj().transpose(0, 2, 1) + 0.1 * (g[1] + g[1].conj().transpose(0, 2, 1))
+    B = h[0] @ h[0].conj().transpose(0, 2, 1) + 0.1 * (h[1] + h[1].conj().transpose(0, 2, 1))
+    return SeparableForm.from_stacks((dA, dB), rng.random(n), A, B)
+
+
+def test_min_term_eigenvalue_matches_per_factor_loop():
+    rng = np.random.default_rng(32)
+    indefinite = [
+        random_hermitian_form(rng, n, dA, dB) for n, dA, dB in ((4, 1, 3), (6, 3, 2), (9, 4, 4))
+    ]
+    for s in equivalence_spectra():
+        pair = build_optimal_separable_povm(s)
+        for form in (pair.T_form, pair.complement_form, *indefinite):
+            worst = np.inf if form.terms else 0.0  # d = 1 has no complement terms
+            for w, A, B in form.terms:
+                worst = min(worst, w, np.linalg.eigvalsh(A)[0], np.linalg.eigvalsh(B)[0])
+            assert abs(form.min_term_eigenvalue() - worst) <= 1e-12
+
+
+def test_separable_form_from_terms_and_stacks_agree():
+    rng = np.random.default_rng(31)
+    w = rng.random(5)
+    A = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
+    B = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    from_terms = SeparableForm((2, 3), list(zip(w, A, B)))
+    from_stacks = SeparableForm.from_stacks((2, 3), w, A, B)
+    assert len(from_terms.terms) == len(from_stacks.terms) == 5
+    assert np.array_equal(from_terms.assemble(), from_stacks.assemble())
+    ref = sum(wn * np.kron(An, Bn) for wn, An, Bn in zip(w, A, B))
+    assert np.max(np.abs(from_stacks.assemble() - ref)) <= 1e-12
+    A[0] = 0.0  # the form holds its own copy
+    assert np.array_equal(from_stacks.assemble(), from_terms.assemble())
+    with pytest.raises(ValueError):
+        from_stacks.A[0, 0, 0] = 1.0
+    empty = SeparableForm((2, 3), ())
+    assert len(empty.terms) == 0 and empty.min_term_eigenvalue() == 0.0
+    assert np.array_equal(empty.assemble(), np.zeros((6, 6)))

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
-from loccdist.operators import eig_hermitian, povm_element_check
+from loccdist.operators import eig_hermitian, povm_element_check, support_projection
 from loccdist.states import spectrum, state_from_spectrum
+from loccdist.optimize import beta_two_way_upper
 from loccdist.two_way import (
+    DENOM_TOL,
+    MAX_SAMPLES,
     DeltaMatrix,
     ZeroProbabilityError,
+    _branch_probabilities,
     build_mub_basis,
     build_two_way_T,
     sigma_A,
@@ -296,6 +300,8 @@ def test_simulate_validates_inputs():
     with pytest.raises(ValueError):
         simulate_protocol(protocol, "mixed", 0, seed=0)
     with pytest.raises(ValueError):
+        simulate_protocol(protocol, "mixed", MAX_SAMPLES + 1, seed=0)
+    with pytest.raises(ValueError):
         simulate_protocol(protocol, "white", 10, seed=0)
 
 
@@ -324,3 +330,117 @@ def test_wilson_interval_sanity():
     assert 0.0 <= lo and hi <= 1.0
     with pytest.raises(ValueError):
         wilson_interval(0, 0)
+
+
+def equivalence_cases():
+    """(spectrum, delta) pairs over random, tied, zero-padded (rank 2..4 ->
+    d = 9) and 7 x 1/7 spectra, each with the uniform, a random and the
+    optimal table."""
+    rng = np.random.default_rng(60)
+    spectra = [random_spectrum(d, rng) for d in (2, 3, 4, 6)]
+    spectra += [spectrum([0.4, 0.4, 0.2]), spectrum([0.3, 0.3, 0.2, 0.2]), spectrum([1 / 7] * 7)]
+    for rank in (2, 3, 4):
+        padded = np.zeros(9)
+        padded[:rank] = np.sort(rng.dirichlet(np.ones(rank)))[::-1]
+        spectra.append(spectrum(padded))
+    for s in spectra:
+        d = s.effective.size
+        for delta in (DeltaMatrix.uniform(d), DeltaMatrix.random(d, rng)):
+            yield s, delta
+        yield s, beta_two_way_upper(s).best_delta
+
+
+def reference_two_way_T(s, delta):
+    """One sigma_A, support projection and Kronecker product per Bob outcome."""
+    lam = s.effective
+    d = lam.size
+    T = np.zeros((d * d, d * d), dtype=complex)
+    projectors = {}
+    for i in range(d):
+        M = delta.alice_element(i)
+        den = (lam * np.diag(M)).sum()
+        if not den > (i + 1) * DENOM_TOL:
+            continue
+        xi = build_mub_basis(np.diag(lam * np.diag(M) / den))
+        sm = np.diag(np.sqrt(np.diag(M)))
+        for j in range(xi.shape[1]):
+            N = np.outer(xi[:, j], xi[:, j].conj())
+            P = support_projection(sigma_A(s, M, N))
+            projectors[(i, j)] = P
+            T += np.kron(sm @ P @ sm, N)
+    return T, projectors
+
+
+def reference_branch_probabilities(protocol, source):
+    """The cascade's probabilities from D x D Kronecker products and traces."""
+    d = protocol.d
+    D = d * d
+    if source == "psi":
+        rho = state_from_spectrum(spectrum(protocol.spectrum.effective)).density()
+    else:
+        rho = np.eye(D, dtype=complex) / D
+    records = []
+    for i in range(d):
+        K = np.kron(np.diag(np.sqrt(np.diag(protocol.alice_povm[i]))), np.eye(d))
+        rho_i = K @ rho @ K
+        p_i = float(np.trace(rho_i).real)
+        if p_i <= DENOM_TOL:
+            records.append((i, 0.0, [], 0.0))
+            continue
+        xi = protocol.bob_bases[i]
+        branch = []
+        covered = 0.0
+        for j in range(0 if xi is None else xi.shape[1]):
+            Kb = np.kron(np.eye(d), np.outer(xi[:, j], xi[:, j].conj()))
+            rho_ij = Kb @ rho_i @ Kb
+            p_j = min(max(float(np.trace(rho_ij).real) / p_i, 0.0), 1.0)
+            if p_j <= DENOM_TOL:
+                branch.append((0.0, 0.0))
+                continue
+            P = np.kron(protocol.final_projectors[(i, j)], np.eye(d))
+            p_acc = float(np.trace(P @ rho_ij).real) / (p_j * p_i)
+            p_acc = 1.0 if p_acc > 1.0 - 1e-12 else 0.0 if p_acc < 1e-12 else p_acc
+            branch.append((p_j, p_acc))
+            covered += p_j
+        p_reject = max(1.0 - covered, 0.0)
+        records.append((i, p_i, branch, 0.0 if p_reject < 1e-12 else p_reject))
+    return records
+
+
+def test_build_two_way_T_matches_per_outcome_loop():
+    for s, delta in equivalence_cases():
+        T, protocol = build_two_way_T(s, delta)
+        T_ref, projectors_ref = reference_two_way_T(s, delta)
+        assert np.max(np.abs(T - T_ref)) <= 1e-12
+        assert protocol.final_projectors.keys() == projectors_ref.keys()
+        for key, P_ref in projectors_ref.items():
+            assert np.max(np.abs(protocol.final_projectors[key] - P_ref)) <= 1e-12
+
+
+def test_branch_probabilities_match_kron_formula():
+    for s, delta in equivalence_cases():
+        _, protocol = build_two_way_T(s, delta)
+        for source in ("psi", "mixed"):
+            got = _branch_probabilities(protocol, source)
+            ref = reference_branch_probabilities(protocol, source)
+            assert len(got) == len(ref)
+            for (i, p_i, branch, p_rej), (i_ref, p_i_ref, branch_ref, p_rej_ref) in zip(got, ref):
+                assert i == i_ref and len(branch) == len(branch_ref)
+                assert abs(p_i - p_i_ref) <= 1e-12 and abs(p_rej - p_rej_ref) <= 1e-12
+                for (p_j, p_acc), (p_j_ref, p_acc_ref) in zip(branch, branch_ref):
+                    assert abs(p_j - p_j_ref) <= 1e-12
+                    assert abs(p_acc - p_acc_ref) <= 1e-12
+
+
+def test_sigma_a_stack_matches_per_element():
+    rng = np.random.default_rng(61)
+    s = random_spectrum(4, rng)
+    M = DeltaMatrix.random(4, rng).alice_element(3)
+    xi = build_mub_basis(np.diag(s.lambdas))
+    N = np.array([np.outer(xi[:, j], xi[:, j].conj()) for j in range(4)])
+    stacked = sigma_A(s, M, N)
+    for j in range(4):
+        assert np.max(np.abs(stacked[j] - sigma_A(s, M, N[j]))) <= 1e-12
+    N[2] = 0.0
+    with pytest.raises(ZeroProbabilityError):
+        sigma_A(s, M, N)
