@@ -232,7 +232,9 @@ def grid_oracle(
             best_val = float(vals[j])
             best_table = X[j].copy()
     delta = _as_delta(best_table)
-    t_value = trace_T_closed_form(s, delta)
+    # Grid points may sit on zero entries, where the operator has fewer Bob
+    # outcomes than the envelope counts; report the envelope that was searched.
+    t_value = float(trace_T_batch(lam, delta.table[None])[0])
     return OptimizationResult(
         best_delta=delta,
         beta_value=t_value / D,

@@ -14,9 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
-    ATOL_CONSTRUCT,
     ATOL_SPECTRAL,
-    as_operator,
     eig_hermitian,
     partial_trace,
     require_hermitian,

@@ -3,12 +3,16 @@
 Alice measures a diagonal POVM {M_i} built from a feasible coefficient
 table, Bob measures a basis that is unbiased for his conditional state, and
 Alice finishes with the support projector of her post-measurement state.
-The resulting test detects the pure state perfectly, and its type-2 error
-has the closed form
+Bob's elements are rank one, so Alice's conditional state, her projector
+and every term of T are rank one too, and build_two_way_T assembles T from
+vectors without an eigensolve.  The test detects the pure state perfectly,
+and with r_i Bob outcomes in branch i its type-2 error is
 
-    Tr T = sum_i  i * (sum_{k<=i} l_k d_ki**2) / (sum_{k<=i} l_k d_ki),
+    Tr T = sum_i  r_i * (sum_{k<=i} l_k d_ki**2) / (sum_{k<=i} l_k d_ki)
 
-which this module cross-checks against the assembled operator.  A seeded
+(trace_T_closed_form).  The paper's closed form puts r_i = i, which holds
+when every live column has full support; as a function of the table it is
+the convex envelope the optimiser minimises (trace_T_batch).  A seeded
 Monte Carlo simulator samples the cascade outcome by outcome.
 """
 
@@ -18,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import eig_hermitian, psd_sqrt, support_projection, tensor_sum
-from .states import RANK_TOL, SchmidtSpectrum, state_from_spectrum
+from .operators import eig_hermitian, psd_sqrt
+from .states import SchmidtSpectrum
 
 DENOM_TOL = 1e-14  # branch weights below this never occur
 MAX_SAMPLES = np.iinfo(np.int64).max  # numpy's samplers take int64 counts
@@ -130,17 +134,31 @@ def sigma_A(s: SchmidtSpectrum, M, N) -> np.ndarray:
     return (sm @ core_half @ sm) / normalizer[..., None, None]
 
 
-def _rank_one(columns: np.ndarray) -> np.ndarray:
-    """(r, d, d) stack of the projectors |c_j><c_j| onto the columns c_j."""
-    return columns.T[:, :, None] * columns.T.conj()[:, None, :]
+def _column_ratios(lam: np.ndarray, tables: np.ndarray):
+    """(live, D, N / D) per column of a batch of (n, d, d) tables, with
+    D_i = sum_k l_k d_ki, Alice's outcome probability, and N_i = sum_k
+    l_k d_ki**2.  Column i is live when D_i > (i + 1) DENOM_TOL: Bob's at
+    most i + 1 outcomes then each have probability at least DENOM_TOL, so
+    the protocol never conditions on a zero-probability outcome.  D is 1
+    and N / D is 0 on the other columns."""
+    den = lam @ tables
+    live = den > (np.arange(lam.size) + 1) * DENOM_TOL
+    safe = np.where(live, den, 1.0)
+    return live, safe, np.where(live, lam @ (tables * tables), 0.0) / safe
 
 
-def _branch_occurs(den, i):
-    """Whether Alice's outcome i (0-indexed), of probability den on the state,
-    keeps a branch; elementwise for arrays.  Bob's at most i + 1 outcomes in
-    the branch each have probability den / rank, so gating on den / (i + 1)
-    keeps sigma_A from ever conditioning on a zero-probability outcome."""
-    return den > (i + 1) * DENOM_TOL
+def _supports(lam: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """(d, d) mask: level k lies in the support S_i of column i when
+    l_k d_ki > d eps max_k l_k d_ki, the numerical-rank cutoff that
+    build_mub_basis applies to Bob's conditional state.  Branch i gives Bob
+    |S_i| outcomes."""
+    weights = lam[:, None] * table
+    return weights > lam.size * np.finfo(float).eps * weights.max(axis=0)
+
+
+def _fourier(r: int) -> np.ndarray:
+    """The r x r unitary with entries exp(2 pi i j k / r) / sqrt(r)."""
+    return np.exp(2j * np.pi * np.outer(np.arange(r), np.arange(r)) / r) / np.sqrt(r)
 
 
 def build_mub_basis(omega, r: int | None = None) -> np.ndarray:
@@ -159,70 +177,62 @@ def build_mub_basis(omega, r: int | None = None) -> np.ndarray:
         raise ValueError(f"requested rank {r} but omega has numerical rank {rank}")
     if rank == 0:
         raise ValueError("omega has empty support")
-    eta = v[:, :rank]
-    k = np.arange(rank)
-    fourier = np.exp(2j * np.pi * np.outer(k, k) / rank) / np.sqrt(rank)
-    return eta @ fourier
+    return v[:, :rank] @ _fourier(rank)
 
 
 def build_two_way_T(s: SchmidtSpectrum, delta: DeltaMatrix):
     """Assemble the full POVM element of the three-step protocol.
 
-    Returns (T, protocol).  T = sum_ij (sqrt(M_i) P_ij sqrt(M_i)) (x) N_j^i
-    detects the state perfectly; branches whose Bob outcomes have zero
-    probability are skipped entirely, as in trace_T_closed_form.
+    Returns (T, protocol).  In live branch i Bob measures xi_j, the Fourier
+    transform of the unit vectors on S_i ordered by descending l_k d_ki
+    (ties by ascending k): unbiased for his diagonal conditional state.
+    Alice's conditional state is then |v_ij><v_ij| = P_ij, with v_ij
+    proportional to sqrt(M_i Lambda) conj(xi_j), and T = W W^dagger for the
+    columns u_ij (x) xi_j of W, u_ij = sqrt(M_i) v_ij.
     """
     lam = s.effective
     d = lam.size
     if delta.d != d:
         raise ValueError(f"delta has d = {delta.d}, spectrum has effective rank {d}")
-    sqrt_lam = np.sqrt(lam)
-    T = np.zeros((d * d, d * d), dtype=complex)
-    bob_bases = []
-    projectors = {}
-    alice = tuple(delta.alice_element(i) for i in range(d))
+    weights = lam[:, None] * delta.table
+    live, _, _ = _column_ratios(lam, delta.table[None])
+    supports = _supports(lam, delta.table)
+    columns, bob_bases, projectors = [], [], {}
     for i in range(d):
-        weights = lam * np.diag(alice[i])
-        den = weights.sum()
-        if not _branch_occurs(den, i):
+        if not live[0, i]:
             bob_bases.append(None)
             continue
-        omega = np.diag(weights / den)
-        xi = build_mub_basis(omega)
+        support = np.flatnonzero(supports[:, i])
+        support = support[np.argsort(-weights[support, i], kind="stable")]
+        xi = np.zeros((d, support.size), dtype=complex)
+        xi[support] = _fourier(support.size)
         bob_bases.append(xi)
-        root = np.sqrt(np.diag(alice[i]))
-        N = _rank_one(xi)
-        P = support_projection(sigma_A(s, alice[i], N))
-        projectors.update(((i, j), Pj) for j, Pj in enumerate(P))
-        T += tensor_sum(root[:, None] * P * root, N)  # sqrt(M_i) P sqrt(M_i)
-    protocol = TwoWayProtocol(
-        spectrum=s,
-        delta=delta,
-        alice_povm=alice,
-        bob_bases=tuple(bob_bases),
-        final_projectors=projectors,
-    )
-    return T, protocol
+        v = np.sqrt(weights[:, i, None]) * xi.conj()
+        v /= np.linalg.norm(v, axis=0)
+        projectors.update(((i, j), np.outer(vj, vj.conj())) for j, vj in enumerate(v.T))
+        u = np.sqrt(delta.table[:, i, None]) * v
+        columns.append((u[:, None, :] * xi[None, :, :]).reshape(d * d, -1))
+    W = np.hstack(columns)
+    alice = tuple(delta.alice_element(i) for i in range(d))
+    return W @ W.conj().T, TwoWayProtocol(s, delta, alice, tuple(bob_bases), projectors)
 
 
 def trace_T_batch(lam: np.ndarray, tables: np.ndarray, grad: bool = False, hess: bool = False):
-    """Closed-form Tr T for a batch of (n, d, d) upper-triangular tables.
+    """The paper's closed form sum_i (i + 1) N_i / D_i over the live columns
+    of a batch of (n, d, d) upper-triangular tables: the convex envelope the
+    optimiser minimises.  It is the operator's Tr T (trace_T_closed_form)
+    when every live column has full support, as at every interior point.
 
-    Column i contributes (i + 1) N_i / D_i with D_i = sum_k l_k d_ki and
-    N_i = sum_k l_k d_ki**2; columns whose branch never occurs contribute
-    nothing.  With grad=True also returns dTr T / dd_ki = (i + 1) l_k
-    (2 d_ki - N_i / D_i) / D_i, zero below the diagonal and on dropped
-    columns.  With hess=True also returns the (n, d, d, d) column blocks
-    H[n, i, k, k'] = d2 Tr T / dd_ki dd_k'i = 2 (i + 1) / D_i (l_k [k = k']
-    - l_k l_k' (d_ki + d_k'i - N_i / D_i) / D_i), zero where k or k' > i
-    and on dropped columns; entries of different columns do not interact.
+    With grad=True also returns dTr T / dd_ki = (i + 1) l_k (2 d_ki -
+    N_i / D_i) / D_i, zero below the diagonal and on dropped columns.  With
+    hess=True also returns the (n, d, d, d) column blocks H[n, i, k, k'] =
+    d2 Tr T / dd_ki dd_k'i = 2 (i + 1) / D_i (l_k [k = k'] - l_k l_k'
+    (d_ki + d_k'i - N_i / D_i) / D_i), zero where k or k' > i and on
+    dropped columns; entries of different columns do not interact.
     """
     cols = np.arange(lam.size)
     weights = cols + 1.0
-    den = lam @ tables
-    live = _branch_occurs(den, cols)
-    safe = np.where(live, den, 1.0)
-    ratio = np.where(live, lam @ (tables * tables), 0.0) / safe
+    live, safe, ratio = _column_ratios(lam, tables)
     # A row reduction, not a matrix product, so a table's value does not
     # depend on the batch it is evaluated in.
     value = (ratio * weights).sum(axis=1)
@@ -242,20 +252,14 @@ def trace_T_batch(lam: np.ndarray, tables: np.ndarray, grad: bool = False, hess:
 
 
 def trace_T_closed_form(s: SchmidtSpectrum, delta: DeltaMatrix) -> float:
-    """Closed-form Tr T; zero-weight outcomes contribute nothing."""
+    """Tr T of the protocol build_two_way_T assembles: sum_i r_i N_i / D_i
+    over the live columns, with r_i = |S_i| Bob outcomes.  On full support
+    r_i = i + 1 and the value is trace_T_batch's to the bit."""
     lam = s.effective
     if delta.d != lam.size:
         raise ValueError(f"delta has d = {delta.d}, spectrum has effective rank {lam.size}")
-    return float(trace_T_batch(lam, delta.table[None])[0])
-
-
-def _expectations(X, Y, rho_bd_ac) -> np.ndarray:
-    """Tr((X_n (x) Y_n) rho) = sum X_n[c, a] Y_n[e, b] rho[(a, b), (c, e)]
-    for (n, d, d) stacks X, Y (either may have n = 1), with rho rearranged
-    to rows (b, e) and columns (a, c): two products of O(n d**4), where
-    forming X_n (x) Y_n would cost O(n d**6)."""
-    partial = np.swapaxes(Y, 1, 2).reshape(len(Y), -1) @ rho_bd_ac  # [n, (a, c)]
-    return (np.swapaxes(X, 1, 2).reshape(len(X), -1) * partial).sum(axis=1).real
+    _, _, ratio = _column_ratios(lam, delta.table[None])
+    return float((ratio * _supports(lam, delta.table).sum(axis=0)).sum(axis=1)[0])
 
 
 def _branch_probabilities(protocol: TwoWayProtocol, source: str):
@@ -263,36 +267,33 @@ def _branch_probabilities(protocol: TwoWayProtocol, source: str):
 
     Returns (level-1 probs including 'lost' mass, per-branch records), where
     each record is (i, p_i, [(p_j_given_i, p_accept_given_ij), ...],
-    p_reject_given_i).  Every probability is a local expectation
-    Tr((X (x) Y) rho): p_i with X = M_i, Y = I; p_i p_j with Y = N_j; and
-    p_i p_j p_accept with X = sqrt(M_i) P_ij sqrt(M_i).
+    p_reject_given_i).  On psi = sum_k sqrt(l_k) |kk>: p_i = sum_k l_k m_ki,
+    p_i p_j = sum_k l_k m_ki |xi_kj|**2 and p_i p_j p_accept = c^T P_ij
+    conj(c) with c_k = sqrt(l_k m_ki) xi_kj.  On the maximally mixed state
+    of dimension d**2: Tr M_i / d, Tr M_i / d**2 and Tr(M_i P_ij) / d**2.
     """
-    d = protocol.d
-    D = d * d
-    if source == "psi":
-        rho = state_from_spectrum(SchmidtSpectrum(protocol.spectrum.effective)).density()
-    elif source == "mixed":
-        rho = np.eye(D, dtype=complex) / D
-    else:
+    if source not in ("psi", "mixed"):
         raise ValueError(f"source must be 'psi' or 'mixed', got {source!r}")
-    rho_bd_ac = rho.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(D, D)
+    lam = SchmidtSpectrum(protocol.spectrum.effective).lambdas
+    d = lam.size
     records = []
-    for i in range(d):
-        M = protocol.alice_povm[i][None]
-        root = np.sqrt(np.diag(M[0]))
-        p_i = float(_expectations(M, np.eye(d)[None], rho_bd_ac)[0])
+    for i, (M, xi) in enumerate(zip(protocol.alice_povm, protocol.bob_bases)):
+        m = np.diag(M)
+        p_i = float(lam @ m) if source == "psi" else float(m.sum()) / d
         if p_i <= DENOM_TOL:
             records.append((i, 0.0, [], 0.0))
             continue
-        xi = protocol.bob_bases[i]
         branch = []
-        covered = 0.0
         if xi is not None:
-            N = _rank_one(xi)
-            P = np.array([protocol.final_projectors[(i, j)] for j in range(len(N))])
-            p_js = np.clip(_expectations(M, N, rho_bd_ac) / p_i, 0.0, 1.0)
-            accepted = _expectations(root[:, None] * P * root, N, rho_bd_ac)
-            for p_j, acc in zip(p_js.tolist(), accepted.tolist()):
+            P = np.array([protocol.final_projectors[(i, j)] for j in range(xi.shape[1])])
+            if source == "psi":
+                joint = (lam * m) @ np.abs(xi) ** 2
+                c = np.sqrt(lam * m)[:, None] * xi
+                accepted = np.einsum("kj,jkl,lj->j", c, P, c.conj()).real
+            else:
+                joint = np.full(xi.shape[1], float(m.sum()) / d**2)
+                accepted = np.einsum("k,jkk->j", m, P).real / d**2
+            for p_j, acc in zip(np.clip(joint / p_i, 0.0, 1.0).tolist(), accepted.tolist()):
                 if p_j <= DENOM_TOL:
                     branch.append((0.0, 0.0))
                     continue
@@ -304,8 +305,7 @@ def _branch_probabilities(protocol: TwoWayProtocol, source: str):
                 if p_acc < 1e-12:
                     p_acc = 0.0
                 branch.append((p_j, p_acc))
-                covered += p_j
-        p_reject = max(1.0 - covered, 0.0)
+        p_reject = max(1.0 - sum(p_j for p_j, _ in branch), 0.0)
         if p_reject < 1e-12:
             p_reject = 0.0
         records.append((i, p_i, branch, p_reject))

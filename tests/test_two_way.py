@@ -168,8 +168,12 @@ def test_closed_form_single_outcome():
 
 def test_closed_form_hand_arithmetic():
     s = spectrum([0.5, 0.5])
-    val = trace_T_closed_form(s, DeltaMatrix.qubit(1.0))
-    assert abs(val - 3.0) <= 1e-12  # beta 0.75: worse than one-way
+    delta = DeltaMatrix.qubit(1.0)
+    # The envelope weights column 1 by 2: beta 0.75, worse than one-way.
+    assert abs(trace_T_batch(s.effective, delta.table[None])[0] - 3.0) <= 1e-12
+    # The operator measures both levels locally, |00><00| + |11><11|: Bob's
+    # conditional state in branch 1 is |1><1|, so he has one outcome.
+    assert abs(trace_T_closed_form(s, delta) - 2.0) <= 1e-12
 
 
 def test_closed_form_matches_operator_at_optimum():
@@ -205,6 +209,33 @@ def test_oracle_equivalence_corpus():
             T, _ = build_two_way_T(s, delta)
             assert abs(np.trace(T).real - value) <= 1e-9
             assert value == trace_T_closed_form(s, delta)
+    # Sparse tables: a live column with a zero (or 1e-300) on {0..i} gives Bob
+    # fewer than i + 1 outcomes, and the operator's trace drops below the
+    # envelope's.
+    for s in spectra:
+        lam = s.effective
+        d = lam.size
+        psi = state_from_spectrum(spectrum(lam)).psi
+        base = DeltaMatrix.random(d, rng).table
+        rows = [rng.integers(i) for i in range(1, d)]
+        closed_by_tiny = []
+        for tiny in (0.0, 1e-300):
+            sparse = base.copy()
+            sparse[rows, np.arange(1, d)] = tiny
+            sparse /= sparse.sum(axis=1, keepdims=True)
+            for delta in (DeltaMatrix(np.eye(d)), DeltaMatrix(sparse)):
+                T, _ = build_two_way_T(s, delta)
+                closed = trace_T_closed_form(s, delta)
+                assert abs(np.trace(T).real - closed) <= 1e-9
+                assert closed <= trace_T_batch(lam, delta.table[None])[0] + 1e-12
+                assert abs((psi.conj() @ T @ psi).real - 1.0) <= 1e-9
+            closed_by_tiny.append(closed)
+        # 1e-300 lies below the support cutoff: the same protocol as 0.
+        assert abs(closed_by_tiny[0] - closed_by_tiny[1]) <= 1e-12
+    s = spectrum([0.5, 0.3, 0.2])
+    delta = DeltaMatrix(np.eye(3))
+    assert trace_T_closed_form(s, delta) == 3.0
+    assert abs(np.trace(build_two_way_T(s, delta)[0]).real - 3.0) <= 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -350,8 +381,9 @@ def equivalence_cases():
         yield s, beta_two_way_upper(s).best_delta
 
 
-def reference_two_way_T(s, delta):
-    """One sigma_A, support projection and Kronecker product per Bob outcome."""
+def reference_two_way_T(s, delta, bob_bases):
+    """One sigma_A, support projection and Kronecker product per Bob outcome,
+    for Bob's bases as given (test_bob_bases_span_the_support checks them)."""
     lam = s.effective
     d = lam.size
     T = np.zeros((d * d, d * d), dtype=complex)
@@ -360,8 +392,9 @@ def reference_two_way_T(s, delta):
         M = delta.alice_element(i)
         den = (lam * np.diag(M)).sum()
         if not den > (i + 1) * DENOM_TOL:
+            assert bob_bases[i] is None
             continue
-        xi = build_mub_basis(np.diag(lam * np.diag(M) / den))
+        xi = bob_bases[i]
         sm = np.diag(np.sqrt(np.diag(M)))
         for j in range(xi.shape[1]):
             N = np.outer(xi[:, j], xi[:, j].conj())
@@ -410,11 +443,47 @@ def reference_branch_probabilities(protocol, source):
 def test_build_two_way_T_matches_per_outcome_loop():
     for s, delta in equivalence_cases():
         T, protocol = build_two_way_T(s, delta)
-        T_ref, projectors_ref = reference_two_way_T(s, delta)
+        T_ref, projectors_ref = reference_two_way_T(s, delta, protocol.bob_bases)
         assert np.max(np.abs(T - T_ref)) <= 1e-12
         assert protocol.final_projectors.keys() == projectors_ref.keys()
         for key, P_ref in projectors_ref.items():
             assert np.max(np.abs(protocol.final_projectors[key] - P_ref)) <= 1e-12
+
+
+def test_bob_bases_span_the_support():
+    """Each basis is orthonormal, lives on S_i = {k : l_k d_ki > d eps max},
+    is unbiased there, is the same on every build, and is the Fourier
+    transform of S_i's unit vectors ordered by descending weight, ties by
+    ascending index.  With distinct support weights that is build_mub_basis's
+    basis; eig_hermitian's order inside a tie is solver-dependent."""
+    untied = 0
+    tied = [(spectrum([0.3, 0.3, 0.2, 0.2]), DeltaMatrix.one_way(4))]
+    for s, delta in list(equivalence_cases()) + tied:
+        lam = s.effective
+        d = lam.size
+        _, protocol = build_two_way_T(s, delta)
+        _, again = build_two_way_T(s, delta)
+        for i, xi in enumerate(protocol.bob_bases):
+            if xi is None:
+                continue
+            assert np.array_equal(xi, again.bob_bases[i])
+            w = lam * delta.table[:, i]
+            support = w > d * np.finfo(float).eps * w.max()
+            r = int(support.sum())
+            assert xi.shape == (d, r)
+            assert np.max(np.abs(xi.conj().T @ xi - np.eye(r))) <= 1e-12
+            assert np.all(xi[~support] == 0)
+            assert np.max(np.abs(np.abs(xi[support]) ** 2 - 1.0 / r)) <= 1e-12
+            order = sorted(np.flatnonzero(support), key=lambda k: (-w[k], k))
+            n = np.arange(r)
+            fourier = np.exp(2j * np.pi * np.outer(n, n) / r) / np.sqrt(r)
+            assert np.max(np.abs(xi[order] - fourier)) <= 1e-15
+            ordered = np.sort(w[support])
+            if np.all(np.diff(ordered) > 1e-9 * ordered[-1]):
+                untied += 1
+                mub = build_mub_basis(np.diag(w / w.sum()))
+                assert np.max(np.abs(xi - mub)) <= 1e-12
+    assert untied >= 20
 
 
 def test_branch_probabilities_match_kron_formula():
