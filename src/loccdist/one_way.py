@@ -18,6 +18,7 @@ from .operators import (
     numerical_rank,
     partial_trace,
     psd_check,
+    support_mask,
     tensor,
 )
 from .states import BipartiteState, MaximallyCorrelatedState
@@ -69,7 +70,7 @@ def _rank_reduced(state) -> tuple[int, int]:
     """(rank of rho_A, total dimension) for either state type."""
     if isinstance(state, MaximallyCorrelatedState):
         diag = np.real(np.diag(state.alpha))
-        rank = int(np.sum(diag > state.d * np.finfo(float).eps * max(diag.max(), 1e-300)))
+        rank = int(support_mask(diag).sum())
         dA, dB = state.dims
         return rank, dA * dB
     red = state.reduced("A")
@@ -101,7 +102,7 @@ def build_one_way_test(mc: MaximallyCorrelatedState):
     dA, dB = mc.dims
     d = mc.d
     diag = np.real(np.diag(mc.alpha))
-    support_tol = d * np.finfo(float).eps * max(diag.max(), 1e-300)
+    support = support_mask(diag)
 
     alice = [np.outer(mc.basis_a[:, i], mc.basis_a[:, i].conj()) for i in range(mc.basis_a.shape[1])]
     rest_a = np.eye(dA) - sum(alice)
@@ -113,7 +114,7 @@ def build_one_way_test(mc: MaximallyCorrelatedState):
     if np.max(np.abs(rest_b)) > 1e-12:
         bob_elements.append(rest_b)
 
-    accept = frozenset((i, i) for i in range(d) if diag[i] > support_tol)
+    accept = frozenset((i, i) for i in range(d) if support[i])
     protocol = OneWayProtocol(
         alice_povm=tuple(alice),
         bob_povms=tuple(tuple(bob_elements) for _ in alice),

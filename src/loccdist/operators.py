@@ -10,7 +10,8 @@ The kernel takes stacks: `as_operator`, `is_hermitian`,
 accept a (..., n, n) array and act on each matrix in it, the eigensolves in
 one batched LAPACK call, and `tensor_sum` adds the Kronecker products of two
 stacks as one matrix product.  A 2-D input is one matrix.  The other
-functions take one matrix and reject stacks.
+matrix functions take one matrix and reject stacks; `support_mask`, the
+numerical-support cutoff they share, takes any array.
 
 Tolerance hierarchy used throughout the package:
   construction checks 1e-12, spectral reconstructions 1e-10,
@@ -122,14 +123,21 @@ def psd_sqrt(t, tol: float = ATOL_SPECTRAL) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _adjoint(v)
 
 
+def support_mask(x, tol: float | None = None, axis: int = -1) -> np.ndarray:
+    """Mask of the entries of x above tol times the largest entry along axis:
+    the numerical support, the one cutoff rule of the package.  tol defaults
+    to the axis length times machine epsilon; where the largest entry is
+    <= 0 nothing is kept."""
+    x = np.asarray(x)
+    if tol is None:
+        tol = x.shape[axis] * np.finfo(float).eps
+    return x > tol * np.maximum(x.max(axis=axis, keepdims=True), 0.0)
+
+
 def numerical_rank(t, tol: float | None = None) -> int:
     """Count of eigenvalues above tol * max eigenvalue (Hermitian PSD input)."""
-    t = _matrix(t)
-    w, _ = eig_hermitian(t)
-    scale = max(w[0], 0.0)
-    if tol is None:
-        tol = t.shape[0] * np.finfo(float).eps
-    return int(np.sum(w > tol * scale)) if scale > 0 else 0
+    w, _ = eig_hermitian(_matrix(t))
+    return int(support_mask(w, tol).sum())
 
 
 def support_projection(t, tol: float | None = None) -> np.ndarray:
@@ -148,9 +156,7 @@ def support_projection(t, tol: float | None = None) -> np.ndarray:
     bad = low < -tol * np.maximum(np.max(np.abs(w), axis=-1), 1.0)
     if np.any(bad):
         raise ValueError(f"negative eigenvalue {np.min(low[bad]):.3e} below tolerance")
-    # With a largest eigenvalue <= 0 no eigenvalue exceeds 0, so nothing is kept.
-    keep = w > tol * np.maximum(w[..., :1], 0.0)
-    return (v * keep[..., None, :]) @ _adjoint(v)
+    return (v * support_mask(w, tol)[..., None, :]) @ _adjoint(v)
 
 
 def psd_check(t, tol: float = ATOL_DERIVED) -> bool:

@@ -67,7 +67,10 @@ class SchmidtSpectrum:
 
     @property
     def effective(self) -> np.ndarray:
-        """Strictly positive coefficients (still ordered, still summing to 1)."""
+        """Coefficients above RANK_TOL, still ordered.  They are not
+        renormalised, so their sum falls short of 1 by the dropped mass.  The
+        closed forms and build_two_way_T depend only on their ratios;
+        _branch_probabilities and verify renormalise through SchmidtSpectrum."""
         return self.lambdas[self.lambdas > RANK_TOL]
 
     def __iter__(self):

@@ -12,8 +12,10 @@ and with r_i Bob outcomes in branch i its type-2 error is
 
 (trace_T_closed_form).  The paper's closed form puts r_i = i, which holds
 when every live column has full support; as a function of the table it is
-the convex envelope the optimiser minimises (trace_T_batch).  A seeded
-Monte Carlo simulator samples the cascade outcome by outcome.
+the convex envelope the optimiser minimises (trace_T_batch).  The
+protocol's outcome law is one closed-form table over (Alice's outcome,
+Bob's outcome, Alice's check), and the seeded Monte Carlo simulator draws
+all its samples from that table in one multinomial.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import eig_hermitian, psd_sqrt
+from .operators import eig_hermitian, psd_sqrt, support_mask
 from .states import SchmidtSpectrum
 
 DENOM_TOL = 1e-14  # branch weights below this never occur
@@ -149,11 +151,10 @@ def _column_ratios(lam: np.ndarray, tables: np.ndarray):
 
 def _supports(lam: np.ndarray, table: np.ndarray) -> np.ndarray:
     """(d, d) mask: level k lies in the support S_i of column i when
-    l_k d_ki > d eps max_k l_k d_ki, the numerical-rank cutoff that
+    l_k d_ki > d eps max_k l_k d_ki, the support_mask cutoff that
     build_mub_basis applies to Bob's conditional state.  Branch i gives Bob
     |S_i| outcomes."""
-    weights = lam[:, None] * table
-    return weights > lam.size * np.finfo(float).eps * weights.max(axis=0)
+    return support_mask(lam[:, None] * table, axis=0)
 
 
 def _fourier(r: int) -> np.ndarray:
@@ -170,9 +171,7 @@ def build_mub_basis(omega, r: int | None = None) -> np.ndarray:
     the eigenvalues average to Tr(omega)/r along every column.
     """
     w, v = eig_hermitian(omega)
-    scale = max(w[0], 0.0)
-    cutoff = omega.shape[0] * np.finfo(float).eps * max(scale, 1e-300)
-    rank = int(np.sum(w > cutoff))
+    rank = int(support_mask(w).sum())
     if r is not None and r != rank:
         raise ValueError(f"requested rank {r} but omega has numerical rank {rank}")
     if rank == 0:
@@ -262,28 +261,26 @@ def trace_T_closed_form(s: SchmidtSpectrum, delta: DeltaMatrix) -> float:
     return float((ratio * _supports(lam, delta.table).sum(axis=0)).sum(axis=1)[0])
 
 
-def _branch_probabilities(protocol: TwoWayProtocol, source: str):
-    """Exact outcome probabilities of the cascade for either source state.
+def _branch_probabilities(protocol: TwoWayProtocol, source: str) -> np.ndarray:
+    """Exact outcome law of the cascade for either source state, as a
+    (d, d + 1, 2) table p[i, j, a]: Alice's outcome i, Bob's outcome j
+    (j = d is his reject element, which also takes a branch that never
+    occurs) and Alice's final check a (0 accept, 1 reject).
 
-    Returns (level-1 probs including 'lost' mass, per-branch records), where
-    each record is (i, p_i, [(p_j_given_i, p_accept_given_ij), ...],
-    p_reject_given_i).  On psi = sum_k sqrt(l_k) |kk>: p_i = sum_k l_k m_ki,
-    p_i p_j = sum_k l_k m_ki |xi_kj|**2 and p_i p_j p_accept = c^T P_ij
-    conj(c) with c_k = sqrt(l_k m_ki) xi_kj.  On the maximally mixed state
-    of dimension d**2: Tr M_i / d, Tr M_i / d**2 and Tr(M_i P_ij) / d**2.
+    On psi = sum_k sqrt(l_k) |kk>: p_i = sum_k l_k m_ki, p_ij = sum_k l_k
+    m_ki |xi_kj|**2 and accept c^T P_ij conj(c) with c_k = sqrt(l_k m_ki)
+    xi_kj.  On the maximally mixed state of dimension d**2: Tr M_i / d,
+    Tr M_i / d**2 and Tr(M_i P_ij) / d**2.  Leaves below 1e-12 are set to
+    0, so the non-accept leaves on psi, rounding-level, are exactly 0.
     """
     if source not in ("psi", "mixed"):
         raise ValueError(f"source must be 'psi' or 'mixed', got {source!r}")
     lam = SchmidtSpectrum(protocol.spectrum.effective).lambdas
     d = lam.size
-    records = []
-    for i, (M, xi) in enumerate(zip(protocol.alice_povm, protocol.bob_bases)):
-        m = np.diag(M)
-        p_i = float(lam @ m) if source == "psi" else float(m.sum()) / d
-        if p_i <= DENOM_TOL:
-            records.append((i, 0.0, [], 0.0))
-            continue
-        branch = []
+    table = np.zeros((d, d + 1, 2))
+    for i, xi in enumerate(protocol.bob_bases):
+        m = protocol.delta.table[:, i]
+        p_i = lam @ m if source == "psi" else m.sum() / d
         if xi is not None:
             P = np.array([protocol.final_projectors[(i, j)] for j in range(xi.shape[1])])
             if source == "psi":
@@ -291,31 +288,21 @@ def _branch_probabilities(protocol: TwoWayProtocol, source: str):
                 c = np.sqrt(lam * m)[:, None] * xi
                 accepted = np.einsum("kj,jkl,lj->j", c, P, c.conj()).real
             else:
-                joint = np.full(xi.shape[1], float(m.sum()) / d**2)
+                joint = np.full(xi.shape[1], m.sum() / d**2)
                 accepted = np.einsum("k,jkk->j", m, P).real / d**2
-            for p_j, acc in zip(np.clip(joint / p_i, 0.0, 1.0).tolist(), accepted.tolist()):
-                if p_j <= DENOM_TOL:
-                    branch.append((0.0, 0.0))
-                    continue
-                p_acc = acc / (p_j * p_i)
-                # Snap probabilities that are 0 or 1 up to rounding, so the
-                # zero-type-1-error property is exact in simulation.
-                if p_acc > 1.0 - 1e-12:
-                    p_acc = 1.0
-                if p_acc < 1e-12:
-                    p_acc = 0.0
-                branch.append((p_j, p_acc))
-        p_reject = max(1.0 - sum(p_j for p_j, _ in branch), 0.0)
-        if p_reject < 1e-12:
-            p_reject = 0.0
-        records.append((i, p_i, branch, p_reject))
-    return records
+            table[i, : xi.shape[1]] = np.stack([accepted, joint - accepted], axis=1)
+            p_i -= joint.sum()
+        table[i, d, 1] = p_i
+    table[table < 1e-12] = 0.0
+    return table
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.959963984540054):
     """Wilson score confidence interval for a binomial proportion."""
     if n <= 0:
         raise ValueError("need at least one sample")
+    if not 0 <= successes <= n:
+        raise ValueError(f"success count {successes} outside 0..{n}")
     phat = successes / n
     denom = 1.0 + z**2 / n
     center = (phat + z**2 / (2 * n)) / denom
@@ -328,31 +315,15 @@ def simulate_protocol(protocol: TwoWayProtocol, source: str, n: int, seed: int =
 
     Each sample follows Alice's Born rule, then Bob's conditional Born rule
     (his reject element declares the mixed state immediately), then Alice's
-    final projective check.  Deterministic given (seed, n).  Returns
-    (accept_rate, wilson 95% interval).
+    final projective check.  All n samples are one multinomial draw over the
+    cascade's leaves (_branch_probabilities), which has the cascade's law.
+    Deterministic given (seed, n).  Returns (accept_rate, wilson 95%
+    interval).
     """
     if not 1 <= n <= MAX_SAMPLES:
         raise ValueError(f"sample count must be between 1 and {MAX_SAMPLES}")
     rng = np.random.default_rng(seed)
-    records = _branch_probabilities(protocol, source)
-    p_first = np.array([rec[1] for rec in records])
-    p_first = np.clip(p_first, 0.0, None)
-    p_first = p_first / p_first.sum()
-    counts_first = rng.multinomial(n, p_first)
-    accepted = 0
-    for (i, p_i, branch, p_reject), n_i in zip(records, counts_first):
-        if n_i == 0 or not branch:
-            continue
-        probs = np.array([b[0] for b in branch] + [p_reject])
-        probs = np.clip(probs, 0.0, None)
-        probs = probs / probs.sum()
-        counts_second = rng.multinomial(n_i, probs)
-        for (p_j, p_acc), n_ij in zip(branch, counts_second[:-1]):
-            if n_ij == 0:
-                continue
-            if p_acc >= 1.0:
-                accepted += n_ij
-            elif p_acc > 0.0:
-                accepted += rng.binomial(n_ij, p_acc)
-    rate = accepted / n
-    return rate, wilson_interval(accepted, n)
+    table = _branch_probabilities(protocol, source)
+    counts = rng.multinomial(n, (table / table.sum()).ravel()).reshape(table.shape)
+    accepted = int(counts[..., 0].sum())
+    return accepted / n, wilson_interval(accepted, n)

@@ -9,6 +9,7 @@ from loccdist.operators import (
     povm_element_check,
     psd_check,
     psd_sqrt,
+    support_mask,
     support_projection,
     tensor,
     tensor_sum,
@@ -188,6 +189,16 @@ def test_psd_sqrt():
 def test_numerical_rank():
     assert numerical_rank(np.diag([0.5, 0.0, 0.2])) == 2
     assert numerical_rank(np.zeros((3, 3))) == 0
+
+
+def test_support_mask():
+    x = np.array([[1.0, 1e-20], [1e-17, 1e-20]])
+    assert np.array_equal(support_mask(x, axis=0), [[True, True], [False, True]])
+    assert np.array_equal(support_mask(x), [[True, False], [True, True]])
+    # the cutoff is relative: no floor on the largest entry
+    assert np.array_equal(support_mask(1e-200 * x, axis=0), support_mask(x, axis=0))
+    assert not support_mask(np.array([0.0, -1.0])).any()
+    assert np.array_equal(support_mask([0.5, 0.3], tol=0.7), [True, False])
 
 
 def test_is_hermitian():

@@ -361,6 +361,10 @@ def test_wilson_interval_sanity():
     assert 0.0 <= lo and hi <= 1.0
     with pytest.raises(ValueError):
         wilson_interval(0, 0)
+    with pytest.raises(ValueError):
+        wilson_interval(5, 3)
+    with pytest.raises(ValueError):
+        wilson_interval(-1, 3)
 
 
 def equivalence_cases():
@@ -405,39 +409,31 @@ def reference_two_way_T(s, delta, bob_bases):
 
 
 def reference_branch_probabilities(protocol, source):
-    """The cascade's probabilities from D x D Kronecker products and traces."""
+    """The cascade's outcome table p[i, j, a] from D x D Kronecker products
+    and traces, with the same 1e-12 cut per leaf."""
     d = protocol.d
     D = d * d
     if source == "psi":
         rho = state_from_spectrum(spectrum(protocol.spectrum.effective)).density()
     else:
         rho = np.eye(D, dtype=complex) / D
-    records = []
+    table = np.zeros((d, d + 1, 2))
     for i in range(d):
         K = np.kron(np.diag(np.sqrt(np.diag(protocol.alice_povm[i]))), np.eye(d))
         rho_i = K @ rho @ K
-        p_i = float(np.trace(rho_i).real)
-        if p_i <= DENOM_TOL:
-            records.append((i, 0.0, [], 0.0))
-            continue
         xi = protocol.bob_bases[i]
-        branch = []
         covered = 0.0
         for j in range(0 if xi is None else xi.shape[1]):
             Kb = np.kron(np.eye(d), np.outer(xi[:, j], xi[:, j].conj()))
             rho_ij = Kb @ rho_i @ Kb
-            p_j = min(max(float(np.trace(rho_ij).real) / p_i, 0.0), 1.0)
-            if p_j <= DENOM_TOL:
-                branch.append((0.0, 0.0))
-                continue
             P = np.kron(protocol.final_projectors[(i, j)], np.eye(d))
-            p_acc = float(np.trace(P @ rho_ij).real) / (p_j * p_i)
-            p_acc = 1.0 if p_acc > 1.0 - 1e-12 else 0.0 if p_acc < 1e-12 else p_acc
-            branch.append((p_j, p_acc))
-            covered += p_j
-        p_reject = max(1.0 - covered, 0.0)
-        records.append((i, p_i, branch, 0.0 if p_reject < 1e-12 else p_reject))
-    return records
+            p_ij = float(np.trace(rho_ij).real)
+            table[i, j, 0] = float(np.trace(P @ rho_ij).real)
+            table[i, j, 1] = p_ij - table[i, j, 0]
+            covered += p_ij
+        table[i, d, 1] = float(np.trace(rho_i).real) - covered
+    table[table < 1e-12] = 0.0
+    return table
 
 
 def test_build_two_way_T_matches_per_outcome_loop():
@@ -486,19 +482,38 @@ def test_bob_bases_span_the_support():
     assert untied >= 20
 
 
+def test_support_is_relative_to_the_column():
+    """Level 2 carries 1e-17 of column 2: below d eps times the column's
+    largest weight, so outside S_2, although it is its row's largest."""
+    s = spectrum([0.5, 0.5 - 2e-11, 1e-11, 1e-11])
+    table = np.array(
+        [[0.4, 0.3, 0.3, 0.0], [0.0, 0.5, 0.5, 0.0], [0.0, 0.0, 1e-6, 1 - 1e-6], [0.0, 0.0, 0.0, 1.0]]
+    )
+    _, protocol = build_two_way_T(s, DeltaMatrix(table))
+    assert protocol.bob_bases[2].shape == (4, 2)
+
+
 def test_branch_probabilities_match_kron_formula():
     for s, delta in equivalence_cases():
         _, protocol = build_two_way_T(s, delta)
         for source in ("psi", "mixed"):
             got = _branch_probabilities(protocol, source)
             ref = reference_branch_probabilities(protocol, source)
-            assert len(got) == len(ref)
-            for (i, p_i, branch, p_rej), (i_ref, p_i_ref, branch_ref, p_rej_ref) in zip(got, ref):
-                assert i == i_ref and len(branch) == len(branch_ref)
-                assert abs(p_i - p_i_ref) <= 1e-12 and abs(p_rej - p_rej_ref) <= 1e-12
-                for (p_j, p_acc), (p_j_ref, p_acc_ref) in zip(branch, branch_ref):
-                    assert abs(p_j - p_j_ref) <= 1e-12
-                    assert abs(p_acc - p_acc_ref) <= 1e-12
+            assert got.shape == ref.shape == (protocol.d, protocol.d + 1, 2)
+            assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def test_outcome_table_identities():
+    """Both tables are probability laws, psi is never rejected, and the
+    mixed state is accepted with probability Tr T / d**2."""
+    for s, delta in equivalence_cases():
+        T, protocol = build_two_way_T(s, delta)
+        d = protocol.d
+        psi = _branch_probabilities(protocol, "psi")
+        mixed = _branch_probabilities(protocol, "mixed")
+        assert abs(psi.sum() - 1.0) <= 1e-12 and abs(mixed.sum() - 1.0) <= 1e-12
+        assert np.all(psi[..., 1] == 0.0) and np.all(psi[:, d] == 0.0)
+        assert abs(mixed[..., 0].sum() - np.trace(T).real / d**2) <= 1e-12
 
 
 def test_sigma_a_stack_matches_per_element():
