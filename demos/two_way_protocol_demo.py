@@ -48,11 +48,11 @@ def main():
     print(f"  Tr T (formula)  = {trace_T_closed_form(s, result.best_delta):.12f}")
     print(f"  one-way value 2.0 beaten by {2.0 - np.trace(T).real:.6f}")
 
-    for i, xi in enumerate(protocol.bob_bases):
-        if xi is None:
+    for i in range(protocol.d):
+        if protocol.outcomes[i] == 0:
             print(f"  Alice outcome {i + 1}: never occurs")
         else:
-            print(f"  Alice outcome {i + 1}: Bob distinguishes {xi.shape[1]} directions")
+            print(f"  Alice outcome {i + 1}: Bob distinguishes {protocol.outcomes[i]} directions")
 
     n = 200_000
     rate_psi, _ = simulate_protocol(protocol, "psi", n, seed=0)

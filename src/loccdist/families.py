@@ -60,7 +60,7 @@ class FamilySpec:
                 )
             if abs(lam.sum() - 1.0) > 1e-9:
                 raise ValueError(
-                    f"family {self.name}: coefficients sum to {lam.sum()!r} at t={t}"
+                    f"family {self.name}: coefficients sum to {float(lam.sum())} at t={t}"
                 )
 
     def spectrum_at(self, t: float) -> SchmidtSpectrum:

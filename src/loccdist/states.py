@@ -47,10 +47,12 @@ class SchmidtSpectrum:
             raise ValueError("Schmidt coefficients must be finite")
         if np.min(lam) < -RANK_TOL:
             raise ValueError(f"negative Schmidt coefficient {np.min(lam):.3e}")
+        if np.max(lam) > 1.0 + SUM_TOL:
+            raise ValueError(f"Schmidt coefficient {float(np.max(lam))} exceeds 1")
         lam = np.clip(lam, 0.0, None)
         total = lam.sum()
         if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"coefficients sum to {total!r}, not 1")
+            raise ValueError(f"coefficients sum to {float(total)}, not 1")
         lam = lam / total
         # Non-increasing order, ties kept in original position.
         lam = lam[np.argsort(-lam, kind="stable")]
@@ -110,7 +112,7 @@ class BipartiteState:
             raise ValueError(f"vector length {psi.size} != dA*dB = {dA * dB}")
         nrm = np.linalg.norm(psi)
         if abs(nrm - 1.0) > 1e-9:
-            raise ValueError(f"pure state has norm {nrm!r}")
+            raise ValueError(f"pure state has norm {float(nrm)}")
         return cls(dA, dB, psi=psi / nrm)
 
     @classmethod
@@ -229,7 +231,7 @@ def schmidt_decompose(psi, dims: tuple[int, int]):
         raise ValueError(f"vector length {psi.size} != dA*dB = {dA * dB}")
     nrm = np.linalg.norm(psi)
     if abs(nrm - 1.0) > 1e-9:
-        raise ValueError(f"vector has norm {nrm!r}, expected 1")
+        raise ValueError(f"vector has norm {float(nrm)}, expected 1")
     coeff = psi.reshape(dA, dB)
     u, sing, vh = np.linalg.svd(coeff)
     k = min(dA, dB)

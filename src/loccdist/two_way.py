@@ -4,9 +4,10 @@ Alice measures a diagonal POVM {M_i} built from a feasible coefficient
 table, Bob measures a basis that is unbiased for his conditional state, and
 Alice finishes with the support projector of her post-measurement state.
 Bob's elements are rank one, so Alice's conditional state, her projector
-and every term of T are rank one too, and build_two_way_T assembles T from
-vectors without an eigensolve.  The test detects the pure state perfectly,
-and with r_i Bob outcomes in branch i its type-2 error is
+and every accept leaf are rank one too: a protocol is Bob's outcome counts
+r_i plus two padded arrays of vectors (his xi_ij, Alice's final v_ij), and
+build_two_way_T assembles T from them without an eigensolve or a loop.
+The test detects the pure state perfectly, and its type-2 error is
 
     Tr T = sum_i  r_i * (sum_{k<=i} l_k d_ki**2) / (sum_{k<=i} l_k d_ki)
 
@@ -103,13 +104,18 @@ class DeltaMatrix:
 
 @dataclass(frozen=True)
 class TwoWayProtocol:
-    """Everything needed to run or analyse one three-step protocol instance."""
+    """Everything needed to run or analyse one three-step protocol instance.
+
+    Branch i gives Bob outcomes[i] = r_i = |S_i| outcomes, 0 if it never
+    occurs.  bob[i, :, j] is his vector xi_ij and alice[i, :, j] Alice's
+    unit vector v_ij, P_ij = |v_ij><v_ij|; both are exactly 0 for j >= r_i.
+    """
 
     spectrum: SchmidtSpectrum
     delta: DeltaMatrix
-    alice_povm: tuple  # M_i for every outcome i
-    bob_bases: tuple  # (d, r_i) column arrays, or None for branches that never occur
-    final_projectors: dict  # (i, j) -> projector on Alice's side
+    outcomes: np.ndarray  # (d,) int
+    bob: np.ndarray  # (d, d, d) complex
+    alice: np.ndarray  # (d, d, d) complex
 
     @property
     def d(self) -> int:
@@ -187,7 +193,7 @@ def build_two_way_T(s: SchmidtSpectrum, delta: DeltaMatrix):
     (ties by ascending k): unbiased for his diagonal conditional state.
     Alice's conditional state is then |v_ij><v_ij| = P_ij, with v_ij
     proportional to sqrt(M_i Lambda) conj(xi_j), and T = W W^dagger for the
-    columns u_ij (x) xi_j of W, u_ij = sqrt(M_i) v_ij.
+    columns u_ij (x) xi_j of W, u_ij = sqrt(M_i) v_ij, in (i, j) order.
     """
     lam = s.effective
     d = lam.size
@@ -195,25 +201,21 @@ def build_two_way_T(s: SchmidtSpectrum, delta: DeltaMatrix):
         raise ValueError(f"delta has d = {delta.d}, spectrum has effective rank {d}")
     weights = lam[:, None] * delta.table
     live, _, _ = _column_ratios(lam, delta.table[None])
-    supports = _supports(lam, delta.table)
-    columns, bob_bases, projectors = [], [], {}
-    for i in range(d):
-        if not live[0, i]:
-            bob_bases.append(None)
-            continue
-        support = np.flatnonzero(supports[:, i])
-        support = support[np.argsort(-weights[support, i], kind="stable")]
-        xi = np.zeros((d, support.size), dtype=complex)
-        xi[support] = _fourier(support.size)
-        bob_bases.append(xi)
-        v = np.sqrt(weights[:, i, None]) * xi.conj()
-        v /= np.linalg.norm(v, axis=0)
-        projectors.update(((i, j), np.outer(vj, vj.conj())) for j, vj in enumerate(v.T))
-        u = np.sqrt(delta.table[:, i, None]) * v
-        columns.append((u[:, None, :] * xi[None, :, :]).reshape(d * d, -1))
-    W = np.hstack(columns)
-    alice = tuple(delta.alice_element(i) for i in range(d))
-    return W @ W.conj().T, TwoWayProtocol(s, delta, alice, tuple(bob_bases), projectors)
+    support = _supports(lam, delta.table) & live
+    outcomes = support.sum(axis=0)
+    # order[p, i]: the level at position p of S_i; levels outside S_i go last.
+    order = np.argsort(np.where(support, -weights, np.inf), axis=0, kind="stable")
+    n, r = np.arange(d), np.maximum(outcomes, 1)[:, None, None]
+    inside = n < outcomes[:, None]  # [i, j]: j < r_i
+    block = np.exp(2j * np.pi * (n[:, None] * n) / r) / np.sqrt(r)  # Fourier, padded to d
+    bob = np.zeros((d, d, d), dtype=complex)
+    bob[n[:, None], order.T] = np.where(inside[:, :, None] & inside[:, None, :], block, 0.0)
+    v = np.sqrt(weights.T)[:, :, None] * bob.conj()
+    norm = np.linalg.norm(v, axis=1, keepdims=True)
+    alice = np.divide(v, norm, out=np.zeros_like(v), where=norm > 0)
+    u = np.sqrt(delta.table.T)[:, :, None] * alice
+    W = (u[:, :, None] * bob[:, None]).transpose(1, 2, 0, 3).reshape(d * d, -1)[:, inside.ravel()]
+    return W @ W.conj().T, TwoWayProtocol(s, delta, outcomes, bob, alice)
 
 
 def trace_T_batch(lam: np.ndarray, tables: np.ndarray, grad: bool = False, hess: bool = False):
@@ -268,31 +270,29 @@ def _branch_probabilities(protocol: TwoWayProtocol, source: str) -> np.ndarray:
     occurs) and Alice's final check a (0 accept, 1 reject).
 
     On psi = sum_k sqrt(l_k) |kk>: p_i = sum_k l_k m_ki, p_ij = sum_k l_k
-    m_ki |xi_kj|**2 and accept c^T P_ij conj(c) with c_k = sqrt(l_k m_ki)
-    xi_kj.  On the maximally mixed state of dimension d**2: Tr M_i / d,
-    Tr M_i / d**2 and Tr(M_i P_ij) / d**2.  Leaves below 1e-12 are set to
-    0, so the non-accept leaves on psi, rounding-level, are exactly 0.
+    m_ki |xi_kj|**2 and accept |sum_k c_k v_kj|**2 = c^T P_ij conj(c) with
+    c_k = sqrt(l_k m_ki) xi_kj.  On the maximally mixed state of dimension
+    d**2: Tr M_i / d, Tr M_i / d**2 and Tr(M_i P_ij) / d**2.  Padded
+    outcomes j >= r_i are zero leaves.  Leaves below 1e-12 are set to 0,
+    so the non-accept leaves on psi, rounding-level, are exactly 0.
     """
     if source not in ("psi", "mixed"):
         raise ValueError(f"source must be 'psi' or 'mixed', got {source!r}")
     lam = SchmidtSpectrum(protocol.spectrum.effective).lambdas
     d = lam.size
+    m = protocol.delta.table.T[:, :, None]  # m_ki at [i, k, 0]
+    if source == "psi":
+        p = lam @ protocol.delta.table
+        c = np.sqrt(lam[:, None] * m) * protocol.bob
+        joint = (lam[:, None] * m * np.abs(protocol.bob) ** 2).sum(axis=1)
+        accepted = np.abs((c * protocol.alice).sum(axis=1)) ** 2
+    else:
+        p = m.sum(axis=1)[:, 0] / d
+        joint = np.where(np.arange(d) < protocol.outcomes[:, None], m.sum(axis=1) / d**2, 0.0)
+        accepted = (m * np.abs(protocol.alice) ** 2).sum(axis=1) / d**2
     table = np.zeros((d, d + 1, 2))
-    for i, xi in enumerate(protocol.bob_bases):
-        m = protocol.delta.table[:, i]
-        p_i = lam @ m if source == "psi" else m.sum() / d
-        if xi is not None:
-            P = np.array([protocol.final_projectors[(i, j)] for j in range(xi.shape[1])])
-            if source == "psi":
-                joint = (lam * m) @ np.abs(xi) ** 2
-                c = np.sqrt(lam * m)[:, None] * xi
-                accepted = np.einsum("kj,jkl,lj->j", c, P, c.conj()).real
-            else:
-                joint = np.full(xi.shape[1], m.sum() / d**2)
-                accepted = np.einsum("k,jkk->j", m, P).real / d**2
-            table[i, : xi.shape[1]] = np.stack([accepted, joint - accepted], axis=1)
-            p_i -= joint.sum()
-        table[i, d, 1] = p_i
+    table[:, :d] = np.stack([accepted, joint - accepted], axis=-1)
+    table[:, d, 1] = p - joint.sum(axis=1)
     table[table < 1e-12] = 0.0
     return table
 

@@ -57,6 +57,7 @@ def test_bounds_rejects_bad_sum(capsys):
     code, _, err = run(capsys, "bounds", "--schmidt", "0.9,0.2")
     assert code == 2
     assert "sum" in err
+    assert "np.float64" not in err
 
 
 def test_bounds_rejects_bad_dims(capsys):
@@ -237,6 +238,10 @@ def test_cli_entry_point_runs():
         ["optimize", "--schmidt", "0.5,0.5", "--grid-step", "inf"],
         ["optimize", "--schmidt", "0.5,0.5", "--grid-step", "nan"],
         ["optimize", "--schmidt", "0.5,0.5", "--grid-step", "1.5"],
+        # The coefficient sum overflows: rejected before numpy warns.
+        ["bounds", "--schmidt", "1e308,1e308"],
+        ["optimize", "--schmidt", "1e308,1e308"],
+        ["verify", "--schmidt", "1e308,1e308"],
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):

@@ -10,6 +10,7 @@ from loccdist.two_way import (
     DeltaMatrix,
     ZeroProbabilityError,
     _branch_probabilities,
+    _supports,
     build_mub_basis,
     build_two_way_T,
     sigma_A,
@@ -279,13 +280,17 @@ def test_oracle_equivalence_degenerate_spectrum():
 
 
 def test_zero_weight_outcome_skipped():
-    # delta_11 = 0 makes Alice's first outcome impossible; both routes agree
+    # delta_11 = 0 makes Alice's first outcome impossible, and 1e-15 puts it
+    # below the DENOM_TOL gate although its level is in the support; both
+    # routes agree
     s = spectrum([0.5, 0.5])
-    delta = DeltaMatrix.qubit(0.0)
-    T, protocol = build_two_way_T(s, delta)
-    assert protocol.bob_bases[0] is None
-    assert abs(np.trace(T).real - trace_T_closed_form(s, delta)) <= 1e-12
-    assert abs(np.trace(T).real - 2.0) <= 1e-12
+    for delta_11 in (0.0, 1e-15):
+        delta = DeltaMatrix.qubit(delta_11)
+        T, protocol = build_two_way_T(s, delta)
+        assert protocol.outcomes.tolist() == [0, 2]
+        assert np.all(protocol.bob[0] == 0) and np.all(protocol.alice[0] == 0)
+        assert abs(np.trace(T).real - trace_T_closed_form(s, delta)) <= 1e-12
+        assert abs(np.trace(T).real - 2.0) <= 1e-12
 
 
 def test_simulate_type_one_error_is_zero():
@@ -349,7 +354,8 @@ def test_final_projectors_are_projectors():
     rng = np.random.default_rng(6)
     s = random_spectrum(3, rng)
     _, protocol = build_two_way_T(s, DeltaMatrix.random(3, rng))
-    for P in protocol.final_projectors.values():
+    assert protocol.outcomes.sum() == 6
+    for P in final_projectors(protocol).values():
         assert np.max(np.abs(P @ P - P)) <= 1e-10
         w, _ = eig_hermitian(P)
         assert w[-1] >= -1e-10
@@ -385,9 +391,24 @@ def equivalence_cases():
         yield s, beta_two_way_upper(s).best_delta
 
 
-def reference_two_way_T(s, delta, bob_bases):
+def bob_basis(protocol, i):
+    """Bob's (d, r_i) basis in branch i."""
+    return protocol.bob[i, :, : protocol.outcomes[i]]
+
+
+def final_projectors(protocol):
+    """(i, j) -> P_ij = |v_ij><v_ij| for every live Bob outcome."""
+    return {
+        (i, j): np.outer(protocol.alice[i, :, j], protocol.alice[i, :, j].conj())
+        for i in range(protocol.d)
+        for j in range(protocol.outcomes[i])
+    }
+
+
+def reference_two_way_T(s, delta, protocol):
     """One sigma_A, support projection and Kronecker product per Bob outcome,
-    for Bob's bases as given (test_bob_bases_span_the_support checks them)."""
+    for the protocol's Bob bases (test_bob_bases_span_the_support checks
+    them)."""
     lam = s.effective
     d = lam.size
     T = np.zeros((d * d, d * d), dtype=complex)
@@ -396,9 +417,10 @@ def reference_two_way_T(s, delta, bob_bases):
         M = delta.alice_element(i)
         den = (lam * np.diag(M)).sum()
         if not den > (i + 1) * DENOM_TOL:
-            assert bob_bases[i] is None
+            assert protocol.outcomes[i] == 0
             continue
-        xi = bob_bases[i]
+        assert protocol.outcomes[i] > 0
+        xi = bob_basis(protocol, i)
         sm = np.diag(np.sqrt(np.diag(M)))
         for j in range(xi.shape[1]):
             N = np.outer(xi[:, j], xi[:, j].conj())
@@ -418,15 +440,16 @@ def reference_branch_probabilities(protocol, source):
     else:
         rho = np.eye(D, dtype=complex) / D
     table = np.zeros((d, d + 1, 2))
+    projectors = final_projectors(protocol)
     for i in range(d):
-        K = np.kron(np.diag(np.sqrt(np.diag(protocol.alice_povm[i]))), np.eye(d))
+        K = np.kron(np.diag(np.sqrt(np.diag(protocol.delta.alice_element(i)))), np.eye(d))
         rho_i = K @ rho @ K
-        xi = protocol.bob_bases[i]
+        xi = bob_basis(protocol, i)
         covered = 0.0
-        for j in range(0 if xi is None else xi.shape[1]):
+        for j in range(xi.shape[1]):
             Kb = np.kron(np.eye(d), np.outer(xi[:, j], xi[:, j].conj()))
             rho_ij = Kb @ rho_i @ Kb
-            P = np.kron(protocol.final_projectors[(i, j)], np.eye(d))
+            P = np.kron(projectors[(i, j)], np.eye(d))
             p_ij = float(np.trace(rho_ij).real)
             table[i, j, 0] = float(np.trace(P @ rho_ij).real)
             table[i, j, 1] = p_ij - table[i, j, 0]
@@ -439,11 +462,12 @@ def reference_branch_probabilities(protocol, source):
 def test_build_two_way_T_matches_per_outcome_loop():
     for s, delta in equivalence_cases():
         T, protocol = build_two_way_T(s, delta)
-        T_ref, projectors_ref = reference_two_way_T(s, delta, protocol.bob_bases)
+        T_ref, projectors_ref = reference_two_way_T(s, delta, protocol)
         assert np.max(np.abs(T - T_ref)) <= 1e-12
-        assert protocol.final_projectors.keys() == projectors_ref.keys()
+        projectors = final_projectors(protocol)
+        assert projectors.keys() == projectors_ref.keys()
         for key, P_ref in projectors_ref.items():
-            assert np.max(np.abs(protocol.final_projectors[key] - P_ref)) <= 1e-12
+            assert np.max(np.abs(projectors[key] - P_ref)) <= 1e-12
 
 
 def test_bob_bases_span_the_support():
@@ -459,10 +483,10 @@ def test_bob_bases_span_the_support():
         d = lam.size
         _, protocol = build_two_way_T(s, delta)
         _, again = build_two_way_T(s, delta)
-        for i, xi in enumerate(protocol.bob_bases):
-            if xi is None:
-                continue
-            assert np.array_equal(xi, again.bob_bases[i])
+        assert np.array_equal(protocol.bob, again.bob)
+        assert np.array_equal(protocol.alice, again.alice)
+        for i in np.flatnonzero(protocol.outcomes):
+            xi = bob_basis(protocol, i)
             w = lam * delta.table[:, i]
             support = w > d * np.finfo(float).eps * w.max()
             r = int(support.sum())
@@ -490,7 +514,26 @@ def test_support_is_relative_to_the_column():
         [[0.4, 0.3, 0.3, 0.0], [0.0, 0.5, 0.5, 0.0], [0.0, 0.0, 1e-6, 1 - 1e-6], [0.0, 0.0, 0.0, 1.0]]
     )
     _, protocol = build_two_way_T(s, DeltaMatrix(table))
-    assert protocol.bob_bases[2].shape == (4, 2)
+    assert protocol.outcomes[2] == 2
+    assert np.all(protocol.bob[2, 2] == 0)
+
+
+def test_protocol_padding_invariant():
+    """outcomes[i] counts the live support S_i, bob and alice are exactly 0
+    beyond r_i and on dead branches, and every live v_ij is a unit vector."""
+    for s, delta in equivalence_cases():
+        lam = s.effective
+        d = lam.size
+        _, protocol = build_two_way_T(s, delta)
+        live = lam @ delta.table > (np.arange(d) + 1) * DENOM_TOL
+        counts = np.where(live, _supports(lam, delta.table).sum(axis=0), 0)
+        assert np.issubdtype(protocol.outcomes.dtype, np.integer)
+        assert np.array_equal(protocol.outcomes, counts)
+        assert protocol.bob.shape == protocol.alice.shape == (d, d, d)
+        for i, r in enumerate(protocol.outcomes):
+            assert np.all(protocol.bob[i, :, r:] == 0) and np.all(protocol.alice[i, :, r:] == 0)
+            norms = np.linalg.norm(protocol.alice[i, :, :r], axis=0)
+            assert np.max(np.abs(norms - 1.0), initial=0.0) <= 1e-12
 
 
 def test_branch_probabilities_match_kron_formula():
