@@ -282,10 +282,10 @@ def _branch_probabilities(protocol: TwoWayProtocol, source: str) -> np.ndarray:
     d = lam.size
     m = protocol.delta.table.T[:, :, None]  # m_ki at [i, k, 0]
     if source == "psi":
+        w = lam[:, None] * m  # l_k m_ki
         p = lam @ protocol.delta.table
-        c = np.sqrt(lam[:, None] * m) * protocol.bob
-        joint = (lam[:, None] * m * np.abs(protocol.bob) ** 2).sum(axis=1)
-        accepted = np.abs((c * protocol.alice).sum(axis=1)) ** 2
+        joint = (w * np.abs(protocol.bob) ** 2).sum(axis=1)
+        accepted = np.abs((np.sqrt(w) * protocol.bob * protocol.alice).sum(axis=1)) ** 2
     else:
         p = m.sum(axis=1)[:, 0] / d
         joint = np.where(np.arange(d) < protocol.outcomes[:, None], m.sum(axis=1) / d**2, 0.0)
