@@ -25,7 +25,6 @@ from .operators import (
     psd_sqrt,
     support_projection,
     tensor,
-    tensor_sum,
     tensor_vec,
 )
 from .optimize import (
@@ -122,7 +121,6 @@ __all__ = [
     "support_projection",
     "sweep",
     "tensor",
-    "tensor_sum",
     "tensor_vec",
     "trace_T_closed_form",
     "twirl",

@@ -8,7 +8,7 @@ import numpy as np
 
 from .one_way import beta_one_way
 from .operators import numerical_rank
-from .optimize import OptimizerConfig, beta_two_way_upper
+from .optimize import beta_two_way_upper
 from .separable import beta_sep_pure, sep_lower_bound_mixed
 from .states import BipartiteState, SchmidtSpectrum
 
@@ -71,11 +71,7 @@ def _delta_string(delta) -> str:
     return ",".join(parts)
 
 
-def pure_state_report(
-    s: SchmidtSpectrum,
-    dims: tuple[int, int] | None = None,
-    config: OptimizerConfig | None = None,
-) -> BoundsReport:
+def pure_state_report(s: SchmidtSpectrum, dims: tuple[int, int] | None = None) -> BoundsReport:
     """All four bounds for the pure state with the given Schmidt spectrum.
 
     dims overrides the embedding (the protocol runs on the effective rank;
@@ -84,7 +80,7 @@ def pure_state_report(
     D = dims[0] * dims[1] if dims is not None else s.dim**2
     if D < s.rank**2:
         raise ValueError(f"dims give D = {D}, too small for Schmidt rank {s.rank}")
-    result = beta_two_way_upper(s, config)
+    result = beta_two_way_upper(s)
     return BoundsReport(
         spectrum=tuple(float(x) for x in s.lambdas),
         D=D,

@@ -25,7 +25,6 @@ from typing import Callable
 import numpy as np
 
 from .bounds import BoundsReport, pure_state_report
-from .optimize import OptimizerConfig
 from .states import SchmidtSpectrum
 
 FEAS_TOL = 1e-12
@@ -51,17 +50,20 @@ class FamilySpec:
         return np.array(self.base) + np.array(self.slope) * t
 
     def validate(self) -> None:
-        """Coefficients stay nonnegative and normalised across the range."""
+        """Coefficients stay nonnegative and normalised across the range.
+
+        An overflow gives +-inf, which fails one of the two checks, so
+        numpy's overflow warning is suppressed."""
         for t in self.t_range:
-            lam = self.coefficients(t)
+            with np.errstate(over="ignore", invalid="ignore"):
+                lam = self.coefficients(t)
+                total = lam.sum()
             if np.min(lam) < -FEAS_TOL:
                 raise ValueError(
                     f"family {self.name}: negative coefficient {np.min(lam):.3e} at t={t}"
                 )
-            if abs(lam.sum() - 1.0) > 1e-9:
-                raise ValueError(
-                    f"family {self.name}: coefficients sum to {float(lam.sum())} at t={t}"
-                )
+            if abs(total - 1.0) > 1e-9:
+                raise ValueError(f"family {self.name}: coefficients sum to {float(total)} at t={t}")
 
     def spectrum_at(self, t: float) -> SchmidtSpectrum:
         lo, hi = self.t_range
@@ -202,15 +204,11 @@ def get_family(name_or_expr: str, t_range=None) -> FamilySpec:
     return parse_family(name_or_expr, t_range)
 
 
-def sweep(
-    family: FamilySpec,
-    points: int,
-    config: OptimizerConfig | None = None,
-) -> list[tuple[float, BoundsReport]]:
+def sweep(family: FamilySpec, points: int) -> list[tuple[float, BoundsReport]]:
     """Bounds along the family parameter grid, in increasing t order."""
     family.validate()
     out = []
     for t in family.grid(points):
-        report = pure_state_report(family.spectrum_at(float(t)), config=config)
+        report = pure_state_report(family.spectrum_at(float(t)))
         out.append((float(t), report))
     return out

@@ -8,10 +8,10 @@ where dense eigendecompositions are cheap and accurate.
 The kernel takes stacks: `as_operator`, `is_hermitian`,
 `require_hermitian`, `eig_hermitian`, `psd_sqrt` and `support_projection`
 accept a (..., n, n) array and act on each matrix in it, the eigensolves in
-one batched LAPACK call, and `tensor_sum` adds the Kronecker products of two
-stacks as one matrix product.  A 2-D input is one matrix.  The other
-matrix functions take one matrix and reject stacks; `support_mask`, the
-numerical-support cutoff they share, takes any array.
+one batched LAPACK call.  A 2-D input is one matrix.  The other matrix
+functions take one matrix and reject stacks; `support_mask`, the
+numerical-support cutoff they share, takes any array.  Sums of product
+operators are `separable.SeparableForm`, assembled from vectors.
 
 Tolerance hierarchy used throughout the package:
   construction checks 1e-12, spectral reconstructions 1e-10,
@@ -69,16 +69,6 @@ def tensor(a, b) -> np.ndarray:
 def tensor_vec(u, v) -> np.ndarray:
     """Kronecker product of vectors, same index convention as tensor()."""
     return np.kron(np.asarray(u, dtype=complex), np.asarray(v, dtype=complex))
-
-
-def tensor_sum(a, b) -> np.ndarray:
-    """sum_n a_n (x) b_n over stacks a (n, p, p) and b (n, q, q), as one
-    matrix product; same index convention as tensor()."""
-    a, b = as_operator(a), as_operator(b)
-    p, q = a.shape[-1], b.shape[-1]
-    # out[(i, k), (j, l)] = sum_n a_nij b_nkl
-    out = (a.reshape(-1, p * p).T @ b.reshape(-1, q * q)).reshape(p, p, q, q)
-    return out.transpose(0, 2, 1, 3).reshape(p * q, p * q)
 
 
 def partial_trace(t, dims: tuple[int, int], keep: str) -> np.ndarray:

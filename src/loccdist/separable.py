@@ -2,9 +2,11 @@
 
 Builds the explicit optimal two-outcome separable POVM {T, I - T} for a pure
 state with given Schmidt coefficients, certifies separability of both
-outcomes constructively (as finite nonnegative sums of tensor products of
-positive operators), and exposes the closed-form error values and the
-mixed-state lower bound.
+outcomes constructively, and exposes the closed-form error values and the
+mixed-state lower bound.  A certificate is a SeparableForm: weights and
+factor vectors a_n, b_n of sum_n w_n |a_n><a_n| (x) |b_n><b_n|, PSD term
+by term by construction.  The package's other product sum, the two-way
+accept operator, is assembled through the same form.
 
 The group average over the diagonal local phase unitaries is realised in two
 equivalent exact ways:
@@ -27,54 +29,43 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import as_operator, eig_hermitian, tensor_sum
+from .operators import as_operator
 from .states import BipartiteState, SchmidtSpectrum, sqrt_trace_reduced
 
 
 class SeparableForm:
-    """A positive operator written as sum_n w_n * A_n (x) B_n with A_n, B_n PSD.
+    """A separable operator sum_n w_n |a_n><a_n| (x) |b_n><b_n|.
 
-    Built from (w, A, B) triples, or with `from_stacks` from the stacks
-    themselves; either way the factors are copied once into read-only
-    stacks `weights` (n,), `A` (n, dA, dA) and `B` (n, dB, dB).
+    Stores read-only copies of the weights (n,) and the factor vectors
+    a (n, dA) and b (n, dB).  Every separable operator has this form, and
+    each factor |a_n><a_n| is PSD by construction.
     """
 
-    def __init__(self, dims: tuple[int, int], terms):
-        terms = tuple(terms)
-        self._store(dims, [t[0] for t in terms], [t[1] for t in terms], [t[2] for t in terms])
-
-    @classmethod
-    def from_stacks(cls, dims: tuple[int, int], weights, A, B) -> "SeparableForm":
-        form = cls.__new__(cls)
-        form._store(dims, weights, A, B)
-        return form
-
-    def _store(self, dims, weights, A, B) -> None:
+    def __init__(self, dims: tuple[int, int], weights, a, b):
         dA, dB = dims
         self.dims = (dA, dB)
         self.weights = np.array(weights, dtype=float).reshape(-1)
         n = self.weights.size
-        self.A = np.array(A, dtype=complex).reshape(n, dA, dA)
-        self.B = np.array(B, dtype=complex).reshape(n, dB, dB)
-        for stack in (self.weights, self.A, self.B):
+        self.a = np.array(a, dtype=complex).reshape(n, dA)
+        self.b = np.array(b, dtype=complex).reshape(n, dB)
+        for stack in (self.weights, self.a, self.b):
             stack.setflags(write=False)
 
     @property
     def terms(self) -> tuple:
-        """The (w, A, B) triples, as views into the stacks."""
-        return tuple(zip(self.weights, self.A, self.B))
+        """The (w, a, b) triples, as views into the stored arrays."""
+        return tuple(zip(self.weights, self.a, self.b))
 
     def assemble(self) -> np.ndarray:
-        return tensor_sum(self.weights[:, None, None] * self.A, self.B)
+        """sum_n w_n |v_n><v_n| over the product vectors v_n = a_n (x) b_n,
+        as one matrix product; same index convention as tensor()."""
+        v = (self.a[:, :, None] * self.b[:, None, :]).reshape(-1, self.dims[0] * self.dims[1])
+        return (v.T * self.weights) @ v.conj()
 
     def min_term_eigenvalue(self) -> float:
-        """Most negative weight or factor eigenvalue (>= ~0 for a valid form);
-        one stacked eigensolve per factor side."""
-        if not self.weights.size:
-            return 0.0
-        low_A = eig_hermitian(self.A)[0][:, -1]
-        low_B = eig_hermitian(self.B)[0][:, -1]
-        return float(min(self.weights.min(), low_A.min(), low_B.min()))
+        """Most negative term eigenvalue, 0 for a valid form: rank-one
+        factors are PSD, so only a negative weight can go below 0."""
+        return float(self.weights.min(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -204,14 +195,7 @@ def _complement_form(s: SchmidtSpectrum, pair_grid: np.ndarray) -> SeparableForm
     b[pairs, g, jj] = 1.0
     q = lam.sum() - lam[ii] - lam[jj] + (sq[ii] - sq[jj]) ** 2
     w = np.concatenate([np.full((ii.size, g), 0.5 / g), q[:, None]], axis=1)
-    a = a.reshape(-1, d)
-    b = b.reshape(-1, d)
-    return SeparableForm.from_stacks(
-        (d, d),
-        w.ravel(),
-        a[:, :, None] * a.conj()[:, None, :],
-        b[:, :, None] * b.conj()[:, None, :],
-    )
+    return SeparableForm((d, d), w, a, b)
 
 
 def build_optimal_separable_povm(s: SchmidtSpectrum) -> SeparablePovmPair:
@@ -223,10 +207,9 @@ def build_optimal_separable_povm(s: SchmidtSpectrum) -> SeparablePovmPair:
     """
     d = s.dim
     a = sidon_phase_grid(d) * s.lambdas**0.25
-    A = np.einsum("ni,nj->nij", a, a.conj())
     return SeparablePovmPair(
         T=optimal_test_operator(s),
-        T_form=SeparableForm.from_stacks((d, d), np.full(len(A), 1.0 / len(A)), A, A.conj()),
+        T_form=SeparableForm((d, d), np.full(len(a), 1.0 / len(a)), a, a.conj()),
         complement_form=_complement_form(s, sidon_phase_grid(2)),
     )
 

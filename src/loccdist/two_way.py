@@ -6,7 +6,8 @@ Alice finishes with the support projector of her post-measurement state.
 Bob's elements are rank one, so Alice's conditional state, her projector
 and every accept leaf are rank one too: a protocol is Bob's outcome counts
 r_i plus two padded arrays of vectors (his xi_ij, Alice's final v_ij), and
-build_two_way_T assembles T from them without an eigensolve or a loop.
+build_two_way_T assembles T from them as a SeparableForm (LOCC tests are
+separable), without an eigensolve or a loop.
 The test detects the pure state perfectly, and its type-2 error is
 
     Tr T = sum_i  r_i * (sum_{k<=i} l_k d_ki**2) / (sum_{k<=i} l_k d_ki)
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import eig_hermitian, psd_sqrt, support_mask
+from .separable import SeparableForm
 from .states import SchmidtSpectrum
 
 DENOM_TOL = 1e-14  # branch weights below this never occur
@@ -109,6 +111,7 @@ class TwoWayProtocol:
     Branch i gives Bob outcomes[i] = r_i = |S_i| outcomes, 0 if it never
     occurs.  bob[i, :, j] is his vector xi_ij and alice[i, :, j] Alice's
     unit vector v_ij, P_ij = |v_ij><v_ij|; both are exactly 0 for j >= r_i.
+    The three arrays are made read-only, like the rest of the protocol.
     """
 
     spectrum: SchmidtSpectrum
@@ -116,6 +119,10 @@ class TwoWayProtocol:
     outcomes: np.ndarray  # (d,) int
     bob: np.ndarray  # (d, d, d) complex
     alice: np.ndarray  # (d, d, d) complex
+
+    def __post_init__(self):
+        for array in (self.outcomes, self.bob, self.alice):
+            array.setflags(write=False)
 
     @property
     def d(self) -> int:
@@ -192,8 +199,9 @@ def build_two_way_T(s: SchmidtSpectrum, delta: DeltaMatrix):
     transform of the unit vectors on S_i ordered by descending l_k d_ki
     (ties by ascending k): unbiased for his diagonal conditional state.
     Alice's conditional state is then |v_ij><v_ij| = P_ij, with v_ij
-    proportional to sqrt(M_i Lambda) conj(xi_j), and T = W W^dagger for the
-    columns u_ij (x) xi_j of W, u_ij = sqrt(M_i) v_ij, in (i, j) order.
+    proportional to sqrt(M_i Lambda) conj(xi_j), and T is the SeparableForm
+    sum_ij |u_ij><u_ij| (x) |xi_j><xi_j| of the accept leaves, u_ij =
+    sqrt(M_i) v_ij, over the live (i, j) in row-major order.
     """
     lam = s.effective
     d = lam.size
@@ -214,8 +222,9 @@ def build_two_way_T(s: SchmidtSpectrum, delta: DeltaMatrix):
     norm = np.linalg.norm(v, axis=1, keepdims=True)
     alice = np.divide(v, norm, out=np.zeros_like(v), where=norm > 0)
     u = np.sqrt(delta.table.T)[:, :, None] * alice
-    W = (u[:, :, None] * bob[:, None]).transpose(1, 2, 0, 3).reshape(d * d, -1)[:, inside.ravel()]
-    return W @ W.conj().T, TwoWayProtocol(s, delta, outcomes, bob, alice)
+    leaf_u, leaf_xi = u.transpose(0, 2, 1)[inside], bob.transpose(0, 2, 1)[inside]
+    T = SeparableForm((d, d), np.ones(len(leaf_u)), leaf_u, leaf_xi).assemble()
+    return T, TwoWayProtocol(s, delta, outcomes, bob, alice)
 
 
 def trace_T_batch(lam: np.ndarray, tables: np.ndarray, grad: bool = False, hess: bool = False):

@@ -242,6 +242,11 @@ def test_cli_entry_point_runs():
         ["bounds", "--schmidt", "1e308,1e308"],
         ["optimize", "--schmidt", "1e308,1e308"],
         ["verify", "--schmidt", "1e308,1e308"],
+        # A family's coefficient sum, or a slope times t, overflows.
+        ["sweep", "--family", "9" * 308 + "+0t," + "9" * 308, "--range", "0,0.1", "--points", "3",
+         "--out", "{tmp}/x.csv"],
+        ["sweep", "--family", "1-" + "9" * 308 + "t," + "9" * 308 + "t", "--range", "0,10",
+         "--points", "3", "--out", "{tmp}/x.csv"],
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):

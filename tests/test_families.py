@@ -108,6 +108,11 @@ def test_parse_family_rejects_infeasible_range():
         parse_family("1-3t,2t,t", (0.0, 0.4))  # first coefficient negative at 0.4
 
 
+def test_parse_family_accepts_rounding_level_negative_endpoint():
+    fam = parse_family("1-t,t", (0.0, 1.0 + 1e-13))
+    assert -1e-12 <= np.min(fam.coefficients(fam.t_range[1])) < 0.0
+
+
 def test_get_family():
     assert get_family("fig1") is BUILTIN_FAMILIES["fig1"]
     with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from loccdist.operators import (
     support_mask,
     support_projection,
     tensor,
-    tensor_sum,
     tensor_vec,
 )
 
@@ -279,15 +278,6 @@ def test_stack_with_one_bad_member_raises():
     stack[4] = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     with pytest.raises(ValueError, match="Hermitian"):
         eig_hermitian(stack)
-
-
-def test_tensor_sum_matches_kron_loop():
-    rng = np.random.default_rng(52)
-    for n, p, q in ((1, 2, 3), (5, 3, 3), (7, 4, 2), (0, 2, 2)):
-        a = rng.standard_normal((n, p, p)) + 1j * rng.standard_normal((n, p, p))
-        b = rng.standard_normal((n, q, q)) + 1j * rng.standard_normal((n, q, q))
-        ref = sum((np.kron(x, y) for x, y in zip(a, b)), np.zeros((p * q, p * q)))
-        assert np.max(np.abs(tensor_sum(a, b) - ref), initial=0.0) <= 1e-12
 
 
 def test_single_matrix_functions_reject_stacks():

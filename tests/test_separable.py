@@ -274,50 +274,45 @@ def test_complement_form_matches_term_loop():
             form = _complement_form(s, grid)
             ref = reference_complement_terms(s, grid)
             assert len(form.terms) == len(ref)
-            for (w, A, B), (w_ref, A_ref, B_ref) in zip(form.terms, ref):
+            for (w, a, b), (w_ref, A_ref, B_ref) in zip(form.terms, ref):
                 assert abs(w - w_ref) <= 1e-15
-                assert np.max(np.abs(A - A_ref)) <= 1e-15
-                assert np.max(np.abs(B - B_ref)) <= 1e-15
-
-
-def random_hermitian_form(rng, n, dA, dB):
-    """A form with random Hermitian (mostly indefinite) factors."""
-    g = rng.standard_normal((2, n, dA, dA)) + 1j * rng.standard_normal((2, n, dA, dA))
-    h = rng.standard_normal((2, n, dB, dB)) + 1j * rng.standard_normal((2, n, dB, dB))
-    A = g[0] @ g[0].conj().transpose(0, 2, 1) + 0.1 * (g[1] + g[1].conj().transpose(0, 2, 1))
-    B = h[0] @ h[0].conj().transpose(0, 2, 1) + 0.1 * (h[1] + h[1].conj().transpose(0, 2, 1))
-    return SeparableForm.from_stacks((dA, dB), rng.random(n), A, B)
+                assert np.max(np.abs(np.outer(a, a.conj()) - A_ref)) <= 1e-15
+                assert np.max(np.abs(np.outer(b, b.conj()) - B_ref)) <= 1e-15
 
 
 def test_min_term_eigenvalue_matches_per_factor_loop():
-    rng = np.random.default_rng(32)
-    indefinite = [
-        random_hermitian_form(rng, n, dA, dB) for n, dA, dB in ((4, 1, 3), (6, 3, 2), (9, 4, 4))
-    ]
     for s in equivalence_spectra():
         pair = build_optimal_separable_povm(s)
-        for form in (pair.T_form, pair.complement_form, *indefinite):
-            worst = np.inf if form.terms else 0.0  # d = 1 has no complement terms
-            for w, A, B in form.terms:
-                worst = min(worst, w, np.linalg.eigvalsh(A)[0], np.linalg.eigvalsh(B)[0])
-            assert abs(form.min_term_eigenvalue() - worst) <= 1e-12
+        for form in (pair.T_form, pair.complement_form):
+            for _, a, b in form.terms:
+                assert np.linalg.eigvalsh(np.outer(a, a.conj()))[0] >= -1e-12
+                assert np.linalg.eigvalsh(np.outer(b, b.conj()))[0] >= -1e-12
+            assert form.min_term_eigenvalue() == 0.0
+    rng = np.random.default_rng(32)
+    w = rng.random(4)
+    w[2] = -0.25
+    form = SeparableForm((2, 3), w, rng.standard_normal((4, 2)), rng.standard_normal((4, 3)))
+    assert form.min_term_eigenvalue() == -0.25
 
 
-def test_separable_form_from_terms_and_stacks_agree():
+def test_separable_form_assembles_and_holds_read_only_copies():
     rng = np.random.default_rng(31)
     w = rng.random(5)
-    A = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
-    B = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
-    from_terms = SeparableForm((2, 3), list(zip(w, A, B)))
-    from_stacks = SeparableForm.from_stacks((2, 3), w, A, B)
-    assert len(from_terms.terms) == len(from_stacks.terms) == 5
-    assert np.array_equal(from_terms.assemble(), from_stacks.assemble())
-    ref = sum(wn * np.kron(An, Bn) for wn, An, Bn in zip(w, A, B))
-    assert np.max(np.abs(from_stacks.assemble() - ref)) <= 1e-12
-    A[0] = 0.0  # the form holds its own copy
-    assert np.array_equal(from_stacks.assemble(), from_terms.assemble())
-    with pytest.raises(ValueError):
-        from_stacks.A[0, 0, 0] = 1.0
-    empty = SeparableForm((2, 3), ())
+    a = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+    b = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    form = SeparableForm((2, 3), w, a, b)
+    assert len(form.terms) == 5
+    ref = sum(
+        wn * np.kron(np.outer(an, an.conj()), np.outer(bn, bn.conj()))
+        for wn, an, bn in zip(w, a, b)
+    )
+    assembled = form.assemble()
+    assert np.max(np.abs(assembled - ref)) <= 1e-12
+    w[0], a[0], b[0] = 0.0, 0.0, 0.0  # the form holds its own copies
+    assert np.array_equal(form.assemble(), assembled)
+    for stored in (form.weights, form.a, form.b):
+        with pytest.raises(ValueError):
+            stored[0] = 1.0
+    empty = SeparableForm((2, 3), [], np.zeros((0, 2)), np.zeros((0, 3)))
     assert len(empty.terms) == 0 and empty.min_term_eigenvalue() == 0.0
     assert np.array_equal(empty.assemble(), np.zeros((6, 6)))

@@ -536,6 +536,15 @@ def test_protocol_padding_invariant():
             assert np.max(np.abs(norms - 1.0), initial=0.0) <= 1e-12
 
 
+def test_protocol_arrays_are_read_only():
+    _, protocol = build_two_way_T(spectrum([0.5, 0.3, 0.2]), DeltaMatrix.uniform(3))
+    table = _branch_probabilities(protocol, "mixed")
+    for array in (protocol.outcomes, protocol.bob, protocol.alice):
+        with pytest.raises(ValueError):
+            array[:] = 0
+    assert np.array_equal(_branch_probabilities(protocol, "mixed"), table)
+
+
 def test_branch_probabilities_match_kron_formula():
     for s, delta in equivalence_cases():
         _, protocol = build_two_way_T(s, delta)
