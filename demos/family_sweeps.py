@@ -10,7 +10,7 @@ holds pointwise, the separable column follows its closed form, and the
 two-way column stays strictly below the one-way plateau except at the
 endpoints where the state is a product or maximally entangled.
 
-Run:  python demos/family_sweeps.py          (about a minute)
+Run:  python demos/family_sweeps.py          (about a second)
       python demos/family_sweeps.py fig2     (a single family)
 """
 

@@ -32,6 +32,7 @@ from .optimize import (
     OptimizerConfig,
     beta_two_way_qubit_analytic,
     beta_two_way_upper,
+    beta_two_way_upper_batch,
     grid_oracle,
 )
 from .separable import (
@@ -89,6 +90,7 @@ __all__ = [
     "beta_sep_pure",
     "beta_two_way_qubit_analytic",
     "beta_two_way_upper",
+    "beta_two_way_upper_batch",
     "build_mub_basis",
     "build_one_way_test",
     "build_optimal_separable_povm",

@@ -8,7 +8,7 @@ import numpy as np
 
 from .one_way import beta_one_way
 from .operators import numerical_rank
-from .optimize import beta_two_way_upper
+from .optimize import OptimizationResult, beta_two_way_upper
 from .separable import beta_sep_pure, sep_lower_bound_mixed
 from .states import BipartiteState, SchmidtSpectrum
 
@@ -80,7 +80,11 @@ def pure_state_report(s: SchmidtSpectrum, dims: tuple[int, int] | None = None) -
     D = dims[0] * dims[1] if dims is not None else s.dim**2
     if D < s.rank**2:
         raise ValueError(f"dims give D = {D}, too small for Schmidt rank {s.rank}")
-    result = beta_two_way_upper(s)
+    return _pure_report(s, D, beta_two_way_upper(s))
+
+
+def _pure_report(s: SchmidtSpectrum, D: int, result: OptimizationResult) -> BoundsReport:
+    """The report of a pure state embedded in dimension D, given its two-way solve."""
     return BoundsReport(
         spectrum=tuple(float(x) for x in s.lambdas),
         D=D,

@@ -16,6 +16,17 @@ ch. 11) whose iterates stay strictly interior, away from those kinks.  It
 stops when the Frank-Wolfe gap sum_k (sum_i g_ki x_ki - min_i g_ki) is at
 most the tolerance; by convexity that gap bounds how far the value lies
 above the minimum (Jaggi, ICML 2013), and it is reported as certified_gap.
+
+The solve runs on a stack of spectra that share an effective rank
+(beta_two_way_upper_batch; beta_two_way_upper is a batch of one, and a
+sweep is one batch): each Newton step is one stacked KKT solve, and the
+barrier weight, centring test, fraction to the boundary and Armijo halving
+are kept per spectrum.  A spectrum leaves the stack once its own gap is
+small enough, with its own iteration count.  Every operation acts on each
+spectrum alone, so a result is bit for bit the same in any batch.  A stack
+holds at most BATCH_BYTES of solver arrays; larger groups are solved in
+chunks, and nothing is kept between calls.
+
 The exhaustive grid oracle for small d and the exact two-outcome solution
 
     beta = 1/2 - (1 - sqrt(2 l))**2 / (4 (1 - l)),   delta* = (1 - sqrt(2 l)) / (1 - l)
@@ -38,6 +49,7 @@ from .two_way import DeltaMatrix, trace_T_batch, trace_T_closed_form
 MAX_ITERS = 500  # Newton steps and barrier updates together
 BARRIER_GROWTH = 10.0
 CENTRING_TOL = 1e-6  # Newton decrement**2 / 2 of t * f - sum log x at a centred point
+BATCH_BYTES = 1 << 20  # stacked solver arrays of one batched solve (_item_bytes each)
 
 
 @dataclass(frozen=True)
@@ -77,76 +89,130 @@ def beta_two_way_qubit_analytic(lam: float) -> tuple[float, float]:
     return float(beta), float(min(max(delta_star, 0.0), 1.0))
 
 
-def beta_two_way_upper(
-    s: SchmidtSpectrum, config: OptimizerConfig | None = None
-) -> OptimizationResult:
-    """Log-barrier Newton minimiser of the protocol error.
+def _item_bytes(d: int) -> int:
+    """Bytes one spectrum of effective rank d adds to the stacked arrays of
+    a batched solve: its KKT matrix and LAPACK's copy of it, and its
+    Hessian blocks with the temporaries that build them."""
+    size = d * (d + 1) // 2 + d
+    return 8 * (2 * size * size + 4 * d**3)
 
-    From the uniform table, takes Newton steps on f(x) - (1/t) sum log x_ki
-    under the row sums (one KKT system each, kept interior by a
-    fraction-to-boundary rule and Armijo halving), multiplying t by
-    BARRIER_GROWTH whenever the iterate is centred.  Stops once the
-    Frank-Wolfe gap is at most config.tol and returns the better of the
-    iterate and the one-way corner, so t_value exceeds the minimum by at
-    most certified_gap; `converged` says whether that happened within
-    MAX_ITERS steps and, for d = 2, matches the analytic solution.
+
+def _barrier_newton(lam: np.ndarray, tol: float):
+    """The log-barrier Newton solve of every row of an (n, d) stack of
+    effective spectra, as one stacked solve per step.
+
+    Returns the final tables (n, d, d) and, per row, the pass at which its
+    Frank-Wolfe gap fell to tol (MAX_ITERS if it never did) and that gap.
+    A row leaves the stack once it is done; every operation acts on each
+    row alone, so a row's iterates do not depend on the rest of the stack.
     """
-    if config is None:
-        config = OptimizerConfig()
-    lam = s.effective
-    D = s.dim**2
-    d = lam.size
+    n, d = lam.shape
     upper = np.triu(np.ones((d, d), dtype=bool))
     rows, cols = np.nonzero(upper)
+    entries = rows * d + cols  # flat positions of the table's free entries
     m = rows.size
-    # Equality-constrained Newton system [[H, A^T], [A, 0]]: A sums each row.
-    kkt = np.zeros((m + d, m + d))
-    kkt[m + rows, np.arange(m)] = 1.0
-    kkt[np.arange(m), m + rows] = 1.0
-    same_col = cols[:, None] == cols
-    rhs = np.zeros(m + d)
+    size = m + d
+    # Equality-constrained Newton systems [[H, A^T], [A, 0]]: A sums each
+    # row of the table.  Only entries of one column interact in H: their
+    # flat positions in the (d, d, d) Hessian blocks and in the system.
+    p, q = np.nonzero(cols[:, None] == cols)
+    from_hess = (cols[p] * d + rows[p]) * d + rows[q]
+    into_kkt = p * size + q
+    diagonal = slice(0, m * (size + 1), size + 1)  # H's diagonal in the flat system
+    kkt = np.zeros((n, size, size))
+    kkt[:, m + rows, np.arange(m)] = 1.0
+    kkt[:, np.arange(m), m + rows] = 1.0
+    rhs = np.zeros((n, size, 1))  # 3-D: numpy 2 reads an (n, size) one as a matrix if n == size
 
-    X = DeltaMatrix.uniform(d).table
-    f, g, H = (a[0] for a in trace_T_batch(lam, X[None], hess=True))
-    t = 1.0
-    for iterations in range(1, MAX_ITERS + 1):
+    X = np.repeat(DeltaMatrix.uniform(d).table[None], n, axis=0)
+    f, g, H = trace_T_batch(lam, X, hess=True)
+    t = np.ones(n)
+    final = np.empty_like(X)
+    passes = np.full(n, MAX_ITERS)
+    gaps = np.empty(n)
+    live = np.arange(n)  # the input row of each row still in the stack
+    for it in range(1, MAX_ITERS + 1):
         # By convexity f(X) - min f <= max over vertices V of g . (X - V).
-        gap = float(np.sum(g * X) - np.min(np.where(upper, g, np.inf), axis=1).sum())
-        if gap <= config.tol:
-            break
-        x = X[upper]
-        grad = g[upper] - 1.0 / (t * x)
-        kkt[:m, :m] = np.where(same_col, H[cols[:, None], rows[:, None], rows], 0.0)
-        kkt[:m, :m] += np.diag(1.0 / (t * x * x))
-        rhs[:m] = -grad
-        dx = np.linalg.solve(kkt, rhs)[:m]
-        decrement = -float(grad @ dx)
-        if t * decrement <= 2.0 * CENTRING_TOL:
-            t *= BARRIER_GROWTH
-            continue
-        # Fraction to the boundary, then Armijo halving on the barrier
-        # objective; a slack of a few ulps of phi lets through a step whose
-        # predicted decrease is below rounding.
-        shrink = dx < 0
-        alpha = min(1.0, 0.99 * float(np.min(-x[shrink] / dx[shrink]))) if shrink.any() else 1.0
-        step = np.zeros((d, d))
-        step[upper] = dx
-        phi = f - np.log(x).sum() / t
-        slack = 8.0 * np.finfo(float).eps * abs(phi)
-        while True:
-            X_new = X + alpha * step
-            phi_new = trace_T_batch(lam, X_new[None])[0] - np.log(X_new[upper]).sum() / t
-            if phi_new <= phi - 0.25 * alpha * decrement + slack:
+        vertex = np.where(upper, g, np.inf).min(axis=2).sum(axis=1)
+        gap = (g * X).reshape(live.size, -1).sum(axis=1) - vertex
+        done = gap <= tol
+        if done.any():
+            final[live[done]] = X[done]
+            passes[live[done]] = it
+            gaps[live[done]] = gap[done]
+            live, lam, X, f, g, H, t, gap = (a[~done] for a in (live, lam, X, f, g, H, t, gap))
+            if not live.size:
                 break
-            alpha *= 0.5
-        X = X_new
-        f, g, H = (a[0] for a in trace_T_batch(lam, X[None], hess=True))
+        x = X.reshape(live.size, -1).take(entries, axis=1)
+        tx = t[:, None] * x
+        grad = g.reshape(live.size, -1).take(entries, axis=1) - 1.0 / tx
+        system = kkt[: live.size]
+        flat = system.reshape(live.size, -1)
+        flat[:, into_kkt] = H.reshape(live.size, -1).take(from_hess, axis=1)
+        flat[:, diagonal] += 1.0 / (tx * x)  # a strided view, updated in place
+        rhs[: live.size, :m, 0] = -grad
+        dx = np.linalg.solve(system, rhs[: live.size])[:, :m, 0]
+        decrement = -(grad[:, None, :] @ dx[:, :, None])[:, 0, 0]
+        centred = t * decrement <= 2.0 * CENTRING_TOL
+        move = slice(None)
+        if centred.any():
+            t[centred] *= BARRIER_GROWTH
+            move = np.flatnonzero(~centred)
+            if not move.size:
+                continue
+        X[move], f[move], g[move], H[move] = _damped_step(
+            lam[move], x[move], dx[move], f[move], t[move], decrement[move], entries
+        )
+    else:  # MAX_ITERS passes, and some rows are not done
+        final[live] = X
+        gaps[live] = gap
+    return final, passes, gaps
 
+
+def _damped_step(lam, x, dx, f, t, decrement, entries):
+    """One damped Newton step along dx from the table entries x at the flat
+    positions entries: fraction to the boundary, then Armijo halving on the
+    barrier objective f - sum log x / t, repeated only for the rows not yet
+    accepted.  A slack of a few ulps of that objective lets through a step
+    whose predicted decrease is below rounding.  Returns the new tables and
+    trace_T_batch's value, gradient and Hessian blocks there, evaluated
+    once per trial."""
+    n, d = lam.shape
+    ratio = np.divide(-x, dx, out=np.full_like(x, np.inf), where=dx < 0)
+    alpha = np.minimum(1.0, 0.99 * ratio.min(axis=1))
+    phi = f - np.log(x).sum(axis=1) / t
+    slack = 8.0 * np.finfo(float).eps * np.abs(phi)
+    out = None
+    left = np.arange(n)  # the output row of each row still searching
+    while True:
+        trial = x + alpha[:, None] * dx
+        tables = np.zeros((left.size, d, d))
+        tables.reshape(left.size, -1)[:, entries] = trial
+        found = (tables, *trace_T_batch(lam, tables, hess=True))
+        ok = found[1] - np.log(trial).sum(axis=1) / t <= phi - 0.25 * alpha * decrement + slack
+        if out is None:
+            out = found  # its rejected rows are overwritten once accepted
+        else:
+            for a, b in zip(out, found):
+                a[left[ok]] = b[ok]
+        if ok.all():
+            return out
+        left, lam, x, dx, t, phi, slack, decrement, alpha = (
+            a[~ok] for a in (left, lam, x, dx, t, phi, slack, decrement, alpha)
+        )
+        alpha *= 0.5
+
+
+def _result(s: SchmidtSpectrum, table: np.ndarray, iterations: int, gap: float, tol: float):
+    """The OptimizationResult of a finished solve of s."""
+    lam = s.effective
+    d = lam.size
+    D = s.dim**2
     # The one-way corner is feasible and exact at uniform spectra; taking
     # the better of the two keeps beta_two_way_upper <= beta_one_way exactly.
-    delta = min((_as_delta(X), DeltaMatrix.one_way(d)), key=lambda c: trace_T_closed_form(s, c))
+    delta = min((_as_delta(table), DeltaMatrix.one_way(d)), key=lambda c: trace_T_closed_form(s, c))
     t_value = trace_T_closed_form(s, delta)
-    converged = gap <= config.tol
+    converged = gap <= tol
 
     if d == 2:
         beta_exact, _ = beta_two_way_qubit_analytic(float(lam[1]))
@@ -168,6 +234,48 @@ def beta_two_way_upper(
         D=D,
         certified_gap=gap,
     )
+
+
+def beta_two_way_upper_batch(
+    spectra: list[SchmidtSpectrum], config: OptimizerConfig | None = None
+) -> list[OptimizationResult]:
+    """beta_two_way_upper of each spectrum, in order.
+
+    Spectra of one effective rank are solved together, in stacks of at most
+    BATCH_BYTES of solver arrays; each result is bit for bit the one its
+    spectrum gets alone.
+    """
+    if config is None:
+        config = OptimizerConfig()
+    lams = [s.effective for s in spectra]
+    results = [None] * len(spectra)
+    for d in sorted({lam.size for lam in lams}):
+        group = [i for i, lam in enumerate(lams) if lam.size == d]
+        size = max(1, BATCH_BYTES // _item_bytes(d))
+        for lo in range(0, len(group), size):
+            chunk = group[lo : lo + size]
+            tables, passes, gaps = _barrier_newton(np.stack([lams[i] for i in chunk]), config.tol)
+            for i, table, it, gap in zip(chunk, tables, passes, gaps):
+                results[i] = _result(spectra[i], table, int(it), float(gap), config.tol)
+    return results
+
+
+def beta_two_way_upper(
+    s: SchmidtSpectrum, config: OptimizerConfig | None = None
+) -> OptimizationResult:
+    """Log-barrier Newton minimiser of the protocol error.
+
+    From the uniform table, takes Newton steps on f(x) - (1/t) sum log x_ki
+    under the row sums (one KKT system each, kept interior by a
+    fraction-to-boundary rule and Armijo halving), multiplying t by
+    BARRIER_GROWTH whenever the iterate is centred.  Stops once the
+    Frank-Wolfe gap is at most config.tol and returns the better of the
+    iterate and the one-way corner, so t_value exceeds the minimum by at
+    most certified_gap; `converged` says whether that happened within
+    MAX_ITERS steps and, for d = 2, matches the analytic solution.  This is
+    beta_two_way_upper_batch on a batch of one.
+    """
+    return beta_two_way_upper_batch([s], config)[0]
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:

@@ -152,14 +152,16 @@ def sigma_A(s: SchmidtSpectrum, M, N) -> np.ndarray:
 def _column_ratios(lam: np.ndarray, tables: np.ndarray):
     """(live, D, N / D) per column of a batch of (n, d, d) tables, with
     D_i = sum_k l_k d_ki, Alice's outcome probability, and N_i = sum_k
-    l_k d_ki**2.  Column i is live when D_i > (i + 1) DENOM_TOL: Bob's at
-    most i + 1 outcomes then each have probability at least DENOM_TOL, so
-    the protocol never conditions on a zero-probability outcome.  D is 1
-    and N / D is 0 on the other columns."""
-    den = lam @ tables
-    live = den > (np.arange(lam.size) + 1) * DENOM_TOL
+    l_k d_ki**2.  lam is one (d,) spectrum or an (n, d) spectrum per table.
+    Column i is live when D_i > (i + 1) DENOM_TOL: Bob's at most i + 1
+    outcomes then each have probability at least DENOM_TOL, so the protocol
+    never conditions on a zero-probability outcome.  D is 1 and N / D is 0
+    on the other columns."""
+    row = lam[..., None, :]  # one vector-matrix product per table, whatever the batch
+    den = (row @ tables)[:, 0]
+    live = den > (np.arange(lam.shape[-1]) + 1) * DENOM_TOL
     safe = np.where(live, den, 1.0)
-    return live, safe, np.where(live, lam @ (tables * tables), 0.0) / safe
+    return live, safe, np.where(live, (row @ (tables * tables))[:, 0], 0.0) / safe
 
 
 def _supports(lam: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -229,8 +231,9 @@ def build_two_way_T(s: SchmidtSpectrum, delta: DeltaMatrix):
 
 def trace_T_batch(lam: np.ndarray, tables: np.ndarray, grad: bool = False, hess: bool = False):
     """The paper's closed form sum_i (i + 1) N_i / D_i over the live columns
-    of a batch of (n, d, d) upper-triangular tables: the convex envelope the
-    optimiser minimises.  It is the operator's Tr T (trace_T_closed_form)
+    of a batch of (n, d, d) upper-triangular tables, under one (d,) spectrum
+    or an (n, d) spectrum per table: the convex envelope the optimiser
+    minimises.  It is the operator's Tr T (trace_T_closed_form)
     when every live column has full support, as at every interior point.
 
     With grad=True also returns dTr T / dd_ki = (i + 1) l_k (2 d_ki -
@@ -240,7 +243,7 @@ def trace_T_batch(lam: np.ndarray, tables: np.ndarray, grad: bool = False, hess:
     (d_ki + d_k'i - N_i / D_i) / D_i), zero where k or k' > i and on
     dropped columns; entries of different columns do not interact.
     """
-    cols = np.arange(lam.size)
+    cols = np.arange(lam.shape[-1])
     weights = cols + 1.0
     live, safe, ratio = _column_ratios(lam, tables)
     # A row reduction, not a matrix product, so a table's value does not
@@ -250,13 +253,15 @@ def trace_T_batch(lam: np.ndarray, tables: np.ndarray, grad: bool = False, hess:
         return value
     upper = cols[:, None] <= cols
     scale = np.where(live, weights / safe, 0.0)[:, None, :]
-    g = lam[:, None] * (2.0 * tables - ratio[:, None, :]) * scale
+    g = lam[..., :, None] * (2.0 * tables - ratio[:, None, :]) * scale
     g = np.where(upper, g, 0.0)
     if not hess:
         return value, g
     x = np.swapaxes(tables, 1, 2)[..., None]  # d_ki at [n, i, k, 0]
     coupling = (x + np.swapaxes(x, 2, 3) - ratio[..., None, None]) / safe[..., None, None]
-    H = 2.0 * scale[:, 0, :, None, None] * (np.diag(lam) - np.outer(lam, lam) * coupling)
+    lk = lam[..., None, :, None]  # l_k at [n, ., k, .]
+    diag = np.where(np.eye(lam.shape[-1], dtype=bool), lk, 0.0)
+    H = 2.0 * scale[:, 0, :, None, None] * (diag - lk * np.swapaxes(lk, -1, -2) * coupling)
     keep = upper.T[:, :, None] & upper.T[:, None, :]
     return value, g, np.where(keep, H, 0.0)
 

@@ -1,10 +1,14 @@
 import json
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import loccdist.cli
-from loccdist.cli import main
+from loccdist.cli import MAX_LEVELS, main
+
+DATA = Path(__file__).resolve().parent / "data"
 
 VERIFY_CHECKS = [
     "appendix-identity",
@@ -255,6 +259,51 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
     assert out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "x.csv").exists()
+
+
+LONG_SPECTRUM = ",".join(["0.005"] * 200)
+LONG_FAMILY = "1-199t," + ",".join(["t"] * 199)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--schmidt", LONG_SPECTRUM],
+        ["optimize", "--schmidt", LONG_SPECTRUM],
+        ["verify", "--schmidt", LONG_SPECTRUM],
+        ["sweep", "--family", LONG_FAMILY, "--range", "0,0.005", "--points", "3",
+         "--out", "{tmp}/x.csv"],
+    ],
+)
+def test_spectrum_over_the_cap_exits_2_at_once(capsys, tmp_path, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert f"at most {MAX_LEVELS}" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_spectrum_at_the_cap_is_accepted(capsys):
+    code, out, _ = run(capsys, "bounds", "--schmidt", ",".join([repr(1 / MAX_LEVELS)] * MAX_LEVELS))
+    assert code == 0
+    assert abs(json.loads(out)["beta_two_way_upper"] - 1 / MAX_LEVELS) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "family,t_range,name",
+    [(f"fig{k}", None, f"fig{k}") for k in range(1, 7)] + [("1-2t,t,t", "0,0.3333333", "custom")],
+)
+def test_sweep_csv_is_pinned(capsys, tmp_path, family, t_range, name):
+    """The 50-point sweep CSVs stay byte for byte what they were before the
+    two-way solve was batched over a sweep's points."""
+    out_path = tmp_path / "x.csv"
+    argv = ["sweep", "--family", family, "--points", "50", "--out", str(out_path)]
+    code, _, _ = run(capsys, *argv, *(["--range", t_range] if t_range else []))
+    assert code == 0
+    assert out_path.read_bytes() == (DATA / f"{name}_sweep50.csv").read_bytes()
 
 
 @pytest.mark.parametrize("out_path", ["{tmp}/missing/x.csv", "{tmp}"])

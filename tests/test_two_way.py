@@ -266,6 +266,13 @@ def test_objective_gradient_matches_finite_differences(d):
                 assert np.max(np.abs(hess[:, i, :, k] - fd_hess[:, :, i])) <= 1e-7 * scale
                 others = np.arange(d) != i
                 assert np.max(np.abs(fd_hess[:, :, others])) <= 1e-7 * scale
+    # An (n, d) stack of spectra, one per table, gives each table the bits
+    # its spectrum gives it alone.
+    lams = np.stack([rng.dirichlet(np.ones(d)) for _ in range(len(tables))])
+    stacked = trace_T_batch(lams, tables, hess=True)
+    for j in range(len(tables)):
+        alone = trace_T_batch(lams[j], tables[j : j + 1], hess=True)
+        assert all(np.array_equal(a[j], b[0]) for a, b in zip(stacked, alone))
 
 
 def test_oracle_equivalence_degenerate_spectrum():
