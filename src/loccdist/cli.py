@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .bounds import _delta_string, pure_state_report
-from .families import check_points, get_family, sweep
+from .families import check_points, get_family, sweep_rows
 from .one_way import build_one_way_test
 from .operators import eig_hermitian
 from .optimize import OptimizerConfig, beta_two_way_upper, grid_oracle, grid_size
@@ -112,29 +112,20 @@ def check_sweep(args):
 
 
 def cmd_sweep(family, points, out) -> int:
-    rows = sweep(family, points)
-    lines = ["t,beta_g,beta_one_way,beta_sep,beta_two_way_upper"]
-    for t, report in rows:
-        lines.append(
-            ",".join(
-                format(x, ".9g")
-                for x in (
-                    t,
-                    report.beta_g,
-                    report.beta_one_way,
-                    report.beta_sep,
-                    report.beta_two_way_upper,
-                )
-            )
-        )
-    text = "\n".join(lines) + "\n"
+    """Write each row as it is solved; the ordering check runs after the
+    last row."""
+    rows, ordered = 0, True
     with open(out, "w") as fh:
-        fh.write(text)
-    print(f"wrote {len(rows)} rows to {out}", file=sys.stderr)
-    for _, report in rows:
-        if not report.ordering_ok():
-            print("error: bound ordering violated in sweep", file=sys.stderr)
-            return EXIT_INVARIANT
+        fh.write("t,beta_g,beta_one_way,beta_sep,beta_two_way_upper\n")
+        for t, report in sweep_rows(family, points):
+            values = (t, report.beta_g, report.beta_one_way, report.beta_sep, report.beta_two_way_upper)
+            fh.write(",".join(format(x, ".9g") for x in values) + "\n")
+            rows += 1
+            ordered = ordered and report.ordering_ok()
+    print(f"wrote {rows} rows to {out}", file=sys.stderr)
+    if not ordered:
+        print("error: bound ordering violated in sweep", file=sys.stderr)
+        return EXIT_INVARIANT
     return EXIT_OK
 
 

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .bounds import BoundsReport, _pure_report
-from .optimize import beta_two_way_upper_batch
+from .optimize import beta_two_way_upper_batch, stack_size
 from .states import SchmidtSpectrum
 
 FEAS_TOL = 1e-12
@@ -205,15 +205,27 @@ def get_family(name_or_expr: str, t_range=None) -> FamilySpec:
     return parse_family(name_or_expr, t_range)
 
 
-def sweep(family: FamilySpec, points: int) -> list[tuple[float, BoundsReport]]:
-    """Bounds along the family parameter grid, in increasing t order.
+def sweep_rows(family: FamilySpec, points: int):
+    """Yield (t, report) along the family parameter grid, in increasing t
+    order, as the points are solved.
 
-    The two-way bounds of all points come from one batched solve
-    (beta_two_way_upper_batch); each row is the pure_state_report of its
-    spectrum.
+    The grid is solved in chunks of consecutive points, each one batched
+    two-way solve (beta_two_way_upper_batch) of at most one stack at the
+    family's dimension (stack_size), so only one chunk of spectra, results
+    and reports is held at a time; each report is the pure_state_report of
+    its spectrum.
     """
     family.validate()
-    grid = [float(t) for t in family.grid(points)]
-    spectra = [family.spectrum_at(t) for t in grid]
-    results = beta_two_way_upper_batch(spectra)
-    return [(t, _pure_report(s, s.dim**2, r)) for t, s, r in zip(grid, spectra, results)]
+    grid = family.grid(points)
+    size = stack_size(family.d)
+    for lo in range(0, points, size):
+        ts = [float(t) for t in grid[lo : lo + size]]
+        spectra = [family.spectrum_at(t) for t in ts]
+        for t, s, r in zip(ts, spectra, beta_two_way_upper_batch(spectra)):
+            yield t, _pure_report(s, s.dim**2, r)
+
+
+def sweep(family: FamilySpec, points: int) -> list[tuple[float, BoundsReport]]:
+    """Bounds along the family parameter grid, in increasing t order: the
+    rows of sweep_rows, as one list."""
+    return list(sweep_rows(family, points))

@@ -19,13 +19,23 @@ above the minimum (Jaggi, ICML 2013), and it is reported as certified_gap.
 
 The solve runs on a stack of spectra that share an effective rank
 (beta_two_way_upper_batch; beta_two_way_upper is a batch of one, and a
-sweep is one batch): each Newton step is one stacked KKT solve, and the
-barrier weight, centring test, fraction to the boundary and Armijo halving
-are kept per spectrum.  A spectrum leaves the stack once its own gap is
-small enough, with its own iteration count.  Every operation acts on each
-spectrum alone, so a result is bit for bit the same in any batch.  A stack
-holds at most BATCH_BYTES of solver arrays; larger groups are solved in
-chunks, and nothing is kept between calls.
+sweep solves its points in such batches): each Newton step is one stacked
+KKT solve, and the barrier weight, centring test, fraction to the boundary
+and Armijo halving are kept per spectrum.  A spectrum leaves the stack once
+its own gap is small enough, with its own iteration count.  Every operation
+acts on each spectrum alone, so a result is bit for bit the same in any
+batch.  A stack holds at most BATCH_BYTES of solver arrays; larger groups
+are solved in chunks, and nothing is kept between calls.
+
+A Newton pass works on the table's m = d (d + 1) / 2 free entries x
+(two_way.table_layout).  trace_T_batch returns the Hessian as its column
+pairs, the entries that couple two free entries of one column, and the
+pass writes them into the flat KKT systems with one scatter; the barrier
+diagonal is added through a strided view.  The spectrum's part of those
+entries (two_way.pair_factors) is gathered once per stack and again only
+when rows leave it.  A damped step hands back the accepted entries and
+their barrier sum with the table, so nothing is gathered or logged twice,
+and a pass after which no row moved (every row centred) reuses the gap.
 
 The exhaustive grid oracle for small d and the exact two-outcome solution
 
@@ -43,12 +53,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import SchmidtSpectrum
-from .two_way import DeltaMatrix, trace_T_batch, trace_T_closed_form
+from .two_way import DeltaMatrix, pair_factors, table_layout, trace_T_batch, trace_T_closed_form
 
 
 MAX_ITERS = 500  # Newton steps and barrier updates together
 BARRIER_GROWTH = 10.0
 CENTRING_TOL = 1e-6  # Newton decrement**2 / 2 of t * f - sum log x at a centred point
+ARMIJO_SLACK = 8.0 * np.finfo(float).eps  # relative to the barrier objective
 BATCH_BYTES = 1 << 20  # stacked solver arrays of one batched solve (_item_bytes each)
 
 
@@ -91,10 +102,19 @@ def beta_two_way_qubit_analytic(lam: float) -> tuple[float, float]:
 
 def _item_bytes(d: int) -> int:
     """Bytes one spectrum of effective rank d adds to the stacked arrays of
-    a batched solve: its KKT matrix and LAPACK's copy of it, and its
-    Hessian blocks with the temporaries that build them."""
+    a batched solve: its KKT matrix and LAPACK's copy of it, and a budget
+    of 4 d**3 floats for its table, free entries, gradient, pair Hessian,
+    pair factors and the temporaries of a trace_T_batch call.  tracemalloc
+    measures about 42 KB per spectrum at d = 8 and 80 KB at d = 10, against
+    47 KB and 100 KB here."""
     size = d * (d + 1) // 2 + d
     return 8 * (2 * size * size + 4 * d**3)
+
+
+def stack_size(d: int) -> int:
+    """Spectra of effective rank d in one stacked solve: BATCH_BYTES of
+    solver arrays, and at least one."""
+    return max(1, BATCH_BYTES // _item_bytes(d))
 
 
 def _barrier_newton(lam: np.ndarray, tol: float):
@@ -107,99 +127,112 @@ def _barrier_newton(lam: np.ndarray, tol: float):
     row alone, so a row's iterates do not depend on the rest of the stack.
     """
     n, d = lam.shape
-    upper = np.triu(np.ones((d, d), dtype=bool))
-    rows, cols = np.nonzero(upper)
-    entries = rows * d + cols  # flat positions of the table's free entries
-    m = rows.size
+    layout = table_layout(d)
+    m = layout.entries.size
     size = m + d
     # Equality-constrained Newton systems [[H, A^T], [A, 0]]: A sums each
-    # row of the table.  Only entries of one column interact in H: their
-    # flat positions in the (d, d, d) Hessian blocks and in the system.
-    p, q = np.nonzero(cols[:, None] == cols)
-    from_hess = (cols[p] * d + rows[p]) * d + rows[q]
-    into_kkt = p * size + q
+    # row of the table, and H's column pairs have fixed flat positions.
+    into_kkt = layout.p * size + layout.q
     diagonal = slice(0, m * (size + 1), size + 1)  # H's diagonal in the flat system
     kkt = np.zeros((n, size, size))
-    kkt[:, m + rows, np.arange(m)] = 1.0
-    kkt[:, np.arange(m), m + rows] = 1.0
+    kkt[:, m + layout.rows, np.arange(m)] = 1.0
+    kkt[:, np.arange(m), m + layout.rows] = 1.0
     rhs = np.zeros((n, size, 1))  # 3-D: numpy 2 reads an (n, size) one as a matrix if n == size
 
     X = np.repeat(DeltaMatrix.uniform(d).table[None], n, axis=0)
-    f, g, H = trace_T_batch(lam, X, hess=True)
+    x = X.reshape(n, -1).take(layout.entries, axis=1)  # the free entries of X
+    logs = np.log(x).sum(axis=1)  # the barrier sum at x
+    factors = pair_factors(lam)  # spectrum-only, gathered again only when rows leave
+    f, g, H = trace_T_batch(lam, X, hess=factors)
     t = np.ones(n)
     final = np.empty_like(X)
     passes = np.full(n, MAX_ITERS)
     gaps = np.empty(n)
     live = np.arange(n)  # the input row of each row still in the stack
+    moved = True
     for it in range(1, MAX_ITERS + 1):
-        # By convexity f(X) - min f <= max over vertices V of g . (X - V).
-        vertex = np.where(upper, g, np.inf).min(axis=2).sum(axis=1)
-        gap = (g * X).reshape(live.size, -1).sum(axis=1) - vertex
-        done = gap <= tol
-        if done.any():
-            final[live[done]] = X[done]
-            passes[live[done]] = it
-            gaps[live[done]] = gap[done]
-            live, lam, X, f, g, H, t, gap = (a[~done] for a in (live, lam, X, f, g, H, t, gap))
-            if not live.size:
-                break
-        x = X.reshape(live.size, -1).take(entries, axis=1)
+        if moved:  # otherwise X, g and so the gap are those of the last pass
+            # By convexity f(X) - min f <= max over vertices V of g . (X - V).
+            vertex = np.where(layout.upper, g, np.inf).min(axis=2).sum(axis=1)
+            gap = (g * X).reshape(live.size, -1).sum(axis=1) - vertex
+            done = gap <= tol
+            if np.count_nonzero(done):
+                final[live[done]] = X[done]
+                passes[live[done]] = it
+                gaps[live[done]] = gap[done]
+                stay = ~done
+                live, lam, t, gap, X, x, logs, f, g, H = (
+                    a[stay] for a in (live, lam, t, gap, X, x, logs, f, g, H)
+                )
+                factors = tuple(a[stay] for a in factors)
+                if not live.size:
+                    break
         tx = t[:, None] * x
-        grad = g.reshape(live.size, -1).take(entries, axis=1) - 1.0 / tx
+        grad = g.reshape(live.size, -1).take(layout.entries, axis=1) - 1.0 / tx
         system = kkt[: live.size]
         flat = system.reshape(live.size, -1)
-        flat[:, into_kkt] = H.reshape(live.size, -1).take(from_hess, axis=1)
+        flat[:, into_kkt] = H
         flat[:, diagonal] += 1.0 / (tx * x)  # a strided view, updated in place
-        rhs[: live.size, :m, 0] = -grad
+        np.negative(grad, out=rhs[: live.size, :m, 0])
         dx = np.linalg.solve(system, rhs[: live.size])[:, :m, 0]
         decrement = -(grad[:, None, :] @ dx[:, :, None])[:, 0, 0]
         centred = t * decrement <= 2.0 * CENTRING_TOL
-        move = slice(None)
-        if centred.any():
-            t[centred] *= BARRIER_GROWTH
+        settled = np.count_nonzero(centred)
+        moved = settled < live.size
+        if not settled:
+            X, x, logs, f, g, H = _damped_step(lam, factors, x, logs, dx, f, t, decrement, layout.entries)
+            continue
+        t[centred] *= BARRIER_GROWTH
+        if moved:
             move = np.flatnonzero(~centred)
-            if not move.size:
-                continue
-        X[move], f[move], g[move], H[move] = _damped_step(
-            lam[move], x[move], dx[move], f[move], t[move], decrement[move], entries
-        )
+            step = _damped_step(
+                lam[move], tuple(a[move] for a in factors), x[move], logs[move], dx[move], f[move],
+                t[move], decrement[move], layout.entries,
+            )
+            for a, b in zip((X, x, logs, f, g, H), step):
+                a[move] = b
     else:  # MAX_ITERS passes, and some rows are not done
         final[live] = X
         gaps[live] = gap
     return final, passes, gaps
 
 
-def _damped_step(lam, x, dx, f, t, decrement, entries):
-    """One damped Newton step along dx from the table entries x at the flat
-    positions entries: fraction to the boundary, then Armijo halving on the
-    barrier objective f - sum log x / t, repeated only for the rows not yet
-    accepted.  A slack of a few ulps of that objective lets through a step
-    whose predicted decrease is below rounding.  Returns the new tables and
-    trace_T_batch's value, gradient and Hessian blocks there, evaluated
-    once per trial."""
+def _damped_step(lam, factors, x, logs, dx, f, t, decrement, entries):
+    """One damped Newton step along dx from the table entries x (at the flat
+    positions entries, with barrier sum logs = sum log x): fraction to the
+    boundary, then Armijo halving on the barrier objective f - logs / t,
+    repeated only for the rows not yet accepted.  A slack of a few ulps of
+    that objective lets through a step whose predicted decrease is below
+    rounding.  Returns the new tables, their entries and barrier sums, and
+    trace_T_batch's value, gradient and pair Hessian there (factors being
+    the rows' pair_factors), evaluated once per trial."""
     n, d = lam.shape
     ratio = np.divide(-x, dx, out=np.full_like(x, np.inf), where=dx < 0)
     alpha = np.minimum(1.0, 0.99 * ratio.min(axis=1))
-    phi = f - np.log(x).sum(axis=1) / t
-    slack = 8.0 * np.finfo(float).eps * np.abs(phi)
+    phi = f - logs / t
+    slack = ARMIJO_SLACK * np.abs(phi)
     out = None
     left = np.arange(n)  # the output row of each row still searching
     while True:
         trial = x + alpha[:, None] * dx
         tables = np.zeros((left.size, d, d))
         tables.reshape(left.size, -1)[:, entries] = trial
-        found = (tables, *trace_T_batch(lam, tables, hess=True))
-        ok = found[1] - np.log(trial).sum(axis=1) / t <= phi - 0.25 * alpha * decrement + slack
+        barrier = np.log(trial).sum(axis=1)
+        value, g, H = trace_T_batch(lam, tables, hess=factors)
+        ok = value - barrier / t <= phi - 0.25 * alpha * decrement + slack
+        found = (tables, trial, barrier, value, g, H)
         if out is None:
             out = found  # its rejected rows are overwritten once accepted
         else:
             for a, b in zip(out, found):
                 a[left[ok]] = b[ok]
-        if ok.all():
+        if np.count_nonzero(ok) == left.size:
             return out
+        reject = ~ok
         left, lam, x, dx, t, phi, slack, decrement, alpha = (
-            a[~ok] for a in (left, lam, x, dx, t, phi, slack, decrement, alpha)
+            a[reject] for a in (left, lam, x, dx, t, phi, slack, decrement, alpha)
         )
+        factors = tuple(a[reject] for a in factors)
         alpha *= 0.5
 
 
@@ -209,9 +242,12 @@ def _result(s: SchmidtSpectrum, table: np.ndarray, iterations: int, gap: float, 
     d = lam.size
     D = s.dim**2
     # The one-way corner is feasible and exact at uniform spectra; taking
-    # the better of the two keeps beta_two_way_upper <= beta_one_way exactly.
-    delta = min((_as_delta(table), DeltaMatrix.one_way(d)), key=lambda c: trace_T_closed_form(s, c))
-    t_value = trace_T_closed_form(s, delta)
+    # the better of the two (the barrier table on a tie) keeps
+    # beta_two_way_upper <= beta_one_way exactly.
+    delta, corner = _as_delta(table), DeltaMatrix.one_way(d)
+    t_value, t_corner = trace_T_closed_form(s, delta), trace_T_closed_form(s, corner)
+    if t_corner < t_value:
+        delta, t_value = corner, t_corner
     converged = gap <= tol
 
     if d == 2:
@@ -251,7 +287,7 @@ def beta_two_way_upper_batch(
     results = [None] * len(spectra)
     for d in sorted({lam.size for lam in lams}):
         group = [i for i, lam in enumerate(lams) if lam.size == d]
-        size = max(1, BATCH_BYTES // _item_bytes(d))
+        size = stack_size(d)
         for lo in range(0, len(group), size):
             chunk = group[lo : lo + size]
             tables, passes, gaps = _barrier_newton(np.stack([lams[i] for i in chunk]), config.tol)

@@ -22,7 +22,9 @@ all its samples from that table in one multinomial.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,6 +151,55 @@ def sigma_A(s: SchmidtSpectrum, M, N) -> np.ndarray:
     return (sm @ core_half @ sm) / normalizer[..., None, None]
 
 
+class TableLayout(NamedTuple):
+    """Index arrays of d x d coefficient tables, all read-only.
+
+    The free entries d_ki, k <= i, in row-major order, sit at rows, cols
+    (flat positions entries = rows * d + cols).  Only entries of one column
+    interact in trace_T_batch's Hessian: pair j couples free entries p[j]
+    and q[j] of one column, in row-major order over (p, q); pair_col,
+    pair_at and pair_rows hold the column, the flat positions and the rows
+    of both entries of every pair.
+    """
+
+    upper: np.ndarray  # (d, d) bool, k <= i
+    rows: np.ndarray  # (m,)
+    cols: np.ndarray  # (m,)
+    entries: np.ndarray  # (m,)
+    p: np.ndarray  # (P,)
+    q: np.ndarray  # (P,)
+    pair_col: np.ndarray  # (P,) cols[p]
+    pair_at: np.ndarray  # (2, P) entries[p], entries[q]
+    pair_rows: np.ndarray  # (2, P) rows[p], rows[q]
+    weights: np.ndarray  # (d,) i + 1 as floats
+    gate: np.ndarray  # (d,) (i + 1) DENOM_TOL, the live-column threshold
+
+
+@functools.cache
+def table_layout(d: int) -> TableLayout:
+    """The TableLayout of d x d tables, built once per d."""
+    upper = np.triu(np.ones((d, d), dtype=bool))
+    rows, cols = np.nonzero(upper)
+    entries = rows * d + cols
+    p, q = np.nonzero(cols[:, None] == cols)
+    n = np.arange(d)
+    layout = TableLayout(
+        upper, rows, cols, entries, p, q, cols[p], entries[[p, q]], rows[[p, q]], n + 1.0, (n + 1) * DENOM_TOL
+    )
+    for array in layout:
+        array.setflags(write=False)
+    return layout
+
+
+def pair_factors(lam: np.ndarray):
+    """The spectrum's part of trace_T_batch's pair Hessian: (l_k l_k',
+    [k = k'] l_k) for every pair (d_ki, d_k'i), each (..., P) for a (d,)
+    or (n, d) lam."""
+    layout = table_layout(lam.shape[-1])
+    lk, lkk = lam.take(layout.pair_rows[0], axis=-1), lam.take(layout.pair_rows[1], axis=-1)
+    return lk * lkk, np.where(layout.p == layout.q, lk, 0.0)
+
+
 def _column_ratios(lam: np.ndarray, tables: np.ndarray):
     """(live, D, N / D) per column of a batch of (n, d, d) tables, with
     D_i = sum_k l_k d_ki, Alice's outcome probability, and N_i = sum_k
@@ -159,7 +210,7 @@ def _column_ratios(lam: np.ndarray, tables: np.ndarray):
     on the other columns."""
     row = lam[..., None, :]  # one vector-matrix product per table, whatever the batch
     den = (row @ tables)[:, 0]
-    live = den > (np.arange(lam.shape[-1]) + 1) * DENOM_TOL
+    live = den > table_layout(lam.shape[-1]).gate
     safe = np.where(live, den, 1.0)
     return live, safe, np.where(live, (row @ (tables * tables))[:, 0], 0.0) / safe
 
@@ -229,7 +280,7 @@ def build_two_way_T(s: SchmidtSpectrum, delta: DeltaMatrix):
     return T, TwoWayProtocol(s, delta, outcomes, bob, alice)
 
 
-def trace_T_batch(lam: np.ndarray, tables: np.ndarray, grad: bool = False, hess: bool = False):
+def trace_T_batch(lam: np.ndarray, tables: np.ndarray, grad: bool = False, hess=False):
     """The paper's closed form sum_i (i + 1) N_i / D_i over the live columns
     of a batch of (n, d, d) upper-triangular tables, under one (d,) spectrum
     or an (n, d) spectrum per table: the convex envelope the optimiser
@@ -238,32 +289,34 @@ def trace_T_batch(lam: np.ndarray, tables: np.ndarray, grad: bool = False, hess:
 
     With grad=True also returns dTr T / dd_ki = (i + 1) l_k (2 d_ki -
     N_i / D_i) / D_i, zero below the diagonal and on dropped columns.  With
-    hess=True also returns the (n, d, d, d) column blocks H[n, i, k, k'] =
-    d2 Tr T / dd_ki dd_k'i = 2 (i + 1) / D_i (l_k [k = k'] - l_k l_k'
-    (d_ki + d_k'i - N_i / D_i) / D_i), zero where k or k' > i and on
-    dropped columns; entries of different columns do not interact.
+    hess also returns the Hessian as the (n, P) entries that couple two free
+    entries of one column (entries of different columns do not interact),
+    in table_layout(d)'s pair order: for the pair (d_ki, d_k'i), with s_i =
+    (i + 1) / D_i and r_i = N_i / D_i,
+
+        H = 2 s_i ([k = k'] l_k - l_k l_k' ((d_ki + d_k'i) - r_i) / D_i),
+
+    zero on dropped columns.  hess is True, or the tuple pair_factors(lam)
+    of the same lam, which a caller evaluating many batches under one
+    spectrum stack gathers once.
     """
-    cols = np.arange(lam.shape[-1])
-    weights = cols + 1.0
+    layout = table_layout(lam.shape[-1])
     live, safe, ratio = _column_ratios(lam, tables)
     # A row reduction, not a matrix product, so a table's value does not
     # depend on the batch it is evaluated in.
-    value = (ratio * weights).sum(axis=1)
+    value = (ratio * layout.weights).sum(axis=1)
     if not (grad or hess):
         return value
-    upper = cols[:, None] <= cols
-    scale = np.where(live, weights / safe, 0.0)[:, None, :]
-    g = lam[..., :, None] * (2.0 * tables - ratio[:, None, :]) * scale
-    g = np.where(upper, g, 0.0)
+    scale = np.where(live, layout.weights / safe, 0.0)
+    g = lam[..., :, None] * (2.0 * tables - ratio[:, None, :]) * scale[:, None, :]
+    g = np.where(layout.upper, g, 0.0)
     if not hess:
         return value, g
-    x = np.swapaxes(tables, 1, 2)[..., None]  # d_ki at [n, i, k, 0]
-    coupling = (x + np.swapaxes(x, 2, 3) - ratio[..., None, None]) / safe[..., None, None]
-    lk = lam[..., None, :, None]  # l_k at [n, ., k, .]
-    diag = np.where(np.eye(lam.shape[-1], dtype=bool), lk, 0.0)
-    H = 2.0 * scale[:, 0, :, None, None] * (diag - lk * np.swapaxes(lk, -1, -2) * coupling)
-    keep = upper.T[:, :, None] & upper.T[:, None, :]
-    return value, g, np.where(keep, H, 0.0)
+    lk_lkk, diag = hess if isinstance(hess, tuple) else pair_factors(lam)
+    x_p, x_q = tables.reshape(len(tables), -1).take(layout.pair_at, axis=1).swapaxes(0, 1)
+    column = layout.pair_col
+    coupling = (x_p + x_q - ratio.take(column, axis=1)) / safe.take(column, axis=1)
+    return value, g, (2.0 * scale).take(column, axis=1) * (diag - lk_lkk * coupling)
 
 
 def trace_T_closed_form(s: SchmidtSpectrum, delta: DeltaMatrix) -> float:

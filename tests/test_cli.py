@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import loccdist.cli
 from loccdist.cli import MAX_LEVELS, main
+from loccdist.optimize import stack_size
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -306,12 +308,33 @@ def test_sweep_csv_is_pinned(capsys, tmp_path, family, t_range, name):
     assert out_path.read_bytes() == (DATA / f"{name}_sweep50.csv").read_bytes()
 
 
+def test_sweep_writes_rows_in_bounded_memory(capsys, tmp_path):
+    """cmd_sweep writes each chunk of solved points as it arrives, so ten
+    times the points stay within a quarter of the peak memory (measured
+    after a warm-up run, so one-time caches do not count)."""
+    family = "1-7t,t,t,t,t,t,t,t"
+    points = stack_size(8) + 1  # two chunks
+    argv = ["sweep", "--family", family, "--range", "0,0.125", "--out", str(tmp_path / "x.csv")]
+    run(capsys, *argv, "--points", str(points))
+    peaks = []
+    for n in (points, 10 * points):
+        tracemalloc.start()
+        try:
+            code, _, err = run(capsys, *argv, "--points", str(n))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and err == f"wrote {n} rows to {tmp_path / 'x.csv'}\n"
+        assert len((tmp_path / "x.csv").read_text().splitlines()) == n + 1
+    assert peaks[1] <= 1.25 * peaks[0]
+
+
 @pytest.mark.parametrize("out_path", ["{tmp}/missing/x.csv", "{tmp}"])
 def test_sweep_unwritable_out_fails_before_any_row(capsys, tmp_path, monkeypatch, out_path):
     def no_rows(*args, **kwargs):
         raise AssertionError("sweep ran before --out was checked")
 
-    monkeypatch.setattr(loccdist.cli, "sweep", no_rows)
+    monkeypatch.setattr(loccdist.cli, "sweep_rows", no_rows)
     out_path = out_path.format(tmp=tmp_path)
     code, out, err = run(capsys, "sweep", "--family", "fig1", "--points", "3", "--out", out_path)
     assert code == 2

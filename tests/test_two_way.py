@@ -10,11 +10,14 @@ from loccdist.two_way import (
     DeltaMatrix,
     ZeroProbabilityError,
     _branch_probabilities,
+    _column_ratios,
     _supports,
     build_mub_basis,
     build_two_way_T,
+    pair_factors,
     sigma_A,
     simulate_protocol,
+    table_layout,
     trace_T_batch,
     trace_T_closed_form,
     wilson_interval,
@@ -246,6 +249,7 @@ def test_objective_gradient_matches_finite_differences(d):
     tables = np.stack([DeltaMatrix.random(d, rng).table for _ in range(3)])
     _, grad, hess = trace_T_batch(lam, tables, hess=True)
     assert np.array_equal(trace_T_batch(lam, tables, grad=True)[1], grad)
+    layout = table_layout(d)
     h = 1e-6
     for k in range(d):
         for i in range(d):
@@ -257,13 +261,15 @@ def test_objective_gradient_matches_finite_differences(d):
             fd_hess = (g_plus - g_minus) / (2 * h)
             if k > i:
                 assert np.all(grad[:, k, i] == 0.0)
-                assert np.all(hess[:, i, k, :] == 0.0) and np.all(hess[:, i, :, k] == 0.0)
             else:
                 assert np.max(np.abs(grad[:, k, i] - fd)) <= 1e-7
-                # Column i's block holds every second derivative through d_ki;
-                # other columns do not move.
-                scale = 1.0 + np.max(np.abs(hess[:, i]))
-                assert np.max(np.abs(hess[:, i, :, k] - fd_hess[:, :, i])) <= 1e-7 * scale
+                # The pairs (d_ki, d_k'i) hold every second derivative
+                # through d_ki; other columns do not move.
+                entry = np.flatnonzero((layout.rows == k) & (layout.cols == i))[0]
+                pairs = layout.p == entry
+                scale = 1.0 + np.max(np.abs(hess[:, layout.pair_col == i]))
+                fd_pairs = fd_hess[:, layout.rows[layout.q[pairs]], i]
+                assert np.max(np.abs(hess[:, pairs] - fd_pairs)) <= 1e-7 * scale
                 others = np.arange(d) != i
                 assert np.max(np.abs(fd_hess[:, :, others])) <= 1e-7 * scale
     # An (n, d) stack of spectra, one per table, gives each table the bits
@@ -273,6 +279,47 @@ def test_objective_gradient_matches_finite_differences(d):
     for j in range(len(tables)):
         alone = trace_T_batch(lams[j], tables[j : j + 1], hess=True)
         assert all(np.array_equal(a[j], b[0]) for a, b in zip(stacked, alone))
+
+
+def dense_hessian_blocks(lam, tables):
+    """trace_T_batch's Hessian written out as (n, d, d, d) column blocks
+    H[n, i, k, k'] = d2 Tr T / dd_ki dd_k'i, zero where k or k' > i: the
+    reference for its column-pair entries."""
+    d = lam.shape[-1]
+    cols = np.arange(d)
+    upper = cols[:, None] <= cols
+    live, safe, ratio = _column_ratios(lam, tables)
+    scale = np.where(live, (cols + 1.0) / safe, 0.0)[:, None, :]
+    x = np.swapaxes(tables, 1, 2)[..., None]  # d_ki at [n, i, k, 0]
+    coupling = (x + np.swapaxes(x, 2, 3) - ratio[..., None, None]) / safe[..., None, None]
+    lk = lam[..., None, :, None]  # l_k at [n, ., k, .]
+    diag = np.where(np.eye(d, dtype=bool), lk, 0.0)
+    H = 2.0 * scale[:, 0, :, None, None] * (diag - lk * np.swapaxes(lk, -1, -2) * coupling)
+    keep = upper.T[:, :, None] & upper.T[:, None, :]
+    return np.where(keep, H, 0.0)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_pair_hessian_is_the_dense_blocks_bit_for_bit(d):
+    """Scattered into (n, d, d, d) blocks, the pair entries are the dense
+    reference to the bit (signed zeros included), so no entry outside a
+    column pair is nonzero; the same holds under an (n, d) spectrum stack
+    and with precomputed pair_factors."""
+    rng = np.random.default_rng(40 + d)
+    tables = [DeltaMatrix.random(d, rng).table for _ in range(4)]
+    tables += [np.eye(d), DeltaMatrix.one_way(d).table, DeltaMatrix.uniform(d).table]
+    tables = np.stack(tables)
+    layout = table_layout(d)
+    spectra = [random_spectrum(d, rng).effective, np.full(d, 1.0 / d)]
+    spectra.append(np.stack([rng.dirichlet(np.ones(d)) for _ in range(len(tables))]))
+    for lam in spectra:
+        _, _, pairs = trace_T_batch(lam, tables, hess=True)
+        assert pairs.shape == (len(tables), layout.p.size)
+        blocks = np.zeros((len(tables), d, d, d))
+        blocks[:, layout.pair_col, layout.rows[layout.p], layout.rows[layout.q]] = pairs
+        assert np.array_equal(blocks.view(np.uint64), dense_hessian_blocks(lam, tables).view(np.uint64))
+        reused = trace_T_batch(lam, tables, hess=pair_factors(lam))[2]
+        assert np.array_equal(reused.view(np.uint64), pairs.view(np.uint64))
 
 
 def test_oracle_equivalence_degenerate_spectrum():
