@@ -33,9 +33,9 @@ pairs, the entries that couple two free entries of one column, and the
 pass writes them into the flat KKT systems with one scatter; the barrier
 diagonal is added through a strided view.  The spectrum's part of those
 entries (two_way.pair_factors) is gathered once per stack and again only
-when rows leave it.  A damped step hands back the accepted entries and
-their barrier sum with the table, so nothing is gathered or logged twice,
-and a pass after which no row moved (every row centred) reuses the gap.
+when rows leave it.  A damped step hands back the accepted entries with
+the table, and a pass after which no row moved (every row only recentred)
+reuses the last gap.
 
 The exhaustive grid oracle for small d and the exact two-outcome solution
 
@@ -141,7 +141,6 @@ def _barrier_newton(lam: np.ndarray, tol: float):
 
     X = np.repeat(DeltaMatrix.uniform(d).table[None], n, axis=0)
     x = X.reshape(n, -1).take(layout.entries, axis=1)  # the free entries of X
-    logs = np.log(x).sum(axis=1)  # the barrier sum at x
     factors = pair_factors(lam)  # spectrum-only, gathered again only when rows leave
     f, g, H = trace_T_batch(lam, X, hess=factors)
     t = np.ones(n)
@@ -161,9 +160,7 @@ def _barrier_newton(lam: np.ndarray, tol: float):
                 passes[live[done]] = it
                 gaps[live[done]] = gap[done]
                 stay = ~done
-                live, lam, t, gap, X, x, logs, f, g, H = (
-                    a[stay] for a in (live, lam, t, gap, X, x, logs, f, g, H)
-                )
+                live, lam, t, gap, X, x, f, g, H = (a[stay] for a in (live, lam, t, gap, X, x, f, g, H))
                 factors = tuple(a[stay] for a in factors)
                 if not live.size:
                     break
@@ -173,23 +170,23 @@ def _barrier_newton(lam: np.ndarray, tol: float):
         flat = system.reshape(live.size, -1)
         flat[:, into_kkt] = H
         flat[:, diagonal] += 1.0 / (tx * x)  # a strided view, updated in place
-        np.negative(grad, out=rhs[: live.size, :m, 0])
+        rhs[: live.size, :m, 0] = -grad
         dx = np.linalg.solve(system, rhs[: live.size])[:, :m, 0]
         decrement = -(grad[:, None, :] @ dx[:, :, None])[:, 0, 0]
         centred = t * decrement <= 2.0 * CENTRING_TOL
         settled = np.count_nonzero(centred)
         moved = settled < live.size
         if not settled:
-            X, x, logs, f, g, H = _damped_step(lam, factors, x, logs, dx, f, t, decrement, layout.entries)
+            X, x, f, g, H = _damped_step(lam, factors, x, dx, f, t, decrement, layout.entries)
             continue
         t[centred] *= BARRIER_GROWTH
         if moved:
             move = np.flatnonzero(~centred)
             step = _damped_step(
-                lam[move], tuple(a[move] for a in factors), x[move], logs[move], dx[move], f[move],
-                t[move], decrement[move], layout.entries,
+                lam[move], tuple(a[move] for a in factors), x[move], dx[move], f[move], t[move],
+                decrement[move], layout.entries,
             )
-            for a, b in zip((X, x, logs, f, g, H), step):
+            for a, b in zip((X, x, f, g, H), step):
                 a[move] = b
     else:  # MAX_ITERS passes, and some rows are not done
         final[live] = X
@@ -197,19 +194,19 @@ def _barrier_newton(lam: np.ndarray, tol: float):
     return final, passes, gaps
 
 
-def _damped_step(lam, factors, x, logs, dx, f, t, decrement, entries):
-    """One damped Newton step along dx from the table entries x (at the flat
-    positions entries, with barrier sum logs = sum log x): fraction to the
-    boundary, then Armijo halving on the barrier objective f - logs / t,
-    repeated only for the rows not yet accepted.  A slack of a few ulps of
-    that objective lets through a step whose predicted decrease is below
-    rounding.  Returns the new tables, their entries and barrier sums, and
-    trace_T_batch's value, gradient and pair Hessian there (factors being
-    the rows' pair_factors), evaluated once per trial."""
+def _damped_step(lam, factors, x, dx, f, t, decrement, entries):
+    """One damped Newton step along dx from the table entries x at the flat
+    positions entries: fraction to the boundary, then Armijo halving on the
+    barrier objective f - sum log x / t, repeated only for the rows not yet
+    accepted.  A slack of a few ulps of that objective lets through a step
+    whose predicted decrease is below rounding.  Returns the new tables,
+    their entries, and trace_T_batch's value, gradient and pair Hessian
+    there (factors being the rows' pair_factors), evaluated once per
+    trial."""
     n, d = lam.shape
     ratio = np.divide(-x, dx, out=np.full_like(x, np.inf), where=dx < 0)
     alpha = np.minimum(1.0, 0.99 * ratio.min(axis=1))
-    phi = f - logs / t
+    phi = f - np.log(x).sum(axis=1) / t
     slack = ARMIJO_SLACK * np.abs(phi)
     out = None
     left = np.arange(n)  # the output row of each row still searching
@@ -217,10 +214,9 @@ def _damped_step(lam, factors, x, logs, dx, f, t, decrement, entries):
         trial = x + alpha[:, None] * dx
         tables = np.zeros((left.size, d, d))
         tables.reshape(left.size, -1)[:, entries] = trial
-        barrier = np.log(trial).sum(axis=1)
         value, g, H = trace_T_batch(lam, tables, hess=factors)
-        ok = value - barrier / t <= phi - 0.25 * alpha * decrement + slack
-        found = (tables, trial, barrier, value, g, H)
+        ok = value - np.log(trial).sum(axis=1) / t <= phi - 0.25 * alpha * decrement + slack
+        found = (tables, trial, value, g, H)
         if out is None:
             out = found  # its rejected rows are overwritten once accepted
         else:
