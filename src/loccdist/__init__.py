@@ -7,7 +7,7 @@ explicit three-step protocol) and one-way LOCC.
 """
 
 from .bounds import BoundsReport, mixed_state_report, pure_state_report
-from .families import BUILTIN_FAMILIES, FamilySpec, get_family, parse_family, sweep
+from .families import BUILTIN_FAMILIES, FamilySpec, get_family, parse_family, sweep, sweep_rows
 from .one_way import (
     OneWayProtocol,
     beta_one_way,
@@ -122,6 +122,7 @@ __all__ = [
     "state_from_spectrum",
     "support_projection",
     "sweep",
+    "sweep_rows",
     "tensor",
     "tensor_vec",
     "trace_T_closed_form",

@@ -152,14 +152,15 @@ def sigma_A(s: SchmidtSpectrum, M, N) -> np.ndarray:
 
 
 class TableLayout(NamedTuple):
-    """Index arrays of d x d coefficient tables, all read-only.
+    """Index arrays and column constants of d x d coefficient tables, all
+    read-only.
 
     The free entries d_ki, k <= i, in row-major order, sit at rows, cols
     (flat positions entries = rows * d + cols).  Only entries of one column
     interact in trace_T_batch's Hessian: pair j couples free entries p[j]
-    and q[j] of one column, in row-major order over (p, q); pair_col,
-    pair_at and pair_rows hold the column, the flat positions and the rows
-    of both entries of every pair.
+    and q[j] of one column, in row-major order over (p, q); pair_col and
+    pair_at hold the column and the flat positions of both entries of
+    every pair.
     """
 
     upper: np.ndarray  # (d, d) bool, k <= i
@@ -170,7 +171,6 @@ class TableLayout(NamedTuple):
     q: np.ndarray  # (P,)
     pair_col: np.ndarray  # (P,) cols[p]
     pair_at: np.ndarray  # (2, P) entries[p], entries[q]
-    pair_rows: np.ndarray  # (2, P) rows[p], rows[q]
     weights: np.ndarray  # (d,) i + 1 as floats
     gate: np.ndarray  # (d,) (i + 1) DENOM_TOL, the live-column threshold
 
@@ -184,7 +184,7 @@ def table_layout(d: int) -> TableLayout:
     p, q = np.nonzero(cols[:, None] == cols)
     n = np.arange(d)
     layout = TableLayout(
-        upper, rows, cols, entries, p, q, cols[p], entries[[p, q]], rows[[p, q]], n + 1.0, (n + 1) * DENOM_TOL
+        upper, rows, cols, entries, p, q, cols[p], entries[[p, q]], n + 1.0, (n + 1) * DENOM_TOL
     )
     for array in layout:
         array.setflags(write=False)
@@ -196,7 +196,7 @@ def pair_factors(lam: np.ndarray):
     [k = k'] l_k) for every pair (d_ki, d_k'i), each (..., P) for a (d,)
     or (n, d) lam."""
     layout = table_layout(lam.shape[-1])
-    lk, lkk = lam.take(layout.pair_rows[0], axis=-1), lam.take(layout.pair_rows[1], axis=-1)
+    lk, lkk = (lam.take(layout.rows[e], axis=-1) for e in (layout.p, layout.q))
     return lk * lkk, np.where(layout.p == layout.q, lk, 0.0)
 
 

@@ -10,9 +10,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from loccdist import optimize
+from loccdist import families, optimize
 from loccdist.bounds import pure_state_report
-from loccdist.families import BUILTIN_FAMILIES, parse_family, sweep
+from loccdist.families import BUILTIN_FAMILIES, parse_family, sweep, sweep_rows
 from loccdist.optimize import (
     BATCH_BYTES,
     _item_bytes,
@@ -111,6 +111,18 @@ def test_two_outcome_batch_matches_analytic():
 def test_sweep_rows_are_pure_state_reports(family):
     for t, report in sweep(family, 13):
         assert report == pure_state_report(family.spectrum_at(t))
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 12])
+def test_sweep_rows_are_the_same_in_any_chunking(monkeypatch, chunk):
+    """sweep_rows solves the grid a stack at a time in t order; how the
+    points fall into stacks moves no bit of any row."""
+    family = BUILTIN_FAMILIES["fig5"]
+    whole = sweep(family, 13)
+    monkeypatch.setattr(families, "stack_size", lambda d: chunk)
+    rows = list(sweep_rows(family, 13))
+    assert rows == whole
+    assert [t for t, _ in rows] == sorted(t for t, _ in rows)
 
 
 def test_sweep_memory_is_bounded():

@@ -69,6 +69,6 @@ def test_solve_as_one_batch_is_pinned(pins):
 
 
 if __name__ == "__main__":
-    table = {s: record(beta_two_way_upper(parse_spectrum(s))) for s in solve_cases()}
-    PINS.write_text(json.dumps(table, indent=1) + "\n")
-    print(f"wrote {len(table)} pins to {PINS}")
+    lines = [f"{json.dumps(s)}: {json.dumps(record(beta_two_way_upper(parse_spectrum(s))))}" for s in solve_cases()]
+    PINS.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    print(f"wrote {len(lines)} pins to {PINS}")
