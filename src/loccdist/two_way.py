@@ -280,7 +280,7 @@ def build_two_way_T(s: SchmidtSpectrum, delta: DeltaMatrix):
     return T, TwoWayProtocol(s, delta, outcomes, bob, alice)
 
 
-def trace_T_batch(lam: np.ndarray, tables: np.ndarray, grad: bool = False, hess=False):
+def trace_T_batch(lam: np.ndarray, tables: np.ndarray, grad: bool = False, hess: bool | tuple = False):
     """The paper's closed form sum_i (i + 1) N_i / D_i over the live columns
     of a batch of (n, d, d) upper-triangular tables, under one (d,) spectrum
     or an (n, d) spectrum per table: the convex envelope the optimiser

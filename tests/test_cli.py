@@ -310,7 +310,7 @@ def test_sweep_csv_is_pinned(capsys, tmp_path, family, t_range, name):
 
 def test_sweep_writes_rows_in_bounded_memory(capsys, tmp_path):
     """cmd_sweep writes each chunk of solved points as it arrives, so ten
-    times the points stay within a quarter of the peak memory (measured
+    times the points raise the peak memory by at most a quarter (measured
     after a warm-up run, so one-time caches do not count)."""
     family = "1-7t,t,t,t,t,t,t,t"
     points = stack_size(8) + 1  # two chunks

@@ -69,6 +69,7 @@ def test_solve_as_one_batch_is_pinned(pins):
 
 
 if __name__ == "__main__":
-    lines = [f"{json.dumps(s)}: {json.dumps(record(beta_two_way_upper(parse_spectrum(s))))}" for s in solve_cases()]
+    table = {s: record(beta_two_way_upper(parse_spectrum(s))) for s in solve_cases()}
+    lines = [f"{json.dumps(s)}: {json.dumps(r)}" for s, r in table.items()]
     PINS.write_text("{\n" + ",\n".join(lines) + "\n}\n")
     print(f"wrote {len(lines)} pins to {PINS}")
