@@ -17,6 +17,13 @@ stops when the Frank-Wolfe gap sum_k (sum_i g_ki x_ki - min_i g_ki) is at
 most the tolerance; by convexity that gap bounds how far the value lies
 above the minimum (Jaggi, ICML 2013), and it is reported as certified_gap.
 
+The barrier weight t grows BARRIER_GROWTH-fold at each centred iterate,
+and after every new gap it is also raised to at least GAP_FLOOR * m / gap,
+m = d (d + 1) / 2 being the number of log terms.  The centre for weight t
+lies at most m / t above the minimum (ibid., 11.2.2), so a weight below
+m / gap aims at a point the certificate has already passed; the floor
+keeps t in step with the gap and about halves the passes of a solve.
+
 The solve runs on a stack of spectra that share an effective rank
 (beta_two_way_upper_batch; beta_two_way_upper is a batch of one, and a
 sweep solves its points in such batches): each Newton step is one stacked
@@ -33,9 +40,10 @@ pairs, the entries that couple two free entries of one column, and the
 pass writes them into the flat KKT systems with one scatter; the barrier
 diagonal is added through a strided view.  The spectrum's part of those
 entries (two_way.pair_factors) is gathered once per stack and again only
-when rows leave it.  A damped step hands back the accepted entries with
-the table, and a pass after which no row moved (every row only recentred)
-reuses the last gap.
+when rows leave it.  A damped step runs each Armijo trial on the whole
+stack, with a step length per row, and hands back the accepted entries
+with the table; a pass after which no row moved (every row only
+recentred) reuses the last gap.
 
 The exhaustive grid oracle for small d and the exact two-outcome solution
 
@@ -58,9 +66,10 @@ from .two_way import DeltaMatrix, pair_factors, table_layout, trace_T_batch, tra
 
 MAX_ITERS = 500  # Newton steps and barrier updates together
 BARRIER_GROWTH = 10.0
+GAP_FLOOR = 2.0  # t >= GAP_FLOOR * m / gap after every new gap
 CENTRING_TOL = 1e-6  # Newton decrement**2 / 2 of t * f - sum log x at a centred point
 ARMIJO_SLACK = 8.0 * np.finfo(float).eps  # relative to the barrier objective
-BATCH_BYTES = 1 << 20  # stacked solver arrays of one batched solve (_item_bytes each)
+BATCH_BYTES = 1 << 20  # peak solver arrays of one batched solve (_item_bytes each)
 
 
 @dataclass(frozen=True)
@@ -101,14 +110,14 @@ def beta_two_way_qubit_analytic(lam: float) -> tuple[float, float]:
 
 
 def _item_bytes(d: int) -> int:
-    """Bytes one spectrum of effective rank d adds to the stacked arrays of
-    a batched solve: its KKT matrix and LAPACK's copy of it, and a budget
-    of 4 d**3 floats for its table, free entries, gradient, pair Hessian,
-    pair factors and the temporaries of a trace_T_batch call.  tracemalloc
-    measures about 42 KB per spectrum at d = 8 and 80 KB at d = 10, against
-    47 KB and 100 KB here."""
+    """Bytes one spectrum of effective rank d adds to the peak of a batched
+    solve: its KKT matrix, and a budget of 6 d**3 + 24 d**2 + 64 floats for
+    its table, free entries, gradient, pair Hessian and pair factors, the
+    damped step's two live trials and the temporaries of a trace_T_batch
+    call.  tracemalloc measures at most about 1.6 / 11.7 / 84 KB per
+    spectrum at d = 2 / 5 / 10, against 1.9 / 14.5 / 102 KB here."""
     size = d * (d + 1) // 2 + d
-    return 8 * (2 * size * size + 4 * d**3)
+    return 8 * (size * size + 6 * d**3 + 24 * d**2 + 64)
 
 
 def stack_size(d: int) -> int:
@@ -164,6 +173,9 @@ def _barrier_newton(lam: np.ndarray, tol: float):
                 factors = tuple(a[stay] for a in factors)
                 if not live.size:
                     break
+            # At the centre for weight t, f - min f <= m / t: a weight below
+            # m / gap asks for less than the certificate has already shown.
+            np.maximum(t, GAP_FLOOR * m / gap, out=t)
         tx = t[:, None] * x
         grad = g.reshape(live.size, -1).take(layout.entries, axis=1) - 1.0 / tx
         system = kkt[: live.size]
@@ -197,39 +209,36 @@ def _barrier_newton(lam: np.ndarray, tol: float):
 def _damped_step(lam, factors, x, dx, f, t, decrement, entries):
     """One damped Newton step along dx from the table entries x at the flat
     positions entries: fraction to the boundary, then Armijo halving on the
-    barrier objective f - sum log x / t, repeated only for the rows not yet
-    accepted.  A slack of a few ulps of that objective lets through a step
-    whose predicted decrease is below rounding.  Returns the new tables,
-    their entries, and trace_T_batch's value, gradient and pair Hessian
-    there (factors being the rows' pair_factors), evaluated once per
-    trial."""
+    barrier objective f - sum log x / t, with a step length per row.  Every
+    trial runs on the whole stack; a row keeps its first accepted trial, and
+    only the rows not yet accepted halve their step.  A slack of a few ulps
+    of that objective lets through a step whose predicted decrease is below
+    rounding.  Returns the new tables, their entries, and trace_T_batch's
+    value, gradient and pair Hessian there (factors being the rows'
+    pair_factors)."""
     n, d = lam.shape
     ratio = np.divide(-x, dx, out=np.full_like(x, np.inf), where=dx < 0)
     alpha = np.minimum(1.0, 0.99 * ratio.min(axis=1))
     phi = f - np.log(x).sum(axis=1) / t
     slack = ARMIJO_SLACK * np.abs(phi)
     out = None
-    left = np.arange(n)  # the output row of each row still searching
     while True:
         trial = x + alpha[:, None] * dx
-        tables = np.zeros((left.size, d, d))
-        tables.reshape(left.size, -1)[:, entries] = trial
+        tables = np.zeros((n, d, d))
+        tables.reshape(n, -1)[:, entries] = trial
         value, g, H = trace_T_batch(lam, tables, hess=factors)
         ok = value - np.log(trial).sum(axis=1) / t <= phi - 0.25 * alpha * decrement + slack
         found = (tables, trial, value, g, H)
         if out is None:
-            out = found  # its rejected rows are overwritten once accepted
+            out, accepted = found, ok
         else:
+            fresh = ok & ~accepted
             for a, b in zip(out, found):
-                a[left[ok]] = b[ok]
-        if np.count_nonzero(ok) == left.size:
+                a[fresh] = b[fresh]
+            accepted |= fresh
+        if accepted.all():
             return out
-        reject = ~ok
-        left, lam, x, dx, t, phi, slack, decrement, alpha = (
-            a[reject] for a in (left, lam, x, dx, t, phi, slack, decrement, alpha)
-        )
-        factors = tuple(a[reject] for a in factors)
-        alpha *= 0.5
+        alpha[~accepted] *= 0.5
 
 
 def _result(s: SchmidtSpectrum, table: np.ndarray, iterations: int, gap: float, tol: float):
@@ -300,12 +309,15 @@ def beta_two_way_upper(
     From the uniform table, takes Newton steps on f(x) - (1/t) sum log x_ki
     under the row sums (one KKT system each, kept interior by a
     fraction-to-boundary rule and Armijo halving), multiplying t by
-    BARRIER_GROWTH whenever the iterate is centred.  Stops once the
-    Frank-Wolfe gap is at most config.tol and returns the better of the
-    iterate and the one-way corner, so t_value exceeds the minimum by at
-    most certified_gap; `converged` says whether that happened within
-    MAX_ITERS steps and, for d = 2, matches the analytic solution.  This is
-    beta_two_way_upper_batch on a batch of one.
+    BARRIER_GROWTH whenever the iterate is centred.  After every
+    Frank-Wolfe gap it also raises t to at least GAP_FLOOR * m / gap, with
+    m = d (d + 1) / 2 log terms: the centre for weight t lies within m / t
+    of the minimum, so a lower weight would not tighten what the gap has
+    already certified.  Stops once the gap is at most config.tol and
+    returns the better of the iterate and the one-way corner, so t_value
+    exceeds the minimum by at most certified_gap; `converged` says whether
+    that happened within MAX_ITERS steps and, for d = 2, matches the
+    analytic solution.  This is beta_two_way_upper_batch on a batch of one.
     """
     return beta_two_way_upper_batch([s], config)[0]
 

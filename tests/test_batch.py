@@ -15,10 +15,13 @@ from loccdist.bounds import pure_state_report
 from loccdist.families import BUILTIN_FAMILIES, parse_family, sweep, sweep_rows
 from loccdist.optimize import (
     BATCH_BYTES,
+    OptimizerConfig,
+    _barrier_newton,
     _item_bytes,
     beta_two_way_qubit_analytic,
     beta_two_way_upper,
     beta_two_way_upper_batch,
+    stack_size,
 )
 from loccdist.states import SchmidtSpectrum
 
@@ -123,6 +126,24 @@ def test_sweep_rows_are_the_same_in_any_chunking(monkeypatch, chunk):
     rows = list(sweep_rows(family, 13))
     assert rows == whole
     assert [t for t, _ in rows] == sorted(t for t, _ in rows)
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_full_stack_peak_is_within_its_budget(d):
+    """_item_bytes(d) bounds what each spectrum of a full stack adds to the
+    solve's peak memory, so one stack holds at most BATCH_BYTES."""
+    rng = np.random.default_rng(40 + d)
+    n = stack_size(d)
+    lam = np.sort(rng.dirichlet(np.ones(d), size=n), axis=1)[:, ::-1].copy()
+    tol = OptimizerConfig().tol
+    _barrier_newton(lam[:2], tol)  # one-time caches do not count
+    tracemalloc.start()
+    try:
+        _barrier_newton(lam, tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * _item_bytes(d) <= BATCH_BYTES
 
 
 def test_sweep_memory_is_bounded():
