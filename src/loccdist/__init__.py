@@ -62,6 +62,7 @@ from .two_way import (
     TwoWayProtocol,
     ZeroProbabilityError,
     build_mub_basis,
+    build_two_way_protocol,
     build_two_way_T,
     sigma_A,
     simulate_protocol,
@@ -94,6 +95,7 @@ __all__ = [
     "build_mub_basis",
     "build_one_way_test",
     "build_optimal_separable_povm",
+    "build_two_way_protocol",
     "build_two_way_T",
     "check_lemma3",
     "distinguishable_set_bound",

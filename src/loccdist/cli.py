@@ -38,6 +38,7 @@ from .states import (
 from .two_way import (
     MAX_SAMPLES,
     DeltaMatrix,
+    build_two_way_protocol,
     build_two_way_T,
     simulate_protocol,
     trace_T_closed_form,
@@ -209,7 +210,7 @@ def _verify_checks(s, mc_samples: int, seed: int):
     yield "two-way-perfect-detection", worst_detect, 1e-9
 
     result = beta_two_way_upper(s)
-    _, protocol = build_two_way_T(s, result.best_delta)
+    protocol = build_two_way_protocol(s, result.best_delta)
     rate_psi, _ = simulate_protocol(protocol, "psi", mc_samples, seed)
     yield "monte-carlo-type-1", abs(rate_psi - 1.0), 0.0
     rate_mix, _ = simulate_protocol(protocol, "mixed", mc_samples, seed + 1)

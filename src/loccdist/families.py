@@ -47,8 +47,9 @@ class FamilySpec:
     def d(self) -> int:
         return len(self.base)
 
-    def coefficients(self, t: float) -> np.ndarray:
-        return np.array(self.base) + np.array(self.slope) * t
+    def coefficients(self, t) -> np.ndarray:
+        """lambda(t) for a scalar t, (d,), or an (n,) array of them, (n, d)."""
+        return np.array(self.base) + np.array(self.slope) * np.asarray(t)[..., None]
 
     def validate(self) -> None:
         """Coefficients stay nonnegative and normalised across the range.
@@ -67,10 +68,17 @@ class FamilySpec:
                 raise ValueError(f"family {self.name}: coefficients sum to {float(total)} at t={t}")
 
     def spectrum_at(self, t: float) -> SchmidtSpectrum:
+        return self.spectra_at([t])[0]
+
+    def spectra_at(self, ts) -> list[SchmidtSpectrum]:
+        """The spectrum at each t of ts; raises ValueError if any lies
+        outside the family's range."""
+        ts = np.asarray(ts, dtype=float)
         lo, hi = self.t_range
-        if not lo - FEAS_TOL <= t <= hi + FEAS_TOL:
-            raise ValueError(f"t={t} outside range [{lo}, {hi}]")
-        return SchmidtSpectrum(np.clip(self.coefficients(t), 0.0, None))
+        outside = ~((ts >= lo - FEAS_TOL) & (ts <= hi + FEAS_TOL))  # NaN included
+        if outside.any():
+            raise ValueError(f"t={float(ts[outside][0])} outside range [{lo}, {hi}]")
+        return [SchmidtSpectrum(lam) for lam in np.clip(self.coefficients(ts), 0.0, None)]
 
     def grid(self, points: int) -> np.ndarray:
         check_points(points)
@@ -219,9 +227,9 @@ def sweep_rows(family: FamilySpec, points: int):
     grid = family.grid(points)
     size = stack_size(family.d)
     for lo in range(0, points, size):
-        ts = [float(t) for t in grid[lo : lo + size]]
-        spectra = [family.spectrum_at(t) for t in ts]
-        for t, s, r in zip(ts, spectra, beta_two_way_upper_batch(spectra)):
+        ts = grid[lo : lo + size]
+        spectra = family.spectra_at(ts)
+        for t, s, r in zip(ts.tolist(), spectra, beta_two_way_upper_batch(spectra)):
             yield t, _pure_report(s, s.dim**2, r)
 
 

@@ -43,7 +43,17 @@ entries (two_way.pair_factors) is gathered once per stack and again only
 when rows leave it.  A damped step runs each Armijo trial on the whole
 stack, with a step length per row, and hands back the accepted entries
 with the table; a pass after which no row moved (every row only
-recentred) reuses the last gap.
+recentred) reuses the last gap.  At effective rank 1 the only feasible
+table is [[1]], and its first gap is 0, so that stack takes no step.
+
+A finished stack is also turned into results as a stack (_finish): its
+tables are clipped and renormalised together, and one
+trace_T_closed_form_batch call gives the operator's Tr T at every final
+table and at every one-way corner.  Per spectrum the smaller of the two is
+reported (the barrier table on a tie), the d = 2 analytic check runs, and
+one DeltaMatrix is built.  The certified gap is reported as max(gap, 0):
+it is the rounded difference of two sums and can dip below 0 once the
+tolerance nears rounding.
 
 The exhaustive grid oracle for small d and the exact two-outcome solution
 
@@ -61,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import SchmidtSpectrum
-from .two_way import DeltaMatrix, pair_factors, table_layout, trace_T_batch, trace_T_closed_form
+from .two_way import DeltaMatrix, pair_factors, table_layout, trace_T_batch, trace_T_closed_form_batch
 
 
 MAX_ITERS = 500  # Newton steps and barrier updates together
@@ -79,8 +89,9 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """certified_gap bounds t_value minus the true minimum; it is inf for
-    grid_oracle, whose grid point carries no certificate."""
+    """certified_gap bounds t_value minus the true minimum and is never
+    below 0; it is inf for grid_oracle, whose grid point carries no
+    certificate."""
 
     best_delta: DeltaMatrix
     beta_value: float
@@ -92,10 +103,11 @@ class OptimizationResult:
     certified_gap: float
 
 
-def _as_delta(table: np.ndarray) -> DeltaMatrix:
-    """Clean rounding (clip, renormalise rows) before the validating constructor."""
-    t = np.clip(table, 0.0, None)
-    return DeltaMatrix(t / t.sum(axis=1, keepdims=True))
+def _clean(tables: np.ndarray) -> np.ndarray:
+    """A table, or a stack of them, with rounding cleaned before the
+    validating DeltaMatrix: entries clipped at 0, rows renormalised."""
+    tables = np.clip(tables, 0.0, None)
+    return tables / tables.sum(axis=-1, keepdims=True)
 
 
 def beta_two_way_qubit_analytic(lam: float) -> tuple[float, float]:
@@ -136,6 +148,8 @@ def _barrier_newton(lam: np.ndarray, tol: float):
     row alone, so a row's iterates do not depend on the rest of the stack.
     """
     n, d = lam.shape
+    if d == 1:  # [[1]] is the only feasible table, and its first gap is 0
+        return np.ones((n, 1, 1)), np.ones(n, dtype=int), np.zeros(n)
     layout = table_layout(d)
     m = layout.entries.size
     size = m + d
@@ -241,40 +255,51 @@ def _damped_step(lam, factors, x, dx, f, t, decrement, entries):
         alpha[~accepted] *= 0.5
 
 
-def _result(s: SchmidtSpectrum, table: np.ndarray, iterations: int, gap: float, tol: float):
-    """The OptimizationResult of a finished solve of s."""
-    lam = s.effective
-    d = lam.size
-    D = s.dim**2
+def _finish(spectra, lam, tables, passes, gaps, tol) -> list[OptimizationResult]:
+    """The OptimizationResults of a finished stacked solve of spectra, whose
+    effective spectra are the rows of lam (n, d), from _barrier_newton's
+    tables, passes and gaps."""
+    n, d = lam.shape
+    tables = _clean(tables)
     # The one-way corner is feasible and exact at uniform spectra; taking
     # the better of the two (the barrier table on a tie) keeps
     # beta_two_way_upper <= beta_one_way exactly.
-    delta, corner = _as_delta(table), DeltaMatrix.one_way(d)
-    t_value, t_corner = trace_T_closed_form(s, delta), trace_T_closed_form(s, corner)
-    if t_corner < t_value:
-        delta, t_value = corner, t_corner
-    converged = gap <= tol
-
-    if d == 2:
-        beta_exact, _ = beta_two_way_qubit_analytic(float(lam[1]))
-        if abs(t_value / (d * d) - beta_exact) > 1e-6:
-            warnings.warn(
-                f"barrier solve missed the analytic two-outcome value: "
-                f"{t_value / (d * d):.9f} vs {beta_exact:.9f}",
-                RuntimeWarning,
+    corner = np.zeros((n, d, d))
+    corner[:, :, d - 1] = 1.0
+    values = trace_T_closed_form_batch(np.concatenate([lam, lam]), np.concatenate([tables, corner]))
+    gaps = np.maximum(gaps, 0.0)  # a rounded difference of two sums can dip below 0
+    results = []
+    for k, s in enumerate(spectra):
+        t_value, t_corner = float(values[k]), float(values[n + k])
+        if t_corner < t_value:
+            delta, t_value = DeltaMatrix.one_way(d), t_corner
+        else:
+            delta = DeltaMatrix(tables[k])
+        gap = float(gaps[k])
+        converged = gap <= tol
+        if d == 2:
+            beta_exact, _ = beta_two_way_qubit_analytic(float(lam[k, 1]))
+            if abs(t_value / (d * d) - beta_exact) > 1e-6:
+                warnings.warn(
+                    f"barrier solve missed the analytic two-outcome value: "
+                    f"{t_value / (d * d):.9f} vs {beta_exact:.9f}",
+                    RuntimeWarning,
+                )
+                converged = False
+        D = s.dim**2
+        results.append(
+            OptimizationResult(
+                best_delta=delta,
+                beta_value=t_value / D,
+                method="log-barrier-newton",
+                iterations=int(passes[k]),
+                converged=converged,
+                t_value=t_value,
+                D=D,
+                certified_gap=gap,
             )
-            converged = False
-
-    return OptimizationResult(
-        best_delta=delta,
-        beta_value=t_value / D,
-        method="log-barrier-newton",
-        iterations=iterations,
-        converged=converged,
-        t_value=t_value,
-        D=D,
-        certified_gap=gap,
-    )
+        )
+    return results
 
 
 def beta_two_way_upper_batch(
@@ -295,9 +320,10 @@ def beta_two_way_upper_batch(
         size = stack_size(d)
         for lo in range(0, len(group), size):
             chunk = group[lo : lo + size]
-            tables, passes, gaps = _barrier_newton(np.stack([lams[i] for i in chunk]), config.tol)
-            for i, table, it, gap in zip(chunk, tables, passes, gaps):
-                results[i] = _result(spectra[i], table, int(it), float(gap), config.tol)
+            lam = np.stack([lams[i] for i in chunk])
+            solved = _barrier_newton(lam, config.tol)
+            for i, result in zip(chunk, _finish([spectra[i] for i in chunk], lam, *solved, config.tol)):
+                results[i] = result
     return results
 
 
@@ -383,7 +409,7 @@ def grid_oracle(
         if vals[j] < best_val:
             best_val = float(vals[j])
             best_table = X[j].copy()
-    delta = _as_delta(best_table)
+    delta = DeltaMatrix(_clean(best_table))
     # Grid points may sit on zero entries, where the operator has fewer Bob
     # outcomes than the envelope counts; report the envelope that was searched.
     t_value = float(trace_T_batch(lam, delta.table[None])[0])

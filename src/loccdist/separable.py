@@ -158,10 +158,8 @@ def optimal_test_operator(s: SchmidtSpectrum) -> np.ndarray:
     v = np.zeros(d * d, dtype=complex)
     v[np.arange(d) * d + np.arange(d)] = np.sqrt(lam)
     T = np.outer(v, v.conj())
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                T[i * d + j, i * d + j] += np.sqrt(lam[i] * lam[j])
+    i, j = np.nonzero(~np.eye(d, dtype=bool))
+    T[i * d + j, i * d + j] += np.sqrt(lam[i] * lam[j])
     return T
 
 

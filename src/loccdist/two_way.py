@@ -5,9 +5,9 @@ table, Bob measures a basis that is unbiased for his conditional state, and
 Alice finishes with the support projector of her post-measurement state.
 Bob's elements are rank one, so Alice's conditional state, her projector
 and every accept leaf are rank one too: a protocol is Bob's outcome counts
-r_i plus two padded arrays of vectors (his xi_ij, Alice's final v_ij), and
-build_two_way_T assembles T from them as a SeparableForm (LOCC tests are
-separable), without an eigensolve or a loop.
+r_i plus two padded arrays of vectors (his xi_ij, Alice's final v_ij)
+(build_two_way_protocol), and build_two_way_T assembles T from them as a
+SeparableForm (LOCC tests are separable), without an eigensolve or a loop.
 The test detects the pure state perfectly, and its type-2 error is
 
     Tr T = sum_i  r_i * (sum_{k<=i} l_k d_ki**2) / (sum_{k<=i} l_k d_ki)
@@ -23,6 +23,7 @@ all its samples from that table in one multinomial.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -40,6 +41,15 @@ class ZeroProbabilityError(ValueError):
     """Raised when conditioning on an outcome of probability zero."""
 
 
+@functools.cache
+def _strict_lower(d: int) -> np.ndarray:
+    """Read-only (d, d) mask of the entries k > i, structurally zero in a
+    table."""
+    mask = np.tri(d, k=-1, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
 @dataclass(frozen=True)
 class DeltaMatrix:
     """Feasible coefficient table d_ki, 1 <= k <= i <= d.
@@ -52,22 +62,22 @@ class DeltaMatrix:
     table: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=float)
+        t = np.array(self.table, dtype=float)  # a private copy, frozen below
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise ValueError("delta table must be square")
-        if not np.all(np.isfinite(t)):
+        lo, hi = t.min(), t.max()  # NaN reaches both, inf one of them
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("delta entries must be finite")
-        if np.min(t) < -1e-12:
-            raise ValueError(f"negative delta entry {np.min(t):.3e}")
-        lower = np.tril(t, -1)
-        if np.max(np.abs(lower)) > 0:
+        if lo < -1e-12:
+            raise ValueError(f"negative delta entry {lo:.3e}")
+        if t[_strict_lower(t.shape[0])].any():
             raise ValueError("entries with k > i must be structurally zero")
-        sums = t.sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > 1e-12:
-            raise ValueError(f"row sums deviate from 1 by {np.max(np.abs(sums - 1.0)):.3e}")
-        t = np.clip(t, 0.0, None)
+        deviation = np.abs(t.sum(axis=1) - 1.0).max()
+        if deviation > 1e-12:
+            raise ValueError(f"row sums deviate from 1 by {deviation:.3e}")
+        np.maximum(t, 0.0, out=t)  # -0.0 included
+        t.setflags(write=False)
         object.__setattr__(self, "table", t)
-        self.table.setflags(write=False)
 
     @property
     def d(self) -> int:
@@ -215,12 +225,12 @@ def _column_ratios(lam: np.ndarray, tables: np.ndarray):
     return live, safe, np.where(live, (row @ (tables * tables))[:, 0], 0.0) / safe
 
 
-def _supports(lam: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """(d, d) mask: level k lies in the support S_i of column i when
-    l_k d_ki > d eps max_k l_k d_ki, the support_mask cutoff that
-    build_mub_basis applies to Bob's conditional state.  Branch i gives Bob
-    |S_i| outcomes."""
-    return support_mask(lam[:, None] * table, axis=0)
+def _supports(lam: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """Masks of the column supports of a (d, d) table or an (n, d, d) stack
+    (with lam (d,) or (n, d)): level k lies in S_i when l_k d_ki > d eps
+    max_k l_k d_ki, the support_mask cutoff that build_mub_basis applies to
+    Bob's conditional state.  Branch i gives Bob |S_i| outcomes."""
+    return support_mask(lam[..., :, None] * tables, axis=-2)
 
 
 def _fourier(r: int) -> np.ndarray:
@@ -245,16 +255,14 @@ def build_mub_basis(omega, r: int | None = None) -> np.ndarray:
     return v[:, :rank] @ _fourier(rank)
 
 
-def build_two_way_T(s: SchmidtSpectrum, delta: DeltaMatrix):
-    """Assemble the full POVM element of the three-step protocol.
+def build_two_way_protocol(s: SchmidtSpectrum, delta: DeltaMatrix) -> TwoWayProtocol:
+    """The three-step protocol of the table delta, without its operator.
 
-    Returns (T, protocol).  In live branch i Bob measures xi_j, the Fourier
-    transform of the unit vectors on S_i ordered by descending l_k d_ki
-    (ties by ascending k): unbiased for his diagonal conditional state.
-    Alice's conditional state is then |v_ij><v_ij| = P_ij, with v_ij
-    proportional to sqrt(M_i Lambda) conj(xi_j), and T is the SeparableForm
-    sum_ij |u_ij><u_ij| (x) |xi_j><xi_j| of the accept leaves, u_ij =
-    sqrt(M_i) v_ij, over the live (i, j) in row-major order.
+    In live branch i Bob measures xi_j, the Fourier transform of the unit
+    vectors on S_i ordered by descending l_k d_ki (ties by ascending k):
+    unbiased for his diagonal conditional state.  Alice's conditional state
+    is then |v_ij><v_ij| = P_ij, with v_ij proportional to sqrt(M_i Lambda)
+    conj(xi_j).
     """
     lam = s.effective
     d = lam.size
@@ -274,10 +282,23 @@ def build_two_way_T(s: SchmidtSpectrum, delta: DeltaMatrix):
     v = np.sqrt(weights.T)[:, :, None] * bob.conj()
     norm = np.linalg.norm(v, axis=1, keepdims=True)
     alice = np.divide(v, norm, out=np.zeros_like(v), where=norm > 0)
-    u = np.sqrt(delta.table.T)[:, :, None] * alice
-    leaf_u, leaf_xi = u.transpose(0, 2, 1)[inside], bob.transpose(0, 2, 1)[inside]
+    return TwoWayProtocol(s, delta, outcomes, bob, alice)
+
+
+def build_two_way_T(s: SchmidtSpectrum, delta: DeltaMatrix):
+    """Assemble the full POVM element of the three-step protocol.
+
+    Returns (T, protocol), protocol being build_two_way_protocol's.  T is
+    the SeparableForm sum_ij |u_ij><u_ij| (x) |xi_j><xi_j| of the accept
+    leaves, u_ij = sqrt(M_i) v_ij, over the live (i, j) in row-major order.
+    """
+    protocol = build_two_way_protocol(s, delta)
+    d = protocol.d
+    inside = np.arange(d) < protocol.outcomes[:, None]  # [i, j]: j < r_i
+    u = np.sqrt(delta.table.T)[:, :, None] * protocol.alice
+    leaf_u, leaf_xi = u.transpose(0, 2, 1)[inside], protocol.bob.transpose(0, 2, 1)[inside]
     T = SeparableForm((d, d), np.ones(len(leaf_u)), leaf_u, leaf_xi).assemble()
-    return T, TwoWayProtocol(s, delta, outcomes, bob, alice)
+    return T, protocol
 
 
 def trace_T_batch(lam: np.ndarray, tables: np.ndarray, grad: bool = False, hess: bool | tuple = False):
@@ -319,6 +340,14 @@ def trace_T_batch(lam: np.ndarray, tables: np.ndarray, grad: bool = False, hess:
     return value, g, (2.0 * scale).take(column, axis=1) * (diag - lk_lkk * coupling)
 
 
+def trace_T_closed_form_batch(lam: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """trace_T_closed_form of every table of an (n, d, d) stack, under one
+    (d,) spectrum or an (n, d) spectrum per table.  Every operation acts on
+    each table alone, so a value does not depend on the stack it is in."""
+    _, _, ratio = _column_ratios(lam, tables)
+    return (ratio * _supports(lam, tables).sum(axis=1)).sum(axis=1)
+
+
 def trace_T_closed_form(s: SchmidtSpectrum, delta: DeltaMatrix) -> float:
     """Tr T of the protocol build_two_way_T assembles: sum_i r_i N_i / D_i
     over the live columns, with r_i = |S_i| Bob outcomes.  On full support
@@ -326,8 +355,7 @@ def trace_T_closed_form(s: SchmidtSpectrum, delta: DeltaMatrix) -> float:
     lam = s.effective
     if delta.d != lam.size:
         raise ValueError(f"delta has d = {delta.d}, spectrum has effective rank {lam.size}")
-    _, _, ratio = _column_ratios(lam, delta.table[None])
-    return float((ratio * _supports(lam, delta.table).sum(axis=0)).sum(axis=1)[0])
+    return float(trace_T_closed_form_batch(lam, delta.table[None])[0])
 
 
 def _branch_probabilities(protocol: TwoWayProtocol, source: str) -> np.ndarray:

@@ -170,6 +170,33 @@ def test_optimize_with_grid(capsys):
     assert payload["converged"] and 0.0 <= payload["certified_gap"] <= 1e-9
 
 
+@pytest.mark.parametrize("schmidt", ["0.25,0.25,0.25,0.25", "0.4,0.3,0.2,0.1"])
+def test_optimize_gap_never_reads_below_zero(capsys, schmidt):
+    """At --tol 1e-300 the final gap's rounding can dip below 0 (-1.8e-15
+    for 4 x 0.25 before gaps were clipped); the certificate reports 0."""
+    code, out, _ = run(capsys, "optimize", "--schmidt", schmidt, "--tol", "1e-300")
+    assert code == 0
+    assert json.loads(out)["certified_gap"] >= 0.0
+
+
+def test_verify_builds_the_optimal_protocol_without_its_operator(capsys, monkeypatch):
+    """verify assembles T only for its four oracle tables; the simulated
+    protocol comes from build_two_way_protocol alone."""
+    calls = {"T": 0, "protocol": 0}
+    build_T, build_protocol = loccdist.cli.build_two_way_T, loccdist.cli.build_two_way_protocol
+
+    def count(name, build):
+        def counted(*args):
+            calls[name] += 1
+            return build(*args)
+        return counted
+
+    monkeypatch.setattr(loccdist.cli, "build_two_way_T", count("T", build_T))
+    monkeypatch.setattr(loccdist.cli, "build_two_way_protocol", count("protocol", build_protocol))
+    code, _, _ = run(capsys, "verify", "--schmidt", "0.5,0.3,0.2", "--mc-samples", "1000")
+    assert code == 0 and calls == {"T": 4, "protocol": 1}
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(
         capsys, "verify", "--schmidt", "0.75,0.25", "--mc-samples", "20000"

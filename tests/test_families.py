@@ -9,7 +9,7 @@ from loccdist.families import (
     sweep,
 )
 from loccdist.separable import beta_sep_pure
-from loccdist.states import BipartiteState, spectrum
+from loccdist.states import BipartiteState, SchmidtSpectrum, spectrum
 
 
 def test_report_two_qubit_values():
@@ -81,6 +81,23 @@ def test_family_grid_and_range_checks():
         fam.spectrum_at(0.5)
     with pytest.raises(ValueError):
         fam.grid(1)
+
+
+@pytest.mark.parametrize("family", [*BUILTIN_FAMILIES.values(), parse_family("1-t,0.5t,0.5t,0", (0, 2 / 3))])
+def test_stacked_spectra_are_spectrum_at_bit_for_bit(family):
+    """A chunk's spectra are each point's base + slope * t, clipped at 0,
+    to the bit."""
+    ts = family.grid(23)
+    for s, t in zip(family.spectra_at(ts), ts):
+        alone = np.clip(np.array(family.base) + np.array(family.slope) * float(t), 0.0, None)
+        for lam in (family.spectrum_at(float(t)).lambdas, SchmidtSpectrum(alone).lambdas):
+            assert s.lambdas.view(np.uint64).tolist() == lam.view(np.uint64).tolist()
+    lo, hi = family.t_range
+    for bad in (hi + 1e-11, lo - 1e-11, float("nan")):
+        with pytest.raises(ValueError, match=f"^t={bad} outside range"):
+            family.spectra_at(np.append(ts, bad))
+        with pytest.raises(ValueError, match="outside range"):
+            family.spectrum_at(bad)
 
 
 def test_parse_family_round_trip():

@@ -53,6 +53,37 @@ def test_optimizer_rank_one():
     assert grid.t_value == 1.0 and grid.beta_value == 0.25
 
 
+def test_rank_one_spectra_need_no_newton_step(monkeypatch):
+    """[[1]] is the only feasible table at effective rank 1: alone or in a
+    mixed-rank batch, such a spectrum returns it after 1 pass with gap 0 and
+    never reaches a KKT solve (the d = 1 system is 2 x 2)."""
+    solve = np.linalg.solve
+
+    def no_rank_one_solve(a, b):
+        if a.shape[-1] == 2:
+            raise AssertionError("a rank-1 spectrum reached np.linalg.solve")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", no_rank_one_solve)
+    rank_one = [spectrum([1.0]), spectrum([1.0, 0.0, 0.0]), spectrum([1.0 - 1e-13, 1e-13])]
+    mixed = [spectrum([0.6, 0.4]), rank_one[1], spectrum([0.5, 0.3, 0.2]), rank_one[2]]
+    alone = [beta_two_way_upper(s) for s in rank_one]
+    batched = beta_two_way_upper_batch(mixed)[1::2]
+    for res in alone + batched:
+        assert res.iterations == 1 and res.certified_gap == 0.0 and res.t_value == 1.0
+        assert res.converged and res.best_delta.table.tolist() == [[1.0]]
+    assert [r.D for r in alone] == [1, 9, 4]
+
+
+def test_certified_gap_is_never_negative():
+    """At tol = 1e-300 the final gap is a rounded difference of two sums
+    that can come out below 0; the reported certificate reads 0 instead."""
+    config = OptimizerConfig(tol=1e-300)
+    spectra = [spectrum([0.25] * 4), spectrum([0.4, 0.3, 0.2, 0.1]), spectrum([1 / 7] * 7)]
+    for res in beta_two_way_upper_batch(spectra, config):
+        assert res.certified_gap >= 0.0
+
+
 def test_optimizer_objective_is_reported_value():
     # The minimised objective and the reported t_value share one gate: on an
     # exactly uniform spectrum, whose optimum empties every column but the

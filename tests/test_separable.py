@@ -101,6 +101,21 @@ def test_twirl_of_product_seed_gives_optimal_element():
     assert np.max(np.abs(twirl(seed) - optimal_test_operator(s))) <= 1e-12
 
 
+@pytest.mark.parametrize("lam", [[0.75, 0.25], [0.5, 0.3, 0.2, 0.0], [0.4, 0.2, 0.2, 0.1, 0.1]])
+def test_optimal_test_operator_is_its_entrywise_definition(lam):
+    """The indexed diagonal add gives the entrywise definition's T to the bit."""
+    s = spectrum(lam)
+    d = s.dim
+    v = np.zeros(d * d, dtype=complex)
+    v[np.arange(d) * d + np.arange(d)] = np.sqrt(s.lambdas)
+    expected = np.outer(v, v.conj())
+    for i in range(d):
+        for j in range(d):
+            if i != j:
+                expected[i * d + j, i * d + j] += np.sqrt(s.lambdas[i] * s.lambdas[j])
+    assert np.array_equal(optimal_test_operator(s).view(np.uint64), expected.view(np.uint64))
+
+
 def test_twirl_is_idempotent_positive_trace_preserving():
     rng = np.random.default_rng(1)
     for d in (2, 3):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from loccdist.two_way import (
     _column_ratios,
     _supports,
     build_mub_basis,
+    build_two_way_protocol,
     build_two_way_T,
     pair_factors,
     sigma_A,
@@ -20,6 +23,7 @@ from loccdist.two_way import (
     table_layout,
     trace_T_batch,
     trace_T_closed_form,
+    trace_T_closed_form_batch,
     wilson_interval,
 )
 
@@ -38,16 +42,28 @@ def random_psd(d, rng, rank=None):
 
 
 def test_delta_validation():
-    with pytest.raises(ValueError):
-        DeltaMatrix(np.array([[0.5, 0.4], [0.0, 1.0]]))  # row sum 0.9
-    with pytest.raises(ValueError):
-        DeltaMatrix(np.array([[1.0, 0.0], [0.5, 0.5]]))  # structural zero broken
-    with pytest.raises(ValueError):
-        DeltaMatrix(np.array([[1.5, -0.5], [0.0, 1.0]]))  # negative entry
-    with pytest.raises(ValueError):
-        DeltaMatrix(np.array([[np.nan, 1.0], [0.0, 1.0]]))  # NaN fails every comparison
-    with pytest.raises(ValueError):
-        DeltaMatrix(np.array([[np.inf, -np.inf], [0.0, 1.0]]))
+    for table, message in [
+        ([[0.5, 0.4], [0.0, 1.0]], "row sums deviate from 1 by 1.000e-01"),
+        ([[1.0, 0.0], [0.5, 0.5]], "entries with k > i must be structurally zero"),
+        ([[1.5, -0.5], [0.0, 1.0]], "negative delta entry -5.000e-01"),
+        ([[np.nan, 1.0], [0.0, 1.0]], "delta entries must be finite"),  # NaN fails every comparison
+        ([[np.inf, -np.inf], [0.0, 1.0]], "delta entries must be finite"),
+        ([[1.0, 0.0]], "delta table must be square"),
+        ([[[1.0]]], "delta table must be square"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DeltaMatrix(np.array(table))
+
+
+def test_delta_matrix_neither_freezes_nor_aliases_the_callers_array():
+    table = np.array([[1.0 + 1e-13, -1e-13], [-0.0, 1.0]])
+    delta = DeltaMatrix(table)
+    assert table.flags.writeable and not delta.table.flags.writeable
+    assert not np.shares_memory(table, delta.table)
+    # Rounding below 0 is clipped in the copy, -0.0 included.
+    assert delta.table[0, 1] == 0.0 and not np.signbit(delta.table[1, 0])
+    table[0, 0] = 0.5
+    assert delta.table[0, 0] == 1.0 + 1e-13
 
 
 def test_delta_constructors():
@@ -297,6 +313,36 @@ def dense_hessian_blocks(lam, tables):
     H = 2.0 * scale[:, 0, :, None, None] * (diag - lk * np.swapaxes(lk, -1, -2) * coupling)
     keep = upper.T[:, :, None] & upper.T[:, None, :]
     return np.where(keep, H, 0.0)
+
+
+def test_closed_form_batch_is_the_closed_form_in_any_stack():
+    """trace_T_closed_form_batch, under one spectrum or one per table, is
+    trace_T_closed_form of each table to the bit, sparse tables included."""
+    rng = np.random.default_rng(12)
+    for d in (1, 2, 3, 5, 8):
+        spectra = [random_spectrum(d, rng), spectrum([1.0 / d] * d)]
+        deltas = [DeltaMatrix.random(d, rng) for _ in range(3)]
+        deltas += [DeltaMatrix(np.eye(d)), DeltaMatrix.uniform(d), DeltaMatrix.one_way(d)]
+        tables = np.stack([delta.table for delta in deltas])
+        for s in spectra:
+            alone = [trace_T_closed_form(s, delta) for delta in deltas]
+            assert trace_T_closed_form_batch(s.effective, tables).tolist() == alone
+        mixed = np.stack([spectra[k % 2].effective for k in range(len(deltas))])
+        expected = [trace_T_closed_form(spectra[k % 2], delta) for k, delta in enumerate(deltas)]
+        assert trace_T_closed_form_batch(mixed, tables).tolist() == expected
+
+
+def test_protocol_is_build_two_way_T_s_protocol():
+    rng = np.random.default_rng(13)
+    for s in (random_spectrum(4, rng), spectrum([0.5, 0.3, 0.2, 0.0])):
+        for delta in (DeltaMatrix.random(s.rank, rng), DeltaMatrix(np.eye(s.rank))):
+            _, built = build_two_way_T(s, delta)
+            protocol = build_two_way_protocol(s, delta)
+            assert protocol.spectrum is s and protocol.delta is delta
+            for name in ("outcomes", "bob", "alice"):
+                assert np.array_equal(getattr(protocol, name), getattr(built, name))
+    with pytest.raises(ValueError, match="effective rank"):
+        build_two_way_protocol(spectrum([0.5, 0.5]), DeltaMatrix.uniform(3))
 
 
 @pytest.mark.parametrize("d", range(1, 9))
