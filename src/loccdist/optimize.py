@@ -47,13 +47,13 @@ recentred) reuses the last gap.  At effective rank 1 the only feasible
 table is [[1]], and its first gap is 0, so that stack takes no step.
 
 A finished stack is also turned into results as a stack (_finish): its
-tables are clipped and renormalised together, and one
-trace_T_closed_form_batch call gives the operator's Tr T at every final
-table and at every one-way corner.  Per spectrum the smaller of the two is
-reported (the barrier table on a tie), the d = 2 analytic check runs, and
-one DeltaMatrix is built.  The certified gap is reported as max(gap, 0):
-it is the rounded difference of two sums and can dip below 0 once the
-tolerance nears rounding.
+tables are clipped and renormalised together, and one trace_T_closed_form
+call gives the operator's Tr T at every final table.  Per spectrum the
+smaller of that and the one-way corner's d is reported (the barrier table
+on a tie), the d = 2 analytic check runs, and one DeltaMatrix is built.
+The certified gap is reported as max(gap, 0): it is the rounded
+difference of two sums and can dip below 0 once the tolerance nears
+rounding.
 
 The exhaustive grid oracle for small d and the exact two-outcome solution
 
@@ -71,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import SchmidtSpectrum
-from .two_way import DeltaMatrix, pair_factors, table_layout, trace_T_batch, trace_T_closed_form_batch
+from .two_way import DeltaMatrix, pair_factors, table_layout, trace_T_batch, trace_T_closed_form
 
 
 MAX_ITERS = 500  # Newton steps and barrier updates together
@@ -259,18 +259,19 @@ def _finish(spectra, lam, tables, passes, gaps, tol) -> list[OptimizationResult]
     """The OptimizationResults of a finished stacked solve of spectra, whose
     effective spectra are the rows of lam (n, d), from _barrier_newton's
     tables, passes and gaps."""
-    n, d = lam.shape
+    d = lam.shape[1]
     tables = _clean(tables)
+    values = trace_T_closed_form(lam, tables)
     # The one-way corner is feasible and exact at uniform spectra; taking
     # the better of the two (the barrier table on a tie) keeps
-    # beta_two_way_upper <= beta_one_way exactly.
-    corner = np.zeros((n, d, d))
-    corner[:, :, d - 1] = 1.0
-    values = trace_T_closed_form_batch(np.concatenate([lam, lam]), np.concatenate([tables, corner]))
+    # beta_two_way_upper <= beta_one_way exactly.  Its closed form is d to
+    # the bit: its one live column has N = D, and every effective l_k
+    # exceeds states.RANK_TOL = 1e-12, far above the d eps support cutoff.
+    t_corner = float(d)
     gaps = np.maximum(gaps, 0.0)  # a rounded difference of two sums can dip below 0
     results = []
     for k, s in enumerate(spectra):
-        t_value, t_corner = float(values[k]), float(values[n + k])
+        t_value = float(values[k])
         if t_corner < t_value:
             delta, t_value = DeltaMatrix.one_way(d), t_corner
         else:

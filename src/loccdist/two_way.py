@@ -42,10 +42,10 @@ class ZeroProbabilityError(ValueError):
 
 
 @functools.cache
-def _strict_lower(d: int) -> np.ndarray:
-    """Read-only (d, d) mask of the entries k > i, structurally zero in a
-    table."""
-    mask = np.tri(d, k=-1, dtype=bool)
+def _upper(d: int) -> np.ndarray:
+    """Read-only (d, d) mask of the entries k <= i a table may hold
+    (TableLayout.upper)."""
+    mask = np.triu(np.ones((d, d), dtype=bool))
     mask.setflags(write=False)
     return mask
 
@@ -70,7 +70,7 @@ class DeltaMatrix:
             raise ValueError("delta entries must be finite")
         if lo < -1e-12:
             raise ValueError(f"negative delta entry {lo:.3e}")
-        if t[_strict_lower(t.shape[0])].any():
+        if t[~_upper(t.shape[0])].any():
             raise ValueError("entries with k > i must be structurally zero")
         deviation = np.abs(t.sum(axis=1) - 1.0).max()
         if deviation > 1e-12:
@@ -188,7 +188,7 @@ class TableLayout(NamedTuple):
 @functools.cache
 def table_layout(d: int) -> TableLayout:
     """The TableLayout of d x d tables, built once per d."""
-    upper = np.triu(np.ones((d, d), dtype=bool))
+    upper = _upper(d)
     rows, cols = np.nonzero(upper)
     entries = rows * d + cols
     p, q = np.nonzero(cols[:, None] == cols)
@@ -340,22 +340,25 @@ def trace_T_batch(lam: np.ndarray, tables: np.ndarray, grad: bool = False, hess:
     return value, g, (2.0 * scale).take(column, axis=1) * (diag - lk_lkk * coupling)
 
 
-def trace_T_closed_form_batch(lam: np.ndarray, tables: np.ndarray) -> np.ndarray:
-    """trace_T_closed_form of every table of an (n, d, d) stack, under one
-    (d,) spectrum or an (n, d) spectrum per table.  Every operation acts on
-    each table alone, so a value does not depend on the stack it is in."""
-    _, _, ratio = _column_ratios(lam, tables)
-    return (ratio * _supports(lam, tables).sum(axis=1)).sum(axis=1)
-
-
-def trace_T_closed_form(s: SchmidtSpectrum, delta: DeltaMatrix) -> float:
+def trace_T_closed_form(s: SchmidtSpectrum | np.ndarray, delta: DeltaMatrix | np.ndarray):
     """Tr T of the protocol build_two_way_T assembles: sum_i r_i N_i / D_i
     over the live columns, with r_i = |S_i| Bob outcomes.  On full support
-    r_i = i + 1 and the value is trace_T_batch's to the bit."""
-    lam = s.effective
-    if delta.d != lam.size:
-        raise ValueError(f"delta has d = {delta.d}, spectrum has effective rank {lam.size}")
-    return float(trace_T_closed_form_batch(lam, delta.table[None])[0])
+    r_i = i + 1 and the value is trace_T_batch's to the bit.
+
+    Takes a SchmidtSpectrum and a DeltaMatrix and returns a float, or a
+    stack: effective spectra (d,) or (n, d) and an (n, d, d) array of
+    tables, returning the n values.  Every operation acts on each table
+    alone, so a value does not depend on the stack it is in."""
+    stacked = not isinstance(delta, DeltaMatrix)
+    if stacked:
+        lam, tables = s, delta
+    else:
+        lam, tables = s.effective, delta.table[None]
+        if delta.d != lam.size:
+            raise ValueError(f"delta has d = {delta.d}, spectrum has effective rank {lam.size}")
+    _, _, ratio = _column_ratios(lam, tables)
+    value = (ratio * _supports(lam, tables).sum(axis=1)).sum(axis=1)
+    return value if stacked else float(value[0])
 
 
 def _branch_probabilities(protocol: TwoWayProtocol, source: str) -> np.ndarray:

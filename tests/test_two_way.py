@@ -23,7 +23,6 @@ from loccdist.two_way import (
     table_layout,
     trace_T_batch,
     trace_T_closed_form,
-    trace_T_closed_form_batch,
     wilson_interval,
 )
 
@@ -315,9 +314,10 @@ def dense_hessian_blocks(lam, tables):
     return np.where(keep, H, 0.0)
 
 
-def test_closed_form_batch_is_the_closed_form_in_any_stack():
-    """trace_T_closed_form_batch, under one spectrum or one per table, is
-    trace_T_closed_form of each table to the bit, sparse tables included."""
+def test_closed_form_of_a_stack_is_the_closed_form_of_each_table():
+    """trace_T_closed_form of a stack of tables, under one spectrum or one
+    per table, is its value on each table alone to the bit, sparse tables
+    included."""
     rng = np.random.default_rng(12)
     for d in (1, 2, 3, 5, 8):
         spectra = [random_spectrum(d, rng), spectrum([1.0 / d] * d)]
@@ -326,10 +326,26 @@ def test_closed_form_batch_is_the_closed_form_in_any_stack():
         tables = np.stack([delta.table for delta in deltas])
         for s in spectra:
             alone = [trace_T_closed_form(s, delta) for delta in deltas]
-            assert trace_T_closed_form_batch(s.effective, tables).tolist() == alone
+            assert trace_T_closed_form(s.effective, tables).tolist() == alone
         mixed = np.stack([spectra[k % 2].effective for k in range(len(deltas))])
         expected = [trace_T_closed_form(spectra[k % 2], delta) for k, delta in enumerate(deltas)]
-        assert trace_T_closed_form_batch(mixed, tables).tolist() == expected
+        assert trace_T_closed_form(mixed, tables).tolist() == expected
+
+
+def test_one_way_corner_closed_form_is_d_to_the_bit():
+    """The one-way corner's closed form is exactly d for any effective
+    spectrum, down to coefficients just above RANK_TOL: the stacked finish
+    of the two-way solve compares with d itself."""
+    rng = np.random.default_rng(13)
+    for d in range(1, 11):
+        geometric = 10.0 ** -np.arange(d)
+        lams = [rng.dirichlet(np.ones(d)), geometric / geometric.sum(), np.full(d, 1.0 / d)]
+        tiny = np.full(d, 1.1e-12)
+        tiny[0] = 1.0 - tiny[1:].sum()
+        for lam in lams + [tiny]:
+            s = spectrum(np.sort(lam)[::-1])
+            assert s.effective.size == d
+            assert trace_T_closed_form(s, DeltaMatrix.one_way(d)) == float(d)
 
 
 def test_protocol_is_build_two_way_T_s_protocol():
