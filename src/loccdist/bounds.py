@@ -11,6 +11,7 @@ from .operators import numerical_rank
 from .optimize import OptimizationResult, beta_two_way_upper
 from .separable import beta_sep_pure, sep_lower_bound_mixed
 from .states import BipartiteState, SchmidtSpectrum
+from .two_way import table_layout
 
 ORDER_TOL = 1e-9
 
@@ -63,12 +64,8 @@ class BoundsReport:
 
 
 def _delta_string(delta) -> str:
-    parts = []
-    d = delta.d
-    for k in range(d):
-        for i in range(k, d):
-            parts.append(format(delta.table[k, i], ".9g"))
-    return ",".join(parts)
+    """The table's free entries d_ki, k <= i, row-major, to nine digits."""
+    return ",".join(format(x, ".9g") for x in delta.table[table_layout(delta.d).upper].tolist())
 
 
 def pure_state_report(s: SchmidtSpectrum, dims: tuple[int, int] | None = None) -> BoundsReport:

@@ -17,18 +17,25 @@ stops when the Frank-Wolfe gap sum_k (sum_i g_ki x_ki - min_i g_ki) is at
 most the tolerance; by convexity that gap bounds how far the value lies
 above the minimum (Jaggi, ICML 2013), and it is reported as certified_gap.
 
-The barrier weight t grows BARRIER_GROWTH-fold at each centred iterate,
-and after every new gap it is also raised to at least GAP_FLOOR * m / gap,
-m = d (d + 1) / 2 being the number of log terms.  The centre for weight t
-lies at most m / t above the minimum (ibid., 11.2.2), so a weight below
-m / gap aims at a point the certificate has already passed; the floor
-keeps t in step with the gap and about halves the passes of a solve.
+The barrier weight t starts at 1 and moves only through the certificate:
+after every gap it is raised to at least GAP_FLOOR * m / gap, m = d (d + 1)
+/ 2 being the number of log terms.  The centre for weight t lies at most
+m / t above the minimum (ibid., 11.2.2), so a weight below m / gap aims at
+a point the certificate has already passed.  The floor alone also makes
+the solve converge: at the exact centre for weight t, row k's gap is
+(n_k - 1 / max_i x_ki) / t for its n_k free entries, so the total gap is at
+most (m - d) / t.  Newton steps at a fixed t therefore push the gap below
+2 m / t, and the floor then raises t more than twofold.  (After 200 Newton
+steps at a fixed t, for d = 3, 5, 8 and t = 10, 1e3, 1e6, gap * t / (m - d)
+read between 0.1 and 0.6.)  So every pass does the same: the gap of each
+row, retiring the rows that are done, the floor, and one damped Newton
+step.
 
 The solve runs on a stack of spectra that share an effective rank
 (beta_two_way_upper_batch; beta_two_way_upper is a batch of one, and a
 sweep solves its points in such batches): each Newton step is one stacked
-KKT solve, and the barrier weight, centring test, fraction to the boundary
-and Armijo halving are kept per spectrum.  A spectrum leaves the stack once
+KKT solve, and the barrier weight, fraction to the boundary and Armijo
+halving are kept per spectrum.  A spectrum leaves the stack once
 its own gap is small enough, with its own iteration count.  Every operation
 acts on each spectrum alone, so a result is bit for bit the same in any
 batch.  A stack holds at most BATCH_BYTES of solver arrays; larger groups
@@ -42,9 +49,8 @@ diagonal is added through a strided view.  The spectrum's part of those
 entries (two_way.pair_factors) is gathered once per stack and again only
 when rows leave it.  A damped step runs each Armijo trial on the whole
 stack, with a step length per row, and hands back the accepted entries
-with the table; a pass after which no row moved (every row only
-recentred) reuses the last gap.  At effective rank 1 the only feasible
-table is [[1]], and its first gap is 0, so that stack takes no step.
+with the table.  At effective rank 1 the only feasible table is [[1]], and
+its first gap is 0, so that stack takes no step.
 
 A finished stack is also turned into results as a stack (_finish): its
 tables are clipped and renormalised together, and one trace_T_closed_form
@@ -74,10 +80,8 @@ from .states import SchmidtSpectrum
 from .two_way import DeltaMatrix, pair_factors, table_layout, trace_T_batch, trace_T_closed_form
 
 
-MAX_ITERS = 500  # Newton steps and barrier updates together
-BARRIER_GROWTH = 10.0
-GAP_FLOOR = 2.0  # t >= GAP_FLOOR * m / gap after every new gap
-CENTRING_TOL = 1e-6  # Newton decrement**2 / 2 of t * f - sum log x at a centred point
+MAX_ITERS = 500  # passes: each takes a gap, and all but the last one damped step
+GAP_FLOOR = 2.0  # t >= GAP_FLOOR * m / gap after every gap
 ARMIJO_SLACK = 8.0 * np.finfo(float).eps  # relative to the barrier objective
 BATCH_BYTES = 1 << 20  # peak solver arrays of one batched solve (_item_bytes each)
 
@@ -143,7 +147,8 @@ def _barrier_newton(lam: np.ndarray, tol: float):
     effective spectra, as one stacked solve per step.
 
     Returns the final tables (n, d, d) and, per row, the pass at which its
-    Frank-Wolfe gap fell to tol (MAX_ITERS if it never did) and that gap.
+    Frank-Wolfe gap fell to tol (MAX_ITERS if it never did) and the gap of
+    its final table.
     A row leaves the stack once it is done; every operation acts on each
     row alone, so a row's iterates do not depend on the rest of the stack.
     """
@@ -165,31 +170,29 @@ def _barrier_newton(lam: np.ndarray, tol: float):
     X = np.repeat(DeltaMatrix.uniform(d).table[None], n, axis=0)
     x = X.reshape(n, -1).take(layout.entries, axis=1)  # the free entries of X
     factors = pair_factors(lam)  # spectrum-only, gathered again only when rows leave
-    f, g, H = trace_T_batch(lam, X, hess=factors)
+    f, g, H = trace_T_batch(lam, X, factors)
     t = np.ones(n)
     final = np.empty_like(X)
     passes = np.full(n, MAX_ITERS)
     gaps = np.empty(n)
     live = np.arange(n)  # the input row of each row still in the stack
-    moved = True
     for it in range(1, MAX_ITERS + 1):
-        if moved:  # otherwise X, g and so the gap are those of the last pass
-            # By convexity f(X) - min f <= max over vertices V of g . (X - V).
-            vertex = np.where(layout.upper, g, np.inf).min(axis=2).sum(axis=1)
-            gap = (g * X).reshape(live.size, -1).sum(axis=1) - vertex
-            done = gap <= tol
-            if np.count_nonzero(done):
-                final[live[done]] = X[done]
-                passes[live[done]] = it
-                gaps[live[done]] = gap[done]
-                stay = ~done
-                live, lam, t, gap, X, x, f, g, H = (a[stay] for a in (live, lam, t, gap, X, x, f, g, H))
-                factors = tuple(a[stay] for a in factors)
-                if not live.size:
-                    break
-            # At the centre for weight t, f - min f <= m / t: a weight below
-            # m / gap asks for less than the certificate has already shown.
-            np.maximum(t, GAP_FLOOR * m / gap, out=t)
+        # By convexity f(X) - min f <= max over vertices V of g . (X - V).
+        vertex = np.where(layout.upper, g, np.inf).min(axis=2).sum(axis=1)
+        gap = (g * X).reshape(live.size, -1).sum(axis=1) - vertex
+        done = gap <= tol
+        if np.count_nonzero(done):
+            final[live[done]] = X[done]
+            passes[live[done]] = it
+            gaps[live[done]] = gap[done]
+            stay = ~done
+            live, lam, t, gap, X, x, f, g, H = (a[stay] for a in (live, lam, t, gap, X, x, f, g, H))
+            factors = tuple(a[stay] for a in factors)
+        if not live.size or it == MAX_ITERS:  # a row left undone keeps this gap's table
+            break
+        # At the centre for weight t, f - min f <= m / t: a weight below
+        # m / gap asks for less than the certificate has already shown.
+        np.maximum(t, GAP_FLOOR * m / gap, out=t)
         tx = t[:, None] * x
         grad = g.reshape(live.size, -1).take(layout.entries, axis=1) - 1.0 / tx
         system = kkt[: live.size]
@@ -199,24 +202,9 @@ def _barrier_newton(lam: np.ndarray, tol: float):
         rhs[: live.size, :m, 0] = -grad
         dx = np.linalg.solve(system, rhs[: live.size])[:, :m, 0]
         decrement = -(grad[:, None, :] @ dx[:, :, None])[:, 0, 0]
-        centred = t * decrement <= 2.0 * CENTRING_TOL
-        settled = np.count_nonzero(centred)
-        moved = settled < live.size
-        if not settled:
-            X, x, f, g, H = _damped_step(lam, factors, x, dx, f, t, decrement, layout.entries)
-            continue
-        t[centred] *= BARRIER_GROWTH
-        if moved:
-            move = np.flatnonzero(~centred)
-            step = _damped_step(
-                lam[move], tuple(a[move] for a in factors), x[move], dx[move], f[move], t[move],
-                decrement[move], layout.entries,
-            )
-            for a, b in zip((X, x, f, g, H), step):
-                a[move] = b
-    else:  # MAX_ITERS passes, and some rows are not done
-        final[live] = X
-        gaps[live] = gap
+        X, x, f, g, H = _damped_step(lam, factors, x, dx, f, t, decrement, layout.entries)
+    final[live] = X
+    gaps[live] = gap
     return final, passes, gaps
 
 
@@ -240,7 +228,7 @@ def _damped_step(lam, factors, x, dx, f, t, decrement, entries):
         trial = x + alpha[:, None] * dx
         tables = np.zeros((n, d, d))
         tables.reshape(n, -1)[:, entries] = trial
-        value, g, H = trace_T_batch(lam, tables, hess=factors)
+        value, g, H = trace_T_batch(lam, tables, factors)
         ok = value - np.log(trial).sum(axis=1) / t <= phi - 0.25 * alpha * decrement + slack
         found = (tables, trial, value, g, H)
         if out is None:
@@ -333,18 +321,18 @@ def beta_two_way_upper(
 ) -> OptimizationResult:
     """Log-barrier Newton minimiser of the protocol error.
 
-    From the uniform table, takes Newton steps on f(x) - (1/t) sum log x_ki
-    under the row sums (one KKT system each, kept interior by a
-    fraction-to-boundary rule and Armijo halving), multiplying t by
-    BARRIER_GROWTH whenever the iterate is centred.  After every
-    Frank-Wolfe gap it also raises t to at least GAP_FLOOR * m / gap, with
-    m = d (d + 1) / 2 log terms: the centre for weight t lies within m / t
-    of the minimum, so a lower weight would not tighten what the gap has
-    already certified.  Stops once the gap is at most config.tol and
-    returns the better of the iterate and the one-way corner, so t_value
-    exceeds the minimum by at most certified_gap; `converged` says whether
-    that happened within MAX_ITERS steps and, for d = 2, matches the
-    analytic solution.  This is beta_two_way_upper_batch on a batch of one.
+    From the uniform table, each pass takes the Frank-Wolfe gap, raises the
+    barrier weight t (from 1) to at least GAP_FLOOR * m / gap, with
+    m = d (d + 1) / 2 log terms, and takes one Newton step on
+    f(x) - (1/t) sum log x_ki under the row sums (one KKT system, kept
+    interior by a fraction-to-boundary rule and Armijo halving).  The
+    centre for weight t lies within m / t of the minimum, so a lower weight
+    would not tighten what the gap has already certified.  Stops once the
+    gap is at most config.tol and returns the better of the iterate and
+    the one-way corner, so t_value exceeds the minimum by at most
+    certified_gap; `converged` says whether that happened within MAX_ITERS
+    passes and, for d = 2, matches the analytic solution.  This is
+    beta_two_way_upper_batch on a batch of one.
     """
     return beta_two_way_upper_batch([s], config)[0]
 

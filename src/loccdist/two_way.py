@@ -301,39 +301,37 @@ def build_two_way_T(s: SchmidtSpectrum, delta: DeltaMatrix):
     return T, protocol
 
 
-def trace_T_batch(lam: np.ndarray, tables: np.ndarray, grad: bool = False, hess: bool | tuple = False):
+def trace_T_batch(lam: np.ndarray, tables: np.ndarray, factors: tuple | None = None):
     """The paper's closed form sum_i (i + 1) N_i / D_i over the live columns
     of a batch of (n, d, d) upper-triangular tables, under one (d,) spectrum
     or an (n, d) spectrum per table: the convex envelope the optimiser
     minimises.  It is the operator's Tr T (trace_T_closed_form)
     when every live column has full support, as at every interior point.
 
-    With grad=True also returns dTr T / dd_ki = (i + 1) l_k (2 d_ki -
-    N_i / D_i) / D_i, zero below the diagonal and on dropped columns.  With
-    hess also returns the Hessian as the (n, P) entries that couple two free
-    entries of one column (entries of different columns do not interact),
-    in table_layout(d)'s pair order: for the pair (d_ki, d_k'i), with s_i =
-    (i + 1) / D_i and r_i = N_i / D_i,
+    Given factors = pair_factors(lam) of the same lam, which a caller
+    evaluating many batches under one spectrum stack gathers once, returns
+    (value, g, H).  g is dTr T / dd_ki = (i + 1) l_k (2 d_ki - N_i / D_i) /
+    D_i, zero below the diagonal and on dropped columns.  H is the Hessian
+    as the (n, P) entries that couple two free entries of one column
+    (entries of different columns do not interact), in table_layout(d)'s
+    pair order: for the pair (d_ki, d_k'i), with s_i = (i + 1) / D_i and
+    r_i = N_i / D_i,
 
         H = 2 s_i ([k = k'] l_k - l_k l_k' ((d_ki + d_k'i) - r_i) / D_i),
 
-    zero on dropped columns.  hess is True, or the tuple pair_factors(lam)
-    of the same lam, which a caller evaluating many batches under one
-    spectrum stack gathers once.
+    zero on dropped columns.
     """
     layout = table_layout(lam.shape[-1])
     live, safe, ratio = _column_ratios(lam, tables)
     # A row reduction, not a matrix product, so a table's value does not
     # depend on the batch it is evaluated in.
     value = (ratio * layout.weights).sum(axis=1)
-    if not (grad or hess):
+    if factors is None:
         return value
     scale = np.where(live, layout.weights / safe, 0.0)
     g = lam[..., :, None] * (2.0 * tables - ratio[:, None, :]) * scale[:, None, :]
     g = np.where(layout.upper, g, 0.0)
-    if not hess:
-        return value, g
-    lk_lkk, diag = hess if isinstance(hess, tuple) else pair_factors(lam)
+    lk_lkk, diag = factors
     x_p, x_q = tables.reshape(len(tables), -1).take(layout.pair_at, axis=1).swapaxes(0, 1)
     column = layout.pair_col
     coupling = (x_p + x_q - ratio.take(column, axis=1)) / safe.take(column, axis=1)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from loccdist.operators import (
+    as_operator,
     eig_hermitian,
     is_hermitian,
     numerical_rank,
@@ -9,6 +10,7 @@ from loccdist.operators import (
     povm_element_check,
     psd_check,
     psd_sqrt,
+    require_hermitian,
     support_mask,
     support_projection,
     tensor,
@@ -212,9 +214,9 @@ def test_tensor_vec_convention():
     assert np.allclose(tensor_vec(u, v), [0.0, 1.0, 0.0, 0.0])
 
 
-def stack_corpus(d, rng):
-    """A (k, d, d) stack of PSD matrices: random full rank, rank-deficient,
-    tied spectra, zero and rank-one members."""
+def psd_corpus(d, rng):
+    """PSD matrices: random full rank, rank-deficient, tied spectra, zero
+    and rank-one members."""
     members = [random_psd(d, rng) for _ in range(3)]
     for rank in range(1, d):
         g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
@@ -222,7 +224,7 @@ def stack_corpus(d, rng):
     u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
     ties = np.repeat([0.7, 0.2], [d - d // 2, d // 2])
     members += [(u * ties) @ u.conj().T, np.eye(d) / d, np.zeros((d, d))]
-    return np.array(members)
+    return members
 
 
 def reference_psd_sqrt(m):
@@ -237,52 +239,38 @@ def reference_support_projection(m):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 9])
-def test_stacked_kernel_matches_per_matrix(d):
+def test_kernel_matches_reference(d):
     rng = np.random.default_rng(40 + d)
-    stack = stack_corpus(d, rng)
-    w, v = eig_hermitian(stack)
-    roots = psd_sqrt(stack)
-    projs = support_projection(stack)
-    assert w.shape == (len(stack), d) and v.shape == stack.shape
-    for k, m in enumerate(stack):
-        w1, v1 = eig_hermitian(m)
-        assert np.max(np.abs(w[k] - w1)) <= 1e-12
-        assert np.max(np.abs(w[k] - np.linalg.eigvalsh(m)[::-1])) <= 1e-12
-        assert np.all(np.diff(w[k]) <= 0)
-        assert np.max(np.abs((v[k] * w[k]) @ v[k].conj().T - m)) <= 1e-10
-        assert np.max(np.abs(v[k].conj().T @ v[k] - np.eye(d))) <= 1e-12
-        assert np.max(np.abs(roots[k] - psd_sqrt(m))) <= 1e-12
-        assert np.max(np.abs(roots[k] - reference_psd_sqrt(m))) <= 1e-12
-        assert np.max(np.abs(projs[k] - support_projection(m))) <= 1e-12
-        assert np.max(np.abs(projs[k] - reference_support_projection(m))) <= 1e-12
-    assert np.max(np.abs(projs[-1])) == 0.0  # the zero member projects to zero
+    corpus = psd_corpus(d, rng)
+    for m in corpus:
+        w, v = eig_hermitian(m)
+        assert np.max(np.abs(w - np.linalg.eigvalsh(m)[::-1])) <= 1e-12
+        assert np.all(np.diff(w) <= 0)
+        assert np.max(np.abs((v * w) @ v.conj().T - m)) <= 1e-10
+        assert np.max(np.abs(v.conj().T @ v - np.eye(d))) <= 1e-12
+        assert np.max(np.abs(psd_sqrt(m) - reference_psd_sqrt(m))) <= 1e-12
+        assert np.max(np.abs(support_projection(m) - reference_support_projection(m))) <= 1e-12
+    assert np.max(np.abs(support_projection(corpus[-1]))) == 0.0  # the zero member projects to zero
 
 
-def test_stacked_kernel_keeps_leading_axes():
-    rng = np.random.default_rng(50)
-    stack = stack_corpus(3, rng)[:6].reshape(2, 3, 3, 3)
-    flat = stack.reshape(6, 3, 3)
-    assert np.array_equal(eig_hermitian(stack)[0].reshape(6, 3), eig_hermitian(flat)[0])
-    assert np.array_equal(psd_sqrt(stack).reshape(6, 3, 3), psd_sqrt(flat))
-    assert np.array_equal(support_projection(stack).reshape(6, 3, 3), support_projection(flat))
-
-
-def test_stack_with_one_bad_member_raises():
-    rng = np.random.default_rng(51)
-    stack = stack_corpus(3, rng)
-    stack[4] = np.diag([1.0, 0.5, -0.5])
+def test_bad_matrix_raises():
     with pytest.raises(ValueError, match="PSD"):
-        psd_sqrt(stack)
+        psd_sqrt(np.diag([1.0, 0.5, -0.5]))
     with pytest.raises(ValueError, match="negative eigenvalue"):
-        support_projection(stack)
-    stack[4] = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+        support_projection(np.diag([1.0, 0.5, -0.5]))
     with pytest.raises(ValueError, match="Hermitian"):
-        eig_hermitian(stack)
+        eig_hermitian(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
 
 
 def test_single_matrix_functions_reject_stacks():
     stack = np.array([np.eye(2), np.eye(2)])
     for call in (
+        lambda: as_operator(stack),
+        lambda: is_hermitian(stack),
+        lambda: require_hermitian(stack),
+        lambda: eig_hermitian(stack),
+        lambda: psd_sqrt(stack),
+        lambda: support_projection(stack),
         lambda: tensor(stack, np.eye(2)),
         lambda: partial_trace(stack, (1, 2), "A"),
         lambda: numerical_rank(stack),

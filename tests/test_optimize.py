@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from loccdist import optimize
+from loccdist.cli import MAX_LEVELS
 from loccdist.families import BUILTIN_FAMILIES
 from loccdist.optimize import (
     OptimizerConfig,
@@ -9,8 +11,9 @@ from loccdist.optimize import (
     beta_two_way_upper_batch,
     grid_oracle,
 )
+from loccdist.separable import beta_sep_pure
 from loccdist.states import parse_spectrum, spectrum
-from loccdist.two_way import trace_T_batch, trace_T_closed_form
+from loccdist.two_way import pair_factors, table_layout, trace_T_batch, trace_T_closed_form
 from test_cli import fuzz_spectra
 
 
@@ -239,6 +242,33 @@ def test_passes_per_solve_ceiling():
     results = beta_two_way_upper_batch(spectra)
     assert all(r.converged for r in results)
     assert np.mean([r.iterations for r in results]) <= 22
+
+
+@pytest.mark.parametrize("d", [16, MAX_LEVELS])
+def test_solve_converges_above_d_10(d):
+    """A seeded Dirichlet spectrum and one with four-fold ties, at d = 16
+    and at the largest d the command line accepts."""
+    rng = np.random.default_rng(d)
+    tied = np.repeat(rng.dirichlet(np.ones(d // 4)), 4) / 4
+    spectra = [random_spectrum(d, rng), spectrum(np.sort(tied)[::-1])]
+    for s, res in zip(spectra, beta_two_way_upper_batch(spectra)):
+        assert res.converged and res.certified_gap <= 1e-9
+        assert beta_sep_pure(s) <= res.beta_value <= s.rank / s.dim**2
+
+
+def test_gap_at_the_iteration_cap_is_that_of_the_returned_table(monkeypatch):
+    """A solve cut short by MAX_ITERS reports the Frank-Wolfe gap of the
+    table it returns, not of the iterate before it."""
+    monkeypatch.setattr(optimize, "MAX_ITERS", 4)
+    rng = np.random.default_rng(1)
+    for d in (3, 5, 8):
+        s = random_spectrum(d, rng)
+        res = beta_two_way_upper(s)
+        assert not res.converged
+        lam, table = s.effective, res.best_delta.table
+        _, g, _ = trace_T_batch(lam, table[None], pair_factors(lam))
+        vertex = np.where(table_layout(d).upper, g[0], np.inf).min(axis=1).sum()
+        assert abs((g[0] * table).sum() - vertex - res.certified_gap) <= 1e-12
 
 
 CERTIFY_CASES = fuzz_spectra() + [

@@ -262,8 +262,8 @@ def test_objective_gradient_matches_finite_differences(d):
     rng = np.random.default_rng(10 + d)
     lam = random_spectrum(d, rng).effective
     tables = np.stack([DeltaMatrix.random(d, rng).table for _ in range(3)])
-    _, grad, hess = trace_T_batch(lam, tables, hess=True)
-    assert np.array_equal(trace_T_batch(lam, tables, grad=True)[1], grad)
+    factors = pair_factors(lam)
+    _, grad, hess = trace_T_batch(lam, tables, factors)
     layout = table_layout(d)
     h = 1e-6
     for k in range(d):
@@ -271,8 +271,8 @@ def test_objective_gradient_matches_finite_differences(d):
             step = np.zeros((d, d))
             step[k, i] = h
             fd = (trace_T_batch(lam, tables + step) - trace_T_batch(lam, tables - step)) / (2 * h)
-            _, g_plus = trace_T_batch(lam, tables + step, grad=True)
-            _, g_minus = trace_T_batch(lam, tables - step, grad=True)
+            _, g_plus, _ = trace_T_batch(lam, tables + step, factors)
+            _, g_minus, _ = trace_T_batch(lam, tables - step, factors)
             fd_hess = (g_plus - g_minus) / (2 * h)
             if k > i:
                 assert np.all(grad[:, k, i] == 0.0)
@@ -290,9 +290,9 @@ def test_objective_gradient_matches_finite_differences(d):
     # An (n, d) stack of spectra, one per table, gives each table the bits
     # its spectrum gives it alone.
     lams = np.stack([rng.dirichlet(np.ones(d)) for _ in range(len(tables))])
-    stacked = trace_T_batch(lams, tables, hess=True)
+    stacked = trace_T_batch(lams, tables, pair_factors(lams))
     for j in range(len(tables)):
-        alone = trace_T_batch(lams[j], tables[j : j + 1], hess=True)
+        alone = trace_T_batch(lams[j], tables[j : j + 1], pair_factors(lams[j]))
         assert all(np.array_equal(a[j], b[0]) for a, b in zip(stacked, alone))
 
 
@@ -365,8 +365,8 @@ def test_protocol_is_build_two_way_T_s_protocol():
 def test_pair_hessian_is_the_dense_blocks_bit_for_bit(d):
     """Scattered into (n, d, d, d) blocks, the pair entries are the dense
     reference to the bit (signed zeros included), so no entry outside a
-    column pair is nonzero; the same holds under an (n, d) spectrum stack
-    and with precomputed pair_factors."""
+    column pair is nonzero; the same holds under an (n, d) spectrum
+    stack."""
     rng = np.random.default_rng(40 + d)
     tables = [DeltaMatrix.random(d, rng).table for _ in range(4)]
     tables += [np.eye(d), DeltaMatrix.one_way(d).table, DeltaMatrix.uniform(d).table]
@@ -375,13 +375,11 @@ def test_pair_hessian_is_the_dense_blocks_bit_for_bit(d):
     spectra = [random_spectrum(d, rng).effective, np.full(d, 1.0 / d)]
     spectra.append(np.stack([rng.dirichlet(np.ones(d)) for _ in range(len(tables))]))
     for lam in spectra:
-        _, _, pairs = trace_T_batch(lam, tables, hess=True)
+        _, _, pairs = trace_T_batch(lam, tables, pair_factors(lam))
         assert pairs.shape == (len(tables), layout.p.size)
         blocks = np.zeros((len(tables), d, d, d))
         blocks[:, layout.pair_col, layout.rows[layout.p], layout.rows[layout.q]] = pairs
         assert np.array_equal(blocks.view(np.uint64), dense_hessian_blocks(lam, tables).view(np.uint64))
-        reused = trace_T_batch(lam, tables, hess=pair_factors(lam))[2]
-        assert np.array_equal(reused.view(np.uint64), pairs.view(np.uint64))
 
 
 def test_oracle_equivalence_degenerate_spectrum():
