@@ -21,25 +21,22 @@ import numpy as np
 
 from .bounds import _delta_string, pure_state_report
 from .families import check_points, get_family, sweep_rows
-from .one_way import build_one_way_test
+from .one_way import one_way_test_form
 from .operators import eig_hermitian
 from .optimize import OptimizerConfig, beta_two_way_upper, grid_oracle, grid_size
 from .separable import (
     beta_sep_pure,
     build_optimal_separable_povm,
+    certificate_structure_deviation,
+    optimal_test_entries,
+    split_invariant,
     verify_appendix_identity,
 )
-from .states import (
-    MaximallyCorrelatedState,
-    SchmidtSpectrum,
-    parse_spectrum,
-    state_from_spectrum,
-)
+from .states import MaximallyCorrelatedState, SchmidtSpectrum, parse_spectrum
 from .two_way import (
     MAX_SAMPLES,
     DeltaMatrix,
     build_two_way_protocol,
-    build_two_way_T,
     simulate_protocol,
     trace_T_closed_form,
     wilson_interval,
@@ -52,10 +49,12 @@ EXIT_INVARIANT = 3
 
 SEED_HELP = "accepted and ignored: the two-way solve is deterministic"
 
-# Most Schmidt coefficients (or family terms) an input may have.  At 32 a
-# two-way solve takes about 0.4 s and verify about 4 s on 2 vCPUs, with
-# 16 MB per D x D complex matrix; both grow as about d**5 beyond that
-# (d = 48: 2.3 s and 39 s), and at d = 200 the first KKT system alone
+# Most Schmidt coefficients (or family terms) an input may have.  On
+# 2 vCPUs a two-way solve takes about 0.15 s at 32 (d = 16: 8 ms) and
+# verify about 0.22 s (d = 16: 16 ms), the solve included; verify reads
+# d x d blocks and factor vectors, and its one D x D matrix is the optimal
+# separable T (16 MB at 32), read once.  The solve grows as about d**5
+# beyond that (d = 48: 2.3 s), and at d = 200 the first KKT system alone
 # would take 3.3 GB.
 MAX_LEVELS = 32
 
@@ -160,57 +159,67 @@ def cmd_optimize(s, tol, grid_step) -> int:
 
 
 def _verify_checks(s, mc_samples: int, seed: int):
-    """Yield (name, deviation, tolerance) triples for one spectrum."""
+    """Yield (name, deviation, tolerance) triples for one spectrum.
+
+    Every check reads d x d blocks or factor vectors: the separable test
+    through its phase-invariant entries, each certificate and protocol
+    through its SeparableForm's kernels.  No D x D product, eigensolve or
+    assembly runs."""
     d = s.rank
-    D = s.dim**2
+    dim = s.dim
     dev = verify_appendix_identity(s)
     yield "appendix-identity", dev, 1e-9
 
     pair = build_optimal_separable_povm(s)
-    w, _ = eig_hermitian(pair.T)
-    yield "povm-element-range", max(-w[-1], w[0] - 1.0, 0.0), 1e-9
-    psi = state_from_spectrum(s).psi
-    yield "perfect-detection-sep", abs(
-        float(np.real(psi.conj() @ pair.T @ psi)) - 1.0
-    ), 1e-10
-    yield "trace-formula-sep", abs(
-        float(np.trace(pair.T).real) - beta_sep_pure(s) * D
-    ), 1e-10
-    assembly = max(
-        float(np.max(np.abs(pair.T_form.assemble() - pair.T))),
-        float(
-            np.max(np.abs(pair.complement_form.assemble() - (np.eye(s.dim**2) - pair.T)))
-        ),
+    block, diag, outside = split_invariant(pair.T)
+    t_block, t_diag = optimal_test_entries(s)
+    structure = max(
+        outside, float(np.abs(block - t_block).max()), float(np.abs(diag - t_diag).max())
     )
+    w, _ = eig_hermitian(block)
+    # T is the block on span{|jj>} plus the scalars <jk|T|jk>, j != k.
+    spectrum = np.concatenate([w, diag[~np.eye(dim, dtype=bool)].real])
+    yield "povm-element-range", max(structure, -spectrum.min(), spectrum.max() - 1.0, 0.0), 1e-9
+    root = np.sqrt(s.lambdas)
+    yield "perfect-detection-sep", abs(float((root @ block @ root).real) - 1.0), 1e-10
+    yield "trace-formula-sep", abs(float(diag.sum().real) - beta_sep_pure(s) * dim**2), 1e-10
+    assembly = certificate_structure_deviation(pair)
+    for form, want_block, want_diag in (
+        (pair.T_form, block, diag),
+        (pair.complement_form, np.eye(dim) - block, 1.0 - diag),
+    ):
+        form_block, form_diag = form.invariant_entries()
+        assembly = max(
+            assembly,
+            float(np.abs(form_block - want_block).max()),
+            float(np.abs(form_diag - want_diag).max()),
+        )
     yield "separable-form-assembly", assembly, 1e-9
     yield "separable-form-psd", max(
         0.0,
         -min(pair.T_form.min_term_eigenvalue(), pair.complement_form.min_term_eigenvalue()),
     ), 1e-10
 
-    mc = MaximallyCorrelatedState.from_spectrum(s)
-    _, T_ow = build_one_way_test(mc)
-    rho = mc.density()
-    yield "perfect-detection-one-way", abs(float(np.trace(rho @ T_ow).real) - 1.0), 1e-10
+    one_way = one_way_test_form(MaximallyCorrelatedState.from_spectrum(s))
+    yield "perfect-detection-one-way", abs(one_way.schmidt_expectation(s.lambdas) - 1.0), 1e-10
 
+    lam = SchmidtSpectrum(s.effective).lambdas
     rng = np.random.default_rng(seed)
     deltas = [DeltaMatrix.uniform(d)] + [DeltaMatrix.random(d, rng) for _ in range(3)]
-    worst_oracle = 0.0
-    worst_detect = 0.0
-    psi_eff = state_from_spectrum(SchmidtSpectrum(s.effective)).psi
-    for delta in deltas:
-        T, _ = build_two_way_T(s, delta)
-        worst_oracle = max(
-            worst_oracle, abs(float(np.trace(T).real) - trace_T_closed_form(s, delta))
-        )
-        worst_detect = max(
-            worst_detect, abs(float(np.real(psi_eff.conj() @ T @ psi_eff)) - 1.0)
-        )
-    yield "two-way-trace-oracle", worst_oracle, 1e-9
-    yield "two-way-perfect-detection", worst_detect, 1e-9
+    forms = [build_two_way_protocol(s, delta).accept_form() for delta in deltas]
+    yield "two-way-trace-oracle", max(
+        abs(form.trace() - trace_T_closed_form(s, delta)) for form, delta in zip(forms, deltas)
+    ), 1e-9
+    yield "two-way-perfect-detection", max(
+        abs(form.schmidt_expectation(lam) - 1.0) for form in forms
+    ), 1e-9
 
     result = beta_two_way_upper(s)
     protocol = build_two_way_protocol(s, result.best_delta)
+    form = protocol.accept_form()
+    yield "two-way-optimal-trace", abs(form.trace() - result.t_value), 1e-9
+    yield "two-way-optimal-detection", abs(form.schmidt_expectation(lam) - 1.0), 1e-9
+    yield "two-way-optimal-validity", protocol.validity_defect(), 1e-9
     rate_psi, _ = simulate_protocol(protocol, "psi", mc_samples, seed)
     yield "monte-carlo-type-1", abs(rate_psi - 1.0), 0.0
     rate_mix, _ = simulate_protocol(protocol, "mixed", mc_samples, seed + 1)

@@ -21,6 +21,7 @@ from .operators import (
     support_mask,
     tensor,
 )
+from .separable import SeparableForm
 from .states import BipartiteState, MaximallyCorrelatedState
 
 
@@ -66,11 +67,15 @@ class OneWayProtocol:
                     raise ValueError("non-PSD element in Bob's POVM")
 
 
+def _support(mc: MaximallyCorrelatedState) -> np.ndarray:
+    """Mask of the indices i with alpha_ii > 0 (numerically)."""
+    return support_mask(np.real(np.diag(mc.alpha)))
+
+
 def _rank_reduced(state) -> tuple[int, int]:
     """(rank of rho_A, total dimension) for either state type."""
     if isinstance(state, MaximallyCorrelatedState):
-        diag = np.real(np.diag(state.alpha))
-        rank = int(support_mask(diag).sum())
+        rank = int(_support(state).sum())
         dA, dB = state.dims
         return rank, dA * dB
     red = state.reduced("A")
@@ -91,18 +96,24 @@ def one_way_is_exact(state) -> bool:
     )
 
 
+def one_way_test_form(mc: MaximallyCorrelatedState) -> SeparableForm:
+    """The matching-outcome test as the SeparableForm sum over the support
+    of |u_i><u_i| (x) |v_i><v_i|, its matched pairs in increasing i."""
+    pick = np.flatnonzero(_support(mc))
+    return SeparableForm(mc.dims, np.ones(pick.size), mc.basis_a[:, pick].T, mc.basis_b[:, pick].T)
+
+
 def build_one_way_test(mc: MaximallyCorrelatedState):
     """The matching-outcome test for a maximally correlated state.
 
     Both parties measure the correlated bases and accept iff the outcomes
     agree on an index with alpha_ii > 0.  Returns (protocol, T) with
-    T = sum over the support of |u_i v_i><u_i v_i|, which detects the state
-    perfectly with Tr T = rank(rho_A).
+    T = sum over the support of |u_i v_i><u_i v_i|, assembled from
+    one_way_test_form, which detects the state perfectly with
+    Tr T = rank(rho_A).
     """
     dA, dB = mc.dims
-    d = mc.d
-    diag = np.real(np.diag(mc.alpha))
-    support = support_mask(diag)
+    support = _support(mc)
 
     alice = [np.outer(mc.basis_a[:, i], mc.basis_a[:, i].conj()) for i in range(mc.basis_a.shape[1])]
     rest_a = np.eye(dA) - sum(alice)
@@ -114,13 +125,13 @@ def build_one_way_test(mc: MaximallyCorrelatedState):
     if np.max(np.abs(rest_b)) > 1e-12:
         bob_elements.append(rest_b)
 
-    accept = frozenset((i, i) for i in range(d) if support[i])
+    accept = frozenset((i, i) for i in range(mc.d) if support[i])
     protocol = OneWayProtocol(
         alice_povm=tuple(alice),
         bob_povms=tuple(tuple(bob_elements) for _ in alice),
         accept=accept,
     )
-    return protocol, protocol.test_operator()
+    return protocol, one_way_test_form(mc).assemble()
 
 
 def check_lemma3(protocol: OneWayProtocol, state, tol: float = ATOL_DERIVED) -> bool:

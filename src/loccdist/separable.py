@@ -5,8 +5,11 @@ state with given Schmidt coefficients, certifies separability of both
 outcomes constructively, and exposes the closed-form error values and the
 mixed-state lower bound.  A certificate is a SeparableForm: weights and
 factor vectors a_n, b_n of sum_n w_n |a_n><a_n| (x) |b_n><b_n|, PSD term
-by term by construction.  The package's other product sum, the two-way
-accept operator, is assembled through the same form.
+by term by construction.  The package's other product sums, the two-way
+accept operator and the one-way matching test, are the same form.  Three
+kernels read a form through its vectors, without assembling it: its trace,
+its expectation on the Schmidt state sum_k sqrt(l_k) |kk>, and its
+phase-invariant entries (a d x d block and a d x d diagonal).
 
 The group average over the diagonal local phase unitaries is realised in two
 equivalent exact ways:
@@ -21,16 +24,33 @@ equivalent exact ways:
     the invariant modes kept by `twirl`.  The T certificate has
     2 max(s) + 1 terms (3 / 7 / 15 / 41 / 89 / 131 at d = 2 / 3 / 4 / 6 /
     8 / 9), each pair seed of the complement 3.
+
+So each certificate is checked exactly without D x D work (D = d**2):
+its invariant entries against those of T or I - T (split_invariant,
+optimal_test_entries), and its term structure, each term the image of its
+seed under the grid's phase rows with an integer Sidon test on s
+(certificate_structure_deviation), which makes every other entry average
+to zero.  T itself has no other entries, so its spectrum is that of its
+d x d block plus its d (d - 1) off-diagonal scalars.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .operators import as_operator
 from .states import BipartiteState, SchmidtSpectrum, sqrt_trace_reduced
+
+
+def _squared_moduli(x: np.ndarray) -> np.ndarray:
+    return x.real**2 + x.imag**2
+
+
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    return _squared_moduli(x).sum(axis=-1)
 
 
 class SeparableForm:
@@ -62,6 +82,26 @@ class SeparableForm:
         v = (self.a[:, :, None] * self.b[:, None, :]).reshape(-1, self.dims[0] * self.dims[1])
         return (v.T * self.weights) @ v.conj()
 
+    def trace(self) -> float:
+        """Tr = sum_n w_n |a_n|**2 |b_n|**2."""
+        return float(self.weights @ (_squared_norms(self.a) * _squared_norms(self.b)))
+
+    def schmidt_expectation(self, lam) -> float:
+        """<psi| form |psi> on the Schmidt state psi = sum_k sqrt(l_k) |kk>
+        (dA = dB = len(lam)): sum_n w_n |sum_k sqrt(l_k) a_nk b_nk|**2."""
+        amplitudes = (self.a * self.b) @ np.sqrt(lam)
+        return float(self.weights @ _squared_moduli(amplitudes))
+
+    def invariant_entries(self):
+        """The entries `twirl` keeps, (block, diag), on a d x d form:
+        block[j, l] = <jj|form|ll> = sum_n w_n c_nj conj(c_nl) with
+        c_n = a_n * b_n, and diag[j, k] = <jk|form|jk> = sum_n w_n
+        |a_nj|**2 |b_nk|**2.  Each is d x d, whatever the number of terms."""
+        c = self.a * self.b
+        block = (c.T * self.weights) @ c.conj()
+        diag = (_squared_moduli(self.a).T * self.weights) @ _squared_moduli(self.b)
+        return block, diag
+
     def min_term_eigenvalue(self) -> float:
         """Most negative term eigenvalue, 0 for a valid form: rank-one
         factors are PSD, so only a negative weight can go below 0."""
@@ -89,6 +129,15 @@ def global_robustness_pure(s: SchmidtSpectrum) -> float:
     return float(np.sum(np.sqrt(s.lambdas)) ** 2 - 1.0)
 
 
+def _diagonal_pairs(t: np.ndarray) -> tuple[int, np.ndarray]:
+    """(d, the flat indices of |jj>, j = 0..d-1) for an operator on a
+    d x d bipartite space."""
+    d = round(np.sqrt(t.shape[0]))
+    if d * d != t.shape[0]:
+        raise ValueError(f"operator dim {t.shape[0]} is not a perfect square")
+    return d, np.arange(d) * (d + 1)
+
+
 def twirl(t, bases: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Average an operator on a d x d bipartite space over the local diagonal
     phase group of the Schmidt bases.
@@ -101,28 +150,43 @@ def twirl(t, bases: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     defining the Schmidt bases; default is the computational basis.
     """
     t = as_operator(t)
-    D = t.shape[0]
-    d = round(np.sqrt(D))
-    if d * d != D:
-        raise ValueError(f"operator dim {D} is not a perfect square")
+    _, jj = _diagonal_pairs(t)
     if bases is not None:
         E, F = bases
         W = np.kron(np.asarray(E, dtype=complex), np.asarray(F, dtype=complex))
         return W @ twirl(W.conj().T @ t @ W) @ W.conj().T
-    r = t.reshape(d, d, d, d)
-    out = np.zeros_like(r)
-    j = np.arange(d)
-    # Maximally correlated block: rows (j, j), columns (l, l).
-    out[j[:, None], j[:, None], j[None, :], j[None, :]] = r[
-        j[:, None], j[:, None], j[None, :], j[None, :]
-    ]
-    # Product-basis diagonal at j != k.
-    jj, kk = np.meshgrid(j, j, indexing="ij")
-    off = jj != kk
-    out[jj[off], kk[off], jj[off], kk[off]] = r[jj[off], kk[off], jj[off], kk[off]]
-    return out.reshape(D, D)
+    out = np.diag(t.diagonal())
+    out[np.ix_(jj, jj)] = t[np.ix_(jj, jj)]  # the block on span{|jj>}
+    return out
 
 
+def split_invariant(t) -> tuple[np.ndarray, np.ndarray, float]:
+    """The entries of an operator on a d x d bipartite space that `twirl`
+    keeps, read in place: (block, diag, outside) with block[j, l] =
+    <jj|t|ll>, diag[j, k] = <jk|t|jk> and outside the largest |entry| that
+    twirl zeroes, 0.0 for a phase-invariant operator.  One pass over the
+    entries: no product or eigensolve."""
+    t = as_operator(t)
+    d, jj = _diagonal_pairs(t)
+    block = t[np.ix_(jj, jj)]
+    diag = t.diagonal().reshape(d, d)
+    rest = np.abs(t)
+    rest[np.ix_(jj, jj)] = 0.0
+    np.fill_diagonal(rest, 0.0)
+    return block, diag, float(rest.max(initial=0.0))
+
+
+def is_sidon(s) -> bool:
+    """Whether the nonnegative integers s have every sum s_i + s_j, i <= j,
+    distinct.  Then, with N = 2 max(s) + 1, the phase factor
+    exp(2 pi i m (s_p - s_q - s_p' + s_q') / N) of an entry averages to
+    zero over m = 0..N-1 unless {p, q'} = {q, p'}: |s_p - s_q - s_p' + s_q'|
+    is at most N - 1, so it is 0 mod N only when it is 0."""
+    sums = [x + y for i, x in enumerate(s) for y in s[i:]]
+    return all(x == int(x) >= 0 for x in s) and len(set(sums)) == len(sums)
+
+
+@functools.cache
 def sidon_set(n: int) -> tuple[int, ...]:
     """The first n terms of the greedy (Mian-Chowla) Sidon sequence from 0:
     0, 1, 3, 7, 12, 20, 30, 44, 65, 80, ..., all sums s_i + s_j (i <= j)
@@ -143,7 +207,7 @@ def sidon_phase_grid(n: int) -> np.ndarray:
     """N x n phase rows exp(2 pi i m s_j / N), m = 0..N-1, with s = sidon_set(n)
     and N = 2 max(s) + 1; each row carries weight 1 / N in an average."""
     s = np.array(sidon_set(n))
-    N = 2 * s[-1] + 1
+    N = 2 * s.max() + 1
     return np.exp(2j * np.pi * np.outer(np.arange(N), s) / N)
 
 
@@ -163,6 +227,20 @@ def optimal_test_operator(s: SchmidtSpectrum) -> np.ndarray:
     return T
 
 
+def optimal_test_entries(s: SchmidtSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """The invariant entries (block, diag) of optimal_test_operator, in
+    split_invariant's layout: both are sqrt(l) sqrt(l)^T, and T has no other
+    entries."""
+    root = np.sqrt(s.lambdas)
+    r = np.outer(root, root)
+    return r, r
+
+
+def _ordered_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) over the ordered pairs i != j, row-major."""
+    return np.nonzero(~np.eye(d, dtype=bool))
+
+
 def _complement_form(s: SchmidtSpectrum, pair_grid: np.ndarray) -> SeparableForm:
     """The complement seed as a separable form, each pair seed averaged over
     the rows (phase_i, phase_j) of pair_grid.
@@ -178,7 +256,7 @@ def _complement_form(s: SchmidtSpectrum, pair_grid: np.ndarray) -> SeparableForm
     d = s.dim
     root4 = lam**0.25
     sq = np.sqrt(lam)
-    ii, jj = np.nonzero(~np.eye(d, dtype=bool))  # ordered pairs, row-major
+    ii, jj = _ordered_pairs(d)
     pairs = np.arange(ii.size)
     g = len(pair_grid)
     pi, pj = pair_grid[:, 0], pair_grid[:, 1]
@@ -212,22 +290,69 @@ def build_optimal_separable_povm(s: SchmidtSpectrum) -> SeparablePovmPair:
     )
 
 
-def complement_seed(s: SchmidtSpectrum) -> np.ndarray:
-    """The un-twirled complement seed (pair projectors plus diagonal terms)."""
-    return _complement_form(s, np.ones((1, 2))).assemble()
-
-
 def verify_appendix_identity(s: SchmidtSpectrum) -> float:
     """Max deviation of twirl(complement seed) from I - T.
 
-    Zero (to rounding) for every spectrum; the identity is what certifies
-    that the complement of the optimal test is itself separable.
+    Compares the invariant entries of the complement seed's form with those
+    of I - T: the twirl zeroes every other entry, and T has no other
+    entries.  Zero (to rounding) for every spectrum; the identity is what
+    certifies that the complement of the optimal test is itself separable.
     """
-    d = s.dim
-    T = optimal_test_operator(s)
-    averaged = twirl(complement_seed(s))
-    dev = averaged - (np.eye(d * d) - T)
-    return float(np.max(np.abs(dev)))
+    block, diag = _complement_form(s, np.ones((1, 2))).invariant_entries()
+    t_block, t_diag = optimal_test_entries(s)
+    return max(
+        float(np.abs(block - (np.eye(s.dim) - t_block)).max()),
+        float(np.abs(diag - (1.0 - t_diag)).max()),
+    )
+
+
+def _orbit_deviation(a, b, w, grid) -> float:
+    """How far each stack (..., N, n) of terms is from the images of its
+    first term under the phase rows of grid (N, n), at equal weights: a
+    under the phases, b under their conjugates.  Row 0 of grid is all ones."""
+    return max(
+        float(np.abs(a - grid * a[..., :1, :]).max(initial=0.0)),
+        float(np.abs(b - grid.conj() * b[..., :1, :]).max(initial=0.0)),
+        float(np.abs(w - w[..., :1]).max(initial=0.0)),
+    )
+
+
+def certificate_structure_deviation(pair: SeparablePovmPair) -> float:
+    """Max deviation of both certificates from the term structure that makes
+    every entry outside the invariant pattern average to exactly 0; inf
+    when a phase set fails the integer Sidon test or a term count is off.
+
+    T_form's N terms are its first term under the phase rows of
+    sidon_phase_grid(d), N = 2 max(s) + 1.  The complement's terms come in
+    blocks per ordered pair (i, j), as _complement_form lays them out: the
+    pair seed under sidon_phase_grid(2) on levels (i, j), then the
+    diagonal term.  Every factor of the pair vanishes off levels i and j,
+    and the diagonal term's a off level i and b off level j, so its one
+    entry is the invariant <ij|.|ij>.
+    """
+    d = pair.T_form.dims[0]
+    grid, pair_grid = sidon_phase_grid(d), sidon_phase_grid(2)
+    g = len(pair_grid)
+    ii, jj = _ordered_pairs(d)
+    form, comp = pair.T_form, pair.complement_form
+    if not (is_sidon(sidon_set(d)) and is_sidon(sidon_set(2))):
+        return np.inf
+    if form.weights.size != len(grid) or comp.weights.size != ii.size * (g + 1):
+        return np.inf
+    a = comp.a.reshape(ii.size, g + 1, d)
+    b = comp.b.reshape(ii.size, g + 1, d)
+    w = comp.weights.reshape(ii.size, g + 1)
+    on_i, on_j = np.eye(d, dtype=bool)[ii], np.eye(d, dtype=bool)[jj]
+    on_pair = (on_i | on_j)[:, None]
+    outside = [(a[:, :g], on_pair), (b[:, :g], on_pair), (a[:, g], on_i), (b[:, g], on_j)]
+    off = max(float(np.abs(x * ~mask).max(initial=0.0)) for x, mask in outside)
+    levels = np.stack([ii, jj], axis=1)[:, None, :]  # (pairs, 1, 2)
+    on_levels = [np.take_along_axis(x[:, :g], levels, axis=2) for x in (a, b)]
+    return max(
+        _orbit_deviation(form.a, form.b, form.weights, grid),
+        _orbit_deviation(*on_levels, w[:, :g], pair_grid),
+        off,
+    )
 
 
 def sep_lower_bound_mixed(state: BipartiteState) -> float:

@@ -6,9 +6,12 @@ Alice finishes with the support projector of her post-measurement state.
 Bob's elements are rank one, so Alice's conditional state, her projector
 and every accept leaf are rank one too: a protocol is Bob's outcome counts
 r_i plus two padded arrays of vectors (his xi_ij, Alice's final v_ij)
-(build_two_way_protocol), and build_two_way_T assembles T from them as a
-SeparableForm (LOCC tests are separable), without an eigensolve or a loop.
-The test detects the pure state perfectly, and its type-2 error is
+(build_two_way_protocol).  Its accept leaves u_ij = sqrt(M_i) v_ij and
+xi_ij are T as a SeparableForm (accept_form; LOCC tests are separable),
+which build_two_way_T assembles without an eigensolve or a loop; verify
+reads T's trace and detection from the leaves instead, and checks each
+measurement through its vectors (validity_defect).  The test detects the
+pure state perfectly, and its type-2 error is
 
     Tr T = sum_i  r_i * (sum_{k<=i} l_k d_ki**2) / (sum_{k<=i} l_k d_ki)
 
@@ -139,6 +142,32 @@ class TwoWayProtocol:
     @property
     def d(self) -> int:
         return self.delta.d
+
+    def accept_form(self) -> SeparableForm:
+        """The accept leaves as the SeparableForm sum_ij |u_ij><u_ij| (x)
+        |xi_ij><xi_ij|, u_ij = sqrt(M_i) v_ij, over the live (i, j) in
+        row-major order: the protocol's accept operator T, unassembled."""
+        d = self.d
+        inside = np.arange(d) < self.outcomes[:, None]  # [i, j]: j < r_i
+        u = np.sqrt(self.delta.table.T)[:, :, None] * self.alice
+        leaf_u, leaf_xi = u.transpose(0, 2, 1)[inside], self.bob.transpose(0, 2, 1)[inside]
+        return SeparableForm((d, d), np.ones(len(leaf_u)), leaf_u, leaf_xi)
+
+    def validity_defect(self) -> float:
+        """Largest defect of the three measurements, 0 for a valid protocol:
+        in each branch Bob's vectors are orthonormal (and his padding is 0),
+        each of Alice's v_ij is a unit vector (0 for padded j), and the
+        table's entries are nonnegative with rows summing to 1, so that
+        {M_i} resolves the identity."""
+        inside = np.arange(self.d) < self.outcomes[:, None]  # [i, j]: j < r_i
+        gram = self.bob.conj().transpose(0, 2, 1) @ self.bob  # [i, j, j'] = <xi_ij|xi_ij'>
+        table = self.delta.table
+        return max(
+            float(np.abs(gram - inside[:, :, None] * np.eye(self.d)).max()),
+            float(np.abs(np.linalg.norm(self.alice, axis=1) - inside).max()),
+            float(np.abs(table.sum(axis=1) - 1.0).max()),
+            float(-table.min()),
+        )
 
 
 def sigma_A(s: SchmidtSpectrum, M, N) -> np.ndarray:
@@ -288,17 +317,11 @@ def build_two_way_protocol(s: SchmidtSpectrum, delta: DeltaMatrix) -> TwoWayProt
 def build_two_way_T(s: SchmidtSpectrum, delta: DeltaMatrix):
     """Assemble the full POVM element of the three-step protocol.
 
-    Returns (T, protocol), protocol being build_two_way_protocol's.  T is
-    the SeparableForm sum_ij |u_ij><u_ij| (x) |xi_j><xi_j| of the accept
-    leaves, u_ij = sqrt(M_i) v_ij, over the live (i, j) in row-major order.
+    Returns (T, protocol), protocol being build_two_way_protocol's and T
+    its assembled accept_form().
     """
     protocol = build_two_way_protocol(s, delta)
-    d = protocol.d
-    inside = np.arange(d) < protocol.outcomes[:, None]  # [i, j]: j < r_i
-    u = np.sqrt(delta.table.T)[:, :, None] * protocol.alice
-    leaf_u, leaf_xi = u.transpose(0, 2, 1)[inside], protocol.bob.transpose(0, 2, 1)[inside]
-    T = SeparableForm((d, d), np.ones(len(leaf_u)), leaf_u, leaf_xi).assemble()
-    return T, protocol
+    return protocol.accept_form().assemble(), protocol
 
 
 def trace_T_batch(lam: np.ndarray, tables: np.ndarray, factors: tuple | None = None):

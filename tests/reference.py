@@ -1,0 +1,100 @@
+"""Dense references for `loccdist verify`: every check as the D x D
+computation (D = d**2) that the d x d blocks and factor vectors replace.
+
+The tests compare `cli._verify_checks` against `dense_verify_checks`; each
+deviation must agree to rounding.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from loccdist.one_way import build_one_way_test
+from loccdist.operators import eig_hermitian
+from loccdist.optimize import beta_two_way_upper
+from loccdist.separable import (
+    _complement_form,
+    beta_sep_pure,
+    build_optimal_separable_povm,
+    optimal_test_operator,
+    twirl,
+)
+from loccdist.states import MaximallyCorrelatedState, SchmidtSpectrum, state_from_spectrum
+from loccdist.two_way import DeltaMatrix, build_two_way_T, trace_T_closed_form
+
+
+def complement_seed(s: SchmidtSpectrum) -> np.ndarray:
+    """The un-twirled complement seed (pair projectors plus diagonal terms)."""
+    return _complement_form(s, np.ones((1, 2))).assemble()
+
+
+def dense_appendix_identity(s: SchmidtSpectrum) -> float:
+    """Max deviation of twirl(complement seed) from I - T, on D x D matrices."""
+    T = optimal_test_operator(s)
+    return float(np.max(np.abs(twirl(complement_seed(s)) - (np.eye(s.dim**2) - T))))
+
+
+def dense_validity_defect(protocol) -> float:
+    """TwoWayProtocol.validity_defect as a loop over branches and outcomes,
+    with Alice's POVM from its diagonal elements M_i."""
+    d = protocol.d
+    alice = [protocol.delta.alice_element(i) for i in range(d)]
+    defect = float(np.max(np.abs(sum(alice) - np.eye(d))))
+    for i in range(d):
+        defect = max(defect, -float(np.linalg.eigvalsh(alice[i])[0]))
+        r = int(protocol.outcomes[i])
+        xi = protocol.bob[i]
+        gram = xi[:, :r].conj().T @ xi[:, :r]
+        defect = max(defect, float(np.max(np.abs(gram - np.eye(r)), initial=0.0)))
+        for j in range(d):
+            want = 1.0 if j < r else 0.0
+            defect = max(defect, abs(float(np.linalg.norm(protocol.alice[i, :, j])) - want))
+            if j >= r:
+                defect = max(defect, float(np.linalg.norm(xi[:, j])))
+    return defect
+
+
+def dense_verify_checks(s: SchmidtSpectrum, seed: int) -> dict:
+    """name -> deviation for every verify check but the two Monte Carlo
+    ones, from assembled D x D operators and their eigensolves."""
+    d = s.rank
+    D = s.dim**2
+    out = {"appendix-identity": dense_appendix_identity(s)}
+
+    pair = build_optimal_separable_povm(s)
+    w, _ = eig_hermitian(pair.T)
+    out["povm-element-range"] = max(-w[-1], w[0] - 1.0, 0.0)
+    psi = state_from_spectrum(s).psi
+    out["perfect-detection-sep"] = abs(float(np.real(psi.conj() @ pair.T @ psi)) - 1.0)
+    out["trace-formula-sep"] = abs(float(np.trace(pair.T).real) - beta_sep_pure(s) * D)
+    out["separable-form-assembly"] = max(
+        float(np.max(np.abs(pair.T_form.assemble() - pair.T))),
+        float(np.max(np.abs(pair.complement_form.assemble() - (np.eye(D) - pair.T)))),
+    )
+    out["separable-form-psd"] = max(
+        0.0,
+        -min(pair.T_form.min_term_eigenvalue(), pair.complement_form.min_term_eigenvalue()),
+    )
+
+    mc = MaximallyCorrelatedState.from_spectrum(s)
+    protocol, _ = build_one_way_test(mc)
+    T_ow = protocol.test_operator()  # the loop of tensor products
+    out["perfect-detection-one-way"] = abs(float(np.trace(mc.density() @ T_ow).real) - 1.0)
+
+    rng = np.random.default_rng(seed)
+    deltas = [DeltaMatrix.uniform(d)] + [DeltaMatrix.random(d, rng) for _ in range(3)]
+    psi_eff = state_from_spectrum(SchmidtSpectrum(s.effective)).psi
+    oracle, detect = 0.0, 0.0
+    for delta in deltas:
+        T, _ = build_two_way_T(s, delta)
+        oracle = max(oracle, abs(float(np.trace(T).real) - trace_T_closed_form(s, delta)))
+        detect = max(detect, abs(float(np.real(psi_eff.conj() @ T @ psi_eff)) - 1.0))
+    out["two-way-trace-oracle"] = oracle
+    out["two-way-perfect-detection"] = detect
+
+    result = beta_two_way_upper(s)
+    T, protocol = build_two_way_T(s, result.best_delta)
+    out["two-way-optimal-trace"] = abs(float(np.trace(T).real) - result.t_value)
+    out["two-way-optimal-detection"] = abs(float(np.real(psi_eff.conj() @ T @ psi_eff)) - 1.0)
+    out["two-way-optimal-validity"] = dense_validity_defect(protocol)
+    return out

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 import tracemalloc
@@ -7,8 +8,16 @@ import numpy as np
 import pytest
 
 import loccdist.cli
+import loccdist.one_way
+import loccdist.operators
+import loccdist.separable
+import loccdist.two_way
 from loccdist.cli import MAX_LEVELS, main
 from loccdist.optimize import stack_size
+from loccdist.separable import SeparableForm
+from loccdist.states import parse_spectrum
+from loccdist.two_way import TwoWayProtocol
+from reference import dense_verify_checks
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -22,6 +31,9 @@ VERIFY_CHECKS = [
     "perfect-detection-one-way",
     "two-way-trace-oracle",
     "two-way-perfect-detection",
+    "two-way-optimal-trace",
+    "two-way-optimal-detection",
+    "two-way-optimal-validity",
     "monte-carlo-type-1",
     "monte-carlo-type-2",
 ]
@@ -180,10 +192,10 @@ def test_optimize_gap_never_reads_below_zero(capsys, schmidt):
 
 
 def test_verify_builds_the_optimal_protocol_without_its_operator(capsys, monkeypatch):
-    """verify assembles T only for its four oracle tables; the simulated
-    protocol comes from build_two_way_protocol alone."""
+    """verify assembles no T: the four oracle tables and the optimal one
+    are each checked through build_two_way_protocol's vectors."""
     calls = {"T": 0, "protocol": 0}
-    build_T, build_protocol = loccdist.cli.build_two_way_T, loccdist.cli.build_two_way_protocol
+    build_T, build_protocol = loccdist.two_way.build_two_way_T, loccdist.cli.build_two_way_protocol
 
     def count(name, build):
         def counted(*args):
@@ -191,10 +203,10 @@ def test_verify_builds_the_optimal_protocol_without_its_operator(capsys, monkeyp
             return build(*args)
         return counted
 
-    monkeypatch.setattr(loccdist.cli, "build_two_way_T", count("T", build_T))
+    monkeypatch.setattr(loccdist.two_way, "build_two_way_T", count("T", build_T))
     monkeypatch.setattr(loccdist.cli, "build_two_way_protocol", count("protocol", build_protocol))
     code, _, _ = run(capsys, "verify", "--schmidt", "0.5,0.3,0.2", "--mc-samples", "1000")
-    assert code == 0 and calls == {"T": 4, "protocol": 1}
+    assert code == 0 and calls == {"T": 0, "protocol": 5}
 
 
 def test_verify_passes(capsys):
@@ -225,7 +237,7 @@ def test_verify_exactly_uniform_spectrum(capsys, schmidt):
     code, out, _ = run(capsys, "verify", "--schmidt", schmidt, "--mc-samples", "5000")
     assert code == 0
     lines = out.strip().splitlines()
-    assert len(lines) == 11
+    assert len(lines) == 14
     for line in lines:
         assert line.endswith("PASS")
 
@@ -386,7 +398,7 @@ def fuzz_spectra():
     return [",".join(repr(float(x)) for x in lam) for lam in out]
 
 
-@pytest.mark.parametrize("schmidt", fuzz_spectra())
+@pytest.mark.parametrize("schmidt", fuzz_spectra() + ["1", "1,0", "1,0,0", "0.5,0.5,0"])
 def test_verify_fuzz(capsys, schmidt):
     code, out, _ = run(
         capsys, "verify", "--schmidt", schmidt, "--mc-samples", "2000", "--seed", "5"
@@ -398,3 +410,150 @@ def test_verify_fuzz(capsys, schmidt):
     # The ordering chain: `bounds` exits 3 when it is violated.
     code, _, _ = run(capsys, "bounds", "--schmidt", schmidt)
     assert code == 0
+
+
+def seeded_spectra(dims=(8, 9), ranks=(None, 2, 3, 4), seed=2016):
+    """Dirichlet spectra at each d, full rank and zero-padded to each rank."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for d in dims:
+        for rank in ranks:
+            lam = np.zeros(d)
+            lam[: rank or d] = np.sort(rng.dirichlet(np.ones(rank or d)))[::-1]
+            out.append(",".join(repr(float(x)) for x in lam))
+    return out
+
+
+@pytest.mark.parametrize("schmidt", fuzz_spectra() + seeded_spectra())
+def test_verify_matches_its_dense_reference(schmidt):
+    """Every check computed on d x d blocks and vectors is within 1e-12 of
+    the same check on assembled D x D operators."""
+    s = parse_spectrum(schmidt)
+    checks = {name: dev for name, dev, _ in loccdist.cli._verify_checks(s, 2000, 5)}
+    dense = dense_verify_checks(s, 5)
+    assert list(checks) == VERIFY_CHECKS
+    assert set(dense) == set(VERIFY_CHECKS) - {"monte-carlo-type-1", "monte-carlo-type-2"}
+    for name, dev in dense.items():
+        assert abs(checks[name] - dev) <= 1e-12, name
+
+
+def test_verify_at_the_level_cap(capsys):
+    (schmidt,) = seeded_spectra(dims=(MAX_LEVELS,), ranks=(None,), seed=32)
+    code, out, _ = run(capsys, "verify", "--schmidt", schmidt, "--mc-samples", "2000")
+    lines = out.strip().splitlines()
+    assert [line.split()[0] for line in lines] == VERIFY_CHECKS
+    assert all(line.endswith("PASS") for line in lines)
+    assert code == 0
+
+
+def test_verify_does_no_dense_work(capsys, monkeypatch):
+    """At d = 8 verify assembles no form, builds no two-way or one-way
+    operator from products, and eigensolves nothing larger than d x d."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense work on the verify path")
+
+    monkeypatch.setattr(SeparableForm, "assemble", refuse)
+    monkeypatch.setattr(loccdist.two_way, "build_two_way_T", refuse)
+    monkeypatch.setattr(loccdist.one_way.OneWayProtocol, "test_operator", refuse)
+    monkeypatch.setattr(loccdist.one_way, "tensor", refuse)
+    monkeypatch.setattr(loccdist.operators, "tensor", refuse)
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    (schmidt,) = seeded_spectra(dims=(8,), ranks=(None,), seed=8)
+    code, out, _ = run(capsys, "verify", "--schmidt", schmidt, "--mc-samples", "2000")
+    assert code == 0 and "FAIL" not in out
+    assert shapes and all(shape[-1] <= 8 for shape in shapes)
+
+
+def _fails(capsys, name, schmidt="0.5,0.3,0.2"):
+    """Run verify; assert it exits 1 with the named check failing."""
+    code, out, _ = run(capsys, "verify", "--schmidt", schmidt, "--mc-samples", "2000")
+    lines = {line.split()[0]: line for line in out.strip().splitlines()}
+    assert lines[name].endswith("FAIL"), out
+    assert code == 1
+
+
+def _patched_pair(monkeypatch, change):
+    build = loccdist.cli.build_optimal_separable_povm
+
+    def patched(s):
+        return change(build(s))
+
+    monkeypatch.setattr(loccdist.cli, "build_optimal_separable_povm", patched)
+
+
+def test_verify_fails_on_an_entry_outside_the_invariant_pattern(capsys, monkeypatch):
+    def change(pair):
+        T = pair.T.copy()
+        T[1, 2] = T[2, 1] = 1e-6  # <01|T|02>: twirl would zero it
+        return dataclasses.replace(pair, T=T)
+
+    _patched_pair(monkeypatch, change)
+    _fails(capsys, "povm-element-range")
+
+
+def test_verify_fails_on_a_certificate_phase_off_the_grid(capsys, monkeypatch):
+    """Phases on a and their conjugates on b leave every invariant entry as
+    it was; only the orbit structure shows the move."""
+    def change(pair):
+        form = pair.T_form
+        phase = np.exp(1j * np.array([0.0, 0.3, -0.2]))
+        a, b = form.a.copy(), form.b.copy()
+        a[3] *= phase
+        b[3] *= phase.conj()
+        return dataclasses.replace(pair, T_form=SeparableForm(form.dims, form.weights, a, b))
+
+    _patched_pair(monkeypatch, change)
+    _fails(capsys, "separable-form-assembly")
+
+
+def test_verify_fails_on_a_phase_set_that_is_not_sidon(capsys, monkeypatch):
+    sidon_set = loccdist.separable.sidon_set
+    monkeypatch.setattr(
+        loccdist.separable, "sidon_set", lambda n: (0, 1, 2) if n == 3 else sidon_set(n)
+    )
+    _fails(capsys, "separable-form-assembly")
+
+
+def test_verify_fails_on_a_negative_complement_weight(capsys, monkeypatch):
+    def change(pair):
+        form = pair.complement_form
+        w = form.weights.copy()
+        w[0] = -w[0]
+        return dataclasses.replace(
+            pair, complement_form=SeparableForm(form.dims, w, form.a, form.b)
+        )
+
+    _patched_pair(monkeypatch, change)
+    _fails(capsys, "separable-form-psd")
+
+
+def test_verify_fails_on_a_scaled_bob_vector(capsys, monkeypatch):
+    build = loccdist.cli.build_two_way_protocol
+
+    def scaled(s, delta):
+        protocol = build(s, delta)
+        bob = protocol.bob.copy()
+        bob[int(np.argmax(protocol.outcomes)), :, 0] *= 1.001
+        return TwoWayProtocol(protocol.spectrum, protocol.delta, protocol.outcomes.copy(), bob,
+                              protocol.alice.copy())
+
+    monkeypatch.setattr(loccdist.cli, "build_two_way_protocol", scaled)
+    _fails(capsys, "two-way-optimal-validity")
+
+
+def test_verify_fails_on_an_optimal_trace_off_by_1e_6(capsys, monkeypatch):
+    solve = loccdist.cli.beta_two_way_upper
+
+    def shifted(s):
+        result = solve(s)
+        return dataclasses.replace(result, t_value=result.t_value + 1e-6)
+
+    monkeypatch.setattr(loccdist.cli, "beta_two_way_upper", shifted)
+    _fails(capsys, "two-way-optimal-trace")

@@ -101,6 +101,26 @@ def test_one_way_exactness_random_mc_states():
         assert abs(np.trace(T).real - numerical_rank(rho_a)) <= 1e-9
 
 
+def test_build_test_assembles_its_tensor_loop():
+    """T, assembled from one_way_test_form, is the protocol's loop of tensor
+    products: bit for bit on identity bases, to 1e-14 on random ones."""
+    for lam in ([1.0], [0.75, 0.25], [0.5, 0.3, 0.2, 0.0], [0.25] * 4, [0.4, 0.4, 0.2, 0, 0]):
+        protocol, T = build_one_way_test(MaximallyCorrelatedState.from_spectrum(spectrum(lam)))
+        assert np.array_equal(T, protocol.test_operator())
+    rng = np.random.default_rng(17)
+    for d, extra in ((2, 0), (3, 1), (4, 0), (5, 2)):
+        alpha = random_density(d, rng)
+        alpha[-1, :] = alpha[:, -1] = 0.0  # one level off the support
+        alpha /= np.trace(alpha).real
+        qa, qb = (
+            np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+            for n in (d + extra, d)
+        )
+        protocol, T = build_one_way_test(MaximallyCorrelatedState(alpha, qa, qb))
+        assert np.max(np.abs(T - protocol.test_operator())) <= 1e-14
+        assert abs(np.trace(T).real - (d - 1)) <= 1e-12
+
+
 def test_lemma_check_on_built_test():
     mc = MaximallyCorrelatedState.from_spectrum(spectrum([0.6, 0.4]))
     protocol, _ = build_one_way_test(mc)

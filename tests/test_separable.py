@@ -7,13 +7,16 @@ from loccdist.separable import (
     _complement_form,
     beta_sep_pure,
     build_optimal_separable_povm,
-    complement_seed,
+    certificate_structure_deviation,
     distinguishable_set_bound,
     global_robustness_pure,
+    is_sidon,
+    optimal_test_entries,
     optimal_test_operator,
     sep_lower_bound_mixed,
     sidon_phase_grid,
     sidon_set,
+    split_invariant,
     twirl,
     verify_appendix_identity,
 )
@@ -23,6 +26,7 @@ from loccdist.states import (
     spectrum,
     state_from_spectrum,
 )
+from reference import complement_seed, dense_appendix_identity
 
 
 def random_spectrum(d, rng):
@@ -331,3 +335,68 @@ def test_separable_form_assembles_and_holds_read_only_copies():
     empty = SeparableForm((2, 3), [], np.zeros((0, 2)), np.zeros((0, 3)))
     assert len(empty.terms) == 0 and empty.min_term_eigenvalue() == 0.0
     assert np.array_equal(empty.assemble(), np.zeros((6, 6)))
+
+
+def random_form(rng, n, d):
+    """A random complex d x d form of n terms with positive weights."""
+    a = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    b = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    return SeparableForm((d, d), rng.random(n), a, b)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_form_kernels_match_the_assembled_operator(d):
+    """trace, schmidt_expectation and invariant_entries read from the
+    vectors what the assembled operator holds."""
+    rng = np.random.default_rng(40 + d)
+    lam = spectrum(rng.dirichlet(np.ones(d))).lambdas
+    psi = state_from_spectrum(spectrum(lam)).psi
+    for n in (0, 1, 7):
+        form = random_form(rng, n, d)
+        F = form.assemble()
+        scale = max(1.0, float(np.abs(F).max()))
+        assert abs(form.trace() - np.trace(F).real) <= 1e-13 * scale * d * d
+        assert abs(form.schmidt_expectation(lam) - (psi.conj() @ F @ psi).real) <= 1e-13 * scale
+        block, diag = form.invariant_entries()
+        dense_block, dense_diag, _ = split_invariant(F)
+        assert np.max(np.abs(block - dense_block)) <= 1e-13 * scale
+        assert np.max(np.abs(diag - dense_diag)) <= 1e-13 * scale
+
+
+def test_split_invariant_reads_what_twirl_keeps():
+    rng = np.random.default_rng(41)
+    for d in (1, 2, 4):
+        t = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+        block, diag, outside = split_invariant(t)
+        kept = twirl(t)
+        assert np.array_equal(split_invariant(kept)[0], block)
+        assert np.array_equal(split_invariant(kept)[1], diag)
+        assert split_invariant(kept)[2] == 0.0
+        assert outside == np.abs(t - kept).max()
+
+
+@pytest.mark.parametrize("s", equivalence_spectra(), ids=lambda s: f"d{s.dim}")
+def test_optimal_test_entries_are_those_of_the_operator(s):
+    block, diag, outside = split_invariant(optimal_test_operator(s))
+    want_block, want_diag = optimal_test_entries(s)
+    assert outside == 0.0
+    assert np.max(np.abs(block - want_block)) <= 1e-15
+    assert np.max(np.abs(diag - want_diag)) <= 1e-15
+
+
+@pytest.mark.parametrize("s", equivalence_spectra(), ids=lambda s: f"d{s.dim}")
+def test_appendix_identity_matches_its_dense_reference(s):
+    assert abs(verify_appendix_identity(s) - dense_appendix_identity(s)) <= 1e-12
+
+
+def test_is_sidon():
+    assert is_sidon(()) and is_sidon((0,)) and is_sidon((0, 1, 3, 7))
+    assert not is_sidon((0, 1, 2))  # 0 + 2 = 1 + 1
+    assert not is_sidon((0, 3, 3))
+    assert not is_sidon((-1, 0, 2))
+    assert not is_sidon((0, 1.5))
+
+
+@pytest.mark.parametrize("s", equivalence_spectra(), ids=lambda s: f"d{s.dim}")
+def test_certificates_have_the_sidon_orbit_structure(s):
+    assert certificate_structure_deviation(build_optimal_separable_povm(s)) == 0.0

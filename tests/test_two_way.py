@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from reference import dense_validity_defect
 
 from loccdist.operators import eig_hermitian, povm_element_check, support_projection
 from loccdist.states import spectrum, state_from_spectrum
@@ -10,6 +11,7 @@ from loccdist.two_way import (
     DENOM_TOL,
     MAX_SAMPLES,
     DeltaMatrix,
+    TwoWayProtocol,
     ZeroProbabilityError,
     _branch_probabilities,
     _column_ratios,
@@ -694,3 +696,45 @@ def test_sigma_a_stack_matches_per_element():
     N[2] = 0.0
     with pytest.raises(ZeroProbabilityError):
         sigma_A(s, M, N)
+
+
+def test_accept_form_reads_the_assembled_T():
+    """The accept form's trace and Schmidt expectation are those of the T
+    build_two_way_T assembles from it."""
+    for s, delta in equivalence_cases():
+        T, protocol = build_two_way_T(s, delta)
+        form = protocol.accept_form()
+        lam = spectrum(s.effective / s.effective.sum()).lambdas
+        psi = state_from_spectrum(spectrum(lam)).psi
+        assert np.array_equal(form.assemble(), T)
+        assert abs(form.trace() - np.trace(T).real) <= 1e-12
+        assert abs(form.schmidt_expectation(lam) - (psi.conj() @ T @ psi).real) <= 1e-12
+
+
+def test_validity_defect_matches_its_loop_reference():
+    for s, delta in equivalence_cases():
+        protocol = build_two_way_protocol(s, delta)
+        defect = protocol.validity_defect()
+        assert defect <= 1e-12
+        assert abs(defect - dense_validity_defect(protocol)) <= 1e-12
+
+
+def test_validity_defect_sees_each_broken_measurement():
+    s = spectrum([0.5, 0.3, 0.2])
+    protocol = build_two_way_protocol(s, DeltaMatrix.uniform(3))
+    bob, alice = protocol.bob.copy(), protocol.alice.copy()
+    bob[2, :, 1] *= 1.01  # a Bob vector off the unit sphere
+    alice[1, :, 0] *= 0.99  # one of Alice's projectors not a projector
+    table = protocol.delta.table.copy()
+    table[0, 2] += 0.1  # Alice's POVM no longer resolves the identity
+    unchecked = object.__new__(DeltaMatrix)  # DeltaMatrix would reject the table
+    object.__setattr__(unchecked, "table", table)
+    cases = [
+        TwoWayProtocol(s, protocol.delta, protocol.outcomes.copy(), bob, protocol.alice.copy()),
+        TwoWayProtocol(s, protocol.delta, protocol.outcomes.copy(), protocol.bob.copy(), alice),
+        TwoWayProtocol(s, unchecked, protocol.outcomes.copy(), protocol.bob.copy(),
+                       protocol.alice.copy()),
+    ]
+    for broken, defect in zip(cases, (0.0201, 0.01, 0.1)):
+        assert abs(broken.validity_defect() - defect) <= 1e-12
+        assert abs(dense_validity_defect(broken) - defect) <= 1e-12
