@@ -2,10 +2,10 @@
 
 For a pure state with Schmidt coefficients l_1 >= l_2 >= ..., the best
 separable two-outcome test that never misses the state accepts white noise
-with probability (sum_i sqrt(l_i))**2 / d**2.  This script builds the test
-operator T explicitly, certifies that BOTH outcomes {T, I - T} are sums of
-product terms with positive factors, and checks the phase-averaging
-identity that makes the complement separable.
+with probability (sum_i sqrt(l_i))**2 / d**2.  This script builds BOTH
+outcomes {T, I - T} as sums of product terms with positive factors,
+compares their assembled operators with the closed form of T, and checks
+the phase-averaging identity that makes the complement separable.
 
 The product terms come from averaging rank-one seeds over a Sidon phase
 grid (phases exp(2 pi i m s_j / N) for a Sidon set s and N = 2 max(s) + 1),
@@ -25,6 +25,7 @@ from loccdist import (
     build_optimal_separable_povm,
     eig_hermitian,
     global_robustness_pure,
+    optimal_test_operator,
     spectrum,
     state_from_spectrum,
     verify_appendix_identity,
@@ -46,12 +47,15 @@ def main():
         pair = build_optimal_separable_povm(s)
         psi = state_from_spectrum(s).psi
 
-        detection = (psi.conj() @ pair.T @ psi).real
-        trace = np.trace(pair.T).real
-        w, _ = eig_hermitian(pair.T)
-        assembly_T = np.max(np.abs(pair.T_form.assemble() - pair.T))
+        T = pair.T  # assembled from its certificate
+        closed_form = optimal_test_operator(s)
+
+        detection = (psi.conj() @ T @ psi).real
+        trace = np.trace(T).real
+        w, _ = eig_hermitian(T)
+        assembly_T = np.max(np.abs(T - closed_form))
         assembly_C = np.max(
-            np.abs(pair.complement_form.assemble() - (np.eye(d * d) - pair.T))
+            np.abs(pair.complement_form.assemble() - (np.eye(d * d) - closed_form))
         )
         appendix = verify_appendix_identity(s)
 

@@ -253,8 +253,9 @@ def _finish(spectra, lam, tables, passes, gaps, tol) -> list[OptimizationResult]
     # The one-way corner is feasible and exact at uniform spectra; taking
     # the better of the two (the barrier table on a tie) keeps
     # beta_two_way_upper <= beta_one_way exactly.  Its closed form is d to
-    # the bit: its one live column has N = D, and every effective l_k
-    # exceeds states.RANK_TOL = 1e-12, far above the d eps support cutoff.
+    # the bit: its one live column has N = D, and every effective l_k is
+    # about states.RANK_TOL = 1e-12 or more, far above the d eps support
+    # cutoff.
     t_corner = float(d)
     gaps = np.maximum(gaps, 0.0)  # a rounded difference of two sums can dip below 0
     results = []

@@ -1,11 +1,12 @@
 """Separable-POVM discrimination of a pure state against white noise.
 
 Builds the explicit optimal two-outcome separable POVM {T, I - T} for a pure
-state with given Schmidt coefficients, certifies separability of both
-outcomes constructively, and exposes the closed-form error values and the
-mixed-state lower bound.  A certificate is a SeparableForm: weights and
-factor vectors a_n, b_n of sum_n w_n |a_n><a_n| (x) |b_n><b_n|, PSD term
-by term by construction.  The package's other product sums, the two-way
+state with given Schmidt coefficients as the separability certificates of
+its two outcomes, and exposes the closed-form error values and the
+mixed-state lower bound.  T is held only as its certificate; its D x D
+matrix is assembled on request.  A certificate is a SeparableForm: weights
+and factor vectors a_n, b_n of sum_n w_n |a_n><a_n| (x) |b_n><b_n|, PSD
+term by term by construction.  The package's other product sums, the two-way
 accept operator and the one-way matching test, are the same form.  Three
 kernels read a form through its vectors, without assembling it: its trace,
 its expectation on the Schmidt state sum_k sqrt(l_k) |kk>, and its
@@ -26,12 +27,13 @@ equivalent exact ways:
     8 / 9), each pair seed of the complement 3.
 
 So each certificate is checked exactly without D x D work (D = d**2):
-its invariant entries against those of T or I - T (split_invariant,
-optimal_test_entries), and its term structure, each term the image of its
-seed under the grid's phase rows with an integer Sidon test on s
-(certificate_structure_deviation), which makes every other entry average
-to zero.  T itself has no other entries, so its spectrum is that of its
-d x d block plus its d (d - 1) off-diagonal scalars.
+its invariant entries against the closed form of those of T or I - T
+(optimal_test_entries, T's one formula), and its term structure, each term
+the image of its seed under the grid's phase rows with an integer Sidon
+test on s (certificate_structure_deviation), which makes every other entry
+average to zero.  The certified T then has no other entries, so its
+spectrum is that of its d x d block plus its d (d - 1) off-diagonal
+scalars.
 """
 
 from __future__ import annotations
@@ -110,11 +112,16 @@ class SeparableForm:
 
 @dataclass(frozen=True)
 class SeparablePovmPair:
-    """The optimal separable test {T, I - T} with both outcomes certified."""
+    """The optimal separable test {T, I - T}, held as the certificates of
+    its two outcomes."""
 
-    T: np.ndarray
     T_form: SeparableForm
     complement_form: SeparableForm
+
+    @functools.cached_property
+    def T(self) -> np.ndarray:
+        """T as a D x D matrix, assembled from its certificate on first access."""
+        return self.T_form.assemble()
 
 
 def beta_sep_pure(s: SchmidtSpectrum, D: int | None = None) -> float:
@@ -129,13 +136,13 @@ def global_robustness_pure(s: SchmidtSpectrum) -> float:
     return float(np.sum(np.sqrt(s.lambdas)) ** 2 - 1.0)
 
 
-def _diagonal_pairs(t: np.ndarray) -> tuple[int, np.ndarray]:
-    """(d, the flat indices of |jj>, j = 0..d-1) for an operator on a
-    d x d bipartite space."""
+def _diagonal_pairs(t: np.ndarray) -> np.ndarray:
+    """The flat indices of |jj>, j = 0..d-1, for an operator on a d x d
+    bipartite space."""
     d = round(np.sqrt(t.shape[0]))
     if d * d != t.shape[0]:
         raise ValueError(f"operator dim {t.shape[0]} is not a perfect square")
-    return d, np.arange(d) * (d + 1)
+    return np.arange(d) * (d + 1)
 
 
 def twirl(t, bases: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
@@ -150,30 +157,22 @@ def twirl(t, bases: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     defining the Schmidt bases; default is the computational basis.
     """
     t = as_operator(t)
-    _, jj = _diagonal_pairs(t)
+    jj = _diagonal_pairs(t)
     if bases is not None:
         E, F = bases
         W = np.kron(np.asarray(E, dtype=complex), np.asarray(F, dtype=complex))
         return W @ twirl(W.conj().T @ t @ W) @ W.conj().T
-    out = np.diag(t.diagonal())
-    out[np.ix_(jj, jj)] = t[np.ix_(jj, jj)]  # the block on span{|jj>}
+    return _invariant_operator(t[np.ix_(jj, jj)], t.diagonal())
+
+
+def _invariant_operator(block, diag) -> np.ndarray:
+    """The complex operator on a d x d bipartite space whose only entries
+    are the invariant ones: diag[j, k] at <jk|.|jk>, then the d x d block
+    at <jj|.|ll>, which takes precedence on the diagonal."""
+    out = np.diag(np.asarray(diag, dtype=complex).reshape(-1))
+    jj = _diagonal_pairs(out)
+    out[np.ix_(jj, jj)] = block
     return out
-
-
-def split_invariant(t) -> tuple[np.ndarray, np.ndarray, float]:
-    """The entries of an operator on a d x d bipartite space that `twirl`
-    keeps, read in place: (block, diag, outside) with block[j, l] =
-    <jj|t|ll>, diag[j, k] = <jk|t|jk> and outside the largest |entry| that
-    twirl zeroes, 0.0 for a phase-invariant operator.  One pass over the
-    entries: no product or eigensolve."""
-    t = as_operator(t)
-    d, jj = _diagonal_pairs(t)
-    block = t[np.ix_(jj, jj)]
-    diag = t.diagonal().reshape(d, d)
-    rest = np.abs(t)
-    rest[np.ix_(jj, jj)] = 0.0
-    np.fill_diagonal(rest, 0.0)
-    return block, diag, float(rest.max(initial=0.0))
 
 
 def is_sidon(s) -> bool:
@@ -211,29 +210,22 @@ def sidon_phase_grid(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(np.arange(N), s) / N)
 
 
+def optimal_test_entries(s: SchmidtSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """The invariant entries (block, diag) of the optimal separable POVM
+    element, in SeparableForm.invariant_entries' layout: block[j, l] =
+    sqrt(l_j) sqrt(l_l) and diag[j, k] = sqrt(l_j l_k).  T has no other
+    entries."""
+    root = np.sqrt(s.lambdas)
+    return np.outer(root, root), np.sqrt(np.outer(s.lambdas, s.lambdas))
+
+
 def optimal_test_operator(s: SchmidtSpectrum) -> np.ndarray:
-    """The optimal separable POVM element, assembled directly:
+    """The optimal separable POVM element as a D x D matrix:
 
     T = (sum_i sqrt(l_i)|ii>)(sum_j sqrt(l_j)<jj|)
         + sum_{i != j} sqrt(l_i l_j) |ij><ij|
     """
-    lam = s.lambdas
-    d = s.dim
-    v = np.zeros(d * d, dtype=complex)
-    v[np.arange(d) * d + np.arange(d)] = np.sqrt(lam)
-    T = np.outer(v, v.conj())
-    i, j = np.nonzero(~np.eye(d, dtype=bool))
-    T[i * d + j, i * d + j] += np.sqrt(lam[i] * lam[j])
-    return T
-
-
-def optimal_test_entries(s: SchmidtSpectrum) -> tuple[np.ndarray, np.ndarray]:
-    """The invariant entries (block, diag) of optimal_test_operator, in
-    split_invariant's layout: both are sqrt(l) sqrt(l)^T, and T has no other
-    entries."""
-    root = np.sqrt(s.lambdas)
-    r = np.outer(root, root)
-    return r, r
+    return _invariant_operator(*optimal_test_entries(s))
 
 
 def _ordered_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -284,7 +276,6 @@ def build_optimal_separable_povm(s: SchmidtSpectrum) -> SeparablePovmPair:
     d = s.dim
     a = sidon_phase_grid(d) * s.lambdas**0.25
     return SeparablePovmPair(
-        T=optimal_test_operator(s),
         T_form=SeparableForm((d, d), np.full(len(a), 1.0 / len(a)), a, a.conj()),
         complement_form=_complement_form(s, sidon_phase_grid(2)),
     )

@@ -21,8 +21,7 @@ from .operators import (
     tensor_vec,
 )
 
-# Entries at or below this scale count as zero when forming the effective
-# (strictly positive) spectrum.
+# Coefficients at or below this scale are stored as zero.
 RANK_TOL = 1e-12
 
 SUM_TOL = 1e-9  # inputs whose coefficient sum misses 1 by more are rejected
@@ -32,7 +31,9 @@ SUM_TOL = 1e-9  # inputs whose coefficient sum misses 1 by more are rejected
 class SchmidtSpectrum:
     """Ordered Schmidt coefficients; nonnegative, non-increasing, summing to 1.
 
-    The stored length is the embedding dimension d (zeros retained); the
+    The stored length is the embedding dimension d (zeros retained); a
+    coefficient at or below RANK_TOL is stored as 0 and the rest
+    renormalised, so every bound counts the same, nonzero, levels.  The
     effective spectrum strips zeros and drives the protocol constructions,
     while d**2 remains the default normalisation dimension.
     """
@@ -49,7 +50,7 @@ class SchmidtSpectrum:
             raise ValueError(f"negative Schmidt coefficient {np.min(lam):.3e}")
         if np.max(lam) > 1.0 + SUM_TOL:
             raise ValueError(f"Schmidt coefficient {float(np.max(lam))} exceeds 1")
-        lam = np.clip(lam, 0.0, None)
+        lam = np.where(lam > RANK_TOL, lam, 0.0)
         total = lam.sum()
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"coefficients sum to {float(total)}, not 1")
@@ -65,15 +66,13 @@ class SchmidtSpectrum:
 
     @property
     def rank(self) -> int:
-        return int(np.sum(self.lambdas > RANK_TOL))
+        return int(np.count_nonzero(self.lambdas))
 
     @property
     def effective(self) -> np.ndarray:
-        """Coefficients above RANK_TOL, still ordered.  They are not
-        renormalised, so their sum falls short of 1 by the dropped mass.  The
-        closed forms and build_two_way_T depend only on their ratios;
-        _branch_probabilities and verify renormalise through SchmidtSpectrum."""
-        return self.lambdas[self.lambdas > RANK_TOL]
+        """The nonzero coefficients, still ordered: the levels beta_sep
+        counts, summing to 1 up to rounding."""
+        return self.lambdas[self.lambdas > 0.0]
 
     def __iter__(self):
         return iter(self.lambdas)

@@ -112,12 +112,6 @@ class DeltaMatrix:
             t[k, k:] = rng.dirichlet(np.ones(d - k))
         return cls(t)
 
-    def alice_element(self, i: int) -> np.ndarray:
-        """M_i as a diagonal matrix (0-indexed outcome)."""
-        diag = np.zeros(self.d)
-        diag[: i + 1] = self.table[: i + 1, i]
-        return np.diag(diag)
-
 
 @dataclass(frozen=True)
 class TwoWayProtocol:

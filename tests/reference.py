@@ -1,5 +1,6 @@
 """Dense references for `loccdist verify`: every check as the D x D
-computation (D = d**2) that the d x d blocks and factor vectors replace.
+computation (D = d**2) that the d x d blocks and factor vectors replace,
+and the readers of dense operators those computations use.
 
 The tests compare `cli._verify_checks` against `dense_verify_checks`; each
 deviation must agree to rounding.
@@ -10,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from loccdist.one_way import build_one_way_test
-from loccdist.operators import eig_hermitian
+from loccdist.operators import as_operator, eig_hermitian
 from loccdist.optimize import beta_two_way_upper
 from loccdist.separable import (
     _complement_form,
@@ -21,6 +22,30 @@ from loccdist.separable import (
 )
 from loccdist.states import MaximallyCorrelatedState, SchmidtSpectrum, state_from_spectrum
 from loccdist.two_way import DeltaMatrix, build_two_way_T, trace_T_closed_form
+
+
+def split_invariant(t) -> tuple[np.ndarray, np.ndarray, float]:
+    """The entries of an operator on a d x d bipartite space that `twirl`
+    keeps, read in place: (block, diag, outside) with block[j, l] =
+    <jj|t|ll>, diag[j, k] = <jk|t|jk> and outside the largest |entry| that
+    twirl zeroes, 0.0 for a phase-invariant operator."""
+    t = as_operator(t)
+    d = round(np.sqrt(len(t)))
+    jj = np.arange(d) * (d + 1)
+    block = t[np.ix_(jj, jj)]
+    diag = t.diagonal().reshape(d, d)
+    rest = np.abs(t)
+    rest[np.ix_(jj, jj)] = 0.0
+    np.fill_diagonal(rest, 0.0)
+    return block, diag, float(rest.max(initial=0.0))
+
+
+def alice_element(delta: DeltaMatrix, i: int) -> np.ndarray:
+    """Alice's POVM element M_i of the table as a diagonal matrix
+    (0-indexed outcome): M_i = sum_{k <= i} delta[k, i] |k><k|."""
+    diag = np.zeros(delta.d)
+    diag[: i + 1] = delta.table[: i + 1, i]
+    return np.diag(diag)
 
 
 def complement_seed(s: SchmidtSpectrum) -> np.ndarray:
@@ -38,7 +63,7 @@ def dense_validity_defect(protocol) -> float:
     """TwoWayProtocol.validity_defect as a loop over branches and outcomes,
     with Alice's POVM from its diagonal elements M_i."""
     d = protocol.d
-    alice = [protocol.delta.alice_element(i) for i in range(d)]
+    alice = [alice_element(protocol.delta, i) for i in range(d)]
     defect = float(np.max(np.abs(sum(alice) - np.eye(d))))
     for i in range(d):
         defect = max(defect, -float(np.linalg.eigvalsh(alice[i])[0]))
@@ -62,14 +87,16 @@ def dense_verify_checks(s: SchmidtSpectrum, seed: int) -> dict:
     out = {"appendix-identity": dense_appendix_identity(s)}
 
     pair = build_optimal_separable_povm(s)
-    w, _ = eig_hermitian(pair.T)
+    T = pair.T  # the certified operator, assembled
+    w, _ = eig_hermitian(T)
     out["povm-element-range"] = max(-w[-1], w[0] - 1.0, 0.0)
     psi = state_from_spectrum(s).psi
-    out["perfect-detection-sep"] = abs(float(np.real(psi.conj() @ pair.T @ psi)) - 1.0)
-    out["trace-formula-sep"] = abs(float(np.trace(pair.T).real) - beta_sep_pure(s) * D)
+    out["perfect-detection-sep"] = abs(float(np.real(psi.conj() @ T @ psi)) - 1.0)
+    out["trace-formula-sep"] = abs(float(np.trace(T).real) - beta_sep_pure(s) * D)
+    closed_form = optimal_test_operator(s)
     out["separable-form-assembly"] = max(
-        float(np.max(np.abs(pair.T_form.assemble() - pair.T))),
-        float(np.max(np.abs(pair.complement_form.assemble() - (np.eye(D) - pair.T)))),
+        float(np.max(np.abs(T - closed_form))),
+        float(np.max(np.abs(pair.complement_form.assemble() - (np.eye(D) - closed_form)))),
     )
     out["separable-form-psd"] = max(
         0.0,

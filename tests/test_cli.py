@@ -226,6 +226,15 @@ def test_verify_bell(capsys):
         assert line.endswith("PASS")
 
 
+def test_verify_at_the_largest_sample_count(capsys):
+    """rate * n as a float rounds above n; the Wilson count stays in 0..n."""
+    code, out, _ = run(capsys, "verify", "--schmidt", "1", "--mc-samples", str(2**63 - 1))
+    lines = out.strip().splitlines()
+    assert [line.split()[0] for line in lines] == VERIFY_CHECKS
+    assert all(line.endswith("PASS") for line in lines)
+    assert code == 0
+
+
 def test_verify_rejects_malformed(capsys):
     code, _, err = run(capsys, "verify", "--schmidt", "0.9,0.2")
     assert code == 2
@@ -398,7 +407,9 @@ def fuzz_spectra():
     return [",".join(repr(float(x)) for x in lam) for lam in out]
 
 
-@pytest.mark.parametrize("schmidt", fuzz_spectra() + ["1", "1,0", "1,0,0", "0.5,0.5,0"])
+@pytest.mark.parametrize(
+    "schmidt", fuzz_spectra() + ["1", "1,0", "1,0,0", "0.5,0.5,0", "1,1e-13", "0.5,0.5,1e-13"]
+)
 def test_verify_fuzz(capsys, schmidt):
     code, out, _ = run(
         capsys, "verify", "--schmidt", schmidt, "--mc-samples", "2000", "--seed", "5"
@@ -453,6 +464,7 @@ def test_verify_does_no_dense_work(capsys, monkeypatch):
         raise AssertionError("dense work on the verify path")
 
     monkeypatch.setattr(SeparableForm, "assemble", refuse)
+    monkeypatch.setattr(loccdist.separable, "optimal_test_operator", refuse)
     monkeypatch.setattr(loccdist.two_way, "build_two_way_T", refuse)
     monkeypatch.setattr(loccdist.one_way.OneWayProtocol, "test_operator", refuse)
     monkeypatch.setattr(loccdist.one_way, "tensor", refuse)
@@ -469,6 +481,20 @@ def test_verify_does_no_dense_work(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--schmidt", schmidt, "--mc-samples", "2000")
     assert code == 0 and "FAIL" not in out
     assert shapes and all(shape[-1] <= 8 for shape in shapes)
+
+
+def test_verify_at_the_level_cap_holds_no_dense_matrix():
+    """Below one complex D x D matrix (D = 32**2, 16 MiB) at its peak."""
+    (schmidt,) = seeded_spectra(dims=(MAX_LEVELS,), ranks=(None,), seed=32)
+    s = parse_spectrum(schmidt)
+    tracemalloc.start()
+    try:
+        checks = list(loccdist.cli._verify_checks(s, 2000, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(dev <= tol for _, dev, tol in checks)
+    assert peak < 16 * MAX_LEVELS**4
 
 
 def _fails(capsys, name, schmidt="0.5,0.3,0.2"):
@@ -488,11 +514,12 @@ def _patched_pair(monkeypatch, change):
     monkeypatch.setattr(loccdist.cli, "build_optimal_separable_povm", patched)
 
 
-def test_verify_fails_on_an_entry_outside_the_invariant_pattern(capsys, monkeypatch):
+def test_verify_fails_on_a_scaled_test_certificate(capsys, monkeypatch):
+    """Every T_form weight times 1.01 puts T's top eigenvalue at 1.01."""
     def change(pair):
-        T = pair.T.copy()
-        T[1, 2] = T[2, 1] = 1e-6  # <01|T|02>: twirl would zero it
-        return dataclasses.replace(pair, T=T)
+        form = pair.T_form
+        scaled = SeparableForm(form.dims, 1.01 * form.weights, form.a, form.b)
+        return dataclasses.replace(pair, T_form=scaled)
 
     _patched_pair(monkeypatch, change)
     _fails(capsys, "povm-element-range")

@@ -16,7 +16,6 @@ from loccdist.separable import (
     sep_lower_bound_mixed,
     sidon_phase_grid,
     sidon_set,
-    split_invariant,
     twirl,
     verify_appendix_identity,
 )
@@ -26,7 +25,7 @@ from loccdist.states import (
     spectrum,
     state_from_spectrum,
 )
-from reference import complement_seed, dense_appendix_identity
+from reference import complement_seed, dense_appendix_identity, split_invariant
 
 
 def random_spectrum(d, rng):
@@ -182,18 +181,20 @@ def test_povm_corpus_invariants():
         assert abs(np.trace(pair.T).real - np.sum(np.sqrt(s.lambdas)) ** 2) <= 1e-10
         assert pair.T_form.min_term_eigenvalue() >= -1e-10
         assert pair.complement_form.min_term_eigenvalue() >= -1e-10
-        assert np.max(np.abs(pair.T_form.assemble() - pair.T)) <= 1e-9
+        closed = optimal_test_operator(s)
+        assert np.max(np.abs(pair.T_form.assemble() - closed)) <= 1e-9
         eye = np.eye(d * d)
-        assert np.max(np.abs(pair.complement_form.assemble() - (eye - pair.T))) <= 1e-9
+        assert np.max(np.abs(pair.complement_form.assemble() - (eye - closed))) <= 1e-9
         assert verify_appendix_identity(s) <= 1e-9
 
 
 def _check_sidon_certificates(s):
     d = s.dim
     pair = build_optimal_separable_povm(s)
-    assert np.max(np.abs(pair.T_form.assemble() - pair.T)) <= 1e-9
+    closed = optimal_test_operator(s)
+    assert np.max(np.abs(pair.T_form.assemble() - closed)) <= 1e-9
     eye = np.eye(d * d)
-    assert np.max(np.abs(pair.complement_form.assemble() - (eye - pair.T))) <= 1e-9
+    assert np.max(np.abs(pair.complement_form.assemble() - (eye - closed))) <= 1e-9
     assert pair.T_form.min_term_eigenvalue() >= -1e-10
     assert pair.complement_form.min_term_eigenvalue() >= -1e-10
     assert len(pair.T_form.terms) == 2 * max(sidon_set(d)) + 1

@@ -49,6 +49,26 @@ def test_spectrum_effective_strips_zeros():
     assert np.allclose(s.effective, [0.6, 0.4])
 
 
+@pytest.mark.parametrize(
+    "lam, kept",
+    [
+        ([1.0, 1e-13], 1),
+        ([0.5, 0.5, 1e-13], 2),
+        ([1.0, -1e-13], 1),
+        ([1.0 - 2e-12, 2e-12], 2),
+        # Above RANK_TOL before renormalising, just below it after.
+        ([1.0 + 5e-10, 1.0000000001e-12], 2),
+    ],
+)
+def test_spectrum_zeroes_levels_at_or_below_the_rank_cutoff(lam, kept):
+    """Every bound counts the same levels: a coefficient at or below
+    RANK_TOL = 1e-12 is stored as 0, and the rank and the effective
+    spectrum are the nonzero levels."""
+    s = spectrum(lam)
+    assert np.count_nonzero(s.lambdas) == s.rank == s.effective.size == kept
+    assert abs(s.lambdas.sum() - 1.0) <= 1e-15
+
+
 def test_parse_spectrum():
     s = parse_spectrum("0.75,0.25")
     assert np.allclose(s.lambdas, [0.75, 0.25])

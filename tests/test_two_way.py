@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from reference import dense_validity_defect
+from reference import alice_element, dense_validity_defect
 
 from loccdist.operators import eig_hermitian, povm_element_check, support_projection
 from loccdist.states import spectrum, state_from_spectrum
@@ -83,7 +83,7 @@ def test_delta_constructors():
 def test_delta_alice_povm_resolves_identity():
     rng = np.random.default_rng(1)
     delta = DeltaMatrix.random(4, rng)
-    total = sum(delta.alice_element(i) for i in range(4))
+    total = sum(alice_element(delta, i) for i in range(4))
     assert np.max(np.abs(total - np.eye(4))) <= 1e-12
 
 
@@ -530,7 +530,7 @@ def reference_two_way_T(s, delta, protocol):
     T = np.zeros((d * d, d * d), dtype=complex)
     projectors = {}
     for i in range(d):
-        M = delta.alice_element(i)
+        M = alice_element(delta, i)
         den = (lam * np.diag(M)).sum()
         if not den > (i + 1) * DENOM_TOL:
             assert protocol.outcomes[i] == 0
@@ -558,7 +558,7 @@ def reference_branch_probabilities(protocol, source):
     table = np.zeros((d, d + 1, 2))
     projectors = final_projectors(protocol)
     for i in range(d):
-        K = np.kron(np.diag(np.sqrt(np.diag(protocol.delta.alice_element(i)))), np.eye(d))
+        K = np.kron(np.diag(np.sqrt(np.diag(alice_element(protocol.delta, i)))), np.eye(d))
         rho_i = K @ rho @ K
         xi = bob_basis(protocol, i)
         covered = 0.0
@@ -687,7 +687,7 @@ def test_outcome_table_identities():
 def test_sigma_a_stack_matches_per_element():
     rng = np.random.default_rng(61)
     s = random_spectrum(4, rng)
-    M = DeltaMatrix.random(4, rng).alice_element(3)
+    M = alice_element(DeltaMatrix.random(4, rng), 3)
     xi = build_mub_basis(np.diag(s.lambdas))
     N = np.array([np.outer(xi[:, j], xi[:, j].conj()) for j in range(4)])
     stacked = sigma_A(s, M, N)
