@@ -27,8 +27,7 @@ from .optimize import OptimizerConfig, beta_two_way_upper, grid_oracle, grid_siz
 from .separable import (
     beta_sep_pure,
     build_optimal_separable_povm,
-    certificate_structure_deviation,
-    optimal_test_entries,
+    certificate_deviation,
     verify_appendix_identity,
 )
 from .states import MaximallyCorrelatedState, SchmidtSpectrum, parse_spectrum
@@ -160,14 +159,14 @@ def cmd_optimize(s, tol, grid_step) -> int:
 def _verify_checks(s, mc_samples: int, seed: int):
     """Yield (name, deviation, tolerance) triples for one spectrum.
 
-    Every check reads d x d blocks or factor vectors: the separable test
-    through its certificate's phase-invariant entries, each certificate and
-    protocol through its SeparableForm's kernels.  No D x D product,
+    Every check reads d x d blocks or factor vectors: each certificate and
+    protocol through its SeparableForm's kernels, the separable pair through
+    separable.certificate_deviation, and the separable test's spectrum
+    through its certificate's phase-invariant entries.  No D x D product,
     eigensolve or assembly runs."""
     d = s.rank
     dim = s.dim
-    dev = verify_appendix_identity(s)
-    yield "appendix-identity", dev, 1e-9
+    yield "appendix-identity", verify_appendix_identity(s), 1e-9
 
     pair = build_optimal_separable_povm(s)
     block, diag = pair.T_form.invariant_entries()
@@ -176,27 +175,16 @@ def _verify_checks(s, mc_samples: int, seed: int):
     # other entries average to 0 on the Sidon grid (separable-form-assembly).
     spectrum = np.concatenate([w, diag[~np.eye(dim, dtype=bool)]])
     yield "povm-element-range", max(0.0, -spectrum.min(), spectrum.max() - 1.0), 1e-9
-    root = np.sqrt(s.lambdas)
-    yield "perfect-detection-sep", abs(float((root @ block @ root).real) - 1.0), 1e-10
-    yield "trace-formula-sep", abs(float(diag.sum()) - beta_sep_pure(s) * dim**2), 1e-10
-    t_block, t_diag = optimal_test_entries(s)
-    comp_block, comp_diag = pair.complement_form.invariant_entries()
-    yield "separable-form-assembly", max(
-        certificate_structure_deviation(pair),
-        float(np.abs(block - t_block).max()),
-        float(np.abs(diag - t_diag).max()),
-        float(np.abs(comp_block - (np.eye(dim) - t_block)).max()),
-        float(np.abs(comp_diag - (1.0 - t_diag)).max()),
-    ), 1e-9
-    yield "separable-form-psd", max(
-        0.0,
-        -min(pair.T_form.min_term_eigenvalue(), pair.complement_form.min_term_eigenvalue()),
-    ), 1e-10
+    yield "perfect-detection-sep", abs(pair.T_form.schmidt_expectation(s.lambdas) - 1.0), 1e-10
+    yield "trace-formula-sep", abs(pair.T_form.trace() - beta_sep_pure(s) * dim**2), 1e-10
+    yield "separable-form-assembly", certificate_deviation(s, pair), 1e-9
+    certificates = (pair.T_form, pair.complement_form)
+    yield "separable-form-psd", max(0.0, -min(f.min_term_eigenvalue() for f in certificates)), 1e-10
 
     one_way = one_way_test_form(MaximallyCorrelatedState.from_spectrum(s))
     yield "perfect-detection-one-way", abs(one_way.schmidt_expectation(s.lambdas) - 1.0), 1e-10
 
-    lam = SchmidtSpectrum(s.effective).lambdas
+    lam = s.effective
     rng = np.random.default_rng(seed)
     deltas = [DeltaMatrix.uniform(d)] + [DeltaMatrix.random(d, rng) for _ in range(3)]
     forms = [build_two_way_protocol(s, delta).accept_form() for delta in deltas]

@@ -151,10 +151,9 @@ def _barrier_newton(lam: np.ndarray, tol: float):
     its final table.
     A row leaves the stack once it is done; every operation acts on each
     row alone, so a row's iterates do not depend on the rest of the stack.
+    At d = 1, [[1]] is the only table and its first gap is exactly 0.
     """
     n, d = lam.shape
-    if d == 1:  # [[1]] is the only feasible table, and its first gap is 0
-        return np.ones((n, 1, 1)), np.ones(n, dtype=int), np.zeros(n)
     layout = table_layout(d)
     m = layout.entries.size
     size = m + d

@@ -26,11 +26,11 @@ equivalent exact ways:
     2 max(s) + 1 terms (3 / 7 / 15 / 41 / 89 / 131 at d = 2 / 3 / 4 / 6 /
     8 / 9), each pair seed of the complement 3.
 
-So each certificate is checked exactly without D x D work (D = d**2):
-its invariant entries against the closed form of those of T or I - T
-(optimal_test_entries, T's one formula), and its term structure, each term
-the image of its seed under the grid's phase rows with an integer Sidon
-test on s (certificate_structure_deviation), which makes every other entry
+So each certificate is checked exactly without D x D work (D = d**2),
+by one function (certificate_deviation): its invariant entries against the
+closed form of those of T or I - T (optimal_test_entries, T's one formula),
+and its term structure, each term the image of its seed under the grid's
+phase rows with an integer Sidon test on s, which makes every other entry
 average to zero.  The certified T then has no other entries, so its
 spectrum is that of its d x d block plus its d (d - 1) off-diagonal
 scalars.
@@ -282,19 +282,21 @@ def build_optimal_separable_povm(s: SchmidtSpectrum) -> SeparablePovmPair:
 
 
 def verify_appendix_identity(s: SchmidtSpectrum) -> float:
-    """Max deviation of twirl(complement seed) from I - T.
-
-    Compares the invariant entries of the complement seed's form with those
-    of I - T: the twirl zeroes every other entry, and T has no other
-    entries.  Zero (to rounding) for every spectrum; the identity is what
-    certifies that the complement of the optimal test is itself separable.
+    """Max deviation of twirl(complement seed) from I - T, read on the
+    invariant entries of the seed's form: the twirl zeroes every other
+    entry, and T has none.  Zero (to rounding) for every spectrum; the
+    identity certifies that the complement of the optimal test is separable.
     """
-    block, diag = _complement_form(s, np.ones((1, 2))).invariant_entries()
+    return _entries_deviation(_complement_form(s, np.ones((1, 2))), s, complement=True)
+
+
+def _entries_deviation(form: SeparableForm, s: SchmidtSpectrum, complement: bool) -> float:
+    """Max deviation of form's invariant entries from those of T, or of I - T."""
+    block, diag = form.invariant_entries()
     t_block, t_diag = optimal_test_entries(s)
-    return max(
-        float(np.abs(block - (np.eye(s.dim) - t_block)).max()),
-        float(np.abs(diag - (1.0 - t_diag)).max()),
-    )
+    if complement:
+        t_block, t_diag = np.eye(s.dim) - t_block, 1.0 - t_diag
+    return max(float(np.abs(block - t_block).max()), float(np.abs(diag - t_diag).max()))
 
 
 def _orbit_deviation(a, b, w, grid) -> float:
@@ -308,7 +310,18 @@ def _orbit_deviation(a, b, w, grid) -> float:
     )
 
 
-def certificate_structure_deviation(pair: SeparablePovmPair) -> float:
+def certificate_deviation(s: SchmidtSpectrum, pair: SeparablePovmPair) -> float:
+    """Max deviation of pair from a certificate of the optimal test T of s:
+    of its forms' invariant entries from those of T and I - T, and of their
+    terms from the structure that zeroes every other entry."""
+    return max(
+        _structure_deviation(pair),
+        _entries_deviation(pair.T_form, s, complement=False),
+        _entries_deviation(pair.complement_form, s, complement=True),
+    )
+
+
+def _structure_deviation(pair: SeparablePovmPair) -> float:
     """Max deviation of both certificates from the term structure that makes
     every entry outside the invariant pattern average to exactly 0; inf
     when a phase set fails the integer Sidon test or a term count is off.

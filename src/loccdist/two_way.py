@@ -391,7 +391,7 @@ def _branch_probabilities(protocol: TwoWayProtocol, source: str) -> np.ndarray:
     """
     if source not in ("psi", "mixed"):
         raise ValueError(f"source must be 'psi' or 'mixed', got {source!r}")
-    lam = SchmidtSpectrum(protocol.spectrum.effective).lambdas
+    lam = protocol.spectrum.effective
     d = lam.size
     m = protocol.delta.table.T[:, :, None]  # m_ki at [i, k, 0]
     if source == "psi":

@@ -15,7 +15,7 @@ import loccdist.two_way
 from loccdist.cli import MAX_LEVELS, main
 from loccdist.optimize import stack_size
 from loccdist.separable import SeparableForm
-from loccdist.states import parse_spectrum
+from loccdist.states import SchmidtSpectrum, parse_spectrum
 from loccdist.two_way import TwoWayProtocol
 from reference import dense_verify_checks
 
@@ -483,6 +483,22 @@ def test_verify_does_no_dense_work(capsys, monkeypatch):
     assert shapes and all(shape[-1] <= 8 for shape in shapes)
 
 
+def test_verify_builds_one_spectrum(capsys, monkeypatch):
+    """The parsed input is the only SchmidtSpectrum a verify call builds:
+    every check and protocol reads its lambdas or effective levels."""
+    built = []
+    post_init = SchmidtSpectrum.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(SchmidtSpectrum, "__post_init__", counted)
+    code, out, _ = run(capsys, "verify", "--schmidt", "0.5,0.3,0.2,0", "--mc-samples", "2000")
+    assert code == 0 and "FAIL" not in out
+    assert len(built) == 1
+
+
 def test_verify_at_the_level_cap_holds_no_dense_matrix():
     """Below one complex D x D matrix (D = 32**2, 16 MiB) at its peak."""
     (schmidt,) = seeded_spectra(dims=(MAX_LEVELS,), ranks=(None,), seed=32)
@@ -545,6 +561,23 @@ def test_verify_fails_on_a_phase_set_that_is_not_sidon(capsys, monkeypatch):
     monkeypatch.setattr(
         loccdist.separable, "sidon_set", lambda n: (0, 1, 2) if n == 3 else sidon_set(n)
     )
+    _fails(capsys, "separable-form-assembly")
+
+
+def test_verify_fails_on_a_scaled_complement_diagonal_weight(capsys, monkeypatch):
+    """The first pair's diagonal term times 1.01 keeps the term structure
+    and moves one entry of I - T; only its invariant entries show it."""
+    def change(pair):
+        form = pair.complement_form
+        w = form.weights.copy()
+        w[len(loccdist.separable.sidon_phase_grid(2))] *= 1.01  # after the pair's grid terms
+        changed = dataclasses.replace(
+            pair, complement_form=SeparableForm(form.dims, w, form.a, form.b)
+        )
+        assert loccdist.separable._structure_deviation(changed) == 0.0
+        return changed
+
+    _patched_pair(monkeypatch, change)
     _fails(capsys, "separable-form-assembly")
 
 

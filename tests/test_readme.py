@@ -1,9 +1,13 @@
-"""The README's library quick start runs and prints what its comments say."""
+"""The README's library quick start runs and prints what its comments
+say, and every command of its command-line block exits 0."""
 
 import contextlib
 import io
 import pathlib
 import re
+import shlex
+
+from loccdist.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -30,3 +34,23 @@ def test_readme_quick_start_prints_its_commented_values():
             assert value.startswith(want[:-3])
         else:
             assert value == want
+
+
+def command_lines() -> list[list[str]]:
+    text = README.read_text()
+    section = text[text.index("## Command line") :]
+    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("loccdist ")]
+
+
+def test_readme_command_lines_exit_0(tmp_path, capsys):
+    commands = command_lines()
+    assert [argv[0] for argv in commands] == [
+        "bounds", "bounds", "sweep", "sweep", "optimize", "verify"
+    ]
+    for argv in commands:
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            argv[at] = str(tmp_path / argv[at])
+        assert main(argv) == 0, argv
+        assert "FAIL" not in capsys.readouterr().out

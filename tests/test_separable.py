@@ -5,9 +5,9 @@ from loccdist.operators import eig_hermitian, povm_element_check
 from loccdist.separable import (
     SeparableForm,
     _complement_form,
+    _structure_deviation,
     beta_sep_pure,
     build_optimal_separable_povm,
-    certificate_structure_deviation,
     distinguishable_set_bound,
     global_robustness_pure,
     is_sidon,
@@ -400,4 +400,4 @@ def test_is_sidon():
 
 @pytest.mark.parametrize("s", equivalence_spectra(), ids=lambda s: f"d{s.dim}")
 def test_certificates_have_the_sidon_orbit_structure(s):
-    assert certificate_structure_deviation(build_optimal_separable_povm(s)) == 0.0
+    assert _structure_deviation(build_optimal_separable_povm(s)) == 0.0
