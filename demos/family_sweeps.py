@@ -18,6 +18,7 @@ import os
 import sys
 
 from loccdist import BUILTIN_FAMILIES, sweep
+from loccdist.families import SWEEP_HEADER, sweep_line
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 POINTS = 15
@@ -28,21 +29,8 @@ def run_family(name):
     rows = sweep(family, POINTS)
     path = os.path.join(HERE, f"{name}_sweep.csv")
     with open(path, "w") as fh:
-        fh.write("t,beta_g,beta_one_way,beta_sep,beta_two_way_upper\n")
-        for t, report in rows:
-            fh.write(
-                ",".join(
-                    format(x, ".9g")
-                    for x in (
-                        t,
-                        report.beta_g,
-                        report.beta_one_way,
-                        report.beta_sep,
-                        report.beta_two_way_upper,
-                    )
-                )
-                + "\n"
-            )
+        fh.write(SWEEP_HEADER)
+        fh.writelines(sweep_line(t, report) for t, report in rows)
 
     gaps = [r.beta_one_way - r.beta_two_way_upper for _, r in rows]
     sep_dev = max(abs(r.beta_sep - family.beta_sep_closed(t)) for t, r in rows)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,16 +51,8 @@ class BoundsReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "spectrum": ",".join(format(x, ".12g") for x in self.spectrum),
-            "D": self.D,
-            "beta_g": self.beta_g,
-            "beta_one_way": self.beta_one_way,
-            "beta_sep": self.beta_sep,
-            "beta_two_way_upper": self.beta_two_way_upper,
-            "delta_star": self.delta_star,
-            "flags": self.flags,
-        }
+        """The fields in order, as JSON keys; spectrum as one string."""
+        return {**asdict(self), "spectrum": ",".join(format(x, ".12g") for x in self.spectrum)}
 
 
 def _delta_string(delta) -> str:

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .bounds import _delta_string, pure_state_report
-from .families import check_points, get_family, sweep_rows
+from .families import SWEEP_HEADER, check_points, get_family, sweep_line, sweep_rows
 from .one_way import one_way_test_form
 from .operators import eig_hermitian
 from .optimize import OptimizerConfig, beta_two_way_upper, grid_oracle, grid_size
@@ -96,13 +96,8 @@ def cmd_bounds(s, dims) -> int:
 
 
 def check_sweep(args):
-    t_range = None
-    if args.range:
-        lo, hi = (float(x) for x in args.range.split(","))
-        t_range = (lo, hi)
-    family = get_family(args.family, t_range)
+    family = get_family(args.family, args.range.split(",") if args.range else None)
     _check_levels(family.d, "family")
-    family.validate()
     check_points(args.points)
     # Fail on an unwritable --out now, not after every row is computed.
     open(args.out, "a").close()
@@ -114,10 +109,9 @@ def cmd_sweep(family, points, out) -> int:
     last row."""
     rows, ordered = 0, True
     with open(out, "w") as fh:
-        fh.write("t,beta_g,beta_one_way,beta_sep,beta_two_way_upper\n")
+        fh.write(SWEEP_HEADER)
         for t, report in sweep_rows(family, points):
-            values = (t, report.beta_g, report.beta_one_way, report.beta_sep, report.beta_two_way_upper)
-            fh.write(",".join(format(x, ".9g") for x in values) + "\n")
+            fh.write(sweep_line(t, report))
             rows += 1
             ordered = ordered and report.ordering_ok()
     print(f"wrote {rows} rows to {out}", file=sys.stderr)

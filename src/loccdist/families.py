@@ -30,6 +30,7 @@ from .states import SchmidtSpectrum
 
 FEAS_TOL = 1e-12
 MAX_POINTS = 1_000_000  # batched two-way solves at d <= 4: about ten minutes of work
+SWEEP_HEADER = "t,beta_g,beta_one_way,beta_sep,beta_two_way_upper\n"  # sweep_line's columns
 
 
 @dataclass(frozen=True)
@@ -51,11 +52,19 @@ class FamilySpec:
         """lambda(t) for a scalar t, (d,), or an (n,) array of them, (n, d)."""
         return np.array(self.base) + np.array(self.slope) * np.asarray(t)[..., None]
 
-    def validate(self) -> None:
-        """Coefficients stay nonnegative and normalised across the range.
+    def __post_init__(self):
+        self.validate()
 
-        An overflow gives +-inf, which fails one of the two checks, so
-        numpy's overflow warning is suppressed."""
+    def validate(self) -> None:
+        """The range is two finite numbers lo < hi, and the coefficients stay
+        nonnegative and normalised across it; a FamilySpec checks this when
+        it is built.
+
+        An overflow gives +-inf, which fails one of the two coefficient
+        checks, so numpy's overflow warning is suppressed."""
+        lo, hi = self.t_range
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"range must be finite with lo < hi, got {lo!r},{hi!r}")
         for t in self.t_range:
             with np.errstate(over="ignore", invalid="ignore"):
                 lam = self.coefficients(t)
@@ -145,9 +154,13 @@ BUILTIN_FAMILIES = {
 }
 
 _NUM = r"\d+(?:\.\d+)?(?:/\d+(?:\.\d+)?)?"
-_CONST_RE = re.compile(rf"^(?P<a>[+-]?{_NUM})$")
-_LINEAR_RE = re.compile(rf"^(?P<sign>[+-]?)(?P<coef>{_NUM})?\*?t$")
-_AFFINE_RE = re.compile(rf"^(?P<a>[+-]?{_NUM})(?P<sign>[+-])(?P<coef>{_NUM})?\*?t$")
+# A family term a + b t: a constant, a multiple of t, or both.  The constant
+# comes first and is one only when a sign or the end follows it, so "2t" is
+# 2 t and "1-2t" is 1 - 2 t; the empty term is refused.
+_TERM_RE = re.compile(
+    rf"^(?!$)(?P<a>[+-]?{_NUM}(?=[+-]|$))?"  # the constant
+    rf"(?:(?P<sign>[+-]?)(?P<coef>{_NUM})?\*?t)?$"  # the multiple of t
+)
 
 
 def _parse_number(text: str) -> float:
@@ -164,20 +177,14 @@ def _parse_number(text: str) -> float:
 
 def _parse_term(token: str) -> tuple[float, float]:
     token = token.replace(" ", "")
-    m = _CONST_RE.match(token)
-    if m:
-        return _parse_number(m.group("a")), 0.0
-    m = _LINEAR_RE.match(token)
-    if m:
-        coef = _parse_number(m.group("coef")) if m.group("coef") else 1.0
-        return 0.0, -coef if m.group("sign") == "-" else coef
-    m = _AFFINE_RE.match(token)
-    if m:
-        coef = _parse_number(m.group("coef")) if m.group("coef") else 1.0
-        if m.group("sign") == "-":
-            coef = -coef
-        return _parse_number(m.group("a")), coef
-    raise ValueError(f"cannot parse family term {token!r}")
+    m = _TERM_RE.match(token)
+    if m is None:
+        raise ValueError(f"cannot parse family term {token!r}")
+    a, sign, coef = m.group("a", "sign", "coef")
+    b = 0.0
+    if sign is not None:  # the term has a multiple of t
+        b = _parse_number(coef) if coef else 1.0
+    return _parse_number(a) if a else 0.0, -b if sign == "-" else b
 
 
 def parse_family(expr: str, t_range: tuple[float, float], name: str = "custom") -> FamilySpec:
@@ -187,21 +194,15 @@ def parse_family(expr: str, t_range: tuple[float, float], name: str = "custom") 
         a, b = _parse_term(token)
         base.append(a)
         slope.append(b)
-    fam = FamilySpec(name, tuple(base), tuple(slope), (float(t_range[0]), float(t_range[1])))
-    fam.validate()
-    return fam
+    return FamilySpec(name, tuple(base), tuple(slope), tuple(float(x) for x in t_range))
 
 
 def get_family(name_or_expr: str, t_range=None) -> FamilySpec:
     """A built-in family by name, or a parsed expression on t_range.
 
     A built-in family has its own range and takes no t_range; a custom
-    expression needs one of two finite numbers lo < hi.
+    expression needs one (FamilySpec.validate checks it).
     """
-    if t_range is not None:
-        lo, hi = (float(x) for x in t_range)
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"range must be finite with lo < hi, got {lo!r},{hi!r}")
     if name_or_expr in BUILTIN_FAMILIES:
         if t_range is not None:
             raise ValueError(f"family {name_or_expr} has a fixed t range; only custom families take one")
@@ -223,7 +224,6 @@ def sweep_rows(family: FamilySpec, points: int):
     and reports is held at a time; each report is the pure_state_report of
     its spectrum.
     """
-    family.validate()
     grid = family.grid(points)
     size = stack_size(family.d)
     for lo in range(0, points, size):
@@ -231,6 +231,13 @@ def sweep_rows(family: FamilySpec, points: int):
         spectra = family.spectra_at(ts)
         for t, s, r in zip(ts.tolist(), spectra, beta_two_way_upper_batch(spectra)):
             yield t, _pure_report(s, s.dim**2, r)
+
+
+def sweep_line(t: float, report: BoundsReport) -> str:
+    """One sweep CSV row under SWEEP_HEADER: t and the four bounds, each to
+    nine significant digits."""
+    values = (t, report.beta_g, report.beta_one_way, report.beta_sep, report.beta_two_way_upper)
+    return ",".join(format(x, ".9g") for x in values) + "\n"
 
 
 def sweep(family: FamilySpec, points: int) -> list[tuple[float, BoundsReport]]:

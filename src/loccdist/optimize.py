@@ -53,13 +53,13 @@ with the table.  At effective rank 1 the only feasible table is [[1]], and
 its first gap is 0, so that stack takes no step.
 
 A finished stack is also turned into results as a stack (_finish): its
-tables are clipped and renormalised together, and one trace_T_closed_form
-call gives the operator's Tr T at every final table.  Per spectrum the
-smaller of that and the one-way corner's d is reported (the barrier table
-on a tie), the d = 2 analytic check runs, and one DeltaMatrix is built.
+tables are clipped and renormalised together, one trace_T_closed_form
+call gives the operator's Tr T at every final table, and the smaller of
+that and the one-way corner's d is reported (the barrier table on a tie).
 The certified gap is reported as max(gap, 0): it is the rounded
 difference of two sums and can dip below 0 once the tolerance nears
-rounding.
+rounding.  Only the d = 2 analytic check runs per spectrum; each result
+gets one DeltaMatrix, and the rows the corner wins share one.
 
 The exhaustive grid oracle for small d and the exact two-outcome solution
 
@@ -77,7 +77,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import SchmidtSpectrum
-from .two_way import DeltaMatrix, pair_factors, table_layout, trace_T_batch, trace_T_closed_form
+from .two_way import (
+    DeltaMatrix, pair_factors, table_layout, trace_T_batch, trace_T_closed_form, uniform_table
+)
 
 
 MAX_ITERS = 500  # passes: each takes a gap, and all but the last one damped step
@@ -166,7 +168,7 @@ def _barrier_newton(lam: np.ndarray, tol: float):
     kkt[:, np.arange(m), m + layout.rows] = 1.0
     rhs = np.zeros((n, size, 1))  # 3-D: numpy 2 reads an (n, size) one as a matrix if n == size
 
-    X = np.repeat(DeltaMatrix.uniform(d).table[None], n, axis=0)
+    X = np.repeat(uniform_table(d)[None], n, axis=0)
     x = X.reshape(n, -1).take(layout.entries, axis=1)  # the free entries of X
     factors = pair_factors(lam)  # spectrum-only, gathered again only when rows leave
     f, g, H = trace_T_batch(lam, X, factors)
@@ -255,18 +257,12 @@ def _finish(spectra, lam, tables, passes, gaps, tol) -> list[OptimizationResult]
     # the bit: its one live column has N = D, and every effective l_k is
     # about states.RANK_TOL = 1e-12 or more, far above the d eps support
     # cutoff.
-    t_corner = float(d)
+    corner = values > d
+    values = np.minimum(values, d)
     gaps = np.maximum(gaps, 0.0)  # a rounded difference of two sums can dip below 0
-    results = []
-    for k, s in enumerate(spectra):
-        t_value = float(values[k])
-        if t_corner < t_value:
-            delta, t_value = DeltaMatrix.one_way(d), t_corner
-        else:
-            delta = DeltaMatrix(tables[k])
-        gap = float(gaps[k])
-        converged = gap <= tol
-        if d == 2:
+    converged = gaps <= tol
+    if d == 2:
+        for k, t_value in enumerate(values.tolist()):
             beta_exact, _ = beta_two_way_qubit_analytic(float(lam[k, 1]))
             if abs(t_value / (d * d) - beta_exact) > 1e-6:
                 warnings.warn(
@@ -274,21 +270,22 @@ def _finish(spectra, lam, tables, passes, gaps, tol) -> list[OptimizationResult]
                     f"{t_value / (d * d):.9f} vs {beta_exact:.9f}",
                     RuntimeWarning,
                 )
-                converged = False
-        D = s.dim**2
-        results.append(
-            OptimizationResult(
-                best_delta=delta,
-                beta_value=t_value / D,
-                method="log-barrier-newton",
-                iterations=int(passes[k]),
-                converged=converged,
-                t_value=t_value,
-                D=D,
-                certified_gap=gap,
-            )
+                converged[k] = False
+    one_way = DeltaMatrix.one_way(d) if corner.any() else None
+    rows = zip(corner.tolist(), tables, values.tolist(), passes.tolist(), converged.tolist(), gaps.tolist())
+    return [
+        OptimizationResult(
+            best_delta=one_way if at_corner else DeltaMatrix(table),
+            beta_value=t_value / s.dim**2,
+            method="log-barrier-newton",
+            iterations=iterations,
+            converged=ok,
+            t_value=t_value,
+            D=s.dim**2,
+            certified_gap=gap,
         )
-    return results
+        for s, (at_corner, table, t_value, iterations, ok, gap) in zip(spectra, rows)
+    ]
 
 
 def beta_two_way_upper_batch(

@@ -53,6 +53,11 @@ def _upper(d: int) -> np.ndarray:
     return mask
 
 
+def uniform_table(d: int) -> np.ndarray:
+    """The table spreading level k evenly over outcomes i >= k: d_ki = 1 / (d - k)."""
+    return _upper(d) / np.arange(d, 0, -1)[:, None]
+
+
 @dataclass(frozen=True)
 class DeltaMatrix:
     """Feasible coefficient table d_ki, 1 <= k <= i <= d.
@@ -88,10 +93,7 @@ class DeltaMatrix:
 
     @classmethod
     def uniform(cls, d: int) -> "DeltaMatrix":
-        t = np.zeros((d, d))
-        for k in range(d):
-            t[k, k:] = 1.0 / (d - k)
-        return cls(t)
+        return cls(uniform_table(d))
 
     @classmethod
     def one_way(cls, d: int) -> "DeltaMatrix":
@@ -256,9 +258,11 @@ def _supports(lam: np.ndarray, tables: np.ndarray) -> np.ndarray:
     return support_mask(lam[..., :, None] * tables, axis=-2)
 
 
-def _fourier(r: int) -> np.ndarray:
-    """The r x r unitary with entries exp(2 pi i j k / r) / sqrt(r)."""
-    return np.exp(2j * np.pi * np.outer(np.arange(r), np.arange(r)) / r) / np.sqrt(r)
+def _fourier(r, size: int) -> np.ndarray:
+    """exp(2 pi i j k / r) / sqrt(r) for j, k < size, the r x r Fourier unitary
+    at size = r; an array of r broadcast against (size, size) gives one per r."""
+    n = np.arange(size)
+    return np.exp(2j * np.pi * np.outer(n, n) / r) / np.sqrt(r)
 
 
 def build_mub_basis(omega, r: int | None = None) -> np.ndarray:
@@ -275,7 +279,7 @@ def build_mub_basis(omega, r: int | None = None) -> np.ndarray:
         raise ValueError(f"requested rank {r} but omega has numerical rank {rank}")
     if rank == 0:
         raise ValueError("omega has empty support")
-    return v[:, :rank] @ _fourier(rank)
+    return v[:, :rank] @ _fourier(rank, rank)
 
 
 def build_two_way_protocol(s: SchmidtSpectrum, delta: DeltaMatrix) -> TwoWayProtocol:
@@ -299,9 +303,8 @@ def build_two_way_protocol(s: SchmidtSpectrum, delta: DeltaMatrix) -> TwoWayProt
     order = np.argsort(np.where(support, -weights, np.inf), axis=0, kind="stable")
     n, r = np.arange(d), np.maximum(outcomes, 1)[:, None, None]
     inside = n < outcomes[:, None]  # [i, j]: j < r_i
-    block = np.exp(2j * np.pi * (n[:, None] * n) / r) / np.sqrt(r)  # Fourier, padded to d
     bob = np.zeros((d, d, d), dtype=complex)
-    bob[n[:, None], order.T] = np.where(inside[:, :, None] & inside[:, None, :], block, 0.0)
+    bob[n[:, None], order.T] = np.where(inside[:, :, None] & inside[:, None, :], _fourier(r, d), 0.0)
     v = np.sqrt(weights.T)[:, :, None] * bob.conj()
     norm = np.linalg.norm(v, axis=1, keepdims=True)
     alice = np.divide(v, norm, out=np.zeros_like(v), where=norm > 0)

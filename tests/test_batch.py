@@ -24,6 +24,7 @@ from loccdist.optimize import (
     stack_size,
 )
 from loccdist.states import SchmidtSpectrum
+from loccdist.two_way import DeltaMatrix
 
 
 def stack(d: int, rng: np.random.Generator) -> list:
@@ -98,6 +99,29 @@ def test_batch_spans_chunks_and_ranks():
     batch = beta_two_way_upper_batch(spectra)
     assert [r.best_delta.d for r in batch] == [s.effective.size for s in spectra]
     assert all(same(r, beta_two_way_upper(s)) for r, s in zip(batch, spectra))
+
+
+def test_a_stack_builds_one_delta_matrix_per_result(monkeypatch):
+    """The solve starts from the uniform table as an array, so n
+    non-uniform spectra of one rank build n DeltaMatrix objects, each one a
+    result's table; the rows the one-way corner wins share one."""
+    built = []
+    post_init = DeltaMatrix.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(DeltaMatrix, "__post_init__", counted)
+    rng = np.random.default_rng(5)
+    spectra = [SchmidtSpectrum(np.sort(rng.dirichlet(np.ones(4)))[::-1]) for _ in range(5)]
+    results = beta_two_way_upper_batch(spectra)
+    assert len(built) == 5
+    assert all(r.best_delta is delta for r, delta in zip(results, built))
+    built.clear()
+    uniform = beta_two_way_upper_batch([SchmidtSpectrum(np.full(4, 0.25))] * 2)
+    assert len(built) == 1
+    assert all(r.best_delta is built[0] for r in uniform)
 
 
 def test_two_outcome_batch_matches_analytic():

@@ -4,6 +4,8 @@ import pytest
 from loccdist.bounds import mixed_state_report, pure_state_report
 from loccdist.families import (
     BUILTIN_FAMILIES,
+    FamilySpec,
+    _parse_term,
     get_family,
     parse_family,
     sweep,
@@ -130,10 +132,67 @@ def test_parse_family_accepts_rounding_level_negative_endpoint():
     assert -1e-12 <= np.min(fam.coefficients(fam.t_range[1])) < 0.0
 
 
+@pytest.mark.parametrize(
+    "token,expected",
+    [
+        ("1", (1.0, 0.0)),
+        ("t", (0.0, 1.0)),
+        ("-t", (0.0, -1.0)),
+        ("+2t", (0.0, 2.0)),
+        ("2*t", (0.0, 2.0)),
+        ("1-2t", (1.0, -2.0)),
+        ("1+t", (1.0, 1.0)),
+        ("1-9/2t", (1.0, -4.5)),
+        ("3/2t", (0.0, 1.5)),
+        (" 1 - 2 t ", (1.0, -2.0)),
+        ("0.5 + 0.5 t", (0.5, 0.5)),
+        ("2 * t", (0.0, 2.0)),
+        ("", "cannot parse"),
+        ("  ", "cannot parse"),
+        ("1-2", "cannot parse"),
+        ("1+", "cannot parse"),
+        ("1+-t", "cannot parse"),
+        ("t1", "cannot parse"),
+        ("1e-3t", "cannot parse"),
+        ("2t+1", "cannot parse"),
+        ("1/0-t", "zero denominator"),
+    ],
+)
+def test_parse_term_grammar(token, expected):
+    """A term is a constant, a multiple of t, or a constant and then a
+    signed multiple of t; spaces do not count.  Each expected value is what
+    the earlier three-pattern parser returned or raised."""
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=expected):
+            _parse_term(token)
+    else:
+        assert _parse_term(token) == expected
+
+
+@pytest.mark.parametrize(
+    "base,slope,t_range,message",
+    [
+        ((1.0, 0.0), (-3.0, 3.0), (0.0, 0.5), "negative coefficient"),
+        ((1.0, 0.0), (-2.0, 1.0), (0.0, 0.3), "sum to"),
+        ((0.5, 0.5), (0.5, -0.5), (0.5, 0.5), "lo < hi"),
+        ((0.5, 0.5), (0.5, -0.5), (0.5, 0.0), "lo < hi"),
+        ((0.5, 0.5), (0.5, -0.5), (float("nan"), 0.5), "lo < hi"),
+    ],
+)
+def test_family_spec_checks_itself(base, slope, t_range, message):
+    with pytest.raises(ValueError, match=message):
+        FamilySpec("direct", base, slope, t_range)
+
+
 def test_get_family():
     assert get_family("fig1") is BUILTIN_FAMILIES["fig1"]
     with pytest.raises(ValueError):
         get_family("1-2t,t,t")  # needs a range
+    with pytest.raises(ValueError, match="fixed t range"):
+        get_family("fig1", (0.0, 0.1))
+    # The terms are parsed before the family checks its range.
+    with pytest.raises(ValueError, match="cannot parse"):
+        get_family("1-q,t", (0.5, 0.0))
 
 
 def test_sweep_rows_ordered_and_chained():
