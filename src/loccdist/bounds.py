@@ -8,10 +8,10 @@ import numpy as np
 
 from .one_way import beta_one_way
 from .operators import numerical_rank
-from .optimize import OptimizationResult, beta_two_way_upper
-from .separable import beta_sep_pure, sep_lower_bound_mixed
+from .optimize import OptimizerConfig, beta_two_way_upper, solve_spectra
+from .separable import sep_lower_bound_mixed, sep_traces
 from .states import BipartiteState, SchmidtSpectrum
-from .two_way import table_layout
+from .two_way import check_tables, table_layout
 
 ORDER_TOL = 1e-9
 
@@ -55,9 +55,36 @@ class BoundsReport:
         return {**asdict(self), "spectrum": ",".join(format(x, ".12g") for x in self.spectrum)}
 
 
+def _delta_strings(tables: np.ndarray) -> list[str]:
+    """Each table's free entries d_ki, k <= i, row-major, to nine digits,
+    for an (n, d, d) stack of tables."""
+    upper = table_layout(tables.shape[-1]).upper
+    return [",".join(format(x, ".9g") for x in row) for row in tables[:, upper].tolist()]
+
+
 def _delta_string(delta) -> str:
     """The table's free entries d_ki, k <= i, row-major, to nine digits."""
-    return ",".join(format(x, ".9g") for x in delta.table[table_layout(delta.d).upper].tolist())
+    return _delta_strings(delta.table[None])[0]
+
+
+def _pure_reports(lams: np.ndarray, D: int, t_values, deltas) -> list[BoundsReport]:
+    """The report of the pure state of each checked spectrum, a row of lams
+    (n, d), embedded in dimension D, given its two-way t_value and table
+    string."""
+    ranks = np.count_nonzero(lams, axis=1).tolist()
+    rows = zip(lams.tolist(), ranks, sep_traces(lams), t_values, deltas)
+    return [
+        BoundsReport(
+            spectrum=tuple(lam),
+            D=D,
+            beta_g=1.0 / D,
+            beta_one_way=rank / D,
+            beta_sep=sep_trace / D,
+            beta_two_way_upper=t_value / D,
+            delta_star=delta,
+        )
+        for lam, rank, sep_trace, t_value, delta in rows
+    ]
 
 
 def pure_state_report(s: SchmidtSpectrum, dims: tuple[int, int] | None = None) -> BoundsReport:
@@ -69,20 +96,22 @@ def pure_state_report(s: SchmidtSpectrum, dims: tuple[int, int] | None = None) -
     D = dims[0] * dims[1] if dims is not None else s.dim**2
     if D < s.rank**2:
         raise ValueError(f"dims give D = {D}, too small for Schmidt rank {s.rank}")
-    return _pure_report(s, D, beta_two_way_upper(s))
+    result = beta_two_way_upper(s)
+    return _pure_reports(s.lambdas[None], D, [result.t_value], [_delta_string(result.best_delta)])[0]
 
 
-def _pure_report(s: SchmidtSpectrum, D: int, result: OptimizationResult) -> BoundsReport:
-    """The report of a pure state embedded in dimension D, given its two-way solve."""
-    return BoundsReport(
-        spectrum=tuple(float(x) for x in s.lambdas),
-        D=D,
-        beta_g=1.0 / D,
-        beta_one_way=s.rank / D,
-        beta_sep=beta_sep_pure(s, D),
-        beta_two_way_upper=result.t_value / D,
-        delta_star=_delta_string(result.best_delta),
-    )
+def pure_state_reports(lams: np.ndarray) -> list[BoundsReport]:
+    """pure_state_report of the spectrum in each row of lams (n, d), checked
+    by states.check_spectra: the two-way values come from the arrays of one
+    stacked solve per effective rank (optimize.solve_spectra), and no
+    spectrum, table or result object is built."""
+    n, d = lams.shape
+    t_values, deltas = [0.0] * n, [""] * n
+    for rows, solved in solve_spectra(lams, OptimizerConfig().tol):
+        tables = check_tables(solved.tables)  # DeltaMatrix's rules, once per stack
+        for i, t_value, delta in zip(rows.tolist(), solved.t_values.tolist(), _delta_strings(tables)):
+            t_values[i], deltas[i] = t_value, delta
+    return _pure_reports(lams, d * d, t_values, deltas)
 
 
 def mixed_state_report(state: BipartiteState) -> BoundsReport:

@@ -24,9 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import BoundsReport, _pure_report
-from .optimize import beta_two_way_upper_batch, stack_size
-from .states import SchmidtSpectrum
+from .bounds import BoundsReport, pure_state_reports
+from .optimize import stack_size
+from .states import SchmidtSpectrum, check_spectra
 
 FEAS_TOL = 1e-12
 MAX_POINTS = 1_000_000  # batched two-way solves at d <= 4: about ten minutes of work
@@ -82,12 +82,23 @@ class FamilySpec:
     def spectra_at(self, ts) -> list[SchmidtSpectrum]:
         """The spectrum at each t of ts; raises ValueError if any lies
         outside the family's range."""
+        return [SchmidtSpectrum(lam) for lam in self._coefficients_in_range(ts)]
+
+    def spectra_array(self, ts) -> np.ndarray:
+        """spectra_at(ts) as one (n, d) array: row i is bit for bit
+        spectra_at(ts)[i].lambdas, checked by the same rules
+        (states.check_spectra)."""
+        return check_spectra(self._coefficients_in_range(ts))
+
+    def _coefficients_in_range(self, ts) -> np.ndarray:
+        """lambda(t) clipped at 0 for each t of ts, (n, d); raises ValueError
+        if any t lies outside the family's range."""
         ts = np.asarray(ts, dtype=float)
         lo, hi = self.t_range
         outside = ~((ts >= lo - FEAS_TOL) & (ts <= hi + FEAS_TOL))  # NaN included
         if outside.any():
             raise ValueError(f"t={float(ts[outside][0])} outside range [{lo}, {hi}]")
-        return [SchmidtSpectrum(lam) for lam in np.clip(self.coefficients(ts), 0.0, None)]
+        return np.clip(self.coefficients(ts), 0.0, None)
 
     def grid(self, points: int) -> np.ndarray:
         check_points(points)
@@ -153,13 +164,14 @@ BUILTIN_FAMILIES = {
     ),
 }
 
-_NUM = r"\d+(?:\.\d+)?(?:/\d+(?:\.\d+)?)?"
+_NUM = r"[0-9]+(?:\.[0-9]+)?(?:/[0-9]+(?:\.[0-9]+)?)?"  # ASCII digits only
 # A family term a + b t: a constant, a multiple of t, or both.  The constant
 # comes first and is one only when a sign or the end follows it, so "2t" is
-# 2 t and "1-2t" is 1 - 2 t; the empty term is refused.
+# 2 t and "1-2t" is 1 - 2 t; the empty term is refused.  \A and \Z anchor
+# at the very ends: "$" would also match before a final newline.
 _TERM_RE = re.compile(
-    rf"^(?!$)(?P<a>[+-]?{_NUM}(?=[+-]|$))?"  # the constant
-    rf"(?:(?P<sign>[+-]?)(?P<coef>{_NUM})?\*?t)?$"  # the multiple of t
+    rf"\A(?!\Z)(?P<a>[+-]?{_NUM}(?=[+-]|\Z))?"  # the constant
+    rf"(?:(?P<sign>[+-]?)(?P<coef>{_NUM})?\*?t)?\Z"  # the multiple of t
 )
 
 
@@ -218,19 +230,17 @@ def sweep_rows(family: FamilySpec, points: int):
     """Yield (t, report) along the family parameter grid, in increasing t
     order, as the points are solved.
 
-    The grid is solved in chunks of consecutive points, each one batched
-    two-way solve (beta_two_way_upper_batch) of at most one stack at the
-    family's dimension (stack_size), so only one chunk of spectra, results
-    and reports is held at a time; each report is the pure_state_report of
-    its spectrum.
+    The grid is solved in chunks of consecutive points, each at most one
+    stack at the family's dimension (stack_size), so only one chunk is held
+    at a time.  A chunk is computed as arrays: its spectra
+    (FamilySpec.spectra_array) and their bounds (bounds.pure_state_reports),
+    each report being the pure_state_report of its spectrum.
     """
     grid = family.grid(points)
     size = stack_size(family.d)
     for lo in range(0, points, size):
         ts = grid[lo : lo + size]
-        spectra = family.spectra_at(ts)
-        for t, s, r in zip(ts.tolist(), spectra, beta_two_way_upper_batch(spectra)):
-            yield t, _pure_report(s, s.dim**2, r)
+        yield from zip(ts.tolist(), pure_state_reports(family.spectra_array(ts)))
 
 
 def sweep_line(t: float, report: BoundsReport) -> str:

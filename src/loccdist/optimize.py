@@ -49,17 +49,31 @@ diagonal is added through a strided view.  The spectrum's part of those
 entries (two_way.pair_factors) is gathered once per stack and again only
 when rows leave it.  A damped step runs each Armijo trial on the whole
 stack, with a step length per row, and hands back the accepted entries
-with the table.  At effective rank 1 the only feasible table is [[1]], and
-its first gap is 0, so that stack takes no step.
+with the table.
+
+Some rows are certified before any pass.  Every three-step protocol is an
+LOCC test, and LOCC tests are separable, so no table's Tr T lies below the
+separable optimum (sum_k sqrt(l_k))**2 (separable.sep_traces; Owari &
+Hayashi, arXiv:0708.3154), while the one-way corner's Tr T is d.  A row
+with d - (sum_k sqrt(l_k))**2 <= tol therefore leaves its stack before
+the barrier solve (solve_stack) with the one-way table, t_value = d,
+iterations 1 and that slack, clipped at 0, as its certified gap.  This
+covers every uniform spectrum, near-uniform ones (the slack is about
+eps**2 d**2 / 2 at distance eps), and effective rank 1, where the slack
+is 1 - 1 = 0 and [[1]] is the only table.
 
 A finished stack is also turned into results as a stack (_finish): its
-tables are clipped and renormalised together, one trace_T_closed_form
-call gives the operator's Tr T at every final table, and the smaller of
-that and the one-way corner's d is reported (the barrier table on a tie).
-The certified gap is reported as max(gap, 0): it is the rounded
-difference of two sums and can dip below 0 once the tolerance nears
-rounding.  Only the d = 2 analytic check runs per spectrum; each result
-gets one DeltaMatrix, and the rows the corner wins share one.
+tables are clipped, renormalised and checked together (two_way.
+check_tables, DeltaMatrix's rules), one trace_T_closed_form call gives the
+operator's Tr T at every final table, and the smaller of that and the
+one-way corner's d is reported (the barrier table on a tie).  The
+certified gap is reported as max(gap, 0): it is the rounded difference of
+two sums and can dip below 0 once the tolerance nears rounding.  Only the
+d = 2 analytic check runs per spectrum.  The results are arrays
+(StackSolve), which a sweep reads directly (bounds.pure_state_reports);
+beta_two_way_upper_batch wraps them in one OptimizationResult and one
+DeltaMatrix per spectrum, and the rows of a stack the corner wins share
+one.
 
 The exhaustive grid oracle for small d and the exact two-outcome solution
 
@@ -73,12 +87,21 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .separable import sep_traces
 from .states import SchmidtSpectrum
 from .two_way import (
-    DeltaMatrix, pair_factors, table_layout, trace_T_batch, trace_T_closed_form, uniform_table
+    DeltaMatrix,
+    check_tables,
+    one_way_table,
+    pair_factors,
+    table_layout,
+    trace_T_batch,
+    trace_T_closed_form,
+    uniform_table,
 )
 
 
@@ -110,8 +133,8 @@ class OptimizationResult:
 
 
 def _clean(tables: np.ndarray) -> np.ndarray:
-    """A table, or a stack of them, with rounding cleaned before the
-    validating DeltaMatrix: entries clipped at 0, rows renormalised."""
+    """A table, or a stack of them, with rounding cleaned before
+    check_tables: entries clipped at 0, rows renormalised."""
     tables = np.clip(tables, 0.0, None)
     return tables / tables.sum(axis=-1, keepdims=True)
 
@@ -244,10 +267,20 @@ def _damped_step(lam, factors, x, dx, f, t, decrement, entries):
         alpha[~accepted] *= 0.5
 
 
-def _finish(spectra, lam, tables, passes, gaps, tol) -> list[OptimizationResult]:
-    """The OptimizationResults of a finished stacked solve of spectra, whose
-    effective spectra are the rows of lam (n, d), from _barrier_newton's
-    tables, passes and gaps."""
+class StackSolve(NamedTuple):
+    """The two-way bound of every row of a stack (solve_stack), as arrays."""
+
+    tables: np.ndarray  # (n, d, d), clipped and renormalised, not yet checked
+    t_values: np.ndarray  # (n,)
+    iterations: np.ndarray  # (n,) passes; 1 for a row certified before any step
+    gaps: np.ndarray  # (n,) certified gaps, never below 0
+    converged: np.ndarray  # (n,) bool
+    corner: np.ndarray  # (n,) bool: the table is one_way_table(d)
+
+
+def _finish(lam, tables, passes, gaps, tol) -> StackSolve:
+    """The StackSolve of a finished stacked solve of the effective spectra
+    lam (n, d), from _barrier_newton's tables, passes and gaps."""
     d = lam.shape[1]
     tables = _clean(tables)
     values = trace_T_closed_form(lam, tables)
@@ -258,6 +291,8 @@ def _finish(spectra, lam, tables, passes, gaps, tol) -> list[OptimizationResult]
     # about states.RANK_TOL = 1e-12 or more, far above the d eps support
     # cutoff.
     corner = values > d
+    if corner.any():
+        tables[corner] = one_way_table(d)
     values = np.minimum(values, d)
     gaps = np.maximum(gaps, 0.0)  # a rounded difference of two sums can dip below 0
     converged = gaps <= tol
@@ -271,45 +306,84 @@ def _finish(spectra, lam, tables, passes, gaps, tol) -> list[OptimizationResult]
                     RuntimeWarning,
                 )
                 converged[k] = False
-    one_way = DeltaMatrix.one_way(d) if corner.any() else None
-    rows = zip(corner.tolist(), tables, values.tolist(), passes.tolist(), converged.tolist(), gaps.tolist())
-    return [
-        OptimizationResult(
-            best_delta=one_way if at_corner else DeltaMatrix(table),
-            beta_value=t_value / s.dim**2,
-            method="log-barrier-newton",
-            iterations=iterations,
-            converged=ok,
-            t_value=t_value,
-            D=s.dim**2,
-            certified_gap=gap,
-        )
-        for s, (at_corner, table, t_value, iterations, ok, gap) in zip(spectra, rows)
-    ]
+    return StackSolve(tables, values, passes, gaps, converged, corner)
+
+
+def solve_stack(lam: np.ndarray, tol: float) -> StackSolve:
+    """The two-way bound of every row of an (n, d) stack of effective
+    spectra.
+
+    No table's Tr T lies below (sum_k sqrt(l_k))**2 (separable.sep_traces),
+    and the one-way corner's is d.  A row with d - (sum_k sqrt(l_k))**2 <=
+    tol therefore gets the corner, with that slack as its gap, after one
+    pass and no step; the other rows are one stacked barrier solve.  Every
+    operation acts on each row alone, so a row's result does not depend on
+    the rest of the stack.
+    """
+    n, d = lam.shape
+    slack = d - np.array(sep_traces(lam))
+    solve = slack > tol
+    if solve.all():
+        return _finish(lam, *_barrier_newton(lam, tol), tol)
+    out = StackSolve(
+        np.repeat(one_way_table(d)[None], n, axis=0),
+        np.full(n, float(d)),
+        np.ones(n, dtype=int),
+        np.maximum(slack, 0.0),
+        np.ones(n, dtype=bool),
+        np.ones(n, dtype=bool),
+    )
+    if solve.any():
+        for whole, part in zip(out, _finish(lam[solve], *_barrier_newton(lam[solve], tol), tol)):
+            whole[solve] = part
+    return out
+
+
+def solve_spectra(lams: np.ndarray, tol: float):
+    """Yield (rows, StackSolve) for every stack the two-way bounds of the
+    checked spectra lams (n, dim) take (states.check_spectra: each row
+    non-increasing, zero-padded): rows of one effective rank r are solved
+    together as their first r coefficients, in stacks of at most
+    BATCH_BYTES of solver arrays (stack_size)."""
+    ranks = np.count_nonzero(lams, axis=1)
+    for d in sorted(set(ranks.tolist())):
+        group = np.flatnonzero(ranks == d)
+        size = stack_size(d)
+        for lo in range(0, group.size, size):
+            rows = group[lo : lo + size]
+            yield rows, solve_stack(lams[rows, :d], tol)
 
 
 def beta_two_way_upper_batch(
     spectra: list[SchmidtSpectrum], config: OptimizerConfig | None = None
 ) -> list[OptimizationResult]:
-    """beta_two_way_upper of each spectrum, in order.
-
-    Spectra of one effective rank are solved together, in stacks of at most
-    BATCH_BYTES of solver arrays; each result is bit for bit the one its
-    spectrum gets alone.
+    """beta_two_way_upper of each spectrum, in order: solve_spectra's
+    arrays, one OptimizationResult per spectrum.  Each result is bit for
+    bit the one its spectrum gets alone; each gets its own DeltaMatrix, and
+    the rows of one stack that the one-way corner wins share one.
     """
     if config is None:
         config = OptimizerConfig()
-    lams = [s.effective for s in spectra]
+    lams = np.zeros((len(spectra), max((s.dim for s in spectra), default=1)))
+    for row, s in zip(lams, spectra):
+        row[: s.dim] = s.lambdas
     results = [None] * len(spectra)
-    for d in sorted({lam.size for lam in lams}):
-        group = [i for i, lam in enumerate(lams) if lam.size == d]
-        size = stack_size(d)
-        for lo in range(0, len(group), size):
-            chunk = group[lo : lo + size]
-            lam = np.stack([lams[i] for i in chunk])
-            solved = _barrier_newton(lam, config.tol)
-            for i, result in zip(chunk, _finish([spectra[i] for i in chunk], lam, *solved, config.tol)):
-                results[i] = result
+    for rows, solved in solve_spectra(lams, config.tol):
+        one_way = DeltaMatrix.one_way(solved.tables.shape[1]) if solved.corner.any() else None
+        per_row = zip(rows.tolist(), solved.corner.tolist(), solved.tables, solved.t_values.tolist(),
+                      solved.iterations.tolist(), solved.converged.tolist(), solved.gaps.tolist())
+        for i, at_corner, table, t_value, iterations, ok, gap in per_row:
+            D = spectra[i].dim ** 2
+            results[i] = OptimizationResult(
+                best_delta=one_way if at_corner else DeltaMatrix(table),
+                beta_value=t_value / D,
+                method="log-barrier-newton",
+                iterations=iterations,
+                converged=ok,
+                t_value=t_value,
+                D=D,
+                certified_gap=gap,
+            )
     return results
 
 
@@ -318,7 +392,9 @@ def beta_two_way_upper(
 ) -> OptimizationResult:
     """Log-barrier Newton minimiser of the protocol error.
 
-    From the uniform table, each pass takes the Frank-Wolfe gap, raises the
+    A spectrum with d - (sum_k sqrt(l_k))**2 <= config.tol gets the one-way
+    corner at once, since no table lies below the separable optimum.
+    Otherwise, from the uniform table, each pass takes the Frank-Wolfe gap, raises the
     barrier weight t (from 1) to at least GAP_FLOOR * m / gap, with
     m = d (d + 1) / 2 log terms, and takes one Newton step on
     f(x) - (1/t) sum log x_ki under the row sums (one KKT system, kept

@@ -124,16 +124,24 @@ class SeparablePovmPair:
         return self.T_form.assemble()
 
 
+def sep_traces(lams: np.ndarray) -> list[float]:
+    """(sum_k sqrt(l_k))**2 for every row of an (n, d) stack of spectra: Tr T
+    of the optimal separable test, so D beta_sep.  Every LOCC test is
+    separable, so no three-step protocol has a smaller Tr T.  Each root sum
+    is squared as a float, as one spectrum's would be."""
+    return [root**2 for root in np.sqrt(lams).sum(axis=1).tolist()]
+
+
 def beta_sep_pure(s: SchmidtSpectrum, D: int | None = None) -> float:
     """Minimum type-2 error under separable operations, (sum_i sqrt(l_i))**2 / D."""
     if D is None:
         D = s.dim**2
-    return float(np.sum(np.sqrt(s.lambdas)) ** 2 / D)
+    return sep_traces(s.lambdas[None])[0] / D
 
 
 def global_robustness_pure(s: SchmidtSpectrum) -> float:
     """Global robustness of entanglement of the pure state, (sum sqrt(l))**2 - 1."""
-    return float(np.sum(np.sqrt(s.lambdas)) ** 2 - 1.0)
+    return sep_traces(s.lambdas[None])[0] - 1.0
 
 
 def _diagonal_pairs(t: np.ndarray) -> np.ndarray:

@@ -27,6 +27,28 @@ RANK_TOL = 1e-12
 SUM_TOL = 1e-9  # inputs whose coefficient sum misses 1 by more are rejected
 
 
+def check_spectra(lams: np.ndarray) -> np.ndarray:
+    """SchmidtSpectrum's rules on every row of an (n, d) array of
+    coefficients, n, d >= 1: finite, none below -RANK_TOL or above 1, those
+    at or below RANK_TOL set to 0, a sum within SUM_TOL of 1, then
+    renormalised and sorted non-increasing.  Returns the checked rows as a
+    new (n, d) array, each row bit for bit its SchmidtSpectrum's lambdas;
+    raises ValueError at the first rule a row breaks."""
+    lam = np.asarray(lams, dtype=float)
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("Schmidt coefficients must be finite")
+    if np.min(lam) < -RANK_TOL:
+        raise ValueError(f"negative Schmidt coefficient {np.min(lam):.3e}")
+    if np.max(lam) > 1.0 + SUM_TOL:
+        raise ValueError(f"Schmidt coefficient {float(np.max(lam))} exceeds 1")
+    lam = np.where(lam > RANK_TOL, lam, 0.0)
+    total = lam.sum(axis=1, keepdims=True)
+    off = np.abs(total - 1.0) > SUM_TOL
+    if off.any():
+        raise ValueError(f"coefficients sum to {float(total[off][0])}, not 1")
+    return -np.sort(-(lam / total), axis=1)  # ties are equal values: no order to keep
+
+
 @dataclass(frozen=True)
 class SchmidtSpectrum:
     """Ordered Schmidt coefficients; nonnegative, non-increasing, summing to 1.
@@ -44,21 +66,9 @@ class SchmidtSpectrum:
         lam = np.asarray(self.lambdas, dtype=float)
         if lam.ndim != 1 or lam.size == 0:
             raise ValueError("spectrum must be a nonempty 1-D sequence")
-        if not np.all(np.isfinite(lam)):
-            raise ValueError("Schmidt coefficients must be finite")
-        if np.min(lam) < -RANK_TOL:
-            raise ValueError(f"negative Schmidt coefficient {np.min(lam):.3e}")
-        if np.max(lam) > 1.0 + SUM_TOL:
-            raise ValueError(f"Schmidt coefficient {float(np.max(lam))} exceeds 1")
-        lam = np.where(lam > RANK_TOL, lam, 0.0)
-        total = lam.sum()
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"coefficients sum to {float(total)}, not 1")
-        lam = lam / total
-        # Non-increasing order, ties kept in original position.
-        lam = lam[np.argsort(-lam, kind="stable")]
+        lam = check_spectra(lam[None])[0]
+        lam.setflags(write=False)
         object.__setattr__(self, "lambdas", lam)
-        self.lambdas.setflags(write=False)
 
     @property
     def dim(self) -> int:

@@ -58,6 +58,35 @@ def uniform_table(d: int) -> np.ndarray:
     return _upper(d) / np.arange(d, 0, -1)[:, None]
 
 
+def one_way_table(d: int) -> np.ndarray:
+    """The table putting all weight on the last outcome: M_d = I, every
+    other M_i = 0, the one-way protocol's corner."""
+    table = np.zeros((d, d))
+    table[:, -1] = 1.0
+    return table
+
+
+def check_tables(tables: np.ndarray) -> np.ndarray:
+    """DeltaMatrix's rules on every table of a nonempty (n, d, d) stack:
+    finite, no entry below -1e-12, zero below the diagonal and rows summing
+    to 1 within 1e-12.  Returns a checked copy with the entries clipped at
+    0 (-0.0 included), each table bit for bit its DeltaMatrix's; raises
+    ValueError at the first rule a table breaks."""
+    t = np.array(tables, dtype=float)  # a private copy
+    lo, hi = t.min(), t.max()  # NaN reaches both, inf one of them
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("delta entries must be finite")
+    if lo < -1e-12:
+        raise ValueError(f"negative delta entry {lo:.3e}")
+    if t[:, ~_upper(t.shape[-1])].any():
+        raise ValueError("entries with k > i must be structurally zero")
+    deviation = np.abs(t.sum(axis=-1) - 1.0).max()
+    if deviation > 1e-12:
+        raise ValueError(f"row sums deviate from 1 by {deviation:.3e}")
+    np.maximum(t, 0.0, out=t)
+    return t
+
+
 @dataclass(frozen=True)
 class DeltaMatrix:
     """Feasible coefficient table d_ki, 1 <= k <= i <= d.
@@ -70,20 +99,10 @@ class DeltaMatrix:
     table: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.table, dtype=float)  # a private copy, frozen below
+        t = np.asarray(self.table, dtype=float)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise ValueError("delta table must be square")
-        lo, hi = t.min(), t.max()  # NaN reaches both, inf one of them
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("delta entries must be finite")
-        if lo < -1e-12:
-            raise ValueError(f"negative delta entry {lo:.3e}")
-        if t[~_upper(t.shape[0])].any():
-            raise ValueError("entries with k > i must be structurally zero")
-        deviation = np.abs(t.sum(axis=1) - 1.0).max()
-        if deviation > 1e-12:
-            raise ValueError(f"row sums deviate from 1 by {deviation:.3e}")
-        np.maximum(t, 0.0, out=t)  # -0.0 included
+        t = check_tables(t[None])[0]
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
 
@@ -97,10 +116,7 @@ class DeltaMatrix:
 
     @classmethod
     def one_way(cls, d: int) -> "DeltaMatrix":
-        """All weight on the last outcome: M_d = I, every other M_i = 0."""
-        t = np.zeros((d, d))
-        t[:, d - 1] = 1.0
-        return cls(t)
+        return cls(one_way_table(d))
 
     @classmethod
     def qubit(cls, delta: float) -> "DeltaMatrix":

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -8,18 +11,20 @@ import numpy as np
 import pytest
 
 import loccdist.cli
+import loccdist.families
 import loccdist.one_way
 import loccdist.operators
 import loccdist.separable
 import loccdist.two_way
 from loccdist.cli import MAX_LEVELS, main
-from loccdist.optimize import stack_size
+from loccdist.optimize import OptimizationResult, stack_size
 from loccdist.separable import SeparableForm
 from loccdist.states import SchmidtSpectrum, parse_spectrum
-from loccdist.two_way import TwoWayProtocol
+from loccdist.two_way import DeltaMatrix, TwoWayProtocol
 from reference import dense_verify_checks
 
 DATA = Path(__file__).resolve().parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 VERIFY_CHECKS = [
     "appendix-identity",
@@ -301,6 +306,9 @@ def test_cli_entry_point_runs():
          "--out", "{tmp}/x.csv"],
         ["sweep", "--family", "1-" + "9" * 308 + "t," + "9" * 308 + "t", "--range", "0,10",
          "--points", "3", "--out", "{tmp}/x.csv"],
+        # A term followed by a newline, and one in non-ASCII digits.
+        ["sweep", "--family", "1-2t\n,t,t", "--range", "0,0.3", "--points", "3", "--out", "{tmp}/x.csv"],
+        ["sweep", "--family", "\u0661-t,t", "--range", "0,0.5", "--points", "3", "--out", "{tmp}/x.csv"],
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
@@ -340,6 +348,82 @@ def test_spectrum_at_the_cap_is_accepted(capsys):
     code, out, _ = run(capsys, "bounds", "--schmidt", ",".join([repr(1 / MAX_LEVELS)] * MAX_LEVELS))
     assert code == 0
     assert abs(json.loads(out)["beta_two_way_upper"] - 1 / MAX_LEVELS) <= 1e-9
+
+
+def test_non_uniform_spectrum_at_the_cap_is_solved(capsys):
+    """The uniform spectrum at the cap is certified without a Newton step,
+    so a seeded Dirichlet one keeps a real solve at d = MAX_LEVELS."""
+    lam = np.sort(np.random.default_rng(32).dirichlet(np.ones(MAX_LEVELS)))[::-1]
+    code, out, _ = run(capsys, "bounds", "--schmidt", ",".join(repr(float(x)) for x in lam))
+    assert code == 0
+    report = json.loads(out)
+    assert report["beta_sep"] <= report["beta_two_way_upper"] <= report["beta_one_way"]
+    assert report["beta_two_way_upper"] < report["beta_one_way"]
+
+
+def test_optimize_at_a_tiny_tol_still_solves_the_uniform_qutrit(capsys):
+    """(sum sqrt l)**2 rounds to 3 - 4.4e-16 at 1/3 x 3: above --tol 1e-300,
+    so the corner is not certified and the barrier solve runs."""
+    code, out, _ = run(capsys, "optimize", "--schmidt", ",".join([repr(1 / 3)] * 3), "--tol", "1e-300")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["iterations"] > 1 and payload["t_value"] <= 3.0
+
+
+def test_sweep_builds_no_object_per_point(capsys, tmp_path, monkeypatch):
+    """A sweep chunk is computed as arrays: fig5 at 50 points in chunks of
+    10 builds at most one SchmidtSpectrum, DeltaMatrix and
+    OptimizationResult per chunk, not one per point, and still writes the
+    pinned CSV."""
+    counts = dict.fromkeys(("spectrum", "table", "result"), 0)
+
+    def counting(name, method):
+        def counted(self, *args, **kwargs):
+            counts[name] += 1
+            method(self, *args, **kwargs)
+
+        return counted
+
+    for cls, attr, name in ((SchmidtSpectrum, "__post_init__", "spectrum"),
+                            (DeltaMatrix, "__post_init__", "table"),
+                            (OptimizationResult, "__init__", "result")):
+        monkeypatch.setattr(cls, attr, counting(name, getattr(cls, attr)))
+    monkeypatch.setattr(loccdist.families, "stack_size", lambda d: 10)
+    out_path = tmp_path / "x.csv"
+    code, _, _ = run(capsys, "sweep", "--family", "fig5", "--points", "50", "--out", str(out_path))
+    assert code == 0
+    assert out_path.read_bytes() == (DATA / "fig5_sweep50.csv").read_bytes()
+    assert all(count <= 5 for count in counts.values()), counts
+
+
+def test_commands_load_no_numpy_module_that_import_did_not(tmp_path):
+    """A command's first call may not pull in a numpy submodule that numpy
+    loads lazily (np.unique, for one, imports numpy.ma: about 12 ms): in a
+    fresh interpreter, sweep, bounds and optimize calls load no numpy module
+    that importing the CLI did not.  Such an import would land in the set-up
+    time of every process that runs one command."""
+    script = f"""
+import sys
+import loccdist.cli
+
+def numpy_modules():
+    return {{name for name in sys.modules if name == "numpy" or name.startswith("numpy.")}}
+
+before = numpy_modules()
+for argv in (
+    ["sweep", "--family", "fig2", "--points", "3", "--out", {str(tmp_path / "a.csv")!r}],
+    ["sweep", "--family", "fig1", "--points", "3", "--out", {str(tmp_path / "b.csv")!r}],
+    ["bounds", "--schmidt", "0.4,0.3,0.2,0.1"],
+    ["bounds", "--schmidt", "0.25,0.25,0.25,0.25"],
+    ["optimize", "--schmidt", "0.6,0.3,0.1"],
+):
+    assert loccdist.cli.main(argv) == 0, argv
+print(sorted(numpy_modules() - before))
+"""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize(

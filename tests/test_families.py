@@ -87,17 +87,19 @@ def test_family_grid_and_range_checks():
 
 @pytest.mark.parametrize("family", [*BUILTIN_FAMILIES.values(), parse_family("1-t,0.5t,0.5t,0", (0, 2 / 3))])
 def test_stacked_spectra_are_spectrum_at_bit_for_bit(family):
-    """A chunk's spectra are each point's base + slope * t, clipped at 0,
-    to the bit."""
+    """A chunk's spectra, as objects or as one array, are each point's
+    base + slope * t, clipped at 0, to the bit."""
     ts = family.grid(23)
-    for s, t in zip(family.spectra_at(ts), ts):
+    for s, row, t in zip(family.spectra_at(ts), family.spectra_array(ts), ts):
         alone = np.clip(np.array(family.base) + np.array(family.slope) * float(t), 0.0, None)
-        for lam in (family.spectrum_at(float(t)).lambdas, SchmidtSpectrum(alone).lambdas):
+        for lam in (family.spectrum_at(float(t)).lambdas, SchmidtSpectrum(alone).lambdas, row):
             assert s.lambdas.view(np.uint64).tolist() == lam.view(np.uint64).tolist()
     lo, hi = family.t_range
     for bad in (hi + 1e-11, lo - 1e-11, float("nan")):
         with pytest.raises(ValueError, match=f"^t={bad} outside range"):
             family.spectra_at(np.append(ts, bad))
+        with pytest.raises(ValueError, match=f"^t={bad} outside range"):
+            family.spectra_array(np.append(ts, bad))
         with pytest.raises(ValueError, match="outside range"):
             family.spectrum_at(bad)
 
@@ -156,12 +158,15 @@ def test_parse_family_accepts_rounding_level_negative_endpoint():
         ("1e-3t", "cannot parse"),
         ("2t+1", "cannot parse"),
         ("1/0-t", "zero denominator"),
+        ("1-2t\n", "cannot parse"),  # "$" would match before the newline
+        ("\u0661-t", "cannot parse"),  # an Arabic-Indic 1, a digit to "\d" and float()
     ],
 )
 def test_parse_term_grammar(token, expected):
     """A term is a constant, a multiple of t, or a constant and then a
     signed multiple of t; spaces do not count.  Each expected value is what
-    the earlier three-pattern parser returned or raised."""
+    the earlier three-pattern parser returned or raised, but for the last
+    two: only ASCII digits count, and nothing may follow the term."""
     if isinstance(expected, str):
         with pytest.raises(ValueError, match=expected):
             _parse_term(token)

@@ -11,9 +11,15 @@ from loccdist.optimize import (
     beta_two_way_upper_batch,
     grid_oracle,
 )
-from loccdist.separable import beta_sep_pure
+from loccdist.separable import beta_sep_pure, sep_traces
 from loccdist.states import parse_spectrum, spectrum
-from loccdist.two_way import pair_factors, table_layout, trace_T_batch, trace_T_closed_form
+from loccdist.two_way import (
+    DeltaMatrix,
+    pair_factors,
+    table_layout,
+    trace_T_batch,
+    trace_T_closed_form,
+)
 from test_cli import fuzz_spectra
 
 
@@ -76,6 +82,87 @@ def test_rank_one_spectra_need_no_newton_step(monkeypatch):
         assert res.iterations == 1 and res.certified_gap == 0.0 and res.t_value == 1.0
         assert res.converged and res.best_delta.table.tolist() == [[1.0]]
     assert [r.D for r in alone] == [1, 9, 4]
+
+
+def near_uniform(d, eps):
+    """The uniform spectrum at d with eps moved from its last level to its
+    first: d - (sum sqrt l)**2 is about eps**2 d**2 / 2."""
+    lam = np.full(d, 1.0 / d)
+    lam[0] += eps
+    lam[-1] -= eps
+    return spectrum(lam)
+
+
+CERTIFIED = [near_uniform(d, eps) for eps in (0.0, 1e-6) for d in [*range(2, 11), MAX_LEVELS]]
+
+
+def slack(s):
+    """d - (sum sqrt l)**2 over the effective spectrum: how far the one-way
+    corner's Tr T can lie above the minimum."""
+    return s.rank - sep_traces(s.effective[None])[0]
+
+
+def same(a, b) -> bool:
+    return (a.t_value, a.iterations, a.certified_gap, a.converged) == (
+        b.t_value, b.iterations, b.certified_gap, b.converged
+    ) and np.array_equal(a.best_delta.table, b.best_delta.table)
+
+
+def test_certified_corner_needs_no_newton_step(monkeypatch):
+    """No table's Tr T lies below (sum sqrt l)**2 (LOCC tests are
+    separable) and the one-way corner's is d, so a spectrum whose slack is
+    at most tol returns the corner after one pass, with the slack as its
+    gap: alone and in a mixed-rank batch, uniform and 1e-6 from uniform at
+    d = 2..10 and 32, without a KKT solve."""
+
+    def no_solve(a, b):
+        raise AssertionError("a certified spectrum reached np.linalg.solve")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    alone = [beta_two_way_upper(s) for s in CERTIFIED]
+    batched = beta_two_way_upper_batch([spectrum([1.0])] + CERTIFIED[::-1])[:0:-1]
+    for s, res, other in zip(CERTIFIED, alone, batched):
+        d = s.rank
+        assert res.t_value == d and res.iterations == 1 and res.converged
+        assert res.certified_gap == max(slack(s), 0.0) <= OptimizerConfig().tol
+        assert np.array_equal(res.best_delta.table, DeltaMatrix.one_way(d).table)
+        assert same(other, res)
+
+
+def test_certified_rows_leave_the_stack_before_its_solve(monkeypatch):
+    """In a stack that mixes certified and other spectra of one rank, only
+    the others reach the stacked KKT solve, and every result is the one its
+    spectrum gets alone."""
+    rng = np.random.default_rng(12)
+    batch = [s for d in (3, 5) for s in (near_uniform(d, 0.0), random_spectrum(d, rng),
+                                        near_uniform(d, 1e-6), random_spectrum(d, rng))]
+    alone = [beta_two_way_upper(s) for s in batch]
+    stacked, solve = [], np.linalg.solve
+
+    def counted(a, b):
+        stacked.append(len(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    results = beta_two_way_upper_batch(batch)
+    assert stacked and max(stacked) == 2
+    assert all(same(a, b) for a, b in zip(results, alone))
+    assert [r.iterations == 1 for r in results] == [True, False, True, False] * 2
+
+
+def test_slack_above_tol_still_solves():
+    """1e-4 from uniform at d = 4 the slack is about 8e-8: the spectrum is
+    solved, and its table beats the corner."""
+    s = near_uniform(4, 1e-4)
+    assert slack(s) > OptimizerConfig().tol
+    res = beta_two_way_upper(s)
+    assert res.iterations > 1 and res.converged and res.t_value < 4
+
+
+def test_no_value_lies_below_the_separable_bound():
+    spectra = [parse_spectrum(x) for x in fuzz_spectra()]
+    for s, res in zip(spectra, beta_two_way_upper_batch(spectra)):
+        assert res.t_value >= s.rank - slack(s) - 1e-12
 
 
 def test_certified_gap_is_never_negative():

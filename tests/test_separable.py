@@ -14,6 +14,7 @@ from loccdist.separable import (
     optimal_test_entries,
     optimal_test_operator,
     sep_lower_bound_mixed,
+    sep_traces,
     sidon_phase_grid,
     sidon_set,
     twirl,
@@ -54,6 +55,18 @@ def test_beta_sep_bounds_and_symmetry():
         assert 1.0 / D - 1e-12 <= val <= s.rank / D + 1e-12
         shuffled = spectrum(rng.permutation(s.lambdas))
         assert abs(beta_sep_pure(shuffled) - val) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 32])
+def test_stacked_separable_trace_is_each_spectrum_alone(d):
+    """sep_traces squares each root sum as one float, as the scalar
+    formula does: numpy's array square can round differently from a
+    scalar power, so every row must match the loop below bit for bit."""
+    rng = np.random.default_rng(d)
+    lams = np.sort(rng.dirichlet(np.ones(d), size=200), axis=1)[:, ::-1]
+    reference = [float(np.sum(np.sqrt(lam)) ** 2) for lam in lams]
+    assert sep_traces(lams) == reference
+    assert [beta_sep_pure(spectrum(lam)) for lam in lams[:5]] == [x / d**2 for x in reference[:5]]
 
 
 def test_global_robustness():

@@ -3,9 +3,11 @@ import pytest
 
 from loccdist.operators import eig_hermitian, partial_trace
 from loccdist.states import (
+    RANK_TOL,
     BipartiteState,
     MaximallyCorrelatedState,
     SchmidtSpectrum,
+    check_spectra,
     parse_spectrum,
     schmidt_decompose,
     spectrum,
@@ -67,6 +69,30 @@ def test_spectrum_zeroes_levels_at_or_below_the_rank_cutoff(lam, kept):
     s = spectrum(lam)
     assert np.count_nonzero(s.lambdas) == s.rank == s.effective.size == kept
     assert abs(s.lambdas.sum() - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("d", [3, 9, 32])
+def test_stacked_check_is_each_spectrum_alone(d):
+    """check_spectra gives each row of a stack, bit for bit, what the rules
+    give one spectrum (the loop below is the reference) and what
+    SchmidtSpectrum stores; a bad row anywhere in the stack is refused."""
+    rng = np.random.default_rng(d)
+    rows = rng.dirichlet(np.ones(d), size=6) * (1.0 + rng.uniform(-5e-10, 5e-10, (6, 1)))
+    rows[1, :2] = rows[1, :2].sum() / 2  # a tie
+    rows[2, -1], rows[2, 0] = 1e-13, rows[2, 0] + rows[2, -1] - 1e-13  # below RANK_TOL
+    rows[3, -1], rows[3, 0] = 0.0, rows[3, 0] + rows[3, -1]
+    for row, lam in zip(rows, check_spectra(rows)):
+        alone = np.where(row > RANK_TOL, row, 0.0)
+        alone = alone / alone.sum()
+        alone = alone[np.argsort(-alone, kind="stable")]
+        for got in (lam, SchmidtSpectrum(row).lambdas):
+            assert got.view(np.uint64).tolist() == alone.view(np.uint64).tolist()
+    for at, value, message in [(slice(None), rows[4] * 0.9, "sum to"), (-1, -0.1, "negative"),
+                               (0, np.nan, "finite")]:
+        bad = rows.copy()
+        bad[4, at] = value
+        with pytest.raises(ValueError, match=message):
+            check_spectra(bad)
 
 
 def test_parse_spectrum():

@@ -19,6 +19,7 @@ from loccdist.two_way import (
     build_mub_basis,
     build_two_way_protocol,
     build_two_way_T,
+    check_tables,
     pair_factors,
     sigma_A,
     simulate_protocol,
@@ -54,6 +55,9 @@ def test_delta_validation():
     ]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             DeltaMatrix(np.array(table))
+        if np.shape(table) == (2, 2):  # the same rule on a stack, the bad table second
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                check_tables(np.array([[[0.5, 0.5], [0.0, 1.0]], table]))
 
 
 def test_delta_matrix_neither_freezes_nor_aliases_the_callers_array():
