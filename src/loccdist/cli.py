@@ -34,7 +34,7 @@ from .states import MaximallyCorrelatedState, SchmidtSpectrum, parse_spectrum
 from .two_way import (
     MAX_SAMPLES,
     DeltaMatrix,
-    build_two_way_protocol,
+    build_two_way_protocols,
     simulate_protocol,
     trace_T_closed_form,
     wilson_interval,
@@ -48,12 +48,12 @@ EXIT_INVARIANT = 3
 SEED_HELP = "accepted and ignored: the two-way solve is deterministic"
 
 # Most Schmidt coefficients (or family terms) an input may have.  On
-# 2 vCPUs a two-way solve takes about 0.15 s at 32 (d = 16: 8 ms) and
-# verify about 0.2 s (d = 16: 16 ms), the solve included; verify reads
-# d x d blocks and factor vectors only, and its traced memory peaks at
-# about 13 MiB at 32, below one D x D complex matrix (16 MiB).  The solve
-# grows as about d**5 beyond that (d = 48: 2.3 s), and at d = 200 the
-# first KKT system alone would take 3.3 GB.
+# 2 vCPUs a two-way solve takes about 0.16-0.2 s at 32 (d = 16: 8-12 ms)
+# and verify about 0.21-0.24 s (d = 16: 14-18 ms), the solve included;
+# verify reads d x d blocks and factor vectors only, and its traced memory
+# peaks at about 14.3 MiB at 32, below one D x D complex matrix (16 MiB).
+# The solve grows as about d**5 beyond that (d = 48: 2.3 s), and at
+# d = 200 the first KKT system alone would take 3.3 GB.
 MAX_LEVELS = 32
 
 
@@ -157,8 +157,14 @@ def _verify_checks(s, mc_samples: int, seed: int):
     protocol through its SeparableForm's kernels, the separable pair through
     separable.certificate_deviation, and the separable test's spectrum
     through its certificate's phase-invariant entries.  No D x D product,
-    eigensolve or assembly runs."""
-    d = s.rank
+    eigensolve or assembly runs.  The separable checks' arrays are freed
+    before the protocols are built."""
+    yield from _separable_checks(s)
+    yield from _two_way_checks(s, mc_samples, seed)
+
+
+def _separable_checks(s):
+    """The checks of the optimal separable test and the one-way test."""
     dim = s.dim
     yield "appendix-identity", verify_appendix_identity(s), 1e-9
 
@@ -178,19 +184,26 @@ def _verify_checks(s, mc_samples: int, seed: int):
     one_way = one_way_test_form(MaximallyCorrelatedState.from_spectrum(s))
     yield "perfect-detection-one-way", abs(one_way.schmidt_expectation(s.lambdas) - 1.0), 1e-10
 
+
+def _two_way_checks(s, mc_samples: int, seed: int):
+    """The checks of the three-step protocol on four oracle tables (uniform
+    and three seeded random ones) and on the optimal table, all five built
+    as one stack of protocols."""
+    d = s.rank
     lam = s.effective
     rng = np.random.default_rng(seed)
-    deltas = [DeltaMatrix.uniform(d)] + [DeltaMatrix.random(d, rng) for _ in range(3)]
-    forms = [build_two_way_protocol(s, delta).accept_form() for delta in deltas]
+    oracle = [DeltaMatrix.uniform(d)] + [DeltaMatrix.random(d, rng) for _ in range(3)]
+    result = beta_two_way_upper(s)
+    *protocols, protocol = build_two_way_protocols(s, oracle + [result.best_delta])
+    forms = [p.accept_form() for p in protocols]
+    closed = trace_T_closed_form(lam, np.stack([delta.table for delta in oracle])).tolist()
     yield "two-way-trace-oracle", max(
-        abs(form.trace() - trace_T_closed_form(s, delta)) for form, delta in zip(forms, deltas)
+        abs(form.trace() - value) for form, value in zip(forms, closed)
     ), 1e-9
     yield "two-way-perfect-detection", max(
         abs(form.schmidt_expectation(lam) - 1.0) for form in forms
     ), 1e-9
 
-    result = beta_two_way_upper(s)
-    protocol = build_two_way_protocol(s, result.best_delta)
     form = protocol.accept_form()
     yield "two-way-optimal-trace", abs(form.trace() - result.t_value), 1e-9
     yield "two-way-optimal-detection", abs(form.schmidt_expectation(lam) - 1.0), 1e-9

@@ -211,11 +211,19 @@ def sidon_set(n: int) -> tuple[int, ...]:
 
 
 def sidon_phase_grid(n: int) -> np.ndarray:
-    """N x n phase rows exp(2 pi i m s_j / N), m = 0..N-1, with s = sidon_set(n)
-    and N = 2 max(s) + 1; each row carries weight 1 / N in an average."""
-    s = np.array(sidon_set(n))
+    """Read-only N x n phase rows exp(2 pi i m s_j / N), m = 0..N-1, with
+    s = sidon_set(n) and N = 2 max(s) + 1; each row carries weight 1 / N in
+    an average.  Built once per phase set."""
+    return _phase_grid(sidon_set(n))
+
+
+@functools.cache
+def _phase_grid(phases: tuple[int, ...]) -> np.ndarray:
+    s = np.array(phases)
     N = 2 * s.max() + 1
-    return np.exp(2j * np.pi * np.outer(np.arange(N), s) / N)
+    grid = np.exp(2j * np.pi * np.outer(np.arange(N), s) / N)
+    grid.setflags(write=False)
+    return grid
 
 
 def optimal_test_entries(s: SchmidtSpectrum) -> tuple[np.ndarray, np.ndarray]:

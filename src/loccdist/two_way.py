@@ -5,8 +5,9 @@ table, Bob measures a basis that is unbiased for his conditional state, and
 Alice finishes with the support projector of her post-measurement state.
 Bob's elements are rank one, so Alice's conditional state, her projector
 and every accept leaf are rank one too: a protocol is Bob's outcome counts
-r_i plus two padded arrays of vectors (his xi_ij, Alice's final v_ij)
-(build_two_way_protocol).  Its accept leaves u_ij = sqrt(M_i) v_ij and
+r_i plus two padded arrays of vectors (his xi_ij, Alice's final v_ij),
+and the protocols of a stack of tables are built in one pass
+(build_two_way_protocols).  Its accept leaves u_ij = sqrt(M_i) v_ij and
 xi_ij are T as a SeparableForm (accept_form; LOCC tests are separable),
 which build_two_way_T assembles without an eigensolve or a loop; verify
 reads T's trace and detection from the leaves instead, and checks each
@@ -281,6 +282,15 @@ def _fourier(r, size: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(n, n) / r) / np.sqrt(r)
 
 
+@functools.cache
+def _fourier_stack(d: int) -> np.ndarray:
+    """Read-only (d, d, d) stack of _fourier(r, d) at r = 1..d, built once
+    per d: entry r - 1 holds Bob's blocks for r outcomes."""
+    stack = _fourier(np.arange(1, d + 1)[:, None, None], d)
+    stack.setflags(write=False)
+    return stack
+
+
 def build_mub_basis(omega, r: int | None = None) -> np.ndarray:
     """Orthonormal columns spanning the support of omega, each with
     expectation Tr(omega)/rank against omega.
@@ -298,33 +308,46 @@ def build_mub_basis(omega, r: int | None = None) -> np.ndarray:
     return v[:, :rank] @ _fourier(rank, rank)
 
 
-def build_two_way_protocol(s: SchmidtSpectrum, delta: DeltaMatrix) -> TwoWayProtocol:
-    """The three-step protocol of the table delta, without its operator.
+def build_two_way_protocols(s: SchmidtSpectrum, deltas) -> list[TwoWayProtocol]:
+    """The three-step protocols of a nonempty sequence of tables, without
+    their operators, built as one (n, d, d) stack.
 
     In live branch i Bob measures xi_j, the Fourier transform of the unit
     vectors on S_i ordered by descending l_k d_ki (ties by ascending k):
     unbiased for his diagonal conditional state.  Alice's conditional state
     is then |v_ij><v_ij| = P_ij, with v_ij proportional to sqrt(M_i Lambda)
-    conj(xi_j).
+    conj(xi_j).  Every operation acts on each table alone, so a protocol
+    does not depend on the stack it is built in; each holds read-only views
+    of the stacked arrays.
     """
     lam = s.effective
     d = lam.size
-    if delta.d != d:
-        raise ValueError(f"delta has d = {delta.d}, spectrum has effective rank {d}")
-    weights = lam[:, None] * delta.table
-    live, _, _ = _column_ratios(lam, delta.table[None])
-    support = _supports(lam, delta.table) & live
-    outcomes = support.sum(axis=0)
-    # order[p, i]: the level at position p of S_i; levels outside S_i go last.
-    order = np.argsort(np.where(support, -weights, np.inf), axis=0, kind="stable")
-    n, r = np.arange(d), np.maximum(outcomes, 1)[:, None, None]
-    inside = n < outcomes[:, None]  # [i, j]: j < r_i
-    bob = np.zeros((d, d, d), dtype=complex)
-    bob[n[:, None], order.T] = np.where(inside[:, :, None] & inside[:, None, :], _fourier(r, d), 0.0)
-    v = np.sqrt(weights.T)[:, :, None] * bob.conj()
-    norm = np.linalg.norm(v, axis=1, keepdims=True)
+    for delta in deltas:
+        if delta.d != d:
+            raise ValueError(f"delta has d = {delta.d}, spectrum has effective rank {d}")
+    tables = np.stack([delta.table for delta in deltas])
+    weights = lam[:, None] * tables
+    live, _, _ = _column_ratios(lam, tables)
+    support = _supports(lam, tables) & live[:, None, :]
+    outcomes = support.sum(axis=1)  # (n, d)
+    # order[t, p, i]: the level at position p of S_i; levels outside S_i go last.
+    order = np.argsort(np.where(support, -weights, np.inf), axis=1, kind="stable")
+    n = np.arange(d)
+    inside = n < outcomes[:, :, None]  # [t, i, j]: j < r_i
+    blocks = _fourier_stack(d)[np.maximum(outcomes, 1) - 1]
+    blocks[~(inside[..., None] & inside[..., None, :])] = 0.0
+    bob = np.zeros_like(blocks)
+    bob[np.arange(len(tables))[:, None, None], n[:, None], order.transpose(0, 2, 1)] = blocks
+    v = np.sqrt(weights.transpose(0, 2, 1))[..., None] * bob.conj()
+    norm = np.linalg.norm(v, axis=-2, keepdims=True)
     alice = np.divide(v, norm, out=np.zeros_like(v), where=norm > 0)
-    return TwoWayProtocol(s, delta, outcomes, bob, alice)
+    return [TwoWayProtocol(s, *parts) for parts in zip(deltas, outcomes, bob, alice)]
+
+
+def build_two_way_protocol(s: SchmidtSpectrum, delta: DeltaMatrix) -> TwoWayProtocol:
+    """The three-step protocol of the table delta, without its operator: the
+    stack of one of build_two_way_protocols."""
+    return build_two_way_protocols(s, [delta])[0]
 
 
 def build_two_way_T(s: SchmidtSpectrum, delta: DeltaMatrix):

@@ -1,15 +1,18 @@
-"""Dense references for `loccdist verify`: every check as the D x D
-computation (D = d**2) that the d x d blocks and factor vectors replace,
-and the readers of dense operators those computations use.
+"""References for `loccdist verify`: every check as the D x D computation
+(D = d**2) that the d x d blocks and factor vectors replace, the readers of
+dense operators those computations use, and verify's two-way checks with
+one protocol build and one closed form per table.
 
-The tests compare `cli._verify_checks` against `dense_verify_checks`; each
-deviation must agree to rounding.
+The tests compare `cli._verify_checks` against `dense_verify_checks`, where
+each deviation must agree to rounding, and against
+`per_table_verify_checks`, where each must agree to the bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from loccdist.cli import _separable_checks
 from loccdist.one_way import build_one_way_test
 from loccdist.operators import as_operator, eig_hermitian
 from loccdist.optimize import beta_two_way_upper
@@ -21,7 +24,14 @@ from loccdist.separable import (
     twirl,
 )
 from loccdist.states import MaximallyCorrelatedState, SchmidtSpectrum, state_from_spectrum
-from loccdist.two_way import DeltaMatrix, build_two_way_T, trace_T_closed_form
+from loccdist.two_way import (
+    DeltaMatrix,
+    build_two_way_protocol,
+    build_two_way_T,
+    simulate_protocol,
+    trace_T_closed_form,
+    wilson_interval,
+)
 
 
 def split_invariant(t) -> tuple[np.ndarray, np.ndarray, float]:
@@ -125,3 +135,37 @@ def dense_verify_checks(s: SchmidtSpectrum, seed: int) -> dict:
     out["two-way-optimal-detection"] = abs(float(np.real(psi_eff.conj() @ T @ psi_eff)) - 1.0)
     out["two-way-optimal-validity"] = dense_validity_defect(protocol)
     return out
+
+
+def per_table_verify_checks(s: SchmidtSpectrum, mc_samples: int, seed: int):
+    """Yield verify's (name, deviation, tolerance) triples, its two-way
+    checks with one build_two_way_protocol call and one scalar
+    trace_T_closed_form call per oracle table, and the optimal table built
+    after them."""
+    yield from _separable_checks(s)
+
+    d = s.rank
+    lam = s.effective
+    rng = np.random.default_rng(seed)
+    deltas = [DeltaMatrix.uniform(d)] + [DeltaMatrix.random(d, rng) for _ in range(3)]
+    forms = [build_two_way_protocol(s, delta).accept_form() for delta in deltas]
+    yield "two-way-trace-oracle", max(
+        abs(form.trace() - trace_T_closed_form(s, delta)) for form, delta in zip(forms, deltas)
+    ), 1e-9
+    yield "two-way-perfect-detection", max(
+        abs(form.schmidt_expectation(lam) - 1.0) for form in forms
+    ), 1e-9
+
+    result = beta_two_way_upper(s)
+    protocol = build_two_way_protocol(s, result.best_delta)
+    form = protocol.accept_form()
+    yield "two-way-optimal-trace", abs(form.trace() - result.t_value), 1e-9
+    yield "two-way-optimal-detection", abs(form.schmidt_expectation(lam) - 1.0), 1e-9
+    yield "two-way-optimal-validity", protocol.validity_defect(), 1e-9
+    rate_psi, _ = simulate_protocol(protocol, "psi", mc_samples, seed)
+    yield "monte-carlo-type-1", abs(rate_psi - 1.0), 0.0
+    rate_mix, _ = simulate_protocol(protocol, "mixed", mc_samples, seed + 1)
+    beta = result.t_value / d**2
+    accepted = min(round(rate_mix * mc_samples), mc_samples)
+    lo, hi = wilson_interval(accepted, mc_samples, z=3.0)
+    yield "monte-carlo-type-2", abs(rate_mix - beta), max(hi - lo, 1e-12)

@@ -21,7 +21,7 @@ from loccdist.optimize import OptimizationResult, stack_size
 from loccdist.separable import SeparableForm
 from loccdist.states import SchmidtSpectrum, parse_spectrum
 from loccdist.two_way import DeltaMatrix, TwoWayProtocol
-from reference import dense_verify_checks
+from reference import dense_verify_checks, per_table_verify_checks
 
 DATA = Path(__file__).resolve().parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -198,20 +198,23 @@ def test_optimize_gap_never_reads_below_zero(capsys, schmidt):
 
 def test_verify_builds_the_optimal_protocol_without_its_operator(capsys, monkeypatch):
     """verify assembles no T: the four oracle tables and the optimal one
-    are each checked through build_two_way_protocol's vectors."""
-    calls = {"T": 0, "protocol": 0}
-    build_T, build_protocol = loccdist.two_way.build_two_way_T, loccdist.cli.build_two_way_protocol
+    are built in one build_two_way_protocols call and each checked through
+    its vectors."""
+    calls = {"T": 0, "stacks": []}
+    build_T, build_stack = loccdist.two_way.build_two_way_T, loccdist.cli.build_two_way_protocols
 
-    def count(name, build):
-        def counted(*args):
-            calls[name] += 1
-            return build(*args)
-        return counted
+    def count_T(*args):
+        calls["T"] += 1
+        return build_T(*args)
 
-    monkeypatch.setattr(loccdist.two_way, "build_two_way_T", count("T", build_T))
-    monkeypatch.setattr(loccdist.cli, "build_two_way_protocol", count("protocol", build_protocol))
+    def count_stack(s, deltas):
+        calls["stacks"].append(len(deltas))
+        return build_stack(s, deltas)
+
+    monkeypatch.setattr(loccdist.two_way, "build_two_way_T", count_T)
+    monkeypatch.setattr(loccdist.cli, "build_two_way_protocols", count_stack)
     code, _, _ = run(capsys, "verify", "--schmidt", "0.5,0.3,0.2", "--mc-samples", "1000")
-    assert code == 0 and calls == {"T": 0, "protocol": 5}
+    assert code == 0 and calls == {"T": 0, "stacks": [5]}
 
 
 def test_verify_passes(capsys):
@@ -532,6 +535,20 @@ def test_verify_matches_its_dense_reference(schmidt):
         assert abs(checks[name] - dev) <= 1e-12, name
 
 
+@pytest.mark.parametrize("schmidt", fuzz_spectra() + seeded_spectra())
+def test_verify_is_its_per_table_reference_bit_for_bit(schmidt):
+    """One stacked protocol build and one stacked closed form give every
+    deviation and tolerance of a build and a closed form per table."""
+    s = parse_spectrum(schmidt)
+    for seed in (5, 11):
+        checks = list(loccdist.cli._verify_checks(s, 2000, seed))
+        reference = list(per_table_verify_checks(s, 2000, seed))
+        assert [name for name, _, _ in checks] == VERIFY_CHECKS
+        assert [(name, float(dev).hex(), float(tol).hex()) for name, dev, tol in checks] == [
+            (name, float(dev).hex(), float(tol).hex()) for name, dev, tol in reference
+        ]
+
+
 def test_verify_at_the_level_cap(capsys):
     (schmidt,) = seeded_spectra(dims=(MAX_LEVELS,), ranks=(None,), seed=32)
     code, out, _ = run(capsys, "verify", "--schmidt", schmidt, "--mc-samples", "2000")
@@ -679,16 +696,18 @@ def test_verify_fails_on_a_negative_complement_weight(capsys, monkeypatch):
 
 
 def test_verify_fails_on_a_scaled_bob_vector(capsys, monkeypatch):
-    build = loccdist.cli.build_two_way_protocol
+    build = loccdist.cli.build_two_way_protocols
 
-    def scaled(s, delta):
-        protocol = build(s, delta)
+    def scale(protocol):
         bob = protocol.bob.copy()
         bob[int(np.argmax(protocol.outcomes)), :, 0] *= 1.001
         return TwoWayProtocol(protocol.spectrum, protocol.delta, protocol.outcomes.copy(), bob,
                               protocol.alice.copy())
 
-    monkeypatch.setattr(loccdist.cli, "build_two_way_protocol", scaled)
+    def scaled(s, deltas):
+        return [scale(protocol) for protocol in build(s, deltas)]
+
+    monkeypatch.setattr(loccdist.cli, "build_two_way_protocols", scaled)
     _fails(capsys, "two-way-optimal-validity")
 
 

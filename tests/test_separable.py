@@ -236,6 +236,15 @@ def test_sidon_set_is_sidon():
         assert len(sums) == len(set(sums))
 
 
+def test_sidon_phase_grid_is_built_once_and_read_only():
+    for n in (1, 2, 3, 9):
+        grid = sidon_phase_grid(n)
+        assert sidon_phase_grid(n) is grid
+        assert grid.shape == (2 * max(sidon_set(n)) + 1, n)
+        with pytest.raises(ValueError):
+            grid[0, 0] = 0.0
+
+
 def test_sep_lower_bound_pure_equality():
     s = spectrum([0.75, 0.25])
     st = BipartiteState.from_density(state_from_spectrum(s).density(), (2, 2))

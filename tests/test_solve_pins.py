@@ -6,17 +6,29 @@ convergence flag and the float.hex of every entry of the best table.  A
 change to the Newton pass that moves any of them fails here, whether the
 spectra are solved alone or as one batch.
 
-Regenerate (only for a deliberate change of the solver's results) with
+The last bits depend on OpenBLAS's kernel, so the pins hold under one:
+conftest.py selects KERNEL before numpy loads, and every pin test first
+checks the kernel numpy's OpenBLAS reports.  Regenerate (only for a
+deliberate change of the solver's results) with
 
     python tests/test_solve_pins.py
 """
 
+import ctypes
 import json
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
-import pytest
+# The OpenBLAS kernel of the pins (SSE3, which every x86-64 CPU runs) and
+# the core name OpenBLAS reports for it: the first of that kernel's aliases.
+KERNEL, CORE_NAME = "Prescott", "Katmai"
+
+if __name__ == "__main__":
+    os.environ["OPENBLAS_CORETYPE"] = KERNEL  # before numpy loads
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # run as a script
 
@@ -48,8 +60,28 @@ def record(result) -> dict:
     }
 
 
+def blas_core_name() -> str | None:
+    """The core name numpy's OpenBLAS reports, None for another BLAS."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)  # its symbols include the BLAS's
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}_get_corename{suffix}", None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_char_p
+                return get().decode()
+    return None
+
+
 @pytest.fixture(scope="module")
 def pins():
+    core = blas_core_name()
+    if core != CORE_NAME:
+        pytest.fail(
+            f"the pins hold under OpenBLAS's {KERNEL} kernel (core name {CORE_NAME}), "
+            f"numpy's BLAS reports {core}; conftest.py selects it by setting "
+            f"OPENBLAS_CORETYPE={KERNEL} before numpy loads",
+            pytrace=False,
+        )
     return json.loads(PINS.read_text())
 
 

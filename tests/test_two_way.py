@@ -18,6 +18,7 @@ from loccdist.two_way import (
     _supports,
     build_mub_basis,
     build_two_way_protocol,
+    build_two_way_protocols,
     build_two_way_T,
     check_tables,
     pair_factors,
@@ -365,6 +366,54 @@ def test_protocol_is_build_two_way_T_s_protocol():
                 assert np.array_equal(getattr(protocol, name), getattr(built, name))
     with pytest.raises(ValueError, match="effective rank"):
         build_two_way_protocol(spectrum([0.5, 0.5]), DeltaMatrix.uniform(3))
+
+
+def stacked_protocol_cases():
+    """(spectrum, tables) pairs at effective rank 1, 2, 3, 4, 5 and 9, on
+    random, tied and zero-padded spectra: uniform, one-way corner, three
+    seeded random tables, one with its first column dropped (rank > 1) and
+    the spectrum's optimal table."""
+    rng = np.random.default_rng(21)
+    spectra = [spectrum([1.0]), spectrum([1.0, 0.0]), spectrum([0.5, 0.5]), spectrum([0.4, 0.4, 0.2])]
+    spectra += [random_spectrum(d, rng) for d in (2, 3, 5, 9)]
+    spectra += [spectrum([0.5, 0.3, 0.2, 0.0, 0.0]), spectrum([0.25] * 4 + [0.0] * 5)]
+    cases = []
+    for s in spectra:
+        d = s.rank
+        deltas = [DeltaMatrix.uniform(d), DeltaMatrix.one_way(d)]
+        deltas += [DeltaMatrix.random(d, rng) for _ in range(3)]
+        if d > 1:
+            dropped = np.array(deltas[-1].table)
+            dropped[:, -1] += dropped[:, 0]
+            dropped[:, 0] = 0.0
+            deltas.append(DeltaMatrix(dropped))
+        cases.append((s, deltas + [beta_two_way_upper(s).best_delta]))
+    return cases
+
+
+def test_stacked_protocols_are_each_table_alone_bit_for_bit():
+    for s, deltas in stacked_protocol_cases():
+        protocols = build_two_way_protocols(s, deltas)
+        assert len(protocols) == len(deltas)
+        for delta, protocol in zip(deltas, protocols):
+            alone = build_two_way_protocol(s, delta)
+            assert protocol.spectrum is s and protocol.delta is delta
+            for name in ("outcomes", "bob", "alice"):
+                got, want = getattr(protocol, name), getattr(alone, name)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), name
+                assert not got.flags.writeable
+                with pytest.raises(ValueError):
+                    got[...] = 0
+        if s.rank > 1:  # the dropped column has no outcome
+            assert protocols[5].outcomes[0] == 0
+
+
+def test_stacked_protocols_refuse_a_table_of_another_rank():
+    s = spectrum([0.5, 0.3, 0.2])
+    deltas = [DeltaMatrix.uniform(3), DeltaMatrix.uniform(2), DeltaMatrix.one_way(3)]
+    with pytest.raises(ValueError, match="^delta has d = 2, spectrum has effective rank 3$"):
+        build_two_way_protocols(s, deltas)
 
 
 @pytest.mark.parametrize("d", range(1, 9))
