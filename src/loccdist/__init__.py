@@ -6,22 +6,12 @@ four operation classes: global, separable, two-way LOCC (upper bound via an
 explicit three-step protocol) and one-way LOCC.
 """
 
-from .bounds import BoundsReport, mixed_state_report, pure_state_report
+from .bounds import BoundsReport, pure_state_report
 from .families import BUILTIN_FAMILIES, FamilySpec, get_family, parse_family, sweep, sweep_rows
-from .one_way import (
-    OneWayProtocol,
-    beta_one_way,
-    build_one_way_test,
-    check_lemma3,
-    one_way_is_exact,
-)
+from .one_way import OneWayProtocol, beta_one_way, build_one_way_test, check_lemma3
 from .operators import (
     eig_hermitian,
-    is_hermitian,
-    numerical_rank,
     partial_trace,
-    povm_element_check,
-    psd_check,
     psd_sqrt,
     support_projection,
     tensor,
@@ -43,8 +33,6 @@ from .separable import (
     distinguishable_set_bound,
     global_robustness_pure,
     optimal_test_operator,
-    sep_lower_bound_mixed,
-    twirl,
     verify_appendix_identity,
 )
 from .states import (
@@ -52,7 +40,6 @@ from .states import (
     MaximallyCorrelatedState,
     SchmidtSpectrum,
     parse_spectrum,
-    schmidt_decompose,
     spectrum,
     sqrt_trace_reduced,
     state_from_spectrum,
@@ -103,20 +90,12 @@ __all__ = [
     "get_family",
     "global_robustness_pure",
     "grid_oracle",
-    "is_hermitian",
-    "mixed_state_report",
-    "numerical_rank",
-    "one_way_is_exact",
     "optimal_test_operator",
     "parse_family",
     "parse_spectrum",
     "partial_trace",
-    "povm_element_check",
-    "psd_check",
     "psd_sqrt",
     "pure_state_report",
-    "schmidt_decompose",
-    "sep_lower_bound_mixed",
     "sigma_A",
     "simulate_protocol",
     "spectrum",
@@ -128,7 +107,6 @@ __all__ = [
     "tensor",
     "tensor_vec",
     "trace_T_closed_form",
-    "twirl",
     "verify_appendix_identity",
     "wilson_interval",
 ]

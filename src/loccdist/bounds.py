@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .one_way import beta_one_way
-from .operators import numerical_rank
 from .optimize import OptimizerConfig, beta_two_way_upper, solve_spectra
-from .separable import sep_lower_bound_mixed, sep_traces
-from .states import BipartiteState, SchmidtSpectrum
+from .separable import sep_traces
+from .states import SchmidtSpectrum
 from .two_way import check_tables, table_layout
 
 ORDER_TOL = 1e-9
@@ -18,17 +17,13 @@ ORDER_TOL = 1e-9
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Global, separable, two-way-upper and one-way error values for one state.
+    """Global, separable, two-way-upper and one-way error values for the
+    pure state with Schmidt coefficients spectrum.
 
     delta_star holds the minimising table of the two-way bound, flattened
     row-major over its feasible entries and rendered as comma-separated
     decimals (a single number for a two-outcome system's first row entry
-    plus its complements).  flags is empty for pure states; mixed-state
-    reports carry "lower-bound" because only beta_g is exact there.
-
-    spectrum holds the Schmidt coefficients for a pure-state report; a
-    mixed-state report (mixed_state_report) puts the eigenvalues of rho
-    there instead, in decreasing order, under the same field and JSON key.
+    plus its complements).  flags is always empty; its JSON key stays.
     """
 
     spectrum: tuple
@@ -36,14 +31,12 @@ class BoundsReport:
     beta_g: float
     beta_one_way: float
     beta_sep: float
-    beta_two_way_upper: float | None
+    beta_two_way_upper: float
     delta_star: str
     flags: str = ""
 
     def ordering_ok(self, tol: float = ORDER_TOL) -> bool:
         """The chain beta_g <= beta_sep <= beta_two_way <= beta_one_way."""
-        if self.beta_two_way_upper is None:
-            return True
         return (
             self.beta_g <= self.beta_sep + tol
             and self.beta_sep <= self.beta_two_way_upper + tol
@@ -87,15 +80,30 @@ def _pure_reports(lams: np.ndarray, D: int, t_values, deltas) -> list[BoundsRepo
     ]
 
 
+def embedding_dim(s: SchmidtSpectrum, dims: tuple[int, int] | None = None) -> int:
+    """The total dimension D of the state's embedding: d**2 by default, or
+    dA * dB for dims = (dA, dB).  Raises ValueError unless each local
+    dimension holds the Schmidt rank and 1 / D is a float."""
+    if dims is None:
+        return s.dim**2
+    dA, dB = dims
+    if min(dA, dB) < s.rank:
+        raise ValueError(
+            f"dims {dA},{dB} cannot hold a Schmidt-rank-{s.rank} state: each must be >= {s.rank}"
+        )
+    D = dA * dB
+    if D > sys.float_info.max:
+        raise ValueError("dims give a total dimension too large for a float")
+    return D
+
+
 def pure_state_report(s: SchmidtSpectrum, dims: tuple[int, int] | None = None) -> BoundsReport:
     """All four bounds for the pure state with the given Schmidt spectrum.
 
-    dims overrides the embedding (the protocol runs on the effective rank;
-    only the normalisation 1/D changes).
+    dims overrides the embedding, as embedding_dim checks it (the protocol
+    runs on the effective rank; only the normalisation 1/D changes).
     """
-    D = dims[0] * dims[1] if dims is not None else s.dim**2
-    if D < s.rank**2:
-        raise ValueError(f"dims give D = {D}, too small for Schmidt rank {s.rank}")
+    D = embedding_dim(s, dims)
     result = beta_two_way_upper(s)
     return _pure_reports(s.lambdas[None], D, [result.t_value], [_delta_string(result.best_delta)])[0]
 
@@ -112,25 +120,3 @@ def pure_state_reports(lams: np.ndarray) -> list[BoundsReport]:
         for i, t_value, delta in zip(rows.tolist(), solved.t_values.tolist(), _delta_strings(tables)):
             t_values[i], deltas[i] = t_value, delta
     return _pure_reports(lams, d * d, t_values, deltas)
-
-
-def mixed_state_report(state: BipartiteState) -> BoundsReport:
-    """Bounds for a general density matrix.
-
-    beta_g is exact (rank / D); the separable and one-way entries are the
-    proved lower bounds, and no two-way value is reported (the three-step
-    protocol machinery covers pure states).
-    """
-    D = state.total_dim
-    rho = state.density()
-    spectrum_vals, _ = np.linalg.eigh(rho)
-    return BoundsReport(
-        spectrum=tuple(float(x) for x in spectrum_vals[::-1]),
-        D=D,
-        beta_g=numerical_rank(rho) / D,
-        beta_one_way=beta_one_way(state),
-        beta_sep=sep_lower_bound_mixed(state),
-        beta_two_way_upper=None,
-        delta_star="",
-        flags="lower-bound",
-    )

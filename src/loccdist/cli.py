@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .bounds import _delta_string, pure_state_report
+from .bounds import _delta_string, embedding_dim, pure_state_report
 from .families import SWEEP_HEADER, check_points, get_family, sweep_line, sweep_rows
 from .one_way import one_way_test_form
 from .operators import eig_hermitian
@@ -81,8 +81,7 @@ def _parse_capped(text: str) -> SchmidtSpectrum:
 def check_bounds(args):
     s = _parse_capped(args.schmidt)
     dims = _parse_dims(args.dims) if args.dims else None
-    if dims is not None and dims[0] * dims[1] < s.rank**2:
-        raise ValueError(f"dims {dims} too small for a Schmidt-rank-{s.rank} state")
+    embedding_dim(s, dims)
     return s, dims
 
 

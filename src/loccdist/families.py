@@ -26,7 +26,7 @@ import numpy as np
 
 from .bounds import BoundsReport, pure_state_reports
 from .optimize import stack_size
-from .states import SchmidtSpectrum, check_spectra
+from .states import check_spectra
 
 FEAS_TOL = 1e-12
 MAX_POINTS = 1_000_000  # batched two-way solves at d <= 4: about ten minutes of work
@@ -76,29 +76,18 @@ class FamilySpec:
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"family {self.name}: coefficients sum to {float(total)} at t={t}")
 
-    def spectrum_at(self, t: float) -> SchmidtSpectrum:
-        return self.spectra_at([t])[0]
-
-    def spectra_at(self, ts) -> list[SchmidtSpectrum]:
-        """The spectrum at each t of ts; raises ValueError if any lies
-        outside the family's range."""
-        return [SchmidtSpectrum(lam) for lam in self._coefficients_in_range(ts)]
-
     def spectra_array(self, ts) -> np.ndarray:
-        """spectra_at(ts) as one (n, d) array: row i is bit for bit
-        spectra_at(ts)[i].lambdas, checked by the same rules
-        (states.check_spectra)."""
-        return check_spectra(self._coefficients_in_range(ts))
-
-    def _coefficients_in_range(self, ts) -> np.ndarray:
-        """lambda(t) clipped at 0 for each t of ts, (n, d); raises ValueError
-        if any t lies outside the family's range."""
+        """The spectrum at each t of ts as one (n, d) array: lambda(t)
+        clipped at 0, checked by SchmidtSpectrum's rules
+        (states.check_spectra), so that row i is bit for bit the lambdas of
+        SchmidtSpectrum(lambda(ts[i]) clipped at 0).  Raises ValueError if
+        any t lies outside the family's range."""
         ts = np.asarray(ts, dtype=float)
         lo, hi = self.t_range
         outside = ~((ts >= lo - FEAS_TOL) & (ts <= hi + FEAS_TOL))  # NaN included
         if outside.any():
             raise ValueError(f"t={float(ts[outside][0])} outside range [{lo}, {hi}]")
-        return np.clip(self.coefficients(ts), 0.0, None)
+        return check_spectra(np.clip(self.coefficients(ts), 0.0, None))
 
     def grid(self, points: int) -> np.ndarray:
         check_points(points)

@@ -1,10 +1,9 @@
 """One-way LOCC discrimination against white noise.
 
 The minimum type-2 error under one-way LOCC with perfect detection is
-rank(rho_A) / D for pure and maximally correlated states; the optimal test
-measures both sides in the correlated bases and accepts on matching
-outcomes.  For other mixed states the same expression is only a lower
-bound.
+rank(rho_A) / D for a maximally correlated state, a pure state among them
+(MaximallyCorrelatedState.from_spectrum); the optimal test measures both
+sides in the correlated bases and accepts on matching outcomes.
 """
 
 from __future__ import annotations
@@ -13,16 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import (
-    ATOL_DERIVED,
-    numerical_rank,
-    partial_trace,
-    psd_check,
-    support_mask,
-    tensor,
-)
+from .operators import ATOL_DERIVED, partial_trace, support_mask, tensor
 from .separable import SeparableForm
-from .states import BipartiteState, MaximallyCorrelatedState
+from .states import MaximallyCorrelatedState
 
 
 @dataclass(frozen=True)
@@ -41,59 +33,17 @@ class OneWayProtocol:
     def dims(self) -> tuple[int, int]:
         return self.alice_povm[0].shape[0], self.bob_povms[0][0].shape[0]
 
-    def test_operator(self) -> np.ndarray:
-        """T = sum over accepted (i, j) of M_i (x) N_j^i."""
-        dA, dB = self.dims
-        T = np.zeros((dA * dB, dA * dB), dtype=complex)
-        for i, j in self.accept:
-            T += tensor(self.alice_povm[i], self.bob_povms[i][j])
-        return T
-
-    def validate(self, tol: float = 1e-10) -> None:
-        dA, dB = self.dims
-        total = sum(self.alice_povm)
-        if np.max(np.abs(total - np.eye(dA))) > tol:
-            raise ValueError("Alice's POVM does not resolve the identity")
-        for i, povm in enumerate(self.bob_povms):
-            total = sum(povm)
-            if np.max(np.abs(total - np.eye(dB))) > tol:
-                raise ValueError(f"Bob's POVM for outcome {i} does not resolve the identity")
-        for m in self.alice_povm:
-            if not psd_check(m, tol):
-                raise ValueError("non-PSD element in Alice's POVM")
-        for povm in self.bob_povms:
-            for n in povm:
-                if not psd_check(n, tol):
-                    raise ValueError("non-PSD element in Bob's POVM")
-
 
 def _support(mc: MaximallyCorrelatedState) -> np.ndarray:
     """Mask of the indices i with alpha_ii > 0 (numerically)."""
     return support_mask(np.real(np.diag(mc.alpha)))
 
 
-def _rank_reduced(state) -> tuple[int, int]:
-    """(rank of rho_A, total dimension) for either state type."""
-    if isinstance(state, MaximallyCorrelatedState):
-        rank = int(_support(state).sum())
-        dA, dB = state.dims
-        return rank, dA * dB
-    red = state.reduced("A")
-    return numerical_rank(red), state.total_dim
-
-
-def beta_one_way(state) -> float:
-    """rank(rho_A) / D; exact for pure and maximally correlated states,
-    a lower bound otherwise."""
-    rank, D = _rank_reduced(state)
-    return rank / D
-
-
-def one_way_is_exact(state) -> bool:
-    """Whether beta_one_way is the exact error for this input."""
-    return isinstance(state, MaximallyCorrelatedState) or (
-        isinstance(state, BipartiteState) and state.is_pure
-    )
+def beta_one_way(mc: MaximallyCorrelatedState) -> float:
+    """rank(rho_A) / D, the exact one-way error of a maximally correlated
+    state."""
+    dA, dB = mc.dims
+    return int(_support(mc).sum()) / (dA * dB)
 
 
 def one_way_test_form(mc: MaximallyCorrelatedState) -> SeparableForm:

@@ -32,11 +32,6 @@ def as_operator(t) -> np.ndarray:
     return t
 
 
-def is_hermitian(t, tol: float = ATOL_CONSTRUCT) -> bool:
-    t = as_operator(t)
-    return bool(np.max(np.abs(t - t.conj().T)) <= tol) if t.size else True
-
-
 def require_hermitian(t, tol: float = ATOL_CONSTRUCT) -> np.ndarray:
     t = as_operator(t)
     dev = np.max(np.abs(t - t.conj().T)) if t.size else 0.0
@@ -103,12 +98,6 @@ def support_mask(x, tol: float | None = None, axis: int = -1) -> np.ndarray:
     return x > tol * np.maximum(x.max(axis=axis, keepdims=True), 0.0)
 
 
-def numerical_rank(t, tol: float | None = None) -> int:
-    """Count of eigenvalues above tol * max eigenvalue (Hermitian PSD input)."""
-    w, _ = eig_hermitian(t)
-    return int(support_mask(w, tol).sum())
-
-
 def support_projection(t, tol: float | None = None) -> np.ndarray:
     """Projector onto the span of eigenvectors with eigenvalue > tol * max.
 
@@ -123,17 +112,3 @@ def support_projection(t, tol: float | None = None) -> np.ndarray:
     if w[-1] < -tol * max(np.max(np.abs(w)), 1.0):
         raise ValueError(f"negative eigenvalue {w[-1]:.3e} below tolerance")
     return (v * support_mask(w, tol)) @ v.conj().T
-
-
-def psd_check(t, tol: float = ATOL_DERIVED) -> bool:
-    """True iff every eigenvalue is >= -tol."""
-    w, _ = eig_hermitian(t)
-    return bool(w[-1] >= -tol) if w.size else True
-
-
-def povm_element_check(t, tol: float = ATOL_DERIVED) -> bool:
-    """True iff every eigenvalue lies in [-tol, 1 + tol] (0 <= T <= I)."""
-    w, _ = eig_hermitian(t)
-    if not w.size:
-        return True
-    return bool(w[-1] >= -tol and w[0] <= 1.0 + tol)

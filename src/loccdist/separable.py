@@ -2,29 +2,27 @@
 
 Builds the explicit optimal two-outcome separable POVM {T, I - T} for a pure
 state with given Schmidt coefficients as the separability certificates of
-its two outcomes, and exposes the closed-form error values and the
-mixed-state lower bound.  T is held only as its certificate; its D x D
-matrix is assembled on request.  A certificate is a SeparableForm: weights
-and factor vectors a_n, b_n of sum_n w_n |a_n><a_n| (x) |b_n><b_n|, PSD
-term by term by construction.  The package's other product sums, the two-way
-accept operator and the one-way matching test, are the same form.  Three
-kernels read a form through its vectors, without assembling it: its trace,
-its expectation on the Schmidt state sum_k sqrt(l_k) |kk>, and its
-phase-invariant entries (a d x d block and a d x d diagonal).
+its two outcomes, and exposes the closed-form error values.  T is held only
+as its certificate; its D x D matrix is assembled on request.  A
+certificate is a SeparableForm: weights and factor vectors a_n, b_n of
+sum_n w_n |a_n><a_n| (x) |b_n><b_n|, PSD term by term by construction.
+The package's other product sums, the two-way accept operator and the
+one-way matching test, are the same form.  Three kernels read a form
+through its vectors, without assembling it: its trace, its expectation on
+the Schmidt state sum_k sqrt(l_k) |kk>, and its phase-invariant entries
+(a d x d block and a d x d diagonal).
 
-The group average over the diagonal local phase unitaries is realised in two
-equivalent exact ways:
-  * `twirl` pinches an operator onto the invariant subspace spanned by
-    {|e_j f_k><e_j f_k|, j != k} and {|e_j f_j><e_l f_l|} (used for
-    numerical identities), and
-  * the separable certificates average over a Sidon phase grid: phases
-    exp(2 pi i m s_j / N), m = 0..N-1, where s is a Sidon set (all pairwise
-    sums distinct) and N = 2 max(s) + 1.  A rank-one product term carries
-    the phase factor phi_i conj(phi_j) conj(phi_k) phi_l, which averages to
-    zero unless s_i + s_l = s_j + s_k, i.e. unless {i, l} = {j, k}: exactly
-    the invariant modes kept by `twirl`.  The T certificate has
-    2 max(s) + 1 terms (3 / 7 / 15 / 41 / 89 / 131 at d = 2 / 3 / 4 / 6 /
-    8 / 9), each pair seed of the complement 3.
+The group average over the diagonal local phase unitaries (the twirl)
+pinches an operator onto the invariant subspace spanned by
+{|e_j f_k><e_j f_k|, j != k} and {|e_j f_j><e_l f_l|}.  The separable
+certificates realise it exactly by averaging over a Sidon phase grid:
+phases exp(2 pi i m s_j / N), m = 0..N-1, where s is a Sidon set (all
+pairwise sums distinct) and N = 2 max(s) + 1.  A rank-one product term
+carries the phase factor phi_i conj(phi_j) conj(phi_k) phi_l, which
+averages to zero unless s_i + s_l = s_j + s_k, i.e. unless {i, l} = {j, k}:
+exactly the invariant modes.  The T certificate has 2 max(s) + 1 terms
+(3 / 7 / 15 / 41 / 89 / 131 at d = 2 / 3 / 4 / 6 / 8 / 9), each pair seed
+of the complement 3.
 
 So each certificate is checked exactly without D x D work (D = d**2),
 by one function (certificate_deviation): its invariant entries against the
@@ -43,8 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import as_operator
-from .states import BipartiteState, SchmidtSpectrum, sqrt_trace_reduced
+from .states import SchmidtSpectrum
 
 
 def _squared_moduli(x: np.ndarray) -> np.ndarray:
@@ -95,7 +92,7 @@ class SeparableForm:
         return float(self.weights @ _squared_moduli(amplitudes))
 
     def invariant_entries(self):
-        """The entries `twirl` keeps, (block, diag), on a d x d form:
+        """The entries the twirl keeps, (block, diag), on a d x d form:
         block[j, l] = <jj|form|ll> = sum_n w_n c_nj conj(c_nl) with
         c_n = a_n * b_n, and diag[j, k] = <jk|form|jk> = sum_n w_n
         |a_nj|**2 |b_nk|**2.  Each is d x d, whatever the number of terms."""
@@ -144,41 +141,12 @@ def global_robustness_pure(s: SchmidtSpectrum) -> float:
     return sep_traces(s.lambdas[None])[0] - 1.0
 
 
-def _diagonal_pairs(t: np.ndarray) -> np.ndarray:
-    """The flat indices of |jj>, j = 0..d-1, for an operator on a d x d
-    bipartite space."""
-    d = round(np.sqrt(t.shape[0]))
-    if d * d != t.shape[0]:
-        raise ValueError(f"operator dim {t.shape[0]} is not a perfect square")
-    return np.arange(d) * (d + 1)
-
-
-def twirl(t, bases: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Average an operator on a d x d bipartite space over the local diagonal
-    phase group of the Schmidt bases.
-
-    Equals the pinching onto the invariant operator subspace: the full block
-    on span{|e_j f_j>} survives, plus the diagonal entries at every
-    |e_j f_k> with j != k.  Idempotent, positive, trace preserving.
-
-    bases, when given, is a pair (E, F) of orthonormal column matrices
-    defining the Schmidt bases; default is the computational basis.
-    """
-    t = as_operator(t)
-    jj = _diagonal_pairs(t)
-    if bases is not None:
-        E, F = bases
-        W = np.kron(np.asarray(E, dtype=complex), np.asarray(F, dtype=complex))
-        return W @ twirl(W.conj().T @ t @ W) @ W.conj().T
-    return _invariant_operator(t[np.ix_(jj, jj)], t.diagonal())
-
-
 def _invariant_operator(block, diag) -> np.ndarray:
     """The complex operator on a d x d bipartite space whose only entries
     are the invariant ones: diag[j, k] at <jk|.|jk>, then the d x d block
     at <jj|.|ll>, which takes precedence on the diagonal."""
     out = np.diag(np.asarray(diag, dtype=complex).reshape(-1))
-    jj = _diagonal_pairs(out)
+    jj = np.arange(len(block)) * (len(block) + 1)  # the flat indices of |jj>
     out[np.ix_(jj, jj)] = block
     return out
 
@@ -373,15 +341,6 @@ def _structure_deviation(pair: SeparablePovmPair) -> float:
         _orbit_deviation(*on_levels, w[:, :g], pair_grid),
         off,
     )
-
-
-def sep_lower_bound_mixed(state: BipartiteState) -> float:
-    """Lower bound max{(Tr sqrt(rho_A))**2, (Tr sqrt(rho_B))**2} / D.
-
-    Tight for pure states, where it equals beta_sep_pure.
-    """
-    tA, tB = sqrt_trace_reduced(state)
-    return max(tA, tB) / state.total_dim
 
 
 def distinguishable_set_bound(values, D: int) -> float:

@@ -84,9 +84,6 @@ class SchmidtSpectrum:
         counts, summing to 1 up to rounding."""
         return self.lambdas[self.lambdas > 0.0]
 
-    def __iter__(self):
-        return iter(self.lambdas)
-
 
 def spectrum(values) -> SchmidtSpectrum:
     """Convenience constructor from any sequence of reals."""
@@ -134,14 +131,6 @@ class BipartiteState:
         if w[-1] < -ATOL_SPECTRAL or abs(w.sum() - 1.0) > ATOL_SPECTRAL:
             raise ValueError("density matrix must be PSD with unit trace")
         return cls(dA, dB, rho=rho)
-
-    @property
-    def is_pure(self) -> bool:
-        return self.psi is not None
-
-    @property
-    def total_dim(self) -> int:
-        return self.dA * self.dB
 
     def density(self) -> np.ndarray:
         if self.psi is not None:
@@ -225,27 +214,6 @@ def state_from_spectrum(s: SchmidtSpectrum) -> BipartiteState:
     for k, lam in enumerate(s.lambdas):
         psi[k * d + k] = np.sqrt(lam)
     return BipartiteState.from_pure(psi, (d, d))
-
-
-def schmidt_decompose(psi, dims: tuple[int, int]):
-    """Schmidt spectrum and bases of a pure bipartite vector.
-
-    Returns (SchmidtSpectrum, E, F) where the columns of E and F are the
-    Schmidt bases: psi = sum_k sqrt(lambda_k) E[:, k] (x) F[:, k].
-    The returned spectrum keeps min(dA, dB) entries (zeros included).
-    """
-    dA, dB = dims
-    psi = np.asarray(psi, dtype=complex).ravel()
-    if psi.size != dA * dB:
-        raise ValueError(f"vector length {psi.size} != dA*dB = {dA * dB}")
-    nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError(f"vector has norm {float(nrm)}, expected 1")
-    coeff = psi.reshape(dA, dB)
-    u, sing, vh = np.linalg.svd(coeff)
-    k = min(dA, dB)
-    lam = sing[:k] ** 2
-    return SchmidtSpectrum(lam), u[:, :k], vh[:k, :].conj().T
 
 
 def sqrt_trace_reduced(state: BipartiteState) -> tuple[float, float]:

@@ -1,7 +1,9 @@
 """References for `loccdist verify`: every check as the D x D computation
 (D = d**2) that the d x d blocks and factor vectors replace, the readers of
 dense operators those computations use, and verify's two-way checks with
-one protocol build and one closed form per table.
+one protocol build and one closed form per table.  The dense readers
+(twirl, one_way_operator, validate_one_way, numerical_rank,
+povm_element_check) serve the tests only; no command needs them.
 
 The tests compare `cli._verify_checks` against `dense_verify_checks`, where
 each deviation must agree to rounding, and against
@@ -14,14 +16,14 @@ import numpy as np
 
 from loccdist.cli import _separable_checks
 from loccdist.one_way import build_one_way_test
-from loccdist.operators import as_operator, eig_hermitian
+from loccdist.operators import as_operator, eig_hermitian, support_mask, tensor
 from loccdist.optimize import beta_two_way_upper
 from loccdist.separable import (
     _complement_form,
+    _invariant_operator,
     beta_sep_pure,
     build_optimal_separable_povm,
     optimal_test_operator,
-    twirl,
 )
 from loccdist.states import MaximallyCorrelatedState, SchmidtSpectrum, state_from_spectrum
 from loccdist.two_way import (
@@ -48,6 +50,47 @@ def split_invariant(t) -> tuple[np.ndarray, np.ndarray, float]:
     rest[np.ix_(jj, jj)] = 0.0
     np.fill_diagonal(rest, 0.0)
     return block, diag, float(rest.max(initial=0.0))
+
+
+def twirl(t) -> np.ndarray:
+    """The average of an operator on a d x d bipartite space over the local
+    diagonal phase group: the pinching that keeps only the invariant
+    entries, those of split_invariant.  Idempotent, positive, trace
+    preserving."""
+    block, diag, _ = split_invariant(t)
+    return _invariant_operator(block, diag)
+
+
+def numerical_rank(t, tol: float | None = None) -> int:
+    """Count of eigenvalues above tol * max eigenvalue (Hermitian PSD input)."""
+    return int(support_mask(eig_hermitian(t)[0], tol).sum())
+
+
+def povm_element_check(t, tol: float = 1e-9) -> bool:
+    """True iff every eigenvalue lies in [-tol, 1 + tol] (0 <= T <= I)."""
+    w, _ = eig_hermitian(t)
+    return not w.size or bool(w[-1] >= -tol and w[0] <= 1.0 + tol)
+
+
+def one_way_operator(protocol) -> np.ndarray:
+    """A OneWayProtocol's T = sum over accepted (i, j) of M_i (x) N_j^i, as
+    the loop of tensor products."""
+    dA, dB = protocol.dims
+    T = np.zeros((dA * dB, dA * dB), dtype=complex)
+    for i, j in protocol.accept:
+        T += tensor(protocol.alice_povm[i], protocol.bob_povms[i][j])
+    return T
+
+
+def validate_one_way(protocol, tol: float = 1e-10) -> None:
+    """Raise ValueError unless Alice's POVM and each of Bob's conditional
+    POVMs have PSD elements that resolve the identity."""
+    dA, dB = protocol.dims
+    for povm, dim in [(protocol.alice_povm, dA)] + [(p, dB) for p in protocol.bob_povms]:
+        if np.max(np.abs(sum(povm) - np.eye(dim))) > tol:
+            raise ValueError("a POVM does not resolve the identity")
+        if any(eig_hermitian(m)[0][-1] < -tol for m in povm):
+            raise ValueError("a POVM has a non-PSD element")
 
 
 def alice_element(delta: DeltaMatrix, i: int) -> np.ndarray:
@@ -115,7 +158,7 @@ def dense_verify_checks(s: SchmidtSpectrum, seed: int) -> dict:
 
     mc = MaximallyCorrelatedState.from_spectrum(s)
     protocol, _ = build_one_way_test(mc)
-    T_ow = protocol.test_operator()  # the loop of tensor products
+    T_ow = one_way_operator(protocol)  # the loop of tensor products
     out["perfect-detection-one-way"] = abs(float(np.trace(mc.density() @ T_ow).real) - 1.0)
 
     rng = np.random.default_rng(seed)

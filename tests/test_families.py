@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loccdist.bounds import mixed_state_report, pure_state_report
+from loccdist.bounds import embedding_dim, pure_state_report
 from loccdist.families import (
     BUILTIN_FAMILIES,
     FamilySpec,
@@ -11,7 +11,7 @@ from loccdist.families import (
     sweep,
 )
 from loccdist.separable import beta_sep_pure
-from loccdist.states import BipartiteState, SchmidtSpectrum, spectrum
+from loccdist.states import SchmidtSpectrum, spectrum
 
 
 def test_report_two_qubit_values():
@@ -49,14 +49,16 @@ def test_report_rejects_too_small_dims():
         pure_state_report(spectrum([0.5, 0.5]), dims=(1, 2))
 
 
-def test_mixed_report_flags():
-    st = BipartiteState.from_density(np.eye(4) / 4, (2, 2))
-    report = mixed_state_report(st)
-    assert report.flags == "lower-bound"
-    assert report.beta_two_way_upper is None
-    assert abs(report.beta_g - 1.0) <= 1e-12  # full-rank state
-    assert abs(report.beta_sep - 0.5) <= 1e-12
-    assert abs(report.beta_one_way - 0.5) <= 1e-12
+def test_embedding_dim_needs_each_side_to_hold_the_rank():
+    s = spectrum([0.5, 0.3, 0.2, 0.0])
+    assert embedding_dim(s) == 16
+    assert embedding_dim(s, (3, 3)) == 9  # the rank, not the stored length, counts
+    assert embedding_dim(s, (3, 7)) == 21
+    for dims in ((2, 5), (1, 9), (2, 100)):
+        with pytest.raises(ValueError, match="cannot hold a Schmidt-rank-3 state"):
+            pure_state_report(s, dims=dims)
+    with pytest.raises(ValueError, match="too large for a float"):
+        embedding_dim(s, (10**200, 10**200))
 
 
 def test_builtin_families_are_feasible():
@@ -69,9 +71,9 @@ def test_builtin_families_are_feasible():
 
 def test_builtin_closed_forms_match_direct_value():
     for fam in BUILTIN_FAMILIES.values():
-        for t in np.linspace(fam.t_range[0], fam.t_range[1], 20):
-            s = fam.spectrum_at(float(t))
-            assert abs(beta_sep_pure(s) - fam.beta_sep_closed(float(t))) <= 1e-9
+        ts = np.linspace(fam.t_range[0], fam.t_range[1], 20)
+        for t, lam in zip(ts.tolist(), fam.spectra_array(ts)):
+            assert abs(beta_sep_pure(SchmidtSpectrum(lam)) - fam.beta_sep_closed(t)) <= 1e-9
 
 
 def test_family_grid_and_range_checks():
@@ -80,28 +82,27 @@ def test_family_grid_and_range_checks():
     assert grid[0] == 0.0 and abs(grid[-1] - 1.0 / 3.0) <= 1e-15
     assert np.all(np.diff(grid) > 0)
     with pytest.raises(ValueError):
-        fam.spectrum_at(0.5)
+        fam.spectra_array([0.5])
     with pytest.raises(ValueError):
         fam.grid(1)
 
 
 @pytest.mark.parametrize("family", [*BUILTIN_FAMILIES.values(), parse_family("1-t,0.5t,0.5t,0", (0, 2 / 3))])
 def test_stacked_spectra_are_spectrum_at_bit_for_bit(family):
-    """A chunk's spectra, as objects or as one array, are each point's
-    base + slope * t, clipped at 0, to the bit."""
+    """A chunk's spectra, as one array or one point at a time, are each
+    point's SchmidtSpectrum of base + slope * t, clipped at 0, to the bit."""
     ts = family.grid(23)
-    for s, row, t in zip(family.spectra_at(ts), family.spectra_array(ts), ts):
+    for row, t in zip(family.spectra_array(ts), ts):
         alone = np.clip(np.array(family.base) + np.array(family.slope) * float(t), 0.0, None)
-        for lam in (family.spectrum_at(float(t)).lambdas, SchmidtSpectrum(alone).lambdas, row):
+        s = SchmidtSpectrum(alone)
+        for lam in (family.spectra_array([float(t)])[0], row):
             assert s.lambdas.view(np.uint64).tolist() == lam.view(np.uint64).tolist()
     lo, hi = family.t_range
     for bad in (hi + 1e-11, lo - 1e-11, float("nan")):
         with pytest.raises(ValueError, match=f"^t={bad} outside range"):
-            family.spectra_at(np.append(ts, bad))
-        with pytest.raises(ValueError, match=f"^t={bad} outside range"):
             family.spectra_array(np.append(ts, bad))
         with pytest.raises(ValueError, match="outside range"):
-            family.spectrum_at(bad)
+            family.spectra_array([bad])
 
 
 def test_parse_family_round_trip():
@@ -224,7 +225,7 @@ def test_sweep_fig2_endpoint_equalities():
 
 def test_sweep_fig5_spot_value():
     fam = BUILTIN_FAMILIES["fig5"]
-    s = fam.spectrum_at(0.25)
+    s = SchmidtSpectrum(fam.spectra_array([0.25])[0])
     assert abs(beta_sep_pure(s) - 0.25) <= 1e-12
 
 
@@ -259,11 +260,6 @@ def test_report_dict_is_flat_and_serialisable():
         "flags",
     }
     json.dumps(payload)
-    mixed = mixed_state_report(
-        BipartiteState.from_density(np.eye(4) / 4, (2, 2))
-    )
-    text = json.dumps(mixed.to_dict())
-    assert "null" in text  # no two-way value for general mixed input
 
 
 def test_family_validate_catches_bad_sum():

@@ -1,20 +1,10 @@
 import numpy as np
 
-from loccdist.one_way import (
-    OneWayProtocol,
-    beta_one_way,
-    build_one_way_test,
-    check_lemma3,
-    one_way_is_exact,
-)
-from loccdist.operators import eig_hermitian, numerical_rank, partial_trace
+from loccdist.one_way import OneWayProtocol, beta_one_way, build_one_way_test, check_lemma3
+from loccdist.operators import eig_hermitian, partial_trace
 from loccdist.separable import beta_sep_pure
-from loccdist.states import (
-    BipartiteState,
-    MaximallyCorrelatedState,
-    spectrum,
-    state_from_spectrum,
-)
+from loccdist.states import BipartiteState, MaximallyCorrelatedState, spectrum
+from reference import numerical_rank, one_way_operator, validate_one_way
 
 
 def random_psd(d, rng):
@@ -37,26 +27,20 @@ def random_povm(d, n_out, rng):
 
 
 def test_beta_one_way_two_qubit():
-    st = state_from_spectrum(spectrum([0.75, 0.25]))
-    assert abs(beta_one_way(st) - 0.5) <= 1e-12
-    assert one_way_is_exact(st)
+    mc = MaximallyCorrelatedState.from_spectrum(spectrum([0.75, 0.25]))
+    assert abs(beta_one_way(mc) - 0.5) <= 1e-12
 
 
 def test_beta_one_way_qutrit_family():
-    st = state_from_spectrum(spectrum([0.8, 0.1, 0.1]))
-    assert abs(beta_one_way(st) - 1.0 / 3.0) <= 1e-12
+    mc = MaximallyCorrelatedState.from_spectrum(spectrum([0.8, 0.1, 0.1]))
+    assert abs(beta_one_way(mc) - 1.0 / 3.0) <= 1e-12
 
 
 def test_beta_one_way_product_embedded():
-    st = state_from_spectrum(spectrum([1.0, 0.0]))
-    assert st.total_dim == 4
-    assert abs(beta_one_way(st) - 0.25) <= 1e-12
-
-
-def test_beta_one_way_mixed_is_lower_bound_flagged():
-    rho = BipartiteState.from_density(np.eye(4) / 4, (2, 2))
-    assert abs(beta_one_way(rho) - 0.5) <= 1e-12
-    assert not one_way_is_exact(rho)
+    mc = MaximallyCorrelatedState.from_spectrum(spectrum([1.0, 0.0]))
+    dA, dB = mc.dims
+    assert dA * dB == 4
+    assert abs(beta_one_way(mc) - 0.25) <= 1e-12
 
 
 def test_build_test_diagonal_alpha():
@@ -66,7 +50,7 @@ def test_build_test_diagonal_alpha():
     expect[0, 0] = expect[3, 3] = 1.0
     assert np.max(np.abs(T - expect)) <= 1e-12
     assert abs(np.trace(T).real - 2.0) <= 1e-12
-    protocol.validate()
+    validate_one_way(protocol)
 
 
 def test_build_test_pure_state():
@@ -106,7 +90,7 @@ def test_build_test_assembles_its_tensor_loop():
     products: bit for bit on identity bases, to 1e-14 on random ones."""
     for lam in ([1.0], [0.75, 0.25], [0.5, 0.3, 0.2, 0.0], [0.25] * 4, [0.4, 0.4, 0.2, 0, 0]):
         protocol, T = build_one_way_test(MaximallyCorrelatedState.from_spectrum(spectrum(lam)))
-        assert np.array_equal(T, protocol.test_operator())
+        assert np.array_equal(T, one_way_operator(protocol))
     rng = np.random.default_rng(17)
     for d, extra in ((2, 0), (3, 1), (4, 0), (5, 2)):
         alpha = random_density(d, rng)
@@ -117,7 +101,7 @@ def test_build_test_assembles_its_tensor_loop():
             for n in (d + extra, d)
         )
         protocol, T = build_one_way_test(MaximallyCorrelatedState(alpha, qa, qb))
-        assert np.max(np.abs(T - protocol.test_operator())) <= 1e-14
+        assert np.max(np.abs(T - one_way_operator(protocol))) <= 1e-14
         assert abs(np.trace(T).real - (d - 1)) <= 1e-12
 
 
@@ -175,7 +159,7 @@ def test_lemma_check_agrees_with_direct_trace():
                 bob_povms=bobs,
                 accept=frozenset(pairs[k] for k in take),
             )
-            T = protocol.test_operator()
+            T = one_way_operator(protocol)
             st = BipartiteState.from_density(random_density(dA * dB, rng), (dA, dB))
         direct = abs(np.trace(st.density() @ T).real - 1.0) <= 1e-9
         assert check_lemma3(protocol, st) == direct
@@ -187,15 +171,15 @@ def test_ordering_chain_endpoints():
     # rank one and maximally entangled states collapse the chain
     for lam in ([1.0, 0.0], [0.5, 0.5]):
         s = spectrum(lam)
-        st = state_from_spectrum(s)
-        bo = beta_one_way(st)
-        bs = beta_sep_pure(s, st.total_dim)
+        mc = MaximallyCorrelatedState.from_spectrum(s)
+        dA, dB = mc.dims
+        bo = beta_one_way(mc)
+        bs = beta_sep_pure(s, dA * dB)
         assert bo >= bs - 1e-12
         assert abs(bo - bs) <= 1e-12
     # strict gap in between
     s = spectrum([0.75, 0.25])
-    st = state_from_spectrum(s)
-    assert beta_one_way(st) > beta_sep_pure(s) + 0.01
+    assert beta_one_way(MaximallyCorrelatedState.from_spectrum(s)) > beta_sep_pure(s) + 0.01
 
 
 def test_equality_without_maximal_correlation():

