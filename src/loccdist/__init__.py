@@ -19,10 +19,8 @@ from .operators import (
 )
 from .optimize import (
     OptimizationResult,
-    OptimizerConfig,
     beta_two_way_qubit_analytic,
     beta_two_way_upper,
-    beta_two_way_upper_batch,
     grid_oracle,
 )
 from .separable import (
@@ -68,7 +66,6 @@ __all__ = [
     "MaximallyCorrelatedState",
     "OneWayProtocol",
     "OptimizationResult",
-    "OptimizerConfig",
     "SchmidtSpectrum",
     "SeparableForm",
     "SeparablePovmPair",
@@ -78,7 +75,6 @@ __all__ = [
     "beta_sep_pure",
     "beta_two_way_qubit_analytic",
     "beta_two_way_upper",
-    "beta_two_way_upper_batch",
     "build_mub_basis",
     "build_one_way_test",
     "build_optimal_separable_povm",

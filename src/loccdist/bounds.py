@@ -7,10 +7,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .optimize import OptimizerConfig, beta_two_way_upper, solve_spectra
+from .optimize import TOL, beta_two_way_upper, solve_spectra
 from .separable import sep_traces
 from .states import SchmidtSpectrum
-from .two_way import check_tables, table_layout
+from .two_way import table_layout
 
 ORDER_TOL = 1e-9
 
@@ -112,11 +112,11 @@ def pure_state_reports(lams: np.ndarray) -> list[BoundsReport]:
     """pure_state_report of the spectrum in each row of lams (n, d), checked
     by states.check_spectra: the two-way values come from the arrays of one
     stacked solve per effective rank (optimize.solve_spectra), and no
-    spectrum, table or result object is built."""
+    spectrum, table or result object is built.  families.sweep_rows bounds
+    the stacks: it passes at most stack_size(d) rows."""
     n, d = lams.shape
     t_values, deltas = [0.0] * n, [""] * n
-    for rows, solved in solve_spectra(lams, OptimizerConfig().tol):
-        tables = check_tables(solved.tables)  # DeltaMatrix's rules, once per stack
-        for i, t_value, delta in zip(rows.tolist(), solved.t_values.tolist(), _delta_strings(tables)):
+    for rows, solved in solve_spectra(lams, TOL):
+        for i, t_value, delta in zip(rows.tolist(), solved.t_values.tolist(), _delta_strings(solved.tables)):
             t_values[i], deltas[i] = t_value, delta
     return _pure_reports(lams, d * d, t_values, deltas)

@@ -23,7 +23,7 @@ from .bounds import _delta_string, embedding_dim, pure_state_report
 from .families import SWEEP_HEADER, check_points, get_family, sweep_line, sweep_rows
 from .one_way import one_way_test_form
 from .operators import eig_hermitian
-from .optimize import OptimizerConfig, beta_two_way_upper, grid_oracle, grid_size
+from .optimize import TOL, beta_two_way_upper, grid_oracle, grid_size
 from .separable import (
     beta_sep_pure,
     build_optimal_separable_povm,
@@ -57,11 +57,17 @@ SEED_HELP = "accepted and ignored: the two-way solve is deterministic"
 MAX_LEVELS = 32
 
 
-def _parse_dims(text: str):
+def _split_pair(text: str, form: str) -> list[str]:
+    """The two comma-separated values of a flag; form names them in the
+    message, e.g. "dims must be 'dA,dB'"."""
     parts = text.split(",")
     if len(parts) != 2:
-        raise ValueError(f"dims must be 'dA,dB', got {text!r}")
-    dA, dB = (int(p) for p in parts)
+        raise ValueError(f"{form}, got {text!r}")
+    return parts
+
+
+def _parse_dims(text: str):
+    dA, dB = (int(p) for p in _split_pair(text, "dims must be 'dA,dB'"))
     if dA < 1 or dB < 1:
         raise ValueError("dims must be positive")
     return dA, dB
@@ -95,7 +101,8 @@ def cmd_bounds(s, dims) -> int:
 
 
 def check_sweep(args):
-    family = get_family(args.family, args.range.split(",") if args.range else None)
+    t_range = _split_pair(args.range, "range must be 'lo,hi'") if args.range else None
+    family = get_family(args.family, t_range)
     _check_levels(family.d, "family")
     check_points(args.points)
     # Fail on an unwritable --out now, not after every row is computed.
@@ -105,14 +112,19 @@ def check_sweep(args):
 
 def cmd_sweep(family, points, out) -> int:
     """Write each row as it is solved; the ordering check runs after the
-    last row."""
+    last row.  A write that fails (a full disk, say) ends in exit 2 with
+    one `error:` line, as an unwritable --out does before any work."""
     rows, ordered = 0, True
-    with open(out, "w") as fh:
-        fh.write(SWEEP_HEADER)
-        for t, report in sweep_rows(family, points):
-            fh.write(sweep_line(t, report))
-            rows += 1
-            ordered = ordered and report.ordering_ok()
+    try:
+        with open(out, "w") as fh:
+            fh.write(SWEEP_HEADER)
+            for t, report in sweep_rows(family, points):
+                fh.write(sweep_line(t, report))
+                rows += 1
+                ordered = ordered and report.ordering_ok()
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     print(f"wrote {rows} rows to {out}", file=sys.stderr)
     if not ordered:
         print("error: bound ordering violated in sweep", file=sys.stderr)
@@ -130,7 +142,7 @@ def check_optimize(args):
 
 
 def cmd_optimize(s, tol, grid_step) -> int:
-    result = beta_two_way_upper(s, OptimizerConfig(tol=tol))
+    result = beta_two_way_upper(s, tol)
     payload = {
         "beta_two_way_upper": result.beta_value,
         "t_value": result.t_value,
@@ -260,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="minimise the two-way bound for one spectrum")
     p.add_argument("--schmidt", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=TOL)
     p.add_argument("--grid-step", type=float, default=None)
     p.add_argument("--seed", type=int, default=0, help=SEED_HELP)
     p.set_defaults(check=check_optimize, run=cmd_optimize)

@@ -219,9 +219,10 @@ def sweep_rows(family: FamilySpec, points: int):
     """Yield (t, report) along the family parameter grid, in increasing t
     order, as the points are solved.
 
-    The grid is solved in chunks of consecutive points, each at most one
-    stack at the family's dimension (stack_size), so only one chunk is held
-    at a time.  A chunk is computed as arrays: its spectra
+    The grid is solved in chunks of at most stack_size(family.d)
+    consecutive points, one chunk at a time.  This bounds the solve's
+    memory: each effective rank of a chunk is one stack, and stack_size
+    does not grow with d.  A chunk is computed as arrays: its spectra
     (FamilySpec.spectra_array) and their bounds (bounds.pure_state_reports),
     each report being the pure_state_report of its spectrum.
     """

@@ -31,15 +31,16 @@ read between 0.1 and 0.6.)  So every pass does the same: the gap of each
 row, retiring the rows that are done, the floor, and one damped Newton
 step.
 
-The solve runs on a stack of spectra that share an effective rank
-(beta_two_way_upper_batch; beta_two_way_upper is a batch of one, and a
-sweep solves its points in such batches): each Newton step is one stacked
-KKT solve, and the barrier weight, fraction to the boundary and Armijo
-halving are kept per spectrum.  A spectrum leaves the stack once
-its own gap is small enough, with its own iteration count.  Every operation
-acts on each spectrum alone, so a result is bit for bit the same in any
-batch.  A stack holds at most BATCH_BYTES of solver arrays; larger groups
-are solved in chunks, and nothing is kept between calls.
+solve_stack is the one engine: it solves a stack of spectra that share
+an effective rank (beta_two_way_upper is a stack of one, and a sweep
+solves its points in such stacks through solve_spectra): each Newton step
+is one stacked KKT solve, and the barrier weight, fraction to the
+boundary and Armijo halving are kept per spectrum.  A spectrum leaves the
+stack once its own gap is small enough, with its own iteration count.
+Every operation acts on each spectrum alone, so a result is bit for bit
+the same in any stack.  Nothing is kept between calls; a caller that
+solves many spectra bounds each stack to BATCH_BYTES of solver arrays
+(stack_size), as families.sweep_rows does.
 
 A Newton pass works on the table's m = d (d + 1) / 2 free entries x
 (two_way.table_layout).  trace_T_batch returns the Hessian as its column
@@ -54,26 +55,25 @@ with the table.
 Some rows are certified before any pass.  Every three-step protocol is an
 LOCC test, and LOCC tests are separable, so no table's Tr T lies below the
 separable optimum (sum_k sqrt(l_k))**2 (separable.sep_traces; Owari &
-Hayashi, arXiv:0708.3154), while the one-way corner's Tr T is d.  A row
-with d - (sum_k sqrt(l_k))**2 <= tol therefore leaves its stack before
-the barrier solve (solve_stack) with the one-way table, t_value = d,
-iterations 1 and that slack, clipped at 0, as its certified gap.  This
+Hayashi, arXiv:0708.3154), while the one-way corner's Tr T is d.  Every
+row of a stack starts at the one-way table with iterations 1 and the
+slack d - (sum_k sqrt(l_k))**2 as its gap; only the rows whose slack
+exceeds tol go through the barrier solve.  The others keep the corner,
+t_value = d and that slack, clipped at 0, as their certified gap.  This
 covers every uniform spectrum, near-uniform ones (the slack is about
 eps**2 d**2 / 2 at distance eps), and effective rank 1, where the slack
 is 1 - 1 = 0 and [[1]] is the only table.
 
-A finished stack is also turned into results as a stack (_finish): its
-tables are clipped, renormalised and checked together (two_way.
-check_tables, DeltaMatrix's rules), one trace_T_closed_form call gives the
-operator's Tr T at every final table, and the smaller of that and the
-one-way corner's d is reported (the barrier table on a tie).  The
-certified gap is reported as max(gap, 0): it is the rounded difference of
-two sums and can dip below 0 once the tolerance nears rounding.  Only the
-d = 2 analytic check runs per spectrum.  The results are arrays
+The whole stack is then finished as a stack (_finish): its tables are
+clipped, renormalised and checked together (two_way.check_tables,
+DeltaMatrix's rules), one trace_T_closed_form call gives the operator's
+Tr T at every final table, and the smaller of that and the one-way
+corner's d is reported (the barrier table on a tie).  The certified gap is
+reported as max(gap, 0): it is the rounded difference of two sums and can
+dip below 0 once the tolerance nears rounding.  Only the d = 2 analytic
+check of the barrier's rows runs per spectrum.  The results are arrays
 (StackSolve), which a sweep reads directly (bounds.pure_state_reports);
-beta_two_way_upper_batch wraps them in one OptimizationResult and one
-DeltaMatrix per spectrum, and the rows of a stack the corner wins share
-one.
+beta_two_way_upper wraps its one row in an OptimizationResult.
 
 The exhaustive grid oracle for small d and the exact two-outcome solution
 
@@ -109,11 +109,8 @@ MAX_ITERS = 500  # passes: each takes a gap, and all but the last one damped ste
 GAP_FLOOR = 2.0  # t >= GAP_FLOOR * m / gap after every gap
 ARMIJO_SLACK = 8.0 * np.finfo(float).eps  # relative to the barrier objective
 BATCH_BYTES = 1 << 20  # peak solver arrays of one batched solve (_item_bytes each)
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    tol: float = 1e-9  # certified bound on t_value minus the minimum of Tr T
+TOL = 1e-9  # default certified bound on t_value minus the minimum of Tr T
+MAX_GRID_POINTS = 50_000_000  # grid_oracle's largest grid
 
 
 @dataclass(frozen=True)
@@ -270,17 +267,16 @@ def _damped_step(lam, factors, x, dx, f, t, decrement, entries):
 class StackSolve(NamedTuple):
     """The two-way bound of every row of a stack (solve_stack), as arrays."""
 
-    tables: np.ndarray  # (n, d, d), clipped and renormalised, not yet checked
+    tables: np.ndarray  # (n, d, d), checked by DeltaMatrix's rules (two_way.check_tables)
     t_values: np.ndarray  # (n,)
     iterations: np.ndarray  # (n,) passes; 1 for a row certified before any step
     gaps: np.ndarray  # (n,) certified gaps, never below 0
     converged: np.ndarray  # (n,) bool
-    corner: np.ndarray  # (n,) bool: the table is one_way_table(d)
 
 
-def _finish(lam, tables, passes, gaps, tol) -> StackSolve:
-    """The StackSolve of a finished stacked solve of the effective spectra
-    lam (n, d), from _barrier_newton's tables, passes and gaps."""
+def _finish(lam, tables, passes, gaps, tol, solved) -> StackSolve:
+    """The StackSolve of the effective spectra lam (n, d) from their final
+    tables, passes and gaps; solved marks the rows the barrier solved."""
     d = lam.shape[1]
     tables = _clean(tables)
     values = trace_T_closed_form(lam, tables)
@@ -290,23 +286,21 @@ def _finish(lam, tables, passes, gaps, tol) -> StackSolve:
     # the bit: its one live column has N = D, and every effective l_k is
     # about states.RANK_TOL = 1e-12 or more, far above the d eps support
     # cutoff.
-    corner = values > d
-    if corner.any():
-        tables[corner] = one_way_table(d)
+    tables[values > d] = one_way_table(d)
     values = np.minimum(values, d)
     gaps = np.maximum(gaps, 0.0)  # a rounded difference of two sums can dip below 0
     converged = gaps <= tol
     if d == 2:
-        for k, t_value in enumerate(values.tolist()):
+        for k in np.flatnonzero(solved).tolist():
             beta_exact, _ = beta_two_way_qubit_analytic(float(lam[k, 1]))
-            if abs(t_value / (d * d) - beta_exact) > 1e-6:
+            if abs(values[k] / (d * d) - beta_exact) > 1e-6:
                 warnings.warn(
                     f"barrier solve missed the analytic two-outcome value: "
-                    f"{t_value / (d * d):.9f} vs {beta_exact:.9f}",
+                    f"{values[k] / (d * d):.9f} vs {beta_exact:.9f}",
                     RuntimeWarning,
                 )
                 converged[k] = False
-    return StackSolve(tables, values, passes, gaps, converged, corner)
+    return StackSolve(check_tables(tables), values, passes, gaps, converged)
 
 
 def solve_stack(lam: np.ndarray, tol: float) -> StackSolve:
@@ -314,100 +308,56 @@ def solve_stack(lam: np.ndarray, tol: float) -> StackSolve:
     spectra.
 
     No table's Tr T lies below (sum_k sqrt(l_k))**2 (separable.sep_traces),
-    and the one-way corner's is d.  A row with d - (sum_k sqrt(l_k))**2 <=
-    tol therefore gets the corner, with that slack as its gap, after one
-    pass and no step; the other rows are one stacked barrier solve.  Every
-    operation acts on each row alone, so a row's result does not depend on
-    the rest of the stack.
+    and the one-way corner's is d.  Every row starts at the corner after
+    one pass, with that slack as its gap; the rows whose slack exceeds tol
+    are overwritten by one stacked barrier solve, and the whole stack is
+    finished together.  Every operation acts on each row alone, so a row's
+    result does not depend on the rest of the stack.
     """
     n, d = lam.shape
-    slack = d - np.array(sep_traces(lam))
-    solve = slack > tol
-    if solve.all():
-        return _finish(lam, *_barrier_newton(lam, tol), tol)
-    out = StackSolve(
-        np.repeat(one_way_table(d)[None], n, axis=0),
-        np.full(n, float(d)),
-        np.ones(n, dtype=int),
-        np.maximum(slack, 0.0),
-        np.ones(n, dtype=bool),
-        np.ones(n, dtype=bool),
-    )
+    gaps = d - np.array(sep_traces(lam))
+    solve = gaps > tol
+    tables = np.repeat(one_way_table(d)[None], n, axis=0)
+    passes = np.ones(n, dtype=int)
     if solve.any():
-        for whole, part in zip(out, _finish(lam[solve], *_barrier_newton(lam[solve], tol), tol)):
-            whole[solve] = part
-    return out
+        tables[solve], passes[solve], gaps[solve] = _barrier_newton(lam[solve], tol)
+    return _finish(lam, tables, passes, gaps, tol, solve)
 
 
 def solve_spectra(lams: np.ndarray, tol: float):
-    """Yield (rows, StackSolve) for every stack the two-way bounds of the
-    checked spectra lams (n, dim) take (states.check_spectra: each row
-    non-increasing, zero-padded): rows of one effective rank r are solved
-    together as their first r coefficients, in stacks of at most
-    BATCH_BYTES of solver arrays (stack_size)."""
+    """Yield (rows, StackSolve) for each effective rank r among the checked
+    spectra lams (n, dim) (states.check_spectra: each row non-increasing,
+    zero-padded): the rows of rank r are one stack of their first r
+    coefficients.  The stack is not split: the caller bounds its memory
+    (families.sweep_rows passes at most stack_size(dim) rows, and
+    stack_size does not grow with d)."""
     ranks = np.count_nonzero(lams, axis=1)
     for d in sorted(set(ranks.tolist())):
-        group = np.flatnonzero(ranks == d)
-        size = stack_size(d)
-        for lo in range(0, group.size, size):
-            rows = group[lo : lo + size]
-            yield rows, solve_stack(lams[rows, :d], tol)
+        rows = np.flatnonzero(ranks == d)
+        yield rows, solve_stack(lams[rows, :d], tol)
 
 
-def beta_two_way_upper_batch(
-    spectra: list[SchmidtSpectrum], config: OptimizerConfig | None = None
-) -> list[OptimizationResult]:
-    """beta_two_way_upper of each spectrum, in order: solve_spectra's
-    arrays, one OptimizationResult per spectrum.  Each result is bit for
-    bit the one its spectrum gets alone; each gets its own DeltaMatrix, and
-    the rows of one stack that the one-way corner wins share one.
+def beta_two_way_upper(s: SchmidtSpectrum, tol: float = TOL) -> OptimizationResult:
+    """The log-barrier Newton minimum of the protocol error for s, as the
+    module docstring describes it: solve_stack on a stack of one, as one
+    OptimizationResult.  t_value exceeds the minimum by at most
+    certified_gap; `converged` says whether that gap fell to tol within
+    MAX_ITERS passes and, for d = 2, the value matches the analytic
+    solution.
     """
-    if config is None:
-        config = OptimizerConfig()
-    lams = np.zeros((len(spectra), max((s.dim for s in spectra), default=1)))
-    for row, s in zip(lams, spectra):
-        row[: s.dim] = s.lambdas
-    results = [None] * len(spectra)
-    for rows, solved in solve_spectra(lams, config.tol):
-        one_way = DeltaMatrix.one_way(solved.tables.shape[1]) if solved.corner.any() else None
-        per_row = zip(rows.tolist(), solved.corner.tolist(), solved.tables, solved.t_values.tolist(),
-                      solved.iterations.tolist(), solved.converged.tolist(), solved.gaps.tolist())
-        for i, at_corner, table, t_value, iterations, ok, gap in per_row:
-            D = spectra[i].dim ** 2
-            results[i] = OptimizationResult(
-                best_delta=one_way if at_corner else DeltaMatrix(table),
-                beta_value=t_value / D,
-                method="log-barrier-newton",
-                iterations=iterations,
-                converged=ok,
-                t_value=t_value,
-                D=D,
-                certified_gap=gap,
-            )
-    return results
-
-
-def beta_two_way_upper(
-    s: SchmidtSpectrum, config: OptimizerConfig | None = None
-) -> OptimizationResult:
-    """Log-barrier Newton minimiser of the protocol error.
-
-    A spectrum with d - (sum_k sqrt(l_k))**2 <= config.tol gets the one-way
-    corner at once, since no table lies below the separable optimum.
-    Otherwise, from the uniform table, each pass takes the Frank-Wolfe gap, raises the
-    barrier weight t (from 1) to at least GAP_FLOOR * m / gap, with
-    m = d (d + 1) / 2 log terms, and takes one Newton step on
-    f(x) - (1/t) sum log x_ki under the row sums (one KKT system, kept
-    interior by a fraction-to-boundary rule and Armijo halving).  The
-    centre for weight t lies within m / t of the minimum, so a lower weight
-    would not tighten what the gap has already certified.  Stops once the
-    gap is at most config.tol and returns the better of the iterate and
-    the one-way corner, so t_value exceeds the minimum by at most
-    certified_gap; `converged` says whether that happened within MAX_ITERS
-    passes and, for d = 2, matches the analytic solution.  This is
-    beta_two_way_upper_batch on a batch of one.
-    """
-    return beta_two_way_upper_batch([s], config)[0]
+    solved = solve_stack(s.effective[None], tol)
+    D = s.dim**2
+    t_value = float(solved.t_values[0])
+    return OptimizationResult(
+        best_delta=DeltaMatrix(solved.tables[0]),
+        beta_value=t_value / D,
+        method="log-barrier-newton",
+        iterations=int(solved.iterations[0]),
+        converged=bool(solved.converged[0]),
+        t_value=t_value,
+        D=D,
+        certified_gap=float(solved.gaps[0]),
+    )
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
@@ -437,11 +387,11 @@ def grid_size(d: int, step: float) -> tuple[int, int]:
     total = 1
     for k in range(d):
         total *= math.comb(units + d - k - 1, d - k - 1)
-    if total > 50_000_000:
-        raise ValueError(
-            f"grid of {total} points is too large; increase the step or use "
-            f"beta_two_way_upper for d = {d}"
-        )
+        if total > MAX_GRID_POINTS:  # stop before the product grows to thousands of digits
+            raise ValueError(
+                f"grid of more than {MAX_GRID_POINTS} points is too large; increase the "
+                f"step or use beta_two_way_upper for d = {d}"
+            )
     return units, total
 
 

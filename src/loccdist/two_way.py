@@ -116,10 +116,6 @@ class DeltaMatrix:
         return cls(uniform_table(d))
 
     @classmethod
-    def one_way(cls, d: int) -> "DeltaMatrix":
-        return cls(one_way_table(d))
-
-    @classmethod
     def qubit(cls, delta: float) -> "DeltaMatrix":
         """d = 2 table parameterised by d_11 = delta."""
         return cls(np.array([[delta, 1.0 - delta], [0.0, 1.0]]))

@@ -1,8 +1,10 @@
-"""The batched two-way solve gives every spectrum its batch-of-one result.
+"""The stacked two-way solve gives every spectrum its stack-of-one result.
 
-beta_two_way_upper is beta_two_way_upper_batch on a batch of one, and sweep
-solves all of a family's points together; neither the other spectra in a
-batch nor their order may change any bit of a result.
+optimize.solve_stack is the one engine: beta_two_way_upper is solve_stack
+on a stack of one, and a sweep solves its points a stack per (chunk,
+effective rank); neither the other rows of a stack nor their order may
+change any bit of a row's result.  families.sweep_rows bounds each stack
+to stack_size(d) rows, and stack_size does not grow with d.
 """
 
 import tracemalloc
@@ -11,68 +13,73 @@ import numpy as np
 import pytest
 
 from loccdist import families, optimize
-from loccdist.bounds import pure_state_report
+from loccdist.bounds import pure_state_report, pure_state_reports
 from loccdist.families import BUILTIN_FAMILIES, parse_family, sweep, sweep_rows
 from loccdist.optimize import (
     BATCH_BYTES,
-    OptimizerConfig,
+    TOL,
+    StackSolve,
     _barrier_newton,
     _item_bytes,
     beta_two_way_qubit_analytic,
-    beta_two_way_upper,
-    beta_two_way_upper_batch,
+    solve_stack,
     stack_size,
 )
-from loccdist.states import SchmidtSpectrum
-from loccdist.two_way import DeltaMatrix
+from loccdist.states import SchmidtSpectrum, check_spectra
 
 
-def stack(d: int, rng: np.random.Generator) -> list:
-    """Spectra of effective rank d: random, tied, exactly uniform, with a
-    1e-11 level and zero-padded."""
+def stack(d: int, rng: np.random.Generator) -> np.ndarray:
+    """An (n, d) stack of effective spectra of rank d: random, tied,
+    exactly uniform, with a 1e-11 level and one taken from a zero-padded
+    spectrum."""
     random = [rng.dirichlet(np.ones(d)) for _ in range(2)]
     tied = np.repeat(rng.dirichlet(np.ones(2)), [d - d // 2, d // 2])
     uniform = np.full(d, 1.0 / d)
     tiny = np.append(rng.dirichlet(np.ones(d - 1)) * (1.0 - 1e-11), 1e-11) if d > 1 else uniform
     padded = np.concatenate([rng.dirichlet(np.ones(d)), [0.0, 0.0]])
     lams = random + [tied / tied.sum(), uniform, tiny, padded]
-    return [SchmidtSpectrum(np.sort(lam)[::-1]) for lam in lams]
+    return np.stack([SchmidtSpectrum(np.sort(lam)[::-1]).effective for lam in lams])
+
+
+def rows(solved: StackSolve) -> list:
+    """Each row of a StackSolve, as a StackSolve of its row's values."""
+    return [StackSolve(*row) for row in zip(*solved)]
 
 
 def same(a, b) -> bool:
-    return (
-        a.t_value == b.t_value
-        and np.array_equal(a.best_delta.table, b.best_delta.table)
-        and a.iterations == b.iterations
-        and a.certified_gap == b.certified_gap
-        and a.converged == b.converged
-    )
+    """Two rows of StackSolves agree in every field, bit for bit."""
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def alone(lam: np.ndarray) -> list:
+    """Each row of lam solved as a stack of one."""
+    return [rows(solve_stack(lam[i : i + 1], TOL))[0] for i in range(len(lam))]
 
 
 @pytest.mark.parametrize("d", range(1, 11))
 def test_batch_matches_batch_of_one(d):
     rng = np.random.default_rng(100 + d)
-    spectra = stack(d, rng)
-    alone = [beta_two_way_upper(s) for s in spectra]
-    assert all(s.effective.size == d for s in spectra)
-    assert all(same(a, b) for a, b in zip(beta_two_way_upper_batch(spectra), alone))
-    order = rng.permutation(len(spectra))
-    permuted = beta_two_way_upper_batch([spectra[i] for i in order])
-    assert all(same(r, alone[i]) for r, i in zip(permuted, order))
-    fewer = beta_two_way_upper_batch(spectra[1:])
-    assert all(same(a, b) for a, b in zip(fewer, alone[1:]))
+    lam = stack(d, rng)
+    assert lam.shape[1] == d
+    single = alone(lam)
+    assert all(same(a, b) for a, b in zip(rows(solve_stack(lam, TOL)), single))
+    order = rng.permutation(len(lam))
+    permuted = rows(solve_stack(lam[order], TOL))
+    assert all(same(r, single[i]) for r, i in zip(permuted, order))
+    fewer = rows(solve_stack(lam[1:], TOL))
+    assert all(same(a, b) for a, b in zip(fewer, single[1:]))
 
 
 def test_batch_matches_batch_of_one_at_the_iteration_cap(monkeypatch):
     """With MAX_ITERS lowered to the pass at which one spectrum finishes,
     some spectra finish on the last pass and others not at all; each keeps
-    its batch-of-one table, iteration count and gap."""
-    spectra = stack(4, np.random.default_rng(9))
-    passes = sorted(beta_two_way_upper(s).iterations for s in spectra)
+    its stack-of-one table, iteration count and gap."""
+    lam = stack(4, np.random.default_rng(9))
+    passes = sorted(r.iterations for r in alone(lam))
     monkeypatch.setattr(optimize, "MAX_ITERS", passes[len(passes) // 2])
-    alone = [beta_two_way_upper(s) for s in spectra]
-    assert any(r.converged for r in alone) and not all(r.converged for r in alone)
-    assert all(same(a, b) for a, b in zip(beta_two_way_upper_batch(spectra), alone))
+    single = alone(lam)
+    assert any(r.converged for r in single) and not all(r.converged for r in single)
+    assert all(same(a, b) for a, b in zip(rows(solve_stack(lam, TOL)), single))
 
 
 def test_batch_of_exactly_kkt_size():
@@ -81,57 +88,36 @@ def test_batch_of_exactly_kkt_size():
     d = 5
     size = d * (d + 1) // 2 + d
     rng = np.random.default_rng(7)
-    spectra = [SchmidtSpectrum(np.sort(rng.dirichlet(np.ones(d)))[::-1]) for _ in range(size)]
-    batch = beta_two_way_upper_batch(spectra)
-    assert len(batch) == size
-    assert all(same(r, beta_two_way_upper(s)) for r, s in zip(batch, spectra))
+    lam = np.sort(rng.dirichlet(np.ones(d), size=size), axis=1)[:, ::-1].copy()
+    solved = rows(solve_stack(lam, TOL))
+    assert len(solved) == size
+    assert all(same(a, b) for a, b in zip(solved, alone(lam)))
 
 
-def test_batch_spans_chunks_and_ranks():
-    """Mixed effective ranks come back in input order, and a group larger
-    than one chunk gives the same results as its spectra alone."""
+def test_pure_state_reports_span_ranks():
+    """Mixed effective ranks come back in input order, each report the
+    pure_state_report of its spectrum alone, with a rank-10 group larger
+    than stack_size(10) solved as one stack."""
     d = 10
-    assert BATCH_BYTES // _item_bytes(d) < 12
+    assert stack_size(d) < 12
     rng = np.random.default_rng(11)
-    spectra = [SchmidtSpectrum(np.sort(rng.dirichlet(np.ones(d)))[::-1]) for _ in range(12)]
-    spectra.insert(5, SchmidtSpectrum([0.6, 0.4]))
-    spectra.insert(0, SchmidtSpectrum([1.0, 0.0]))
-    batch = beta_two_way_upper_batch(spectra)
-    assert [r.best_delta.d for r in batch] == [s.effective.size for s in spectra]
-    assert all(same(r, beta_two_way_upper(s)) for r, s in zip(batch, spectra))
-
-
-def test_a_stack_builds_one_delta_matrix_per_result(monkeypatch):
-    """The solve starts from the uniform table as an array, so n
-    non-uniform spectra of one rank build n DeltaMatrix objects, each one a
-    result's table; the rows the one-way corner wins share one."""
-    built = []
-    post_init = DeltaMatrix.__post_init__
-
-    def counted(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(DeltaMatrix, "__post_init__", counted)
-    rng = np.random.default_rng(5)
-    spectra = [SchmidtSpectrum(np.sort(rng.dirichlet(np.ones(4)))[::-1]) for _ in range(5)]
-    results = beta_two_way_upper_batch(spectra)
-    assert len(built) == 5
-    assert all(r.best_delta is delta for r, delta in zip(results, built))
-    built.clear()
-    uniform = beta_two_way_upper_batch([SchmidtSpectrum(np.full(4, 0.25))] * 2)
-    assert len(built) == 1
-    assert all(r.best_delta is built[0] for r in uniform)
+    raw = [np.sort(rng.dirichlet(np.ones(d)))[::-1] for _ in range(12)]
+    raw.insert(5, np.array([0.6, 0.4] + [0.0] * (d - 2)))
+    raw.insert(0, np.array([1.0] + [0.0] * (d - 1)))
+    reports = pure_state_reports(check_spectra(np.stack(raw)))
+    assert [len(r.delta_star.split(",")) for r in reports] == [1, *[55] * 5, 3, *[55] * 7]
+    assert reports == [pure_state_report(SchmidtSpectrum(lam)) for lam in raw]
 
 
 def test_two_outcome_batch_matches_analytic():
     rng = np.random.default_rng(3)
-    lams = np.concatenate([[0.5, 1e-11, 0.125], rng.uniform(0.0, 0.5, 20)])
-    spectra = [SchmidtSpectrum([1.0 - lam, lam]) for lam in lams]
-    for s, r in zip(spectra, beta_two_way_upper_batch(spectra)):
-        assert r.converged
-        beta, _ = beta_two_way_qubit_analytic(float(s.lambdas[1]))
-        assert abs(r.beta_value - beta) <= 1e-6
+    second = np.concatenate([[0.5, 1e-11, 0.125], rng.uniform(0.0, 0.5, 20)])
+    lam = np.stack([1.0 - second, second], axis=1)
+    solved = solve_stack(lam, TOL)
+    assert solved.converged.all()
+    for row, t_value in zip(lam, solved.t_values.tolist()):
+        beta, _ = beta_two_way_qubit_analytic(float(row[1]))
+        assert abs(t_value / 4 - beta) <= 1e-6
 
 
 @pytest.mark.parametrize("family", [*BUILTIN_FAMILIES.values(), parse_family("1-2t,t,t", (0, 1 / 3))])
@@ -153,6 +139,37 @@ def test_sweep_rows_are_the_same_in_any_chunking(monkeypatch, chunk):
     assert [t for t, _ in rows] == sorted(t for t, _ in rows)
 
 
+def test_stack_size_does_not_grow_with_d():
+    """A chunk of stack_size(d) points therefore fits one stack at every
+    effective rank r <= d, so solve_spectra need not split it."""
+    sizes = [stack_size(d) for d in range(1, 33)]
+    assert all(a >= b for a, b in zip(sizes, sizes[1:]))
+    assert sizes[-1] >= 1
+
+
+def test_sweep_solves_one_stack_per_chunk_and_rank(monkeypatch):
+    """A 400-point 8-level sweep calls solve_stack once per (chunk, rank),
+    and no stack holds more than stack_size(8) rows."""
+    family = parse_family("1-7t,t,t,t,t,t,t,t", (0.0, 0.125))
+    calls, solve = [], optimize.solve_stack
+
+    def counted(lam, tol):
+        calls.append(lam.shape)
+        return solve(lam, tol)
+
+    monkeypatch.setattr(optimize, "solve_stack", counted)
+    points, size = 400, stack_size(8)
+    grid = family.grid(points)
+    expected = sum(
+        len(set(np.count_nonzero(family.spectra_array(grid[lo : lo + size]), axis=1).tolist()))
+        for lo in range(0, points, size)
+    )
+    assert len(sweep(family, points)) == points
+    assert len(calls) == expected
+    assert max(n for n, _ in calls) <= size
+    assert sum(n for n, _ in calls) == points
+
+
 @pytest.mark.parametrize("d", range(1, 11))
 def test_full_stack_peak_is_within_its_budget(d):
     """_item_bytes(d) bounds what each spectrum of a full stack adds to the
@@ -160,11 +177,10 @@ def test_full_stack_peak_is_within_its_budget(d):
     rng = np.random.default_rng(40 + d)
     n = stack_size(d)
     lam = np.sort(rng.dirichlet(np.ones(d), size=n), axis=1)[:, ::-1].copy()
-    tol = OptimizerConfig().tol
-    _barrier_newton(lam[:2], tol)  # one-time caches do not count
+    _barrier_newton(lam[:2], TOL)  # one-time caches do not count
     tracemalloc.start()
     try:
-        _barrier_newton(lam, tol)
+        _barrier_newton(lam, TOL)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -172,8 +188,8 @@ def test_full_stack_peak_is_within_its_budget(d):
 
 
 def test_sweep_memory_is_bounded():
-    """The batched solve works in chunks of at most BATCH_BYTES, so a long
-    sweep's peak memory stays near a short one's."""
+    """sweep_rows solves in stacks of at most stack_size(d) points, so a
+    long sweep's peak memory stays near a short one's."""
     family = parse_family("1-7t,t,t,t,t,t,t,t", (0.0, 0.125))
     peaks = []
     for points in (50, 400):

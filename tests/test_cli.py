@@ -1,4 +1,6 @@
 import dataclasses
+import errno
+import io
 import json
 import os
 import subprocess
@@ -501,6 +503,38 @@ def test_sweep_unwritable_out_fails_before_any_row(capsys, tmp_path, monkeypatch
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_sweep_write_failure_exits_2_with_one_line(capsys, tmp_path, monkeypatch):
+    """A write that fails once the sweep runs (a full disk: --out /dev/full
+    passes the check-time open) ends in one `error:` line and exit 2, not a
+    traceback and the exit code of a failed verification."""
+    out_path = tmp_path / "x.csv"
+
+    class FullFile(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(loccdist.cli, "open", lambda *args: FullFile(), raising=False)
+    code, out, err = run(capsys, "sweep", "--family", "fig1", "--points", "3", "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {out_path}:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("t_range", ["0", "0,0.5,1"])
+def test_sweep_range_takes_two_values(capsys, tmp_path, t_range):
+    argv = ["sweep", "--family", "1-t,t", "--range", t_range, "--points", "3", "--out", str(tmp_path / "x.csv")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: range must be 'lo,hi', got {t_range!r}\n"
+
+
+def test_optimize_oversize_grid_error_is_one_short_line(capsys):
+    """grid_size stops multiplying once the count passes the cap, so a tiny
+    step does not print a thousand-digit point count."""
+    code, out, err = run(capsys, "optimize", "--schmidt", "0.5,0.3,0.2", "--grid-step", "1e-308")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "more than 50000000 points" in err and len(err) < 200
 
 
 def fuzz_spectra():

@@ -2,19 +2,20 @@ import numpy as np
 import pytest
 
 from loccdist import optimize
+from loccdist.bounds import pure_state_report, pure_state_reports
 from loccdist.cli import MAX_LEVELS
 from loccdist.families import BUILTIN_FAMILIES
 from loccdist.optimize import (
-    OptimizerConfig,
+    TOL,
     beta_two_way_qubit_analytic,
     beta_two_way_upper,
-    beta_two_way_upper_batch,
     grid_oracle,
+    solve_stack,
 )
 from loccdist.separable import beta_sep_pure, sep_traces
-from loccdist.states import SchmidtSpectrum, parse_spectrum, spectrum
+from loccdist.states import SchmidtSpectrum, check_spectra, parse_spectrum, spectrum
 from loccdist.two_way import (
-    DeltaMatrix,
+    one_way_table,
     pair_factors,
     table_layout,
     trace_T_batch,
@@ -63,9 +64,10 @@ def test_optimizer_rank_one():
 
 
 def test_rank_one_spectra_need_no_newton_step(monkeypatch):
-    """[[1]] is the only feasible table at effective rank 1: alone or in a
-    mixed-rank batch, such a spectrum returns it after 1 pass with gap 0 and
-    never reaches a KKT solve (the d = 1 system is 2 x 2)."""
+    """[[1]] is the only feasible table at effective rank 1: alone, such a
+    spectrum returns it after 1 pass with gap 0, and alone or among the
+    spectra of other ranks in pure_state_reports it never reaches a KKT
+    solve (the d = 1 system is 2 x 2)."""
     solve = np.linalg.solve
 
     def no_rank_one_solve(a, b):
@@ -75,13 +77,15 @@ def test_rank_one_spectra_need_no_newton_step(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", no_rank_one_solve)
     rank_one = [spectrum([1.0]), spectrum([1.0, 0.0, 0.0]), spectrum([1.0 - 1e-13, 1e-13])]
-    mixed = [spectrum([0.6, 0.4]), rank_one[1], spectrum([0.5, 0.3, 0.2]), rank_one[2]]
     alone = [beta_two_way_upper(s) for s in rank_one]
-    batched = beta_two_way_upper_batch(mixed)[1::2]
-    for res in alone + batched:
+    for res in alone:
         assert res.iterations == 1 and res.certified_gap == 0.0 and res.t_value == 1.0
         assert res.converged and res.best_delta.table.tolist() == [[1.0]]
     assert [r.D for r in alone] == [1, 9, 4]
+    raw = np.array([[0.6, 0.4, 0.0], [1.0, 0.0, 0.0], [0.5, 0.3, 0.2], [1.0 - 1e-13, 1e-13, 0.0]])
+    reports = pure_state_reports(check_spectra(raw))
+    assert reports == [pure_state_report(SchmidtSpectrum(lam)) for lam in raw]
+    assert [(r.beta_two_way_upper, r.delta_star) for r in reports[1::2]] == [(1 / 9, "1")] * 2
 
 
 def near_uniform(d, eps):
@@ -102,41 +106,42 @@ def slack(s):
     return s.rank - sep_traces(s.effective[None])[0]
 
 
-def same(a, b) -> bool:
-    return (a.t_value, a.iterations, a.certified_gap, a.converged) == (
-        b.t_value, b.iterations, b.certified_gap, b.converged
-    ) and np.array_equal(a.best_delta.table, b.best_delta.table)
-
-
 def test_certified_corner_needs_no_newton_step(monkeypatch):
     """No table's Tr T lies below (sum sqrt l)**2 (LOCC tests are
     separable) and the one-way corner's is d, so a spectrum whose slack is
     at most tol returns the corner after one pass, with the slack as its
-    gap: alone and in a mixed-rank batch, uniform and 1e-6 from uniform at
-    d = 2..10 and 32, without a KKT solve."""
+    gap: alone and among spectra of other ranks in pure_state_reports,
+    uniform and 1e-6 from uniform at d = 2..10 and 32, without a KKT
+    solve."""
 
     def no_solve(a, b):
         raise AssertionError("a certified spectrum reached np.linalg.solve")
 
     monkeypatch.setattr(np.linalg, "solve", no_solve)
-    alone = [beta_two_way_upper(s) for s in CERTIFIED]
-    batched = beta_two_way_upper_batch([spectrum([1.0])] + CERTIFIED[::-1])[:0:-1]
-    for s, res, other in zip(CERTIFIED, alone, batched):
-        d = s.rank
+    for s in CERTIFIED:
+        res, d = beta_two_way_upper(s), s.rank
         assert res.t_value == d and res.iterations == 1 and res.converged
-        assert res.certified_gap == max(slack(s), 0.0) <= OptimizerConfig().tol
-        assert np.array_equal(res.best_delta.table, DeltaMatrix.one_way(d).table)
-        assert same(other, res)
+        assert res.certified_gap == max(slack(s), 0.0) <= TOL
+        assert np.array_equal(res.best_delta.table, one_way_table(d))
+    raw = np.zeros((len(CERTIFIED) + 1, MAX_LEVELS))
+    raw[0, 0] = 1.0
+    for row, s in zip(raw[1:], CERTIFIED[::-1]):
+        row[: s.dim] = s.lambdas
+    reports = pure_state_reports(check_spectra(raw))
+    assert reports == [pure_state_report(SchmidtSpectrum(lam)) for lam in raw]
 
 
 def test_certified_rows_leave_the_stack_before_its_solve(monkeypatch):
     """In a stack that mixes certified and other spectra of one rank, only
-    the others reach the stacked KKT solve, and every result is the one its
-    spectrum gets alone."""
+    the others reach the stacked KKT solve, and every row is bit for bit
+    the one its spectrum gets as a stack of one."""
     rng = np.random.default_rng(12)
-    batch = [s for d in (3, 5) for s in (near_uniform(d, 0.0), random_spectrum(d, rng),
-                                        near_uniform(d, 1e-6), random_spectrum(d, rng))]
-    alone = [beta_two_way_upper(s) for s in batch]
+    stacks = [
+        np.stack([s.effective for s in (near_uniform(d, 0.0), random_spectrum(d, rng),
+                                        near_uniform(d, 1e-6), random_spectrum(d, rng))])
+        for d in (2, 3, 5)
+    ]
+    alone = [[solve_stack(lam[i : i + 1], TOL) for i in range(len(lam))] for lam in stacks]
     stacked, solve = [], np.linalg.solve
 
     def counted(a, b):
@@ -144,34 +149,35 @@ def test_certified_rows_leave_the_stack_before_its_solve(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counted)
-    results = beta_two_way_upper_batch(batch)
-    assert stacked and max(stacked) == 2
-    assert all(same(a, b) for a, b in zip(results, alone))
-    assert [r.iterations == 1 for r in results] == [True, False, True, False] * 2
+    for lam, single in zip(stacks, alone):
+        stacked.clear()
+        solved = solve_stack(lam, TOL)
+        assert stacked and max(stacked) == 2
+        for i, one in enumerate(single):
+            assert all(np.array_equal(a[i], b[0]) for a, b in zip(solved, one))
+        assert (solved.iterations == 1).tolist() == [True, False, True, False]
 
 
 def test_slack_above_tol_still_solves():
     """1e-4 from uniform at d = 4 the slack is about 8e-8: the spectrum is
     solved, and its table beats the corner."""
     s = near_uniform(4, 1e-4)
-    assert slack(s) > OptimizerConfig().tol
+    assert slack(s) > TOL
     res = beta_two_way_upper(s)
     assert res.iterations > 1 and res.converged and res.t_value < 4
 
 
 def test_no_value_lies_below_the_separable_bound():
-    spectra = [parse_spectrum(x) for x in fuzz_spectra()]
-    for s, res in zip(spectra, beta_two_way_upper_batch(spectra)):
-        assert res.t_value >= s.rank - slack(s) - 1e-12
+    for s in map(parse_spectrum, fuzz_spectra()):
+        assert beta_two_way_upper(s).t_value >= s.rank - slack(s) - 1e-12
 
 
 def test_certified_gap_is_never_negative():
     """At tol = 1e-300 the final gap is a rounded difference of two sums
     that can come out below 0; the reported certificate reads 0 instead."""
-    config = OptimizerConfig(tol=1e-300)
     spectra = [spectrum([0.25] * 4), spectrum([0.4, 0.3, 0.2, 0.1]), spectrum([1 / 7] * 7)]
-    for res in beta_two_way_upper_batch(spectra, config):
-        assert res.certified_gap >= 0.0
+    for s in spectra:
+        assert beta_two_way_upper(s, tol=1e-300).certified_gap >= 0.0
 
 
 def test_optimizer_objective_is_reported_value():
@@ -279,7 +285,7 @@ def test_optimizer_config_seed_determinism():
     # One deterministic solve: no seed, and repeated calls agree to the bit.
     s = spectrum([0.55, 0.3, 0.15])
     a = beta_two_way_upper(s)
-    b = beta_two_way_upper(s, OptimizerConfig())
+    b = beta_two_way_upper(s, tol=TOL)
     assert (a.t_value, a.iterations, a.certified_gap) == (b.t_value, b.iterations, b.certified_gap)
     assert np.array_equal(a.best_delta.table, b.best_delta.table)
 
@@ -327,7 +333,7 @@ def test_passes_per_solve_ceiling():
     Dirichlet spectra at d = 5..10 average at most 22 Newton passes."""
     rng = np.random.default_rng(5)
     spectra = [random_spectrum(d, rng) for d in range(5, 11) for _ in range(8)]
-    results = beta_two_way_upper_batch(spectra)
+    results = [beta_two_way_upper(s) for s in spectra]
     assert all(r.converged for r in results)
     assert np.mean([r.iterations for r in results]) <= 22
 
@@ -339,7 +345,8 @@ def test_solve_converges_above_d_10(d):
     rng = np.random.default_rng(d)
     tied = np.repeat(rng.dirichlet(np.ones(d // 4)), 4) / 4
     spectra = [random_spectrum(d, rng), spectrum(np.sort(tied)[::-1])]
-    for s, res in zip(spectra, beta_two_way_upper_batch(spectra)):
+    for s in spectra:
+        res = beta_two_way_upper(s)
         assert res.converged and res.certified_gap <= 1e-9
         assert beta_sep_pure(s) <= res.beta_value <= s.rank / s.dim**2
 
@@ -373,7 +380,7 @@ def test_result_lies_within_its_certified_gap(schmidt):
     solve to tol = 1e-12, from above or from below by that solve's gap."""
     s = parse_spectrum(schmidt)
     res = beta_two_way_upper(s)
-    tight = beta_two_way_upper(s, OptimizerConfig(tol=1e-12))
+    tight = beta_two_way_upper(s, tol=1e-12)
     assert res.converged and tight.converged
     ulps = 8 * np.spacing(tight.t_value)  # rounding in the values and their gaps
     assert -tight.certified_gap - ulps <= res.t_value - tight.t_value <= res.certified_gap + ulps

@@ -32,7 +32,7 @@ import pytest  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))  # run as a script
 
-from loccdist.optimize import beta_two_way_upper, beta_two_way_upper_batch  # noqa: E402
+from loccdist.optimize import TOL, beta_two_way_upper, solve_spectra  # noqa: E402
 from loccdist.states import parse_spectrum  # noqa: E402
 from test_cli import fuzz_spectra  # noqa: E402
 
@@ -50,14 +50,20 @@ def solve_cases() -> list:
     return fuzz_spectra() + dirichlet
 
 
-def record(result) -> dict:
+def record(t_value, certified_gap, iterations, converged, table) -> dict:
     return {
-        "t_value": float.hex(result.t_value),
-        "certified_gap": float.hex(result.certified_gap),
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "table": [[float.hex(float(x)) for x in row] for row in result.best_delta.table],
+        "t_value": float.hex(float(t_value)),
+        "certified_gap": float.hex(float(certified_gap)),
+        "iterations": int(iterations),
+        "converged": bool(converged),
+        "table": [[float.hex(float(x)) for x in row] for row in table],
     }
+
+
+def result_record(result) -> dict:
+    """The record of a beta_two_way_upper result."""
+    return record(result.t_value, result.certified_gap, result.iterations, result.converged,
+                  result.best_delta.table)
 
 
 def blas_core_name() -> str | None:
@@ -91,17 +97,28 @@ def test_pins_cover_the_cases(pins):
 
 @pytest.mark.parametrize("schmidt", solve_cases())
 def test_solve_alone_is_pinned(pins, schmidt):
-    assert record(beta_two_way_upper(parse_spectrum(schmidt))) == pins[schmidt]
+    assert result_record(beta_two_way_upper(parse_spectrum(schmidt))) == pins[schmidt]
 
 
 def test_solve_as_one_batch_is_pinned(pins):
+    """Every case's checked spectrum as a row of one zero-padded array,
+    solved a stack per effective rank (solve_spectra), gets its pinned
+    record."""
     cases = solve_cases()
-    results = beta_two_way_upper_batch([parse_spectrum(s) for s in cases])
-    assert [record(r) for r in results] == [pins[s] for s in cases]
+    spectra = [parse_spectrum(s) for s in cases]
+    lams = np.zeros((len(cases), max(s.dim for s in spectra)))
+    for row, s in zip(lams, spectra):
+        row[: s.dim] = s.lambdas
+    records = [None] * len(cases)
+    for rows, solved in solve_spectra(lams, TOL):
+        fields = (solved.t_values, solved.gaps, solved.iterations, solved.converged, solved.tables)
+        for i, *row in zip(rows.tolist(), *fields):
+            records[i] = record(*row)
+    assert records == [pins[s] for s in cases]
 
 
 if __name__ == "__main__":
-    table = {s: record(beta_two_way_upper(parse_spectrum(s))) for s in solve_cases()}
+    table = {s: result_record(beta_two_way_upper(parse_spectrum(s))) for s in solve_cases()}
     lines = [f"{json.dumps(s)}: {json.dumps(r)}" for s, r in table.items()]
     PINS.write_text("{\n" + ",\n".join(lines) + "\n}\n")
     print(f"wrote {len(lines)} pins to {PINS}")

@@ -21,6 +21,7 @@ from loccdist.two_way import (
     build_two_way_protocols,
     build_two_way_T,
     check_tables,
+    one_way_table,
     pair_factors,
     sigma_A,
     simulate_protocol,
@@ -75,7 +76,7 @@ def test_delta_matrix_neither_freezes_nor_aliases_the_callers_array():
 def test_delta_constructors():
     u = DeltaMatrix.uniform(3)
     assert np.allclose(u.table.sum(axis=1), 1.0)
-    ow = DeltaMatrix.one_way(3)
+    ow = DeltaMatrix(one_way_table(3))
     assert np.allclose(ow.table[:, 2], 1.0)
     q = DeltaMatrix.qubit(0.25)
     assert np.allclose(q.table, [[0.25, 0.75], [0.0, 1.0]])
@@ -163,7 +164,7 @@ def test_mub_random_corpus():
 
 def test_build_T_trivial_first_measurement():
     s = spectrum([0.75, 0.25])
-    T, _ = build_two_way_T(s, DeltaMatrix.one_way(2))
+    T, _ = build_two_way_T(s, DeltaMatrix(one_way_table(2)))
     assert abs(np.trace(T).real - 2.0) <= 1e-10
     assert povm_element_check(T, 1e-9)
 
@@ -189,7 +190,7 @@ def test_build_T_uniform_spectrum_any_delta():
 def test_closed_form_single_outcome():
     for d in (2, 3, 4):
         s = spectrum([1.0 / d] * d)
-        assert abs(trace_T_closed_form(s, DeltaMatrix.one_way(d)) - d) <= 1e-12
+        assert abs(trace_T_closed_form(s, DeltaMatrix(one_way_table(d))) - d) <= 1e-12
 
 
 def test_closed_form_hand_arithmetic():
@@ -229,7 +230,7 @@ def test_oracle_equivalence_corpus():
     for s in spectra:
         d = s.rank
         deltas = [DeltaMatrix.random(d, rng) for _ in range(3)]
-        deltas += [DeltaMatrix.uniform(d), DeltaMatrix.one_way(d)]
+        deltas += [DeltaMatrix.uniform(d), DeltaMatrix(one_way_table(d))]
         values = trace_T_batch(s.effective, np.stack([delta.table for delta in deltas]))
         for delta, value in zip(deltas, values):
             T, _ = build_two_way_T(s, delta)
@@ -329,7 +330,7 @@ def test_closed_form_of_a_stack_is_the_closed_form_of_each_table():
     for d in (1, 2, 3, 5, 8):
         spectra = [random_spectrum(d, rng), spectrum([1.0 / d] * d)]
         deltas = [DeltaMatrix.random(d, rng) for _ in range(3)]
-        deltas += [DeltaMatrix(np.eye(d)), DeltaMatrix.uniform(d), DeltaMatrix.one_way(d)]
+        deltas += [DeltaMatrix(np.eye(d)), DeltaMatrix.uniform(d), DeltaMatrix(one_way_table(d))]
         tables = np.stack([delta.table for delta in deltas])
         for s in spectra:
             alone = [trace_T_closed_form(s, delta) for delta in deltas]
@@ -352,7 +353,7 @@ def test_one_way_corner_closed_form_is_d_to_the_bit():
         for lam in lams + [tiny]:
             s = spectrum(np.sort(lam)[::-1])
             assert s.effective.size == d
-            assert trace_T_closed_form(s, DeltaMatrix.one_way(d)) == float(d)
+            assert trace_T_closed_form(s, DeltaMatrix(one_way_table(d))) == float(d)
 
 
 def test_protocol_is_build_two_way_T_s_protocol():
@@ -380,7 +381,7 @@ def stacked_protocol_cases():
     cases = []
     for s in spectra:
         d = s.rank
-        deltas = [DeltaMatrix.uniform(d), DeltaMatrix.one_way(d)]
+        deltas = [DeltaMatrix.uniform(d), DeltaMatrix(one_way_table(d))]
         deltas += [DeltaMatrix.random(d, rng) for _ in range(3)]
         if d > 1:
             dropped = np.array(deltas[-1].table)
@@ -411,7 +412,7 @@ def test_stacked_protocols_are_each_table_alone_bit_for_bit():
 
 def test_stacked_protocols_refuse_a_table_of_another_rank():
     s = spectrum([0.5, 0.3, 0.2])
-    deltas = [DeltaMatrix.uniform(3), DeltaMatrix.uniform(2), DeltaMatrix.one_way(3)]
+    deltas = [DeltaMatrix.uniform(3), DeltaMatrix.uniform(2), DeltaMatrix(one_way_table(3))]
     with pytest.raises(ValueError, match="^delta has d = 2, spectrum has effective rank 3$"):
         build_two_way_protocols(s, deltas)
 
@@ -424,7 +425,7 @@ def test_pair_hessian_is_the_dense_blocks_bit_for_bit(d):
     stack."""
     rng = np.random.default_rng(40 + d)
     tables = [DeltaMatrix.random(d, rng).table for _ in range(4)]
-    tables += [np.eye(d), DeltaMatrix.one_way(d).table, DeltaMatrix.uniform(d).table]
+    tables += [np.eye(d), one_way_table(d), DeltaMatrix.uniform(d).table]
     tables = np.stack(tables)
     layout = table_layout(d)
     spectra = [random_spectrum(d, rng).effective, np.full(d, 1.0 / d)]
@@ -646,7 +647,7 @@ def test_bob_bases_span_the_support():
     ascending index.  With distinct support weights that is build_mub_basis's
     basis; eig_hermitian's order inside a tie is solver-dependent."""
     untied = 0
-    tied = [(spectrum([0.3, 0.3, 0.2, 0.2]), DeltaMatrix.one_way(4))]
+    tied = [(spectrum([0.3, 0.3, 0.2, 0.2]), DeltaMatrix(one_way_table(4)))]
     for s, delta in list(equivalence_cases()) + tied:
         lam = s.effective
         d = lam.size
