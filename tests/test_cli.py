@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -399,6 +400,21 @@ def test_optimize_at_a_tiny_tol_still_solves_the_uniform_qutrit(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["iterations"] > 1 and payload["t_value"] <= 3.0
+
+
+@pytest.mark.parametrize("schmidt, tol", [("0.99,0.01", "0.5"), ("0.6,0.4", "0.1")])
+def test_optimize_two_outcomes_at_a_loose_tol_converge(capsys, schmidt, tol):
+    """At d = 2 a loose --tol converges without a RuntimeWarning, whether
+    the barrier ran (0.99,0.01: its gap 0.46 lies within 0.5, and its value
+    within that gap of the analytic one) or the corner was certified
+    (0.6,0.4 at 0.1)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, _ = run(capsys, "optimize", "--schmidt", schmidt, "--tol", tol)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["converged"] and payload["certified_gap"] <= float(tol)
+    assert payload["iterations"] == 1
 
 
 def test_sweep_builds_no_object_per_point(capsys, tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from loccdist.cli import MAX_LEVELS
 from loccdist.families import BUILTIN_FAMILIES
 from loccdist.optimize import (
     TOL,
+    _finish,
     beta_two_way_qubit_analytic,
     beta_two_way_upper,
     grid_oracle,
@@ -21,6 +24,7 @@ from loccdist.two_way import (
     trace_T_batch,
     trace_T_closed_form,
 )
+from test_batch import stack
 from test_cli import fuzz_spectra
 
 
@@ -327,6 +331,23 @@ def test_fig5_rows_reach_the_minimum(t, ceiling):
     assert res.beta_value <= ceiling
 
 
+def test_two_outcome_check_holds_a_row_to_its_certificate():
+    """The d = 2 analytic check flags a barrier-solved row only when its
+    value lies more than max(1e-6, certified_gap / 4) above the exact one
+    (or more than 1e-6 below): a table 0.0028 above the minimum at 0.6,0.4
+    is flagged with a gap below that excess and passes with one above it."""
+    lam, table, solved = np.array([[0.6, 0.4]]), np.array([[[0.3, 0.7], [0.0, 1.0]]]), np.array([True])
+    excess = trace_T_closed_form(lam, table)[0] / 4 - beta_two_way_qubit_analytic(0.4)[0]
+    assert excess > 1e-6
+    with pytest.warns(RuntimeWarning, match="missed the analytic two-outcome value"):
+        flagged = _finish(lam, table, np.ones(1, dtype=int), np.array([2 * excess]), 1.0, solved)
+    assert not flagged.converged[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        loose = _finish(lam, table, np.ones(1, dtype=int), np.array([8 * excess]), 1.0, solved)
+    assert loose.converged[0]
+
+
 def test_passes_per_solve_ceiling():
     """The barrier weight follows the certified gap (t >= 2 m / gap), so a
     solve spends no passes on a weight the certificate has outgrown:
@@ -336,6 +357,67 @@ def test_passes_per_solve_ceiling():
     results = [beta_two_way_upper(s) for s in spectra]
     assert all(r.converged for r in results)
     assert np.mean([r.iterations for r in results]) <= 22
+
+
+TIED_10 = np.array([5 / 32] + [3 / 32] * 9)  # without the finish's exit: 43 passes, not 40
+
+
+def finish_cases() -> list:
+    """Effective spectra for the finish: the tied TIED_10, every row of
+    test_batch's stack() at d = 1..10 (random, tied, uniform, a 1e-11
+    level, zero-padded) and fuzz_spectra()."""
+    rows = [row for d in range(1, 11) for row in stack(d, np.random.default_rng(100 + d))]
+    return [TIED_10, *rows, *(parse_spectrum(s).effective for s in fuzz_spectra())]
+
+
+def test_finish_takes_at_most_two_passes_more_than_the_barrier(monkeypatch):
+    """A row that enters the finish and leaves it again costs at most two
+    passes over the barrier alone (FINISH_GAP = 0, which no gap above tol
+    reaches), and every row still converges to tol."""
+    lams = finish_cases()
+    finished = [solve_stack(lam[None], TOL) for lam in lams]
+    monkeypatch.setattr(optimize, "FINISH_GAP", 0.0)
+    barrier = [solve_stack(lam[None], TOL) for lam in lams]
+    for a, b in zip(finished, barrier):
+        assert a.converged[0] and a.gaps[0] <= TOL
+        assert a.iterations[0] <= b.iterations[0] + 2
+    assert sum(a.iterations[0] for a in finished) < sum(b.iterations[0] for b in barrier)
+
+
+def test_finish_passes_per_solve_ceiling():
+    """With the finish, Dirichlet spectra at d = 5..10 average at most 14
+    Newton passes; each result lies within its certified gap of a solve to
+    tol = 1e-12 and not below the separable bound (sum sqrt l)**2."""
+    rng = np.random.default_rng(24)
+    spectra = [random_spectrum(d, rng) for d in range(5, 11) for _ in range(8)]
+    results = [beta_two_way_upper(s) for s in spectra]
+    assert np.mean([r.iterations for r in results]) <= 14
+    for s, res in zip(spectra, results):
+        tight = beta_two_way_upper(s, tol=1e-12)
+        assert res.converged and tight.converged
+        ulps = 8 * np.spacing(tight.t_value)
+        assert -tight.certified_gap - ulps <= res.t_value - tight.t_value <= res.certified_gap + ulps
+        assert res.t_value >= sep_traces(s.effective[None])[0] - 1e-12
+
+
+def test_finish_evaluates_the_closed_form_on_solved_rows_only(monkeypatch):
+    """Certified-corner rows keep Tr T = d without a trace_T_closed_form
+    call: a stack of corners makes none, and a mixed stack one, on its
+    solved rows alone."""
+    calls, closed_form = [], optimize.trace_T_closed_form
+
+    def counted(lam, tables):
+        calls.append(len(tables))
+        return closed_form(lam, tables)
+
+    monkeypatch.setattr(optimize, "trace_T_closed_form", counted)
+    corners = np.array([[1.0 / 3] * 3, near_uniform(3, 1e-6).effective])
+    assert solve_stack(corners, TOL).t_values.tolist() == [3.0, 3.0]
+    assert solve_stack(np.ones((2, 1)), TOL).t_values.tolist() == [1.0, 1.0]
+    assert calls == []
+    mixed = np.concatenate([corners, [[0.5, 0.3, 0.2]]])
+    assert solve_stack(mixed, TOL).t_values[2] < 3.0
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("d", [16, MAX_LEVELS])
