@@ -35,12 +35,13 @@ class BoundsReport:
     delta_star: str
     flags: str = ""
 
-    def ordering_ok(self, tol: float = ORDER_TOL) -> bool:
-        """The chain beta_g <= beta_sep <= beta_two_way <= beta_one_way."""
+    def ordering_ok(self) -> bool:
+        """The chain beta_g <= beta_sep <= beta_two_way <= beta_one_way, to
+        ORDER_TOL."""
         return (
-            self.beta_g <= self.beta_sep + tol
-            and self.beta_sep <= self.beta_two_way_upper + tol
-            and self.beta_two_way_upper <= self.beta_one_way + tol
+            self.beta_g <= self.beta_sep + ORDER_TOL
+            and self.beta_sep <= self.beta_two_way_upper + ORDER_TOL
+            and self.beta_two_way_upper <= self.beta_one_way + ORDER_TOL
         )
 
     def to_dict(self) -> dict:

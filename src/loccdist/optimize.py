@@ -25,37 +25,18 @@ a point the certificate has already passed.  The floor alone also makes
 the solve converge: at the exact centre for weight t, row k's gap is
 (n_k - 1 / max_i x_ki) / t for its n_k free entries, so the total gap is at
 most (m - d) / t.  Newton steps at a fixed t therefore push the gap below
-2 m / t, and the floor then raises t more than twofold.  (After 200 Newton
-steps at a fixed t, for d = 3, 5, 8 and t = 10, 1e3, 1e6, gap * t / (m - d)
-read between 0.1 and 0.6.)  So every pass does the same: the gap of each
-row, retiring the rows that are done, the floor, and one damped Newton
-step.
+m / t, and the floor then raises t more than GAP_FLOOR-fold.  (After 200
+Newton steps at a fixed t, for d = 3, 5, 8 and t = 10, 1e3, 1e6,
+gap * t / (m - d) read between 0.1 and 0.6.)  So every pass does the
+same: the gap of each row, retiring the rows that are done, the floor,
+and one damped Newton step.
 
-That path converges only linearly (the gap falls about threefold a pass),
-while Newton's method on Tr T itself converges quadratically near a
-minimum whose entries are all positive (Nocedal & Wright, Numerical
-Optimization, ch. 16-18).  So a row finishes with pure Newton steps once
-its gap is at most FINISH_GAP and every entry is free: t x**2 >= 1 for
-the weight t its iterate was centred for (an entry that the barrier holds
-near 0 sits at about 1 / (t s), s being its reduced cost).  A finish step
-is the same step with barrier weight 0: the same KKT system, fraction to
-the boundary and Armijo test, now on Tr T alone, and the same exit test,
-so every result is still certified to gap <= tol.  The weight is carried
-as 1 / t, so a finish row's log terms weigh 0 and never read inf / inf.
-A finish step that is damped (a step length below 1), or after which the
-row's gap has not fallen, shows a face that is not interior or a
-degenerate minimum, as on tied spectra; that row returns to the barrier,
-with the weight the floor gives it, for good.  (Without that exit the
-tied spectrum (5, 3, ..., 3) / 32 at d = 10 takes 43 passes instead of 40,
-and runs to MAX_ITERS with FINISH_GAP = 1e-4.)  The window is read only on
-passes where some row is finishing or within FINISH_GAP.
-
-FINISH_GAP is late on purpose.  Every optimum in perfbench's bounds-random
-and certify pools (Dirichlet spectra at d = 5..10) is interior, its
-smallest entry 2.4e-4 or more, and there a solve takes 18.4 passes on the
-barrier alone, 14.1 with this window and 12.4 with 1e-4.  But perfbench
-keeps a record per call, so the extra calls of the faster window lift its
-peak RSS past the benchmark's 5% bound.
+GAP_FLOOR is 5 because a larger jump in t takes fewer passes (ibid.,
+11.3.3, on choosing mu): a Dirichlet spectrum at d = 5..10 takes about
+13 passes at 5 and 18.4 at 2, and a floor of 4 takes more than 5 on
+Dirichlet(0.3) spectra.  A floor above 5 cuts passes further, but the
+extra calls per second lift perfbench's peak RSS, which keeps a record
+per call, toward the benchmark's 5% bound.
 
 solve_stack is the one engine: it solves a stack of spectra that share
 an effective rank (beta_two_way_upper is a stack of one, and a sweep
@@ -136,12 +117,12 @@ from .two_way import (
 
 
 MAX_ITERS = 500  # passes: each takes a gap, and all but the last one damped step
-GAP_FLOOR = 2.0  # t >= GAP_FLOOR * m / gap after every gap
-FINISH_GAP = 3e-6  # a row this close, every entry free, takes pure Newton steps
+GAP_FLOOR = 5.0  # t >= GAP_FLOOR * m / gap after every gap
 ARMIJO_SLACK = 8.0 * np.finfo(float).eps  # relative to the barrier objective
 BATCH_BYTES = 1 << 20  # peak solver arrays of one batched solve (_item_bytes each)
 TOL = 1e-9  # default certified bound on t_value minus the minimum of Tr T
 MAX_GRID_POINTS = 50_000_000  # grid_oracle's largest grid
+GRID_CHUNK = 1 << 18  # grid points per trace_T_batch call in grid_oracle
 
 
 @dataclass(frozen=True)
@@ -197,8 +178,7 @@ def stack_size(d: int) -> int:
 
 def _barrier_newton(lam: np.ndarray, tol: float):
     """The log-barrier Newton solve of every row of an (n, d) stack of
-    effective spectra, finished by pure Newton steps (the module docstring
-    says when), as one stacked solve per step.
+    effective spectra, as one stacked solve per step.
 
     Returns the final tables (n, d, d) and, per row, the pass at which its
     Frank-Wolfe gap fell to tol (MAX_ITERS if it never did) and the gap of
@@ -224,11 +204,7 @@ def _barrier_newton(lam: np.ndarray, tol: float):
     x = X.reshape(n, -1).take(layout.entries, axis=1)  # the free entries of X
     factors = pair_factors(lam)  # spectrum-only, gathered again only when rows leave
     f, g, H = trace_T_batch(lam, X, factors)
-    w = np.ones(n)  # the barrier weight 1 / t, so that a finish row's is 0, not 1 / inf
-    finishing = np.zeros(n, dtype=bool)  # rows whose next (or last) step is a finish step
-    barred = np.zeros(n, dtype=bool)  # rows that left the finish for good
-    before = alpha = np.zeros(n)  # each row's gap and step length at its last finish step
-    window = False  # some row is finishing: its gap and step must be checked
+    w = np.ones(n)  # the barrier weight, carried as 1 / t
     final = np.empty_like(X)
     passes = np.full(n, MAX_ITERS)
     gaps = np.empty(n)
@@ -244,21 +220,13 @@ def _barrier_newton(lam: np.ndarray, tol: float):
             gaps[live[done]] = gap[done]
             stay = ~done
             live, lam, w, gap, X, x, f, g, H = (a[stay] for a in (live, lam, w, gap, X, x, f, g, H))
-            finishing, barred, before, alpha = (a[stay] for a in (finishing, barred, before, alpha))
             factors = tuple(a[stay] for a in factors)
         if not live.size or it == MAX_ITERS:  # a row left undone keeps this gap's table
             break
-        if window or gap.min() <= FINISH_GAP:
-            # A finish step that was damped or did not lower the gap ends the row's finish.
-            barred |= finishing & ((alpha < 1.0) | (gap >= before))
-            # Every entry free: t x**2 >= 1 under the weight x was centred for.
-            finishing = (gap <= FINISH_GAP) & ~barred & (x.min(axis=1) ** 2 >= w)
-            window, before = bool(finishing.any()), gap
         # At the centre for weight t, f - min f <= m / t: a weight below
         # m / gap asks for less than the certificate has already shown.
         np.minimum(w, gap / (GAP_FLOOR * m), out=w)
-        weight = np.where(finishing, 0.0, w) if window else w
-        wx = weight[:, None] / x
+        wx = w[:, None] / x
         grad = g.reshape(live.size, -1).take(layout.entries, axis=1) - wx
         system = kkt[: live.size]
         flat = system.reshape(live.size, -1)
@@ -267,7 +235,7 @@ def _barrier_newton(lam: np.ndarray, tol: float):
         rhs[: live.size, :m, 0] = -grad
         dx = np.linalg.solve(system, rhs[: live.size])[:, :m, 0]
         decrement = -(grad[:, None, :] @ dx[:, :, None])[:, 0, 0]
-        X, x, f, g, H, alpha = _damped_step(lam, factors, x, dx, f, weight, decrement, layout.entries)
+        X, x, f, g, H = _damped_step(lam, factors, x, dx, f, w, decrement, layout.entries)
     final[live] = X
     gaps[live] = gap
     return final, passes, gaps
@@ -276,14 +244,13 @@ def _barrier_newton(lam: np.ndarray, tol: float):
 def _damped_step(lam, factors, x, dx, f, weight, decrement, entries):
     """One damped Newton step along dx from the table entries x at the flat
     positions entries: fraction to the boundary, then Armijo halving on the
-    barrier objective f - weight sum log x (on Tr T alone where weight is
-    0), with a step length per row.  Every trial runs on the whole stack; a
-    row keeps its first accepted trial, and only the rows not yet accepted
-    halve their step.  A slack of a few ulps of that objective lets through
-    a step whose predicted decrease is below rounding.  Returns the new
-    tables, their entries, trace_T_batch's value, gradient and pair Hessian
-    there (factors being the rows' pair_factors), and each row's step
-    length."""
+    barrier objective f - weight sum log x, with a step length per row.
+    Every trial runs on the whole stack; a row keeps its first accepted
+    trial, and only the rows not yet accepted halve their step.  A slack
+    of a few ulps of that objective lets through a step whose predicted
+    decrease is below rounding.  Returns the new tables, their entries,
+    trace_T_batch's value, gradient and pair Hessian there (factors being
+    the rows' pair_factors)."""
     n, d = lam.shape
     ratio = np.divide(-x, dx, out=np.full_like(x, np.inf), where=dx < 0)
     alpha = np.minimum(1.0, 0.99 * ratio.min(axis=1))
@@ -305,7 +272,7 @@ def _damped_step(lam, factors, x, dx, f, weight, decrement, entries):
                 a[fresh] = b[fresh]
             accepted |= fresh
         if accepted.all():
-            return (*out, alpha)
+            return out
         alpha[~accepted] *= 0.5
 
 
@@ -445,9 +412,7 @@ def grid_size(d: int, step: float) -> tuple[int, int]:
     return units, total
 
 
-def grid_oracle(
-    s: SchmidtSpectrum, step: float, chunk: int = 1 << 18
-) -> OptimizationResult:
+def grid_oracle(s: SchmidtSpectrum, step: float) -> OptimizationResult:
     """Exhaustive minimum over per-row simplex grids with the given spacing.
 
     Deterministic brute force, intended as an independent oracle for small
@@ -461,8 +426,8 @@ def grid_oracle(
     counts = [grid.shape[0] for grid in row_grids]
     best_val = np.inf
     best_table = None
-    for lo in range(0, total, chunk):
-        per_row = np.unravel_index(np.arange(lo, min(lo + chunk, total)), counts)
+    for lo in range(0, total, GRID_CHUNK):
+        per_row = np.unravel_index(np.arange(lo, min(lo + GRID_CHUNK, total)), counts)
         X = np.zeros((per_row[0].size, d, d))
         for k in range(d):
             X[:, k, k:] = row_grids[k][per_row[k]]

@@ -164,7 +164,7 @@ def test_criterion_6_family_sweeps():
     for name, family in BUILTIN_FAMILIES.items():
         rows = sweep(family, 50)
         d = family.d
-        chain = all(report.ordering_ok(1e-9) for _, report in rows)
+        chain = all(report.ordering_ok() for _, report in rows)
         sep_dev = max(
             abs(report.beta_sep - family.beta_sep_closed(t)) for t, report in rows
         )
