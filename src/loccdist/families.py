@@ -188,14 +188,15 @@ def _parse_term(token: str) -> tuple[float, float]:
     return _parse_number(a) if a else 0.0, -b if sign == "-" else b
 
 
-def parse_family(expr: str, t_range: tuple[float, float], name: str = "custom") -> FamilySpec:
-    """Parse "1-2t,t,t"-style affine coefficient lists."""
+def parse_family(expr: str, t_range: tuple[float, float]) -> FamilySpec:
+    """Parse "1-2t,t,t"-style affine coefficient lists into the family
+    named "custom"."""
     base, slope = [], []
     for token in expr.split(","):
         a, b = _parse_term(token)
         base.append(a)
         slope.append(b)
-    return FamilySpec(name, tuple(base), tuple(slope), tuple(float(x) for x in t_range))
+    return FamilySpec("custom", tuple(base), tuple(slope), tuple(float(x) for x in t_range))
 
 
 def get_family(name_or_expr: str, t_range=None) -> FamilySpec:

@@ -84,13 +84,13 @@ def build_one_way_test(mc: MaximallyCorrelatedState):
     return protocol, one_way_test_form(mc).assemble()
 
 
-def check_lemma3(protocol: OneWayProtocol, state, tol: float = ATOL_DERIVED) -> bool:
+def check_lemma3(protocol: OneWayProtocol, state) -> bool:
     """Factorised perfect-detection test for a one-way element T = sum M_i (x) N_j^i.
 
     True iff Tr(rho_A sum_i M_i) = 1 over the outcomes appearing in T and,
     conditionally on each such outcome with nonzero probability, Bob's
     accepted elements detect his conditional state perfectly.  Equivalent to
-    Tr(rho T) = 1.
+    Tr(rho T) = 1.  Each test holds to ATOL_DERIVED.
     """
     rho = state.density()
     dA, dB = protocol.dims
@@ -100,19 +100,19 @@ def check_lemma3(protocol: OneWayProtocol, state, tol: float = ATOL_DERIVED) -> 
     m_total = np.zeros((dA, dA), dtype=complex)
     for i in indices:
         m_total += protocol.alice_povm[i]
-    if abs(np.trace(rho_A @ m_total).real - 1.0) > tol:
+    if abs(np.trace(rho_A @ m_total).real - 1.0) > ATOL_DERIVED:
         return False
 
     for i in indices:
         mi = tensor(protocol.alice_povm[i], np.eye(dB))
         prob = np.trace(rho @ mi).real
-        if prob <= tol:
+        if prob <= ATOL_DERIVED:
             continue
         rho_b = partial_trace(rho @ mi, (dA, dB), "B") / prob
         n_total = np.zeros((dB, dB), dtype=complex)
         for ii, j in protocol.accept:
             if ii == i:
                 n_total += protocol.bob_povms[i][j]
-        if abs(np.trace(rho_b @ n_total).real - 1.0) > tol:
+        if abs(np.trace(rho_b @ n_total).real - 1.0) > ATOL_DERIVED:
             return False
     return True

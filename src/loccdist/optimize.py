@@ -11,11 +11,12 @@ quadratic-over-linear function of a linear map (Boyd & Vandenberghe,
 Convex Optimization, 3.1.5 and 3.2.2), extended by its limit 0 where the
 column is empty, where it has a kink.
 
-beta_two_way_upper is one deterministic log-barrier Newton solve (ibid.,
-ch. 11) whose iterates stay strictly interior, away from those kinks.  It
-stops when the Frank-Wolfe gap sum_k (sum_i g_ki x_ki - min_i g_ki) is at
-most the tolerance; by convexity that gap bounds how far the value lies
-above the minimum (Jaggi, ICML 2013), and it is reported as certified_gap.
+Where no closed form applies (below), beta_two_way_upper is one
+deterministic log-barrier Newton solve (ibid., ch. 11) whose iterates
+stay strictly interior, away from those kinks.  It stops when the
+Frank-Wolfe gap sum_k (sum_i g_ki x_ki - min_i g_ki) is at most the
+tolerance; by convexity that gap bounds how far the value lies above the
+minimum (Jaggi, ICML 2013), and it is reported as certified_gap.
 
 The barrier weight t starts at 1 and moves only through the certificate:
 after every gap it is raised to at least GAP_FLOOR * m / gap, m = d (d + 1)
@@ -65,38 +66,40 @@ separable optimum (sum_k sqrt(l_k))**2 (separable.sep_traces; Owari &
 Hayashi, arXiv:0708.3154), while the one-way corner's Tr T is d.  Every
 row of a stack starts at the one-way table with iterations 1 and the
 slack d - (sum_k sqrt(l_k))**2 as its gap; only the rows whose slack
-exceeds tol go through the barrier solve.  The others keep the corner,
-t_value = d and that slack, clipped at 0, as their certified gap.  This
-covers every uniform spectrum, near-uniform ones (the slack is about
-eps**2 d**2 / 2 at distance eps), and effective rank 1, where the slack
-is 1 - 1 = 0 and [[1]] is the only table.
+exceeds tol are solved.  The others keep the corner, t_value = d and that
+slack, clipped at 0, as their certified gap.  This covers every uniform
+spectrum, near-uniform ones (the slack is about eps**2 d**2 / 2 at
+distance eps), and effective rank 1, where the slack is 1 - 1 = 0 and
+[[1]] is the only table.
+
+At effective rank 2 the minimum is known exactly (Owari & Hayashi,
+arXiv:0708.3154): for the pair (1 - l, l) with l <= 1/2,
+
+    beta = 1/2 - (1 - sqrt(2 l))**2 / (4 (1 - l)),   delta* = (1 - sqrt(2 l)) / (1 - l)
+
+at the table [[delta*, 1 - delta*], [0, 1]].  A rank-2 row whose slack
+exceeds tol gets that table with iterations 1 and certified gap 0, exact
+by construction as a certified corner is; the barrier solve runs only at
+rank 3 and above, where no closed form is known.
 
 The whole stack is then made into results as a stack (_finish): its
 tables are clipped, renormalised and checked together
 (two_way.check_tables, DeltaMatrix's rules), one trace_T_closed_form call
-gives the operator's Tr T at every table the barrier solved (a corner row
+gives the operator's Tr T at every table that was solved (a corner row
 keeps d, its closed form to the bit, and a stack of corners makes no
 call), and the smaller of that and the one-way corner's d is reported (the
-barrier table on a tie).  The certified gap is reported as max(gap, 0): it
+solved table on a tie).  The certified gap is reported as max(gap, 0): it
 is the rounded difference of two sums and can dip below 0 once the
-tolerance nears rounding.  Only the d = 2 analytic check of the barrier's
-rows runs per spectrum, and it holds a row to its own certificate: the
-value may lie up to the certified gap above the exact minimum, and 1e-6
-either side of it for rounding.  The results are arrays
-(StackSolve), which a sweep reads directly (bounds.pure_state_reports);
-beta_two_way_upper wraps its one row in an OptimizationResult.
+tolerance nears rounding.  The results are arrays (StackSolve), which a
+sweep reads directly (bounds.pure_state_reports); beta_two_way_upper
+wraps its one row in an OptimizationResult.
 
-The exhaustive grid oracle for small d and the exact two-outcome solution
-
-    beta = 1/2 - (1 - sqrt(2 l))**2 / (4 (1 - l)),   delta* = (1 - sqrt(2 l)) / (1 - l)
-
-stay as independent checks.
+The exhaustive grid oracle for small d stays as an independent check.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -148,6 +151,12 @@ def _clean(tables: np.ndarray) -> np.ndarray:
     return tables / tables.sum(axis=-1, keepdims=True)
 
 
+def _qubit_delta_star(lam):
+    """The exact two-outcome minimiser delta* for the smaller coefficient
+    lam (0 <= lam <= 1/2, a float or an array), clipped to [0, 1]."""
+    return np.clip((1.0 - np.sqrt(2.0 * lam)) / (1.0 - lam), 0.0, 1.0)
+
+
 def beta_two_way_qubit_analytic(lam: float) -> tuple[float, float]:
     """Exact two-outcome value and minimiser for Schmidt coefficient pair
     (1 - lam, lam) with 0 <= lam <= 1/2."""
@@ -155,8 +164,7 @@ def beta_two_way_qubit_analytic(lam: float) -> tuple[float, float]:
         raise ValueError(f"lam must lie in [0, 1/2], got {lam!r}")
     lam = min(max(lam, 0.0), 0.5)
     beta = 0.5 - (1.0 - np.sqrt(2.0 * lam)) ** 2 / (4.0 * (1.0 - lam))
-    delta_star = (1.0 - np.sqrt(2.0 * lam)) / (1.0 - lam)
-    return float(beta), float(min(max(delta_star, 0.0), 1.0))
+    return float(beta), float(_qubit_delta_star(lam))
 
 
 def _item_bytes(d: int) -> int:
@@ -185,7 +193,6 @@ def _barrier_newton(lam: np.ndarray, tol: float):
     its final table.
     A row leaves the stack once it is done; every operation acts on each
     row alone, so a row's iterates do not depend on the rest of the stack.
-    At d = 1, [[1]] is the only table and its first gap is exactly 0.
     """
     n, d = lam.shape
     layout = table_layout(d)
@@ -245,35 +252,27 @@ def _damped_step(lam, factors, x, dx, f, weight, decrement, entries):
     """One damped Newton step along dx from the table entries x at the flat
     positions entries: fraction to the boundary, then Armijo halving on the
     barrier objective f - weight sum log x, with a step length per row.
-    Every trial runs on the whole stack; a row keeps its first accepted
-    trial, and only the rows not yet accepted halve their step.  A slack
-    of a few ulps of that objective lets through a step whose predicted
-    decrease is below rounding.  Returns the new tables, their entries,
-    trace_T_batch's value, gradient and pair Hessian there (factors being
-    the rows' pair_factors)."""
+    Every trial runs on the whole stack, and only the rows it rejects
+    halve their step: a row's trial depends on that row alone, so a row
+    accepted earlier is accepted again at its unchanged step, with the
+    same bits.  A slack of a few ulps of that objective lets through a
+    step whose predicted decrease is below rounding.  Returns the new
+    tables, their entries, trace_T_batch's value, gradient and pair
+    Hessian there (factors being the rows' pair_factors)."""
     n, d = lam.shape
     ratio = np.divide(-x, dx, out=np.full_like(x, np.inf), where=dx < 0)
     alpha = np.minimum(1.0, 0.99 * ratio.min(axis=1))
     phi = f - np.log(x).sum(axis=1) * weight
     slack = ARMIJO_SLACK * np.abs(phi)
-    out = None
     while True:
         trial = x + alpha[:, None] * dx
         tables = np.zeros((n, d, d))
         tables.reshape(n, -1)[:, entries] = trial
         value, g, H = trace_T_batch(lam, tables, factors)
         ok = value - np.log(trial).sum(axis=1) * weight <= phi - 0.25 * alpha * decrement + slack
-        found = (tables, trial, value, g, H)
-        if out is None:
-            out, accepted = found, ok
-        else:
-            fresh = ok & ~accepted
-            for a, b in zip(out, found):
-                a[fresh] = b[fresh]
-            accepted |= fresh
-        if accepted.all():
-            return out
-        alpha[~accepted] *= 0.5
+        if ok.all():
+            return tables, trial, value, g, H
+        alpha[~ok] *= 0.5
 
 
 class StackSolve(NamedTuple):
@@ -288,14 +287,14 @@ class StackSolve(NamedTuple):
 
 def _finish(lam, tables, passes, gaps, tol, solved) -> StackSolve:
     """The StackSolve of the effective spectra lam (n, d) from their final
-    tables, passes and gaps; solved marks the rows the barrier solved."""
+    tables, passes and gaps; solved marks the rows not left at the corner."""
     n, d = lam.shape
     tables = _clean(tables)
     values = np.full(n, float(d))
     if solved.any():
         values[solved] = trace_T_closed_form(lam[solved], tables[solved])
     # The one-way corner is feasible and exact at uniform spectra; taking
-    # the better of the two (the barrier table on a tie) keeps
+    # the better of the two (the solved table on a tie) keeps
     # beta_two_way_upper <= beta_one_way exactly.  Its closed form is d to
     # the bit: its one live column has N = D, and every effective l_k is
     # about states.RANK_TOL = 1e-12 or more, far above the d eps support
@@ -303,21 +302,7 @@ def _finish(lam, tables, passes, gaps, tol, solved) -> StackSolve:
     tables[values > d] = one_way_table(d)
     values = np.minimum(values, d)
     gaps = np.maximum(gaps, 0.0)  # a rounded difference of two sums can dip below 0
-    converged = gaps <= tol
-    if d == 2:
-        # A row's value may lie up to its certified gap above the minimum,
-        # and no further: 1e-6 covers the rounding of the analytic form.
-        for k in np.flatnonzero(solved).tolist():
-            beta_exact, _ = beta_two_way_qubit_analytic(float(lam[k, 1]))
-            excess = values[k] / (d * d) - beta_exact
-            if not -1e-6 <= excess <= max(1e-6, gaps[k] / (d * d)):
-                warnings.warn(
-                    f"barrier solve missed the analytic two-outcome value: "
-                    f"{values[k] / (d * d):.9f} vs {beta_exact:.9f}",
-                    RuntimeWarning,
-                )
-                converged[k] = False
-    return StackSolve(check_tables(tables), values, passes, gaps, converged)
+    return StackSolve(check_tables(tables), values, passes, gaps, gaps <= tol)
 
 
 def solve_stack(lam: np.ndarray, tol: float) -> StackSolve:
@@ -327,16 +312,21 @@ def solve_stack(lam: np.ndarray, tol: float) -> StackSolve:
     No table's Tr T lies below (sum_k sqrt(l_k))**2 (separable.sep_traces),
     and the one-way corner's is d.  Every row starts at the corner after
     one pass, with that slack as its gap; the rows whose slack exceeds tol
-    are overwritten by one stacked barrier solve, and the whole stack is
-    finished together.  Every operation acts on each row alone, so a row's
-    result does not depend on the rest of the stack.
+    are overwritten by the exact two-outcome table at d = 2 (gap 0) and by
+    one stacked barrier solve above, and the whole stack is finished
+    together.  Every operation acts on each row alone, so a row's result
+    does not depend on the rest of the stack.
     """
     n, d = lam.shape
     gaps = d - np.array(sep_traces(lam))
     solve = gaps > tol
     tables = np.repeat(one_way_table(d)[None], n, axis=0)
     passes = np.ones(n, dtype=int)
-    if solve.any():
+    if d == 2:
+        delta = _qubit_delta_star(lam[solve, 1])
+        tables[solve, 0] = np.stack([delta, 1.0 - delta], axis=1)
+        gaps[solve] = 0.0
+    elif solve.any():
         tables[solve], passes[solve], gaps[solve] = _barrier_newton(lam[solve], tol)
     return _finish(lam, tables, passes, gaps, tol, solve)
 
@@ -355,12 +345,12 @@ def solve_spectra(lams: np.ndarray, tol: float):
 
 
 def beta_two_way_upper(s: SchmidtSpectrum, tol: float = TOL) -> OptimizationResult:
-    """The log-barrier Newton minimum of the protocol error for s, as the
-    module docstring describes it: solve_stack on a stack of one, as one
-    OptimizationResult.  t_value exceeds the minimum by at most
+    """The minimum of the protocol error for s, as the module docstring
+    describes it (exact at effective rank 2 and at a certified corner, a
+    log-barrier Newton solve otherwise): solve_stack on a stack of one, as
+    one OptimizationResult.  t_value exceeds the minimum by at most
     certified_gap; `converged` says whether that gap fell to tol within
-    MAX_ITERS passes and, for d = 2, the value lies within that gap of the
-    analytic solution.
+    MAX_ITERS passes.
     """
     solved = solve_stack(s.effective[None], tol)
     D = s.dim**2

@@ -404,10 +404,10 @@ def test_optimize_at_a_tiny_tol_still_solves_the_uniform_qutrit(capsys):
 
 @pytest.mark.parametrize("schmidt, tol", [("0.99,0.01", "0.5"), ("0.6,0.4", "0.1")])
 def test_optimize_two_outcomes_at_a_loose_tol_converge(capsys, schmidt, tol):
-    """At d = 2 a loose --tol converges without a RuntimeWarning, whether
-    the barrier ran (0.99,0.01: its gap 0.46 lies within 0.5, and its value
-    within that gap of the analytic one) or the corner was certified
-    (0.6,0.4 at 0.1)."""
+    """At d = 2 a loose --tol converges after one pass without a
+    RuntimeWarning, whether the row is solved in closed form (0.99,0.01:
+    its slack 0.80 exceeds 0.5, and it gets the exact table with gap 0) or
+    the corner is certified (0.6,0.4: its slack 0.020 is within 0.1)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, out, _ = run(capsys, "optimize", "--schmidt", schmidt, "--tol", tol)

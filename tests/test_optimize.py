@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,8 @@ from loccdist.cli import MAX_LEVELS
 from loccdist.families import BUILTIN_FAMILIES
 from loccdist.optimize import (
     TOL,
-    _finish,
+    _barrier_newton,
+    _clean,
     beta_two_way_qubit_analytic,
     beta_two_way_upper,
     grid_oracle,
@@ -18,6 +17,7 @@ from loccdist.optimize import (
 from loccdist.separable import beta_sep_pure, sep_traces
 from loccdist.states import SchmidtSpectrum, check_spectra, parse_spectrum, spectrum
 from loccdist.two_way import (
+    DeltaMatrix,
     one_way_table,
     pair_factors,
     table_layout,
@@ -137,8 +137,9 @@ def test_certified_corner_needs_no_newton_step(monkeypatch):
 
 def test_certified_rows_leave_the_stack_before_its_solve(monkeypatch):
     """In a stack that mixes certified and other spectra of one rank, only
-    the others reach the stacked KKT solve, and every row is bit for bit
-    the one its spectrum gets as a stack of one."""
+    the others reach the stacked KKT solve (none at d = 2, which is solved
+    in closed form), and every row is bit for bit the one its spectrum
+    gets as a stack of one."""
     rng = np.random.default_rng(12)
     stacks = [
         np.stack([s.effective for s in (near_uniform(d, 0.0), random_spectrum(d, rng),
@@ -156,10 +157,55 @@ def test_certified_rows_leave_the_stack_before_its_solve(monkeypatch):
     for lam, single in zip(stacks, alone):
         stacked.clear()
         solved = solve_stack(lam, TOL)
-        assert stacked and max(stacked) == 2
+        if lam.shape[1] == 2:
+            assert not stacked and (solved.iterations == 1).all()
+        else:
+            assert stacked and max(stacked) == 2
+            assert (solved.iterations == 1).tolist() == [True, False, True, False]
         for i, one in enumerate(single):
             assert all(np.array_equal(a[i], b[0]) for a, b in zip(solved, one))
-        assert (solved.iterations == 1).tolist() == [True, False, True, False]
+
+
+def two_outcome_pairs() -> list:
+    """The fig1 grid at 50 points, 200 random smaller coefficients and a
+    pair 1e-4 from uniform: every rank-2 spectrum whose slack exceeds TOL."""
+    fig1 = BUILTIN_FAMILIES["fig1"]
+    lams = [np.clip(fig1.coefficients(t), 0.0, None) for t in fig1.grid(50)]
+    lams += [[1.0 - l, l] for l in np.random.default_rng(26).uniform(0.0, 0.5, 200)]
+    lams.append([0.5 + 1e-4, 0.5 - 1e-4])
+    return [s for s in map(spectrum, lams) if s.rank == 2 and slack(s) > TOL]
+
+
+def test_two_outcome_rows_are_solved_in_closed_form(monkeypatch):
+    """A rank-2 spectrum whose slack exceeds tol makes no KKT solve: it
+    returns DeltaMatrix.qubit(delta*)'s table bit for bit after one pass
+    with certified gap 0, and its t_value is 4 beta to rounding."""
+
+    def no_solve(a, b):
+        raise AssertionError("a two-outcome spectrum reached np.linalg.solve")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    pairs = two_outcome_pairs()
+    assert len(pairs) > 240
+    for s in pairs:
+        res = beta_two_way_upper(s)
+        beta, delta = beta_two_way_qubit_analytic(float(s.effective[1]))
+        assert np.array_equal(res.best_delta.table, DeltaMatrix.qubit(delta).table)
+        assert res.iterations == 1 and res.certified_gap == 0.0 and res.converged
+        assert abs(res.t_value - 4 * beta) <= 1e-15
+
+
+def test_barrier_solve_of_two_outcome_rows_meets_the_analytic_value():
+    """The barrier solve, run directly on a stack of two-outcome spectra,
+    certifies each row to TOL, and its value lies within that certified
+    gap above the exact minimum (and no further below it than rounding)."""
+    lam = np.stack([s.effective for s in two_outcome_pairs()])
+    tables, passes, gaps = _barrier_newton(lam, TOL)
+    excess = trace_T_closed_form(lam, _clean(tables)) - [
+        4 * beta_two_way_qubit_analytic(l)[0] for l in lam[:, 1].tolist()
+    ]
+    assert (gaps <= TOL).all() and (passes > 1).all()
+    assert (excess >= -1e-15).all() and (excess <= gaps).all()
 
 
 def test_slack_above_tol_still_solves():
@@ -331,25 +377,8 @@ def test_fig5_rows_reach_the_minimum(t, ceiling):
     assert res.beta_value <= ceiling
 
 
-def test_two_outcome_check_holds_a_row_to_its_certificate():
-    """The d = 2 analytic check flags a barrier-solved row only when its
-    value lies more than max(1e-6, certified_gap / 4) above the exact one
-    (or more than 1e-6 below): a table 0.0028 above the minimum at 0.6,0.4
-    is flagged with a gap below that excess and passes with one above it."""
-    lam, table, solved = np.array([[0.6, 0.4]]), np.array([[[0.3, 0.7], [0.0, 1.0]]]), np.array([True])
-    excess = trace_T_closed_form(lam, table)[0] / 4 - beta_two_way_qubit_analytic(0.4)[0]
-    assert excess > 1e-6
-    with pytest.warns(RuntimeWarning, match="missed the analytic two-outcome value"):
-        flagged = _finish(lam, table, np.ones(1, dtype=int), np.array([2 * excess]), 1.0, solved)
-    assert not flagged.converged[0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        loose = _finish(lam, table, np.ones(1, dtype=int), np.array([8 * excess]), 1.0, solved)
-    assert loose.converged[0]
-
-
 def test_passes_per_solve_ceiling():
-    """The barrier weight follows the certified gap (t >= 2 m / gap), so a
+    """The barrier weight follows the certified gap (t >= 5 m / gap), so a
     solve spends no passes on a weight the certificate has outgrown:
     Dirichlet spectra at d = 5..10 average at most 22 Newton passes."""
     rng = np.random.default_rng(5)
