@@ -48,11 +48,11 @@ EXIT_INVARIANT = 3
 SEED_HELP = "accepted and ignored: the two-way solve is deterministic"
 
 # Most Schmidt coefficients (or family terms) an input may have.  On
-# 2 vCPUs a two-way solve takes about 0.16-0.2 s at 32 (d = 16: 8-12 ms)
-# and verify about 0.21-0.24 s (d = 16: 14-18 ms), the solve included;
+# 2 vCPUs a two-way solve takes about 0.08-0.12 s at 32 (d = 16: 4-8 ms)
+# and verify about 0.10-0.18 s (d = 16: 10-22 ms), the solve included;
 # verify reads d x d blocks and factor vectors only, and its traced memory
-# peaks at about 14.3 MiB at 32, below one D x D complex matrix (16 MiB).
-# The solve grows as about d**5 beyond that (d = 48: 2.3 s), and at
+# peaks at about 12.8 MiB at 32, below one D x D complex matrix (16 MiB).
+# The solve grows as about d**4 beyond that (d = 48: 0.4-0.6 s), and at
 # d = 200 the first KKT system alone would take 3.3 GB.
 MAX_LEVELS = 32
 

@@ -32,12 +32,20 @@ gap * t / (m - d) read between 0.1 and 0.6.)  So every pass does the
 same: the gap of each row, retiring the rows that are done, the floor,
 and one damped Newton step.
 
-GAP_FLOOR is 5 because a larger jump in t takes fewer passes (ibid.,
-11.3.3, on choosing mu): a Dirichlet spectrum at d = 5..10 takes about
-13 passes at 5 and 18.4 at 2, and a floor of 4 takes more than 5 on
-Dirichlet(0.3) spectra.  A floor above 5 cuts passes further, but the
-extra calls per second lift perfbench's peak RSS, which keeps a record
-per call, toward the benchmark's 5% bound.
+GAP_FLOOR is 15, inside the usual 10 to 20 for the multiplier of t
+(ibid., 11.3.3, on choosing mu): a larger jump in t takes fewer passes
+until the steps after a jump no longer keep up.  Over floors 5, 8, 10,
+12, 15, 18, 20 and 30, perfbench's bounds-random spectra (Dirichlet at
+d = 5..10) take 13.0, 11.8, 11.2, 11.0, 10.6, 10.3, 10.2 and 9.9 passes
+on average, but their slowest takes 17 at 30 (14 at 15, 18 at 5), and the
+slowest rank >= 3 spectrum of the certify pool takes 18 at 20 (12 at 15
+and 18, 14 at 5); 15 keeps clear of both.  From 5 to 15, Dirichlet
+spectra at d = 16..32 go from about 18 to 14 passes; two-level tied
+spectra gain least (27.4 to 26.0 on average, their slowest 37 to 38).
+The extra calls per second raise perfbench's peak RSS, which keeps a
+record per call, by at most about 2% in the median (bounds-random: 46.0
+to 47.0 MB; sweep +1.1%, certify +0.4%), inside the benchmark's 5%
+bound.
 
 solve_stack is the one engine: it solves a stack of spectra that share
 an effective rank (beta_two_way_upper is a stack of one, and a sweep
@@ -120,7 +128,7 @@ from .two_way import (
 
 
 MAX_ITERS = 500  # passes: each takes a gap, and all but the last one damped step
-GAP_FLOOR = 5.0  # t >= GAP_FLOOR * m / gap after every gap
+GAP_FLOOR = 15.0  # t >= GAP_FLOOR * m / gap after every gap
 ARMIJO_SLACK = 8.0 * np.finfo(float).eps  # relative to the barrier objective
 BATCH_BYTES = 1 << 20  # peak solver arrays of one batched solve (_item_bytes each)
 TOL = 1e-9  # default certified bound on t_value minus the minimum of Tr T

@@ -20,12 +20,14 @@ from loccdist.optimize import (
     TOL,
     StackSolve,
     _barrier_newton,
+    _clean,
     _item_bytes,
     beta_two_way_qubit_analytic,
     solve_stack,
     stack_size,
 )
 from loccdist.states import SchmidtSpectrum, check_spectra
+from loccdist.two_way import trace_T_closed_form
 
 
 def stack(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -39,6 +41,19 @@ def stack(d: int, rng: np.random.Generator) -> np.ndarray:
     padded = np.concatenate([rng.dirichlet(np.ones(d)), [0.0, 0.0]])
     lams = random + [tied / tied.sum(), uniform, tiny, padded]
     return np.stack([SchmidtSpectrum(np.sort(lam)[::-1]).effective for lam in lams])
+
+
+def barrier_meets_analytic(lam: np.ndarray) -> None:
+    """The barrier solve, run directly on an (n, 2) stack of two-outcome
+    spectra, certifies each row to TOL, and its value lies within that
+    certified gap above the exact minimum (and no further below it than
+    rounding)."""
+    tables, passes, gaps = _barrier_newton(lam, TOL)
+    excess = trace_T_closed_form(lam, _clean(tables)) - [
+        4 * beta_two_way_qubit_analytic(l)[0] for l in lam[:, 1].tolist()
+    ]
+    assert (gaps <= TOL).all() and (passes > 1).all()
+    assert (excess >= -1e-15).all() and (excess <= gaps).all()
 
 
 def rows(solved: StackSolve) -> list:
@@ -110,14 +125,11 @@ def test_pure_state_reports_span_ranks():
 
 
 def test_two_outcome_batch_matches_analytic():
+    """One stacked barrier solve of two-outcome rows, the uniform pair and a
+    1e-11 level among them, meets the exact value on every row."""
     rng = np.random.default_rng(3)
     second = np.concatenate([[0.5, 1e-11, 0.125], rng.uniform(0.0, 0.5, 20)])
-    lam = np.stack([1.0 - second, second], axis=1)
-    solved = solve_stack(lam, TOL)
-    assert solved.converged.all()
-    for row, t_value in zip(lam, solved.t_values.tolist()):
-        beta, _ = beta_two_way_qubit_analytic(float(row[1]))
-        assert abs(t_value / 4 - beta) <= 1e-6
+    barrier_meets_analytic(np.stack([1.0 - second, second], axis=1))
 
 
 @pytest.mark.parametrize("family", [*BUILTIN_FAMILIES.values(), parse_family("1-2t,t,t", (0, 1 / 3))])
