@@ -23,7 +23,7 @@ from .bounds import _delta_string, embedding_dim, pure_state_report
 from .families import SWEEP_HEADER, check_points, get_family, sweep_line, sweep_rows
 from .one_way import one_way_test_form
 from .operators import eig_hermitian
-from .optimize import TOL, beta_two_way_upper, grid_oracle, grid_size
+from .optimize import TOL, beta_two_way_upper, check_tol, grid_oracle, grid_size
 from .separable import (
     beta_sep_pure,
     build_optimal_separable_povm,
@@ -134,8 +134,7 @@ def cmd_sweep(family, points, out) -> int:
 
 def check_optimize(args):
     s = _parse_capped(args.schmidt)
-    if not 0 < args.tol < np.inf:
-        raise ValueError("--tol must be a positive number")
+    check_tol(args.tol)
     if args.grid_step is not None:
         grid_size(s.rank, args.grid_step)
     return s, args.tol, args.grid_step

@@ -56,12 +56,14 @@ class FamilySpec:
         self.validate()
 
     def validate(self) -> None:
-        """The range is two finite numbers lo < hi, and the coefficients stay
-        nonnegative and normalised across it; a FamilySpec checks this when
-        it is built.
+        """The base and the slope have one term per coefficient, the range
+        is two finite numbers lo < hi, and the coefficients stay nonnegative
+        and normalised across it; a FamilySpec checks this when it is built.
 
         An overflow gives +-inf, which fails one of the two coefficient
         checks, so numpy's overflow warning is suppressed."""
+        if len(self.slope) != len(self.base):
+            raise ValueError(f"family {self.name}: base has {self.d} terms, slope {len(self.slope)}")
         lo, hi = self.t_range
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"range must be finite with lo < hi, got {lo!r},{hi!r}")

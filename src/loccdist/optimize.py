@@ -64,9 +64,9 @@ pairs, the entries that couple two free entries of one column, and the
 pass writes them into the flat KKT systems with one scatter; the barrier
 diagonal is added through a strided view.  The spectrum's part of those
 entries (two_way.pair_factors) is gathered once per stack and again only
-when rows leave it.  A damped step runs each Armijo trial on the whole
-stack, with a step length per row, and hands back the accepted entries
-with the table.
+when rows leave it.  The same loop body damps the step: each Armijo
+trial runs on the whole stack, with a step length per row, and the
+accepted trial's value, gradient and pair Hessian start the next pass.
 
 Some rows are certified before any pass.  Every three-step protocol is an
 LOCC test, and LOCC tests are separable, so no table's Tr T lies below the
@@ -90,8 +90,8 @@ exceeds tol gets that table with iterations 1 and certified gap 0, exact
 by construction as a certified corner is; the barrier solve runs only at
 rank 3 and above, where no closed form is known.
 
-The whole stack is then made into results as a stack (_finish): its
-tables are clipped, renormalised and checked together
+solve_stack then makes the whole stack into results at once: its
+tables are renormalised and checked together
 (two_way.check_tables, DeltaMatrix's rules), one trace_T_closed_form call
 gives the operator's Tr T at every table that was solved (a corner row
 keeps d, its closed form to the bit, and a stack of corners makes no
@@ -153,10 +153,15 @@ class OptimizationResult:
 
 
 def _clean(tables: np.ndarray) -> np.ndarray:
-    """A table, or a stack of them, with rounding cleaned before
-    check_tables: entries clipped at 0, rows renormalised."""
-    tables = np.clip(tables, 0.0, None)
+    """A table, or a stack of them, with its rows renormalised before
+    check_tables; barrier entries, delta* and grid points are all >= 0."""
     return tables / tables.sum(axis=-1, keepdims=True)
+
+
+def check_tol(tol: float) -> None:
+    """The solve's one input rule: raises ValueError unless 0 < tol < inf."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must satisfy 0 < tol < inf, got {tol!r}")
 
 
 def _qubit_delta_star(lam):
@@ -201,6 +206,14 @@ def _barrier_newton(lam: np.ndarray, tol: float):
     its final table.
     A row leaves the stack once it is done; every operation acts on each
     row alone, so a row's iterates do not depend on the rest of the stack.
+
+    Each pass damps its Newton step dx: fraction to the boundary, then
+    Armijo halving on the barrier objective f - w sum log x, with a step
+    length per row.  Every trial runs on the whole stack and only the rows
+    it rejects halve their step, so a row accepted earlier is accepted
+    again at its unchanged step, with the same bits.  A slack of a few ulps
+    of that objective lets through a step whose predicted decrease is below
+    rounding.
     """
     n, d = lam.shape
     layout = table_layout(d)
@@ -250,37 +263,23 @@ def _barrier_newton(lam: np.ndarray, tol: float):
         rhs[: live.size, :m, 0] = -grad
         dx = np.linalg.solve(system, rhs[: live.size])[:, :m, 0]
         decrement = -(grad[:, None, :] @ dx[:, :, None])[:, 0, 0]
-        X, x, f, g, H = _damped_step(lam, factors, x, dx, f, w, decrement, layout.entries)
+        ratio = np.divide(-x, dx, out=np.full_like(x, np.inf), where=dx < 0)
+        alpha = np.minimum(1.0, 0.99 * ratio.min(axis=1))
+        phi = f - np.log(x).sum(axis=1) * w
+        slack = ARMIJO_SLACK * np.abs(phi)
+        while True:
+            trial = x + alpha[:, None] * dx
+            X = np.zeros((live.size, d, d))
+            X.reshape(live.size, -1)[:, layout.entries] = trial
+            f, g, H = trace_T_batch(lam, X, factors)
+            ok = f - np.log(trial).sum(axis=1) * w <= phi - 0.25 * alpha * decrement + slack
+            if ok.all():
+                break
+            alpha[~ok] *= 0.5
+        x = trial
     final[live] = X
     gaps[live] = gap
     return final, passes, gaps
-
-
-def _damped_step(lam, factors, x, dx, f, weight, decrement, entries):
-    """One damped Newton step along dx from the table entries x at the flat
-    positions entries: fraction to the boundary, then Armijo halving on the
-    barrier objective f - weight sum log x, with a step length per row.
-    Every trial runs on the whole stack, and only the rows it rejects
-    halve their step: a row's trial depends on that row alone, so a row
-    accepted earlier is accepted again at its unchanged step, with the
-    same bits.  A slack of a few ulps of that objective lets through a
-    step whose predicted decrease is below rounding.  Returns the new
-    tables, their entries, trace_T_batch's value, gradient and pair
-    Hessian there (factors being the rows' pair_factors)."""
-    n, d = lam.shape
-    ratio = np.divide(-x, dx, out=np.full_like(x, np.inf), where=dx < 0)
-    alpha = np.minimum(1.0, 0.99 * ratio.min(axis=1))
-    phi = f - np.log(x).sum(axis=1) * weight
-    slack = ARMIJO_SLACK * np.abs(phi)
-    while True:
-        trial = x + alpha[:, None] * dx
-        tables = np.zeros((n, d, d))
-        tables.reshape(n, -1)[:, entries] = trial
-        value, g, H = trace_T_batch(lam, tables, factors)
-        ok = value - np.log(trial).sum(axis=1) * weight <= phi - 0.25 * alpha * decrement + slack
-        if ok.all():
-            return tables, trial, value, g, H
-        alpha[~ok] *= 0.5
 
 
 class StackSolve(NamedTuple):
@@ -293,26 +292,6 @@ class StackSolve(NamedTuple):
     converged: np.ndarray  # (n,) bool
 
 
-def _finish(lam, tables, passes, gaps, tol, solved) -> StackSolve:
-    """The StackSolve of the effective spectra lam (n, d) from their final
-    tables, passes and gaps; solved marks the rows not left at the corner."""
-    n, d = lam.shape
-    tables = _clean(tables)
-    values = np.full(n, float(d))
-    if solved.any():
-        values[solved] = trace_T_closed_form(lam[solved], tables[solved])
-    # The one-way corner is feasible and exact at uniform spectra; taking
-    # the better of the two (the solved table on a tie) keeps
-    # beta_two_way_upper <= beta_one_way exactly.  Its closed form is d to
-    # the bit: its one live column has N = D, and every effective l_k is
-    # about states.RANK_TOL = 1e-12 or more, far above the d eps support
-    # cutoff.
-    tables[values > d] = one_way_table(d)
-    values = np.minimum(values, d)
-    gaps = np.maximum(gaps, 0.0)  # a rounded difference of two sums can dip below 0
-    return StackSolve(check_tables(tables), values, passes, gaps, gaps <= tol)
-
-
 def solve_stack(lam: np.ndarray, tol: float) -> StackSolve:
     """The two-way bound of every row of an (n, d) stack of effective
     spectra.
@@ -323,8 +302,10 @@ def solve_stack(lam: np.ndarray, tol: float) -> StackSolve:
     are overwritten by the exact two-outcome table at d = 2 (gap 0) and by
     one stacked barrier solve above, and the whole stack is finished
     together.  Every operation acts on each row alone, so a row's result
-    does not depend on the rest of the stack.
+    does not depend on the rest of the stack.  Raises ValueError unless
+    0 < tol < inf (check_tol).
     """
+    check_tol(tol)
     n, d = lam.shape
     gaps = d - np.array(sep_traces(lam))
     solve = gaps > tol
@@ -336,7 +317,20 @@ def solve_stack(lam: np.ndarray, tol: float) -> StackSolve:
         gaps[solve] = 0.0
     elif solve.any():
         tables[solve], passes[solve], gaps[solve] = _barrier_newton(lam[solve], tol)
-    return _finish(lam, tables, passes, gaps, tol, solve)
+    tables = _clean(tables)
+    values = np.full(n, float(d))
+    if solve.any():
+        values[solve] = trace_T_closed_form(lam[solve], tables[solve])
+    # The one-way corner is feasible and exact at uniform spectra; taking
+    # the better of the two (the solved table on a tie) keeps
+    # beta_two_way_upper <= beta_one_way exactly.  Its closed form is d to
+    # the bit: its one live column has N = D, and every effective l_k is
+    # about states.RANK_TOL = 1e-12 or more, far above the d eps support
+    # cutoff.
+    tables[values > d] = one_way_table(d)
+    values = np.minimum(values, d)
+    gaps = np.maximum(gaps, 0.0)  # a rounded difference of two sums can dip below 0
+    return StackSolve(check_tables(tables), values, passes, gaps, gaps <= tol)
 
 
 def solve_spectra(lams: np.ndarray, tol: float):
@@ -358,7 +352,7 @@ def beta_two_way_upper(s: SchmidtSpectrum, tol: float = TOL) -> OptimizationResu
     log-barrier Newton solve otherwise): solve_stack on a stack of one, as
     one OptimizationResult.  t_value exceeds the minimum by at most
     certified_gap; `converged` says whether that gap fell to tol within
-    MAX_ITERS passes.
+    MAX_ITERS passes.  Raises ValueError unless 0 < tol < inf.
     """
     solved = solve_stack(s.effective[None], tol)
     D = s.dim**2

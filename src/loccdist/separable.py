@@ -125,8 +125,11 @@ def sep_traces(lams: np.ndarray) -> list[float]:
     """(sum_k sqrt(l_k))**2 for every row of an (n, d) stack of spectra: Tr T
     of the optimal separable test, so D beta_sep.  Every LOCC test is
     separable, so no three-step protocol has a smaller Tr T.  Each root sum
-    is squared as a float, as one spectrum's would be."""
-    return [root**2 for root in np.sqrt(lams).sum(axis=1).tolist()]
+    is squared as a float, as one spectrum's would be, and clamped at the
+    row's rank, its Cauchy-Schwarz ceiling, which rounding overshoots at
+    uniform spectra (2 + 4.4e-16 at (1/2, 1/2))."""
+    ranks = np.count_nonzero(lams, axis=1).tolist()
+    return [min(root**2, float(r)) for root, r in zip(np.sqrt(lams).sum(axis=1).tolist(), ranks)]
 
 
 def beta_sep_pure(s: SchmidtSpectrum, D: int | None = None) -> float:

@@ -341,6 +341,9 @@ def test_cli_entry_point_runs():
         # A term followed by a newline, and one in non-ASCII digits.
         ["sweep", "--family", "1-2t\n,t,t", "--range", "0,0.3", "--points", "3", "--out", "{tmp}/x.csv"],
         ["sweep", "--family", "\u0661-t,t", "--range", "0,0.5", "--points", "3", "--out", "{tmp}/x.csv"],
+        # optimize.check_tol: 0 < tol < inf.
+        ["optimize", "--schmidt", "0.5,0.5", "--tol", "nan"],
+        ["optimize", "--schmidt", "0.5,0.5", "--tol", "inf"],
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv):
@@ -377,9 +380,22 @@ def test_spectrum_over_the_cap_exits_2_at_once(capsys, tmp_path, argv):
 
 
 def test_spectrum_at_the_cap_is_accepted(capsys):
-    code, out, _ = run(capsys, "bounds", "--schmidt", ",".join([repr(1 / MAX_LEVELS)] * MAX_LEVELS))
-    assert code == 0
-    assert abs(json.loads(out)["beta_two_way_upper"] - 1 / MAX_LEVELS) <= 1e-9
+    """Every uniform spectrum up to the cap, and 0.5,0.5 zero-padded, keeps
+    beta_sep <= beta_two_way_upper == beta_one_way exactly: (sum sqrt l)**2
+    rounds above the rank at d = 2, 5-8, 10-13, 19, 20, 23, 25, 26, 30 and
+    32 (2 + 4.4e-16 at 0.5,0.5), and separable.sep_traces clamps it there.
+    Where it rounds below (d = 3: 3 - 4.4e-16), beta_sep stays a few ulps
+    under."""
+    uniform = [",".join([repr(1 / d)] * d) for d in range(1, MAX_LEVELS + 1)]
+    for schmidt in ["0.5,0.5,0", "0.5,0.5,0,0", "0.5,0.5,1e-300"] + uniform:
+        code, out, _ = run(capsys, "bounds", "--schmidt", schmidt)
+        assert code == 0
+        report = json.loads(out)
+        assert report["beta_sep"] <= report["beta_two_way_upper"] == report["beta_one_way"], schmidt
+        assert report["beta_one_way"] - report["beta_sep"] <= 1e-15, schmidt
+        if schmidt.startswith("0.5,0.5"):
+            assert report["beta_sep"] == report["beta_one_way"], schmidt
+    assert report["beta_two_way_upper"] == 1 / MAX_LEVELS  # the last uniform one, at the cap
 
 
 def test_non_uniform_spectrum_at_the_cap_is_solved(capsys):

@@ -183,6 +183,8 @@ def test_parse_term_grammar(token, expected):
         ((0.5, 0.5), (0.5, -0.5), (0.5, 0.5), "lo < hi"),
         ((0.5, 0.5), (0.5, -0.5), (0.5, 0.0), "lo < hi"),
         ((0.5, 0.5), (0.5, -0.5), (float("nan"), 0.5), "lo < hi"),
+        # numpy would broadcast the one-term slope over a d = 2 base.
+        ((0.5, 0.5), (0.0,), (0.0, 1.0), "base has 2 terms, slope 1"),
     ],
 )
 def test_family_spec_checks_itself(base, slope, t_range, message):

@@ -483,6 +483,19 @@ def test_finish_evaluates_the_closed_form_on_solved_rows_only(monkeypatch):
     assert calls == [1]
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0])
+def test_solve_rejects_a_tol_outside_zero_to_inf(tol):
+    """0 < tol < inf is the solve's one input rule (check_tol), held by
+    solve_stack and so by beta_two_way_upper.  Unchecked, NaN returned the
+    one-way corner unconverged after one pass, inf the corner as
+    converged, and -1 ran all MAX_ITERS passes."""
+    s = spectrum([0.5, 0.3, 0.2])
+    with pytest.raises(ValueError, match="0 < tol < inf"):
+        beta_two_way_upper(s, tol)
+    with pytest.raises(ValueError, match="0 < tol < inf"):
+        solve_stack(s.effective[None], tol)
+
+
 @pytest.mark.parametrize("d", [16, MAX_LEVELS])
 def test_solve_converges_above_d_10(d):
     """A seeded Dirichlet spectrum and one with four-fold ties, at d = 16
