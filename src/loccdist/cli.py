@@ -28,15 +28,20 @@ from .separable import (
     beta_sep_pure,
     build_optimal_separable_povm,
     certificate_deviation,
+    optimal_test_entries,
     verify_appendix_identity,
 )
-from .states import MaximallyCorrelatedState, SchmidtSpectrum, parse_spectrum
+from .states import SchmidtSpectrum, parse_spectrum
 from .two_way import (
     MAX_SAMPLES,
-    DeltaMatrix,
-    build_two_way_protocols,
+    TwoWayProtocol,
+    accept_reads,
+    check_tables,
+    protocol_stack,
+    random_tables,
     simulate_protocol,
     trace_T_closed_form,
+    uniform_table,
     wilson_interval,
 )
 
@@ -48,10 +53,11 @@ EXIT_INVARIANT = 3
 SEED_HELP = "accepted and ignored: the two-way solve is deterministic"
 
 # Most Schmidt coefficients (or family terms) an input may have.  On
-# 2 vCPUs a two-way solve takes about 0.08-0.12 s at 32 (d = 16: 4-8 ms)
-# and verify about 0.10-0.18 s (d = 16: 10-22 ms), the solve included;
+# 2 vCPUs a two-way solve takes about 0.07-0.10 s at 32 (d = 16: 7-8 ms)
+# and verify about 0.12-0.17 s (d = 16: 12-15 ms), the solve included;
 # verify reads d x d blocks and factor vectors only, and its traced memory
-# peaks at about 12.8 MiB at 32, below one D x D complex matrix (16 MiB).
+# peaks at about 12.8 MiB at 32 once the package's caches are warm (14.3
+# MiB on a process's first call), below one D x D complex matrix (16 MiB).
 # The solve grows as about d**4 beyond that (d = 48: 0.4-0.6 s), and at
 # d = 200 the first KKT system alone would take 3.3 GB.
 MAX_LEVELS = 32
@@ -174,12 +180,15 @@ def _verify_checks(s, mc_samples: int, seed: int):
 
 
 def _separable_checks(s):
-    """The checks of the optimal separable test and the one-way test."""
+    """The checks of the optimal separable test and the one-way test.  T's
+    closed-form entries and its certificate's invariant entries are each
+    read once, for the three checks that compare them."""
     dim = s.dim
-    yield "appendix-identity", verify_appendix_identity(s), 1e-9
+    target = optimal_test_entries(s)
+    yield "appendix-identity", verify_appendix_identity(s, target), 1e-9
 
     pair = build_optimal_separable_povm(s)
-    block, diag = pair.T_form.invariant_entries()
+    entries = block, diag = pair.T_form.invariant_entries()
     w, _ = eig_hermitian(block)
     # T is the block on span{|jj>} plus the scalars <jk|T|jk>, j != k: its
     # other entries average to 0 on the Sidon grid (separable-form-assembly).
@@ -187,36 +196,34 @@ def _separable_checks(s):
     yield "povm-element-range", max(0.0, -spectrum.min(), spectrum.max() - 1.0), 1e-9
     yield "perfect-detection-sep", abs(pair.T_form.schmidt_expectation(s.lambdas) - 1.0), 1e-10
     yield "trace-formula-sep", abs(pair.T_form.trace() - beta_sep_pure(s) * dim**2), 1e-10
-    yield "separable-form-assembly", certificate_deviation(s, pair), 1e-9
+    yield "separable-form-assembly", certificate_deviation(pair, target, entries), 1e-9
     certificates = (pair.T_form, pair.complement_form)
     yield "separable-form-psd", max(0.0, -min(f.min_term_eigenvalue() for f in certificates)), 1e-10
 
-    one_way = one_way_test_form(MaximallyCorrelatedState.from_spectrum(s))
+    one_way = one_way_test_form(s)
     yield "perfect-detection-one-way", abs(one_way.schmidt_expectation(s.lambdas) - 1.0), 1e-10
 
 
 def _two_way_checks(s, mc_samples: int, seed: int):
     """The checks of the three-step protocol on four oracle tables (uniform
-    and three seeded random ones) and on the optimal table, all five built
-    as one stack of protocols."""
+    and three seeded random ones, drawn in one call) and on the optimal
+    table.  The oracle tables are checked as one stack, and all five
+    protocols are built and read as one."""
     d = s.rank
     lam = s.effective
-    rng = np.random.default_rng(seed)
-    oracle = [DeltaMatrix.uniform(d)] + [DeltaMatrix.random(d, rng) for _ in range(3)]
+    seeded = random_tables(3, d, np.random.default_rng(seed))
+    oracle = check_tables(np.concatenate([uniform_table(d)[None], seeded]))
     result = beta_two_way_upper(s)
-    *protocols, protocol = build_two_way_protocols(s, oracle + [result.best_delta])
-    forms = [p.accept_form() for p in protocols]
-    closed = trace_T_closed_form(lam, np.stack([delta.table for delta in oracle])).tolist()
-    yield "two-way-trace-oracle", max(
-        abs(form.trace() - value) for form, value in zip(forms, closed)
-    ), 1e-9
-    yield "two-way-perfect-detection", max(
-        abs(form.schmidt_expectation(lam) - 1.0) for form in forms
-    ), 1e-9
+    tables = np.concatenate([oracle, result.best_delta.table[None]])
+    outcomes, bob, alice = protocol_stack(lam, tables)
+    traces, detections = accept_reads(lam, tables, bob, alice)
+    closed = trace_T_closed_form(lam, oracle)
+    yield "two-way-trace-oracle", float(np.abs(traces[:-1] - closed).max()), 1e-9
+    yield "two-way-perfect-detection", float(np.abs(detections[:-1] - 1.0).max()), 1e-9
 
-    form = protocol.accept_form()
-    yield "two-way-optimal-trace", abs(form.trace() - result.t_value), 1e-9
-    yield "two-way-optimal-detection", abs(form.schmidt_expectation(lam) - 1.0), 1e-9
+    yield "two-way-optimal-trace", abs(float(traces[-1]) - result.t_value), 1e-9
+    yield "two-way-optimal-detection", abs(float(detections[-1]) - 1.0), 1e-9
+    protocol = TwoWayProtocol(s, result.best_delta, outcomes[-1], bob[-1], alice[-1])
     yield "two-way-optimal-validity", protocol.validity_defect(), 1e-9
     rate_psi, _ = simulate_protocol(protocol, "psi", mc_samples, seed)
     yield "monte-carlo-type-1", abs(rate_psi - 1.0), 0.0

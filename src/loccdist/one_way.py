@@ -14,7 +14,7 @@ import numpy as np
 
 from .operators import ATOL_DERIVED, partial_trace, support_mask, tensor
 from .separable import SeparableForm
-from .states import MaximallyCorrelatedState
+from .states import MaximallyCorrelatedState, SchmidtSpectrum
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,22 @@ def beta_one_way(mc: MaximallyCorrelatedState) -> float:
     return int(_support(mc).sum()) / (dA * dB)
 
 
-def one_way_test_form(mc: MaximallyCorrelatedState) -> SeparableForm:
+def one_way_test_form(state: MaximallyCorrelatedState | SchmidtSpectrum) -> SeparableForm:
     """The matching-outcome test as the SeparableForm sum over the support
-    of |u_i><u_i| (x) |v_i><v_i|, its matched pairs in increasing i."""
-    pick = np.flatnonzero(_support(mc))
-    return SeparableForm(mc.dims, np.ones(pick.size), mc.basis_a[:, pick].T, mc.basis_b[:, pick].T)
+    of |u_i><u_i| (x) |v_i><v_i|, its matched pairs in increasing i.
+
+    A SchmidtSpectrum s stands for the pure state
+    MaximallyCorrelatedState.from_spectrum(s), as in trace_T_closed_form:
+    its bases are the computational ones and its support is the nonzero
+    levels, so the form is read off s without building and validating the
+    state (an eigensolve and two Gram products).  The two give the same
+    form, to the bit."""
+    if isinstance(state, SchmidtSpectrum):
+        picked = np.eye(state.dim)[state.lambdas > 0.0]
+        return SeparableForm((state.dim, state.dim), np.ones(len(picked)), picked, picked)
+    pick = np.flatnonzero(_support(state))
+    a, b = state.basis_a[:, pick].T, state.basis_b[:, pick].T
+    return SeparableForm(state.dims, np.ones(pick.size), a, b)
 
 
 def build_one_way_test(mc: MaximallyCorrelatedState):

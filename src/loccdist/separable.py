@@ -10,7 +10,8 @@ The package's other product sums, the two-way accept operator and the
 one-way matching test, are the same form.  Three kernels read a form
 through its vectors, without assembling it: its trace, its expectation on
 the Schmidt state sum_k sqrt(l_k) |kk>, and its phase-invariant entries
-(a d x d block and a d x d diagonal).
+(a d x d block and a d x d diagonal).  The first two also read a stack of
+forms in one call, and a form's value does not depend on the stack.
 
 The group average over the diagonal local phase unitaries (the twirl)
 pinches an operator onto the invariant subspace spanned by
@@ -37,6 +38,7 @@ scalars.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,11 +47,48 @@ from .states import SchmidtSpectrum
 
 
 def _squared_moduli(x: np.ndarray) -> np.ndarray:
-    return x.real**2 + x.imag**2
+    # In place: a stacked read then holds one float temporary, not three.
+    out = x.real**2
+    out += x.imag**2
+    return out
 
 
-def _squared_norms(x: np.ndarray) -> np.ndarray:
-    return _squared_moduli(x).sum(axis=-1)
+def _in_order(x: np.ndarray, axis: int) -> np.ndarray:
+    """The sum of x over a nonempty axis, added in index order: the last
+    entry of its running sum, which np.cumsum writes over x, a temporary.
+    A sum then depends neither on x's other axes nor on its memory
+    layout."""
+    return np.cumsum(x, axis=axis, out=x).take(-1, axis=axis)
+
+
+def _totals(weights, per_term: np.ndarray) -> np.ndarray:
+    """sum_n w_n x_n for each form of a stack, correctly rounded
+    (math.fsum): axis 0 of per_term indexes the forms, its other axes the
+    terms.  An exact sum depends neither on the terms' order nor on zero
+    terms."""
+    x = weights * per_term
+    return np.array([math.fsum(row) for row in x.reshape(len(x), -1).tolist()])
+
+
+def form_traces(weights, a: np.ndarray, b: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Tr = sum_n w_n |a_n|**2 |b_n|**2 of each form of a stack: axis 0 of
+    a and b indexes the forms, `axis` the factor vectors' entries and every
+    other axis the terms; weights broadcast against the terms.  A vector's
+    entries are added in index order and the terms exactly, so a form's
+    trace depends neither on the stack or layout it is read in nor on zero
+    padding terms."""
+    norms = _in_order(_squared_moduli(a), axis) * _in_order(_squared_moduli(b), axis)
+    return _totals(weights, norms)
+
+
+def form_schmidt_expectations(weights, a: np.ndarray, b: np.ndarray, lam, axis: int = -1):
+    """<psi| form |psi> of each form of a stack (laid out as form_traces
+    takes it, and summed as it sums) on the Schmidt state psi = sum_k
+    sqrt(l_k) |kk>, dA = dB = len(lam): sum_n w_n |sum_k sqrt(l_k) a_nk
+    b_nk|**2."""
+    amplitudes = a * b
+    amplitudes *= np.sqrt(lam).reshape(-1, *[1] * (a.ndim - 1 - axis % a.ndim))  # along axis
+    return _totals(weights, _squared_moduli(_in_order(amplitudes, axis)))
 
 
 class SeparableForm:
@@ -57,7 +96,11 @@ class SeparableForm:
 
     Stores read-only copies of the weights (n,) and the factor vectors
     a (n, dA) and b (n, dB).  Every separable operator has this form, and
-    each factor |a_n><a_n| is PSD by construction.
+    each factor |a_n><a_n| is PSD by construction.  trace and
+    schmidt_expectation read the form as the stack of one of form_traces
+    and form_schmidt_expectations, which read many forms in one call (the
+    two-way protocols' accept leaves, say) and give each the value it has
+    alone, to the bit.
     """
 
     def __init__(self, dims: tuple[int, int], weights, a, b):
@@ -82,14 +125,14 @@ class SeparableForm:
         return (v.T * self.weights) @ v.conj()
 
     def trace(self) -> float:
-        """Tr = sum_n w_n |a_n|**2 |b_n|**2."""
-        return float(self.weights @ (_squared_norms(self.a) * _squared_norms(self.b)))
+        """Tr = sum_n w_n |a_n|**2 |b_n|**2: form_traces on the stack of one."""
+        return float(form_traces(self.weights[None], self.a[None], self.b[None])[0])
 
     def schmidt_expectation(self, lam) -> float:
         """<psi| form |psi> on the Schmidt state psi = sum_k sqrt(l_k) |kk>
-        (dA = dB = len(lam)): sum_n w_n |sum_k sqrt(l_k) a_nk b_nk|**2."""
-        amplitudes = (self.a * self.b) @ np.sqrt(lam)
-        return float(self.weights @ _squared_moduli(amplitudes))
+        (dA = dB = len(lam)): form_schmidt_expectations on the stack of one."""
+        stack = (self.weights[None], self.a[None], self.b[None])
+        return float(form_schmidt_expectations(*stack, lam)[0])
 
     def invariant_entries(self):
         """The entries the twirl keeps, (block, diag), on a d x d form:
@@ -268,21 +311,29 @@ def build_optimal_separable_povm(s: SchmidtSpectrum) -> SeparablePovmPair:
     )
 
 
-def verify_appendix_identity(s: SchmidtSpectrum) -> float:
+def verify_appendix_identity(s: SchmidtSpectrum, target=None) -> float:
     """Max deviation of twirl(complement seed) from I - T, read on the
     invariant entries of the seed's form: the twirl zeroes every other
     entry, and T has none.  Zero (to rounding) for every spectrum; the
     identity certifies that the complement of the optimal test is separable.
+    target is T's entries, optimal_test_entries(s), which a caller reading
+    several checks computes once.
     """
-    return _entries_deviation(_complement_form(s, np.ones((1, 2))), s, complement=True)
+    if target is None:
+        target = optimal_test_entries(s)
+    seed = _complement_form(s, np.ones((1, 2)))
+    return _entries_deviation(seed.invariant_entries(), _complement_entries(target))
 
 
-def _entries_deviation(form: SeparableForm, s: SchmidtSpectrum, complement: bool) -> float:
-    """Max deviation of form's invariant entries from those of T, or of I - T."""
-    block, diag = form.invariant_entries()
-    t_block, t_diag = optimal_test_entries(s)
-    if complement:
-        t_block, t_diag = np.eye(s.dim) - t_block, 1.0 - t_diag
+def _complement_entries(target):
+    """The invariant entries of I - T, from those of T."""
+    block, diag = target
+    return np.eye(len(block)) - block, 1.0 - diag
+
+
+def _entries_deviation(entries, target) -> float:
+    """Max deviation of invariant entries (block, diag) from target's."""
+    (block, diag), (t_block, t_diag) = entries, target
     return max(float(np.abs(block - t_block).max()), float(np.abs(diag - t_diag).max()))
 
 
@@ -297,14 +348,17 @@ def _orbit_deviation(a, b, w, grid) -> float:
     )
 
 
-def certificate_deviation(s: SchmidtSpectrum, pair: SeparablePovmPair) -> float:
-    """Max deviation of pair from a certificate of the optimal test T of s:
-    of its forms' invariant entries from those of T and I - T, and of their
-    terms from the structure that zeroes every other entry."""
+def certificate_deviation(pair: SeparablePovmPair, target, entries) -> float:
+    """Max deviation of pair from a certificate of the optimal test T of a
+    spectrum s: of its forms' invariant entries from those of T and I - T,
+    and of their terms from the structure that zeroes every other entry.
+    target is T's entries, optimal_test_entries(s), and entries T_form's,
+    pair.T_form.invariant_entries(), which the caller also reads for other
+    checks."""
     return max(
         _structure_deviation(pair),
-        _entries_deviation(pair.T_form, s, complement=False),
-        _entries_deviation(pair.complement_form, s, complement=True),
+        _entries_deviation(entries, target),
+        _entries_deviation(pair.complement_form.invariant_entries(), _complement_entries(target)),
     )
 
 

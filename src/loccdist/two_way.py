@@ -7,11 +7,12 @@ Bob's elements are rank one, so Alice's conditional state, her projector
 and every accept leaf are rank one too: a protocol is Bob's outcome counts
 r_i plus two padded arrays of vectors (his xi_ij, Alice's final v_ij),
 and the protocols of a stack of tables are built in one pass
-(build_two_way_protocols).  Its accept leaves u_ij = sqrt(M_i) v_ij and
-xi_ij are T as a SeparableForm (accept_form; LOCC tests are separable),
-which build_two_way_T assembles without an eigensolve or a loop; verify
-reads T's trace and detection from the leaves instead, and checks each
-measurement through its vectors (validity_defect).  The test detects the
+(protocol_stack).  Its accept leaves u_ij = sqrt(M_i) v_ij and xi_ij are
+T as a SeparableForm (accept_form; LOCC tests are separable), which
+build_two_way_T assembles without an eigensolve or a loop; verify reads
+the traces and detections of a whole stack from the leaves instead
+(accept_reads), and checks each measurement through its vectors
+(validity_defect).  The test detects the
 pure state perfectly, and its type-2 error is
 
     Tr T = sum_i  r_i * (sum_{k<=i} l_k d_ki**2) / (sum_{k<=i} l_k d_ki)
@@ -34,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .operators import eig_hermitian, psd_sqrt, support_mask
-from .separable import SeparableForm
+from .separable import SeparableForm, form_schmidt_expectations, form_traces
 from .states import SchmidtSpectrum
 
 DENOM_TOL = 1e-14  # branch weights below this never occur
@@ -57,6 +58,23 @@ def _upper(d: int) -> np.ndarray:
 def uniform_table(d: int) -> np.ndarray:
     """The table spreading level k evenly over outcomes i >= k: d_ki = 1 / (d - k)."""
     return _upper(d) / np.arange(d, 0, -1)[:, None]
+
+
+def random_tables(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """n random feasible (d, d) tables, each row k uniform on the simplex
+    of the entries i >= k, from one standard_exponential draw.
+
+    This is what n * d successive rng.dirichlet(np.ones(d - k)) calls
+    compute, to the bit and to the generator's final state: with unit
+    weights dirichlet draws one standard exponential per entry and scales
+    each row by the reciprocal of its sum, added in order.  So a stack's
+    tables are those of n stacks of one, drawn one after another."""
+    layout = table_layout(d)
+    tables = np.zeros((n, d * d))
+    tables[:, layout.entries] = rng.standard_exponential((n, layout.entries.size))
+    tables = tables.reshape(n, d, d)
+    tables *= 1.0 / np.cumsum(tables, axis=2)[..., -1:]
+    return tables
 
 
 def one_way_table(d: int) -> np.ndarray:
@@ -112,20 +130,9 @@ class DeltaMatrix:
         return self.table.shape[0]
 
     @classmethod
-    def uniform(cls, d: int) -> "DeltaMatrix":
-        return cls(uniform_table(d))
-
-    @classmethod
     def qubit(cls, delta: float) -> "DeltaMatrix":
         """d = 2 table parameterised by d_11 = delta."""
         return cls(np.array([[delta, 1.0 - delta], [0.0, 1.0]]))
-
-    @classmethod
-    def random(cls, d: int, rng: np.random.Generator) -> "DeltaMatrix":
-        t = np.zeros((d, d))
-        for k in range(d):
-            t[k, k:] = rng.dirichlet(np.ones(d - k))
-        return cls(t)
 
 
 @dataclass(frozen=True)
@@ -158,7 +165,7 @@ class TwoWayProtocol:
         row-major order: the protocol's accept operator T, unassembled."""
         d = self.d
         inside = np.arange(d) < self.outcomes[:, None]  # [i, j]: j < r_i
-        u = np.sqrt(self.delta.table.T)[:, :, None] * self.alice
+        u = _accept_vectors(self.delta.table, self.alice)
         leaf_u, leaf_xi = u.transpose(0, 2, 1)[inside], self.bob.transpose(0, 2, 1)[inside]
         return SeparableForm((d, d), np.ones(len(leaf_u)), leaf_u, leaf_xi)
 
@@ -304,24 +311,20 @@ def build_mub_basis(omega, r: int | None = None) -> np.ndarray:
     return v[:, :rank] @ _fourier(rank, rank)
 
 
-def build_two_way_protocols(s: SchmidtSpectrum, deltas) -> list[TwoWayProtocol]:
-    """The three-step protocols of a nonempty sequence of tables, without
-    their operators, built as one (n, d, d) stack.
+def protocol_stack(lam: np.ndarray, tables: np.ndarray):
+    """The three-step protocols of an (n, d, d) stack of checked tables
+    under the effective spectrum lam (d,), as TwoWayProtocol's three
+    arrays, each stacked and read-only: outcomes (n, d), bob and alice
+    (n, d, d, d).
 
     In live branch i Bob measures xi_j, the Fourier transform of the unit
     vectors on S_i ordered by descending l_k d_ki (ties by ascending k):
     unbiased for his diagonal conditional state.  Alice's conditional state
     is then |v_ij><v_ij| = P_ij, with v_ij proportional to sqrt(M_i Lambda)
     conj(xi_j).  Every operation acts on each table alone, so a protocol
-    does not depend on the stack it is built in; each holds read-only views
-    of the stacked arrays.
+    does not depend on the stack it is built in.
     """
-    lam = s.effective
     d = lam.size
-    for delta in deltas:
-        if delta.d != d:
-            raise ValueError(f"delta has d = {delta.d}, spectrum has effective rank {d}")
-    tables = np.stack([delta.table for delta in deltas])
     weights = lam[:, None] * tables
     live, _, _ = _column_ratios(lam, tables)
     support = _supports(lam, tables) & live[:, None, :]
@@ -337,7 +340,40 @@ def build_two_way_protocols(s: SchmidtSpectrum, deltas) -> list[TwoWayProtocol]:
     v = np.sqrt(weights.transpose(0, 2, 1))[..., None] * bob.conj()
     norm = np.linalg.norm(v, axis=-2, keepdims=True)
     alice = np.divide(v, norm, out=np.zeros_like(v), where=norm > 0)
-    return [TwoWayProtocol(s, *parts) for parts in zip(deltas, outcomes, bob, alice)]
+    for array in (outcomes, bob, alice):
+        array.setflags(write=False)
+    return outcomes, bob, alice
+
+
+def build_two_way_protocols(s: SchmidtSpectrum, deltas) -> list[TwoWayProtocol]:
+    """The three-step protocols of a nonempty sequence of tables, without
+    their operators, built as one protocol_stack; each holds read-only
+    views of the stacked arrays."""
+    lam = s.effective
+    for delta in deltas:
+        if delta.d != lam.size:
+            raise ValueError(f"delta has d = {delta.d}, spectrum has effective rank {lam.size}")
+    arrays = protocol_stack(lam, np.stack([delta.table for delta in deltas]))
+    return [TwoWayProtocol(s, *parts) for parts in zip(deltas, *arrays)]
+
+
+def _accept_vectors(tables: np.ndarray, alice: np.ndarray) -> np.ndarray:
+    """Alice's accept vectors u_ij = sqrt(M_i) v_ij, laid out as alice is:
+    u[..., i, :, j], for a (d, d) table or an (n, d, d) stack."""
+    return np.sqrt(np.swapaxes(tables, -1, -2))[..., None] * alice
+
+
+def accept_reads(lam: np.ndarray, tables: np.ndarray, bob: np.ndarray, alice: np.ndarray):
+    """(Tr T, <psi|T|psi>) of every protocol of a protocol_stack, psi the
+    Schmidt state of lam, read by the form kernels straight from its
+    leaves: one (n,) array each.  The padded leaves are zero terms, which
+    the kernels' exact term sums ignore, so each value is its protocol's
+    accept_form().trace() and .schmidt_expectation(lam), to the bit."""
+    u = _accept_vectors(tables, alice)
+    return (
+        form_traces(1.0, u, bob, axis=2),
+        form_schmidt_expectations(1.0, u, bob, lam, axis=2),
+    )
 
 
 def build_two_way_protocol(s: SchmidtSpectrum, delta: DeltaMatrix) -> TwoWayProtocol:

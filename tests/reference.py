@@ -30,10 +30,23 @@ from loccdist.two_way import (
     DeltaMatrix,
     build_two_way_protocol,
     build_two_way_T,
+    random_tables,
     simulate_protocol,
     trace_T_closed_form,
+    uniform_table,
     wilson_interval,
 )
+
+
+def uniform_delta(d: int) -> DeltaMatrix:
+    """The uniform table d_ki = 1 / (d - k) as a DeltaMatrix."""
+    return DeltaMatrix(uniform_table(d))
+
+
+def random_delta(d: int, rng: np.random.Generator) -> DeltaMatrix:
+    """One random table as a DeltaMatrix: the stack of one of random_tables,
+    so that n calls draw, to the bit, the n tables of one n-table call."""
+    return DeltaMatrix(random_tables(1, d, rng)[0])
 
 
 def split_invariant(t) -> tuple[np.ndarray, np.ndarray, float]:
@@ -162,7 +175,7 @@ def dense_verify_checks(s: SchmidtSpectrum, seed: int) -> dict:
     out["perfect-detection-one-way"] = abs(float(np.trace(mc.density() @ T_ow).real) - 1.0)
 
     rng = np.random.default_rng(seed)
-    deltas = [DeltaMatrix.uniform(d)] + [DeltaMatrix.random(d, rng) for _ in range(3)]
+    deltas = [uniform_delta(d)] + [random_delta(d, rng) for _ in range(3)]
     psi_eff = state_from_spectrum(SchmidtSpectrum(s.effective)).psi
     oracle, detect = 0.0, 0.0
     for delta in deltas:
@@ -190,7 +203,7 @@ def per_table_verify_checks(s: SchmidtSpectrum, mc_samples: int, seed: int):
     d = s.rank
     lam = s.effective
     rng = np.random.default_rng(seed)
-    deltas = [DeltaMatrix.uniform(d)] + [DeltaMatrix.random(d, rng) for _ in range(3)]
+    deltas = [uniform_delta(d)] + [random_delta(d, rng) for _ in range(3)]
     forms = [build_two_way_protocol(s, delta).accept_form() for delta in deltas]
     yield "two-way-trace-oracle", max(
         abs(form.trace() - trace_T_closed_form(s, delta)) for form, delta in zip(forms, deltas)

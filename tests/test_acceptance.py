@@ -27,13 +27,12 @@ from loccdist.states import (
     state_from_spectrum,
 )
 from loccdist.two_way import (
-    DeltaMatrix,
     build_two_way_T,
     simulate_protocol,
     trace_T_closed_form,
     wilson_interval,
 )
-from reference import numerical_rank, one_way_operator
+from reference import numerical_rank, one_way_operator, random_delta
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -121,7 +120,7 @@ def test_criterion_4_closed_form_operator_equivalence():
     for _ in range(200):
         d = int(rng.integers(2, 5))
         s = _random_spectrum(d, rng)
-        delta = DeltaMatrix.random(d, rng)
+        delta = random_delta(d, rng)
         T, _ = build_two_way_T(s, delta)
         worst_gap = max(
             worst_gap, abs(np.trace(T).real - trace_T_closed_form(s, delta))

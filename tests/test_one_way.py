@@ -1,10 +1,18 @@
 import numpy as np
+import pytest
 
-from loccdist.one_way import OneWayProtocol, beta_one_way, build_one_way_test, check_lemma3
+from loccdist.one_way import (
+    OneWayProtocol,
+    beta_one_way,
+    build_one_way_test,
+    check_lemma3,
+    one_way_test_form,
+)
 from loccdist.operators import eig_hermitian, partial_trace
 from loccdist.separable import beta_sep_pure
-from loccdist.states import BipartiteState, MaximallyCorrelatedState, spectrum
+from loccdist.states import BipartiteState, MaximallyCorrelatedState, parse_spectrum, spectrum
 from reference import numerical_rank, one_way_operator, validate_one_way
+from test_cli import fuzz_spectra
 
 
 def random_psd(d, rng):
@@ -201,3 +209,15 @@ def test_equality_without_maximal_correlation():
     assert abs(np.trace(T).real - 2.0) <= 1e-12
     # yet the Bob vectors are not orthogonal: not a correlated-basis state
     assert abs(np.vdot(v1, v2)) > 0.5
+
+
+@pytest.mark.parametrize("schmidt", fuzz_spectra() + ["1", "1,0,0", "0.5,0.5,1e-13"])
+def test_one_way_test_form_reads_a_spectrum_as_its_pure_state(schmidt):
+    """The form read off a SchmidtSpectrum is, to the bit, the form of its
+    MaximallyCorrelatedState.from_spectrum."""
+    s = parse_spectrum(schmidt)
+    got, want = one_way_test_form(s), one_way_test_form(MaximallyCorrelatedState.from_spectrum(s))
+    assert got.dims == want.dims
+    for name in ("weights", "a", "b"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name

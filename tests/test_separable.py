@@ -9,6 +9,8 @@ from loccdist.separable import (
     beta_sep_pure,
     build_optimal_separable_povm,
     distinguishable_set_bound,
+    form_schmidt_expectations,
+    form_traces,
     global_robustness_pure,
     is_sidon,
     optimal_test_entries,
@@ -18,7 +20,16 @@ from loccdist.separable import (
     sidon_set,
     verify_appendix_identity,
 )
-from loccdist.states import spectrum, state_from_spectrum
+from loccdist.optimize import beta_two_way_upper
+from loccdist.states import parse_spectrum, spectrum, state_from_spectrum
+from loccdist.two_way import (
+    DeltaMatrix,
+    accept_reads,
+    build_two_way_protocols,
+    protocol_stack,
+    random_tables,
+    uniform_table,
+)
 from reference import (
     complement_seed,
     dense_appendix_identity,
@@ -26,6 +37,7 @@ from reference import (
     split_invariant,
     twirl,
 )
+from test_cli import fuzz_spectra
 
 
 def random_spectrum(d, rng):
@@ -354,6 +366,47 @@ def test_form_kernels_match_the_assembled_operator(d):
         dense_block, dense_diag, _ = split_invariant(F)
         assert np.max(np.abs(block - dense_block)) <= 1e-13 * scale
         assert np.max(np.abs(diag - dense_diag)) <= 1e-13 * scale
+
+
+def test_a_form_reads_the_same_in_any_stack_layout_or_padding():
+    """Forms of 0, 1, 7 and 12 terms, zero-padded to 12 and stacked, read
+    each form's own trace and Schmidt expectation to the bit, with the
+    factor vectors along the last axis or along axis 1."""
+    rng = np.random.default_rng(44)
+    for d in (1, 2, 5, 9):
+        lam = spectrum(rng.dirichlet(np.ones(d))).lambdas
+        forms = [random_form(rng, n, d) for n in (0, 1, 7, 12)]
+        w, a, b = np.zeros((4, 12)), np.zeros((4, 12, d), complex), np.zeros((4, 12, d), complex)
+        for k, form in enumerate(forms):
+            n = form.weights.size
+            w[k, :n], a[k, :n], b[k, :n] = form.weights, form.a, form.b
+        traces = [form.trace() for form in forms]
+        detections = [form.schmidt_expectation(lam) for form in forms]
+        for axis, x, y in ((-1, a, b), (1, a.transpose(0, 2, 1), b.transpose(0, 2, 1))):
+            assert form_traces(w, x, y, axis).tolist() == traces
+            assert form_schmidt_expectations(w, x, y, lam, axis).tolist() == detections
+
+
+def test_verify_protocols_read_as_one_stack_are_each_form_alone_bit_for_bit():
+    """verify's five protocols of every fuzz spectrum (the uniform table,
+    three seeded random ones and the optimal one), read as one stack
+    straight from the padded protocol arrays, give each accept_form's own
+    trace and Schmidt expectation to the bit, though the forms' term
+    counts differ."""
+    term_counts = set()
+    for schmidt in fuzz_spectra():
+        s = parse_spectrum(schmidt)
+        d, lam = s.rank, s.effective
+        tables = [uniform_table(d), *random_tables(3, d, np.random.default_rng(5))]
+        deltas = [DeltaMatrix(t) for t in tables] + [beta_two_way_upper(s).best_delta]
+        stack = np.stack([delta.table for delta in deltas])
+        outcomes, bob, alice = protocol_stack(lam, stack)
+        traces, detections = accept_reads(lam, stack, bob, alice)
+        forms = [p.accept_form() for p in build_two_way_protocols(s, deltas)]
+        assert traces.tolist() == [form.trace() for form in forms]
+        assert detections.tolist() == [form.schmidt_expectation(lam) for form in forms]
+        term_counts.add(len({form.weights.size for form in forms}))
+    assert max(term_counts) > 1
 
 
 def test_split_invariant_reads_what_twirl_keeps():

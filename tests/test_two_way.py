@@ -2,7 +2,13 @@ import re
 
 import numpy as np
 import pytest
-from reference import alice_element, dense_validity_defect, povm_element_check
+from reference import (
+    alice_element,
+    dense_validity_defect,
+    povm_element_check,
+    random_delta,
+    uniform_delta,
+)
 
 from loccdist.operators import eig_hermitian, support_projection
 from loccdist.states import spectrum, state_from_spectrum
@@ -23,6 +29,7 @@ from loccdist.two_way import (
     check_tables,
     one_way_table,
     pair_factors,
+    random_tables,
     sigma_A,
     simulate_protocol,
     table_layout,
@@ -74,21 +81,43 @@ def test_delta_matrix_neither_freezes_nor_aliases_the_callers_array():
 
 
 def test_delta_constructors():
-    u = DeltaMatrix.uniform(3)
+    u = uniform_delta(3)
     assert np.allclose(u.table.sum(axis=1), 1.0)
     ow = DeltaMatrix(one_way_table(3))
     assert np.allclose(ow.table[:, 2], 1.0)
     q = DeltaMatrix.qubit(0.25)
     assert np.allclose(q.table, [[0.25, 0.75], [0.0, 1.0]])
     rng = np.random.default_rng(0)
-    r = DeltaMatrix.random(4, rng)
+    r = random_delta(4, rng)
     assert np.allclose(r.table.sum(axis=1), 1.0)
     assert np.min(r.table) >= 0
 
 
+@pytest.mark.parametrize("d", range(1, 33))
+def test_random_tables_are_the_dirichlet_rows_bit_for_bit(d):
+    """One call draws, to the bit and to the generator's final state, the
+    tables of n successive one-table draws, and each row is the
+    rng.dirichlet(np.ones(d - k)) draw it replaces: verify's seeded oracle
+    tables are those of its former per-row loop.  They are feasible as
+    drawn, so checking them changes no bit."""
+    for seed in (0, 1, 2):
+        one, successive, rows = (np.random.default_rng(seed) for _ in range(3))
+        tables = random_tables(3, d, one)
+        alone = np.stack([random_delta(d, successive).table for _ in range(3)])
+        dirichlet = np.zeros((3, d, d))
+        for table in dirichlet:
+            for k in range(d):
+                table[k, k:] = rows.dirichlet(np.ones(d - k))
+        assert tables.shape == (3, d, d)
+        assert tables.tobytes() == alone.tobytes() == dirichlet.tobytes()
+        assert check_tables(tables).tobytes() == tables.tobytes()
+        assert one.bit_generator.state == successive.bit_generator.state
+        assert one.bit_generator.state == rows.bit_generator.state
+
+
 def test_delta_alice_povm_resolves_identity():
     rng = np.random.default_rng(1)
-    delta = DeltaMatrix.random(4, rng)
+    delta = random_delta(4, rng)
     total = sum(alice_element(delta, i) for i in range(4))
     assert np.max(np.abs(total - np.eye(4))) <= 1e-12
 
@@ -181,7 +210,7 @@ def test_build_T_uniform_spectrum_any_delta():
     rng = np.random.default_rng(3)
     for d in (2, 3):
         s = spectrum([1.0 / d] * d)
-        delta = DeltaMatrix.random(d, rng)
+        delta = random_delta(d, rng)
         T, _ = build_two_way_T(s, delta)
         assert np.trace(T).real / (d * d) >= 1.0 / d - 1e-9
         assert povm_element_check(T, 1e-9)
@@ -217,7 +246,7 @@ def test_oracle_equivalence_corpus():
     for _ in range(60):
         d = int(rng.integers(2, 5))
         s = random_spectrum(d, rng)
-        delta = DeltaMatrix.random(d, rng)
+        delta = random_delta(d, rng)
         T, _ = build_two_way_T(s, delta)
         assert abs(np.trace(T).real - trace_T_closed_form(s, delta)) <= 1e-9
         psi = state_from_spectrum(s).psi
@@ -229,8 +258,8 @@ def test_oracle_equivalence_corpus():
     spectra += [spectrum([0.5, 0.3, 0.2, 0.0, 0.0]), spectrum([0.7, 0.3, 0.0])]
     for s in spectra:
         d = s.rank
-        deltas = [DeltaMatrix.random(d, rng) for _ in range(3)]
-        deltas += [DeltaMatrix.uniform(d), DeltaMatrix(one_way_table(d))]
+        deltas = [random_delta(d, rng) for _ in range(3)]
+        deltas += [uniform_delta(d), DeltaMatrix(one_way_table(d))]
         values = trace_T_batch(s.effective, np.stack([delta.table for delta in deltas]))
         for delta, value in zip(deltas, values):
             T, _ = build_two_way_T(s, delta)
@@ -243,7 +272,7 @@ def test_oracle_equivalence_corpus():
         lam = s.effective
         d = lam.size
         psi = state_from_spectrum(spectrum(lam)).psi
-        base = DeltaMatrix.random(d, rng).table
+        base = random_delta(d, rng).table
         rows = [rng.integers(i) for i in range(1, d)]
         closed_by_tiny = []
         for tiny in (0.0, 1e-300):
@@ -269,7 +298,7 @@ def test_oracle_equivalence_corpus():
 def test_objective_gradient_matches_finite_differences(d):
     rng = np.random.default_rng(10 + d)
     lam = random_spectrum(d, rng).effective
-    tables = np.stack([DeltaMatrix.random(d, rng).table for _ in range(3)])
+    tables = np.stack([random_delta(d, rng).table for _ in range(3)])
     factors = pair_factors(lam)
     _, grad, hess = trace_T_batch(lam, tables, factors)
     layout = table_layout(d)
@@ -329,8 +358,8 @@ def test_closed_form_of_a_stack_is_the_closed_form_of_each_table():
     rng = np.random.default_rng(12)
     for d in (1, 2, 3, 5, 8):
         spectra = [random_spectrum(d, rng), spectrum([1.0 / d] * d)]
-        deltas = [DeltaMatrix.random(d, rng) for _ in range(3)]
-        deltas += [DeltaMatrix(np.eye(d)), DeltaMatrix.uniform(d), DeltaMatrix(one_way_table(d))]
+        deltas = [random_delta(d, rng) for _ in range(3)]
+        deltas += [DeltaMatrix(np.eye(d)), uniform_delta(d), DeltaMatrix(one_way_table(d))]
         tables = np.stack([delta.table for delta in deltas])
         for s in spectra:
             alone = [trace_T_closed_form(s, delta) for delta in deltas]
@@ -359,14 +388,14 @@ def test_one_way_corner_closed_form_is_d_to_the_bit():
 def test_protocol_is_build_two_way_T_s_protocol():
     rng = np.random.default_rng(13)
     for s in (random_spectrum(4, rng), spectrum([0.5, 0.3, 0.2, 0.0])):
-        for delta in (DeltaMatrix.random(s.rank, rng), DeltaMatrix(np.eye(s.rank))):
+        for delta in (random_delta(s.rank, rng), DeltaMatrix(np.eye(s.rank))):
             _, built = build_two_way_T(s, delta)
             protocol = build_two_way_protocol(s, delta)
             assert protocol.spectrum is s and protocol.delta is delta
             for name in ("outcomes", "bob", "alice"):
                 assert np.array_equal(getattr(protocol, name), getattr(built, name))
     with pytest.raises(ValueError, match="effective rank"):
-        build_two_way_protocol(spectrum([0.5, 0.5]), DeltaMatrix.uniform(3))
+        build_two_way_protocol(spectrum([0.5, 0.5]), uniform_delta(3))
 
 
 def stacked_protocol_cases():
@@ -381,8 +410,8 @@ def stacked_protocol_cases():
     cases = []
     for s in spectra:
         d = s.rank
-        deltas = [DeltaMatrix.uniform(d), DeltaMatrix(one_way_table(d))]
-        deltas += [DeltaMatrix.random(d, rng) for _ in range(3)]
+        deltas = [uniform_delta(d), DeltaMatrix(one_way_table(d))]
+        deltas += [random_delta(d, rng) for _ in range(3)]
         if d > 1:
             dropped = np.array(deltas[-1].table)
             dropped[:, -1] += dropped[:, 0]
@@ -412,7 +441,7 @@ def test_stacked_protocols_are_each_table_alone_bit_for_bit():
 
 def test_stacked_protocols_refuse_a_table_of_another_rank():
     s = spectrum([0.5, 0.3, 0.2])
-    deltas = [DeltaMatrix.uniform(3), DeltaMatrix.uniform(2), DeltaMatrix(one_way_table(3))]
+    deltas = [uniform_delta(3), uniform_delta(2), DeltaMatrix(one_way_table(3))]
     with pytest.raises(ValueError, match="^delta has d = 2, spectrum has effective rank 3$"):
         build_two_way_protocols(s, deltas)
 
@@ -424,8 +453,8 @@ def test_pair_hessian_is_the_dense_blocks_bit_for_bit(d):
     column pair is nonzero; the same holds under an (n, d) spectrum
     stack."""
     rng = np.random.default_rng(40 + d)
-    tables = [DeltaMatrix.random(d, rng).table for _ in range(4)]
-    tables += [np.eye(d), one_way_table(d), DeltaMatrix.uniform(d).table]
+    tables = [random_delta(d, rng).table for _ in range(4)]
+    tables += [np.eye(d), one_way_table(d), uniform_delta(d).table]
     tables = np.stack(tables)
     layout = table_layout(d)
     spectra = [random_spectrum(d, rng).effective, np.full(d, 1.0 / d)]
@@ -444,7 +473,7 @@ def test_oracle_equivalence_degenerate_spectrum():
     rng = np.random.default_rng(5)
     for d in (2, 3, 4):
         s = spectrum([1.0 / d] * d)
-        delta = DeltaMatrix.random(d, rng)
+        delta = random_delta(d, rng)
         T, _ = build_two_way_T(s, delta)
         assert abs(np.trace(T).real - trace_T_closed_form(s, delta)) <= 1e-9
 
@@ -492,7 +521,7 @@ def test_simulate_accept_all_protocol():
 
 def test_simulate_deterministic_given_seed():
     s = spectrum([0.6, 0.4])
-    _, protocol = build_two_way_T(s, DeltaMatrix.uniform(2))
+    _, protocol = build_two_way_T(s, uniform_delta(2))
     a = simulate_protocol(protocol, "mixed", 10_000, seed=42)
     b = simulate_protocol(protocol, "mixed", 10_000, seed=42)
     assert a == b
@@ -502,7 +531,7 @@ def test_simulate_deterministic_given_seed():
 
 def test_simulate_validates_inputs():
     s = spectrum([0.6, 0.4])
-    _, protocol = build_two_way_T(s, DeltaMatrix.uniform(2))
+    _, protocol = build_two_way_T(s, uniform_delta(2))
     with pytest.raises(ValueError):
         simulate_protocol(protocol, "mixed", 0, seed=0)
     with pytest.raises(ValueError):
@@ -523,7 +552,7 @@ def test_two_wayness_gap_witness():
 def test_final_projectors_are_projectors():
     rng = np.random.default_rng(6)
     s = random_spectrum(3, rng)
-    _, protocol = build_two_way_T(s, DeltaMatrix.random(3, rng))
+    _, protocol = build_two_way_T(s, random_delta(3, rng))
     assert protocol.outcomes.sum() == 6
     for P in final_projectors(protocol).values():
         assert np.max(np.abs(P @ P - P)) <= 1e-10
@@ -556,7 +585,7 @@ def equivalence_cases():
         spectra.append(spectrum(padded))
     for s in spectra:
         d = s.effective.size
-        for delta in (DeltaMatrix.uniform(d), DeltaMatrix.random(d, rng)):
+        for delta in (uniform_delta(d), random_delta(d, rng)):
             yield s, delta
         yield s, beta_two_way_upper(s).best_delta
 
@@ -707,7 +736,7 @@ def test_protocol_padding_invariant():
 
 
 def test_protocol_arrays_are_read_only():
-    _, protocol = build_two_way_T(spectrum([0.5, 0.3, 0.2]), DeltaMatrix.uniform(3))
+    _, protocol = build_two_way_T(spectrum([0.5, 0.3, 0.2]), uniform_delta(3))
     table = _branch_probabilities(protocol, "mixed")
     for array in (protocol.outcomes, protocol.bob, protocol.alice):
         with pytest.raises(ValueError):
@@ -741,7 +770,7 @@ def test_outcome_table_identities():
 def test_sigma_a_stack_matches_per_element():
     rng = np.random.default_rng(61)
     s = random_spectrum(4, rng)
-    M = alice_element(DeltaMatrix.random(4, rng), 3)
+    M = alice_element(random_delta(4, rng), 3)
     xi = build_mub_basis(np.diag(s.lambdas))
     N = np.array([np.outer(xi[:, j], xi[:, j].conj()) for j in range(4)])
     stacked = sigma_A(s, M, N)
@@ -775,7 +804,7 @@ def test_validity_defect_matches_its_loop_reference():
 
 def test_validity_defect_sees_each_broken_measurement():
     s = spectrum([0.5, 0.3, 0.2])
-    protocol = build_two_way_protocol(s, DeltaMatrix.uniform(3))
+    protocol = build_two_way_protocol(s, uniform_delta(3))
     bob, alice = protocol.bob.copy(), protocol.alice.copy()
     bob[2, :, 1] *= 1.01  # a Bob vector off the unit sphere
     alice[1, :, 0] *= 0.99  # one of Alice's projectors not a projector
