@@ -56,11 +56,6 @@ def _delta_strings(tables: np.ndarray) -> list[str]:
     return [",".join(format(x, ".9g") for x in row) for row in tables[:, upper].tolist()]
 
 
-def _delta_string(delta) -> str:
-    """The table's free entries d_ki, k <= i, row-major, to nine digits."""
-    return _delta_strings(delta.table[None])[0]
-
-
 def _pure_reports(lams: np.ndarray, D: int, t_values, deltas) -> list[BoundsReport]:
     """The report of the pure state of each checked spectrum, a row of lams
     (n, d), embedded in dimension D, given its two-way t_value and table
@@ -106,7 +101,8 @@ def pure_state_report(s: SchmidtSpectrum, dims: tuple[int, int] | None = None) -
     """
     D = embedding_dim(s, dims)
     result = beta_two_way_upper(s)
-    return _pure_reports(s.lambdas[None], D, [result.t_value], [_delta_string(result.best_delta)])[0]
+    deltas = _delta_strings(result.best_delta.table[None])
+    return _pure_reports(s.lambdas[None], D, [result.t_value], deltas)[0]
 
 
 def pure_state_reports(lams: np.ndarray) -> list[BoundsReport]:

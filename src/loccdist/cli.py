@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .bounds import _delta_string, embedding_dim, pure_state_report
+from .bounds import _delta_strings, embedding_dim, pure_state_report
 from .families import SWEEP_HEADER, check_points, get_family, sweep_line, sweep_rows
 from .one_way import one_way_test_form
 from .operators import eig_hermitian
@@ -152,7 +152,7 @@ def cmd_optimize(s, tol, grid_step) -> int:
         "beta_two_way_upper": result.beta_value,
         "t_value": result.t_value,
         "D": result.D,
-        "delta": _delta_string(result.best_delta),
+        "delta": _delta_strings(result.best_delta.table[None])[0],
         "method": result.method,
         "iterations": result.iterations,
         "converged": result.converged,
@@ -180,14 +180,15 @@ def _verify_checks(s, mc_samples: int, seed: int):
 
 
 def _separable_checks(s):
-    """The checks of the optimal separable test and the one-way test.  T's
-    closed-form entries and its certificate's invariant entries are each
-    read once, for the three checks that compare them."""
+    """The checks of the optimal separable test and the one-way test.  The
+    pair, T's closed-form entries, T_form's invariant entries and the
+    appendix identity are each computed once, for every check reading them."""
     dim = s.dim
-    target = optimal_test_entries(s)
-    yield "appendix-identity", verify_appendix_identity(s, target), 1e-9
-
     pair = build_optimal_separable_povm(s)
+    target = optimal_test_entries(s)
+    appendix = verify_appendix_identity(s, pair, target)
+    yield "appendix-identity", appendix, 1e-9
+
     entries = block, diag = pair.T_form.invariant_entries()
     w, _ = eig_hermitian(block)
     # T is the block on span{|jj>} plus the scalars <jk|T|jk>, j != k: its
@@ -196,7 +197,7 @@ def _separable_checks(s):
     yield "povm-element-range", max(0.0, -spectrum.min(), spectrum.max() - 1.0), 1e-9
     yield "perfect-detection-sep", abs(pair.T_form.schmidt_expectation(s.lambdas) - 1.0), 1e-10
     yield "trace-formula-sep", abs(pair.T_form.trace() - beta_sep_pure(s) * dim**2), 1e-10
-    yield "separable-form-assembly", certificate_deviation(pair, target, entries), 1e-9
+    yield "separable-form-assembly", certificate_deviation(pair, target, entries, appendix), 1e-9
     certificates = (pair.T_form, pair.complement_form)
     yield "separable-form-psd", max(0.0, -min(f.min_term_eigenvalue() for f in certificates)), 1e-10
 

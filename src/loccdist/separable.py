@@ -32,7 +32,8 @@ and its term structure, each term the image of its seed under the grid's
 phase rows with an integer Sidon test on s, which makes every other entry
 average to zero.  The certified T then has no other entries, so its
 spectrum is that of its d x d block plus its d (d - 1) off-diagonal
-scalars.
+scalars.  The average keeps the complement seed's invariant entries, so
+the appendix identity twirl(seed) = I - T is the complement's comparison.
 """
 
 from __future__ import annotations
@@ -263,16 +264,17 @@ def _ordered_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(~np.eye(d, dtype=bool))
 
 
-def _complement_form(s: SchmidtSpectrum, pair_grid: np.ndarray) -> SeparableForm:
-    """The complement seed as a separable form, each pair seed averaged over
-    the rows (phase_i, phase_j) of pair_grid.
+def _complement_form(s: SchmidtSpectrum) -> SeparableForm:
+    """The certificate of I - T: the complement seed, each pair seed
+    averaged over the rows (phase_i, phase_j) of sidon_phase_grid(2).
 
     For every ordered pair i != j the seed is half the projector onto
     abar_ij (x) bbar_ij, with
         abar_ij = l_j**(1/4) |e_i> - l_i**(1/4) |e_j>,
         bbar_ij = l_j**(1/4) |f_i> + l_i**(1/4) |f_j>,
     plus the already invariant diagonal term q_ij |e_i f_j><e_i f_j|.  The
-    terms of pair (i, j) are its grid terms, then its diagonal term.
+    terms of pair (i, j) are its grid terms, then its diagonal term.  The
+    average keeps the seed's invariant entries (verify_appendix_identity).
     """
     lam = s.lambdas
     d = s.dim
@@ -280,8 +282,8 @@ def _complement_form(s: SchmidtSpectrum, pair_grid: np.ndarray) -> SeparableForm
     sq = np.sqrt(lam)
     ii, jj = _ordered_pairs(d)
     pairs = np.arange(ii.size)
-    g = len(pair_grid)
-    pi, pj = pair_grid[:, 0], pair_grid[:, 1]
+    pi, pj = sidon_phase_grid(2).T
+    g = len(pi)
     # Factor vectors (pairs, grid rows + 1, d); the last row is the diagonal term.
     a = np.zeros((ii.size, g + 1, d), dtype=complex)
     b = np.zeros_like(a)
@@ -307,28 +309,25 @@ def build_optimal_separable_povm(s: SchmidtSpectrum) -> SeparablePovmPair:
     a = sidon_phase_grid(d) * s.lambdas**0.25
     return SeparablePovmPair(
         T_form=SeparableForm((d, d), np.full(len(a), 1.0 / len(a)), a, a.conj()),
-        complement_form=_complement_form(s, sidon_phase_grid(2)),
+        complement_form=_complement_form(s),
     )
 
 
-def verify_appendix_identity(s: SchmidtSpectrum, target=None) -> float:
+def verify_appendix_identity(s: SchmidtSpectrum, pair=None, target=None) -> float:
     """Max deviation of twirl(complement seed) from I - T, read on the
-    invariant entries of the seed's form: the twirl zeroes every other
-    entry, and T has none.  Zero (to rounding) for every spectrum; the
-    identity certifies that the complement of the optimal test is separable.
-    target is T's entries, optimal_test_entries(s), which a caller reading
-    several checks computes once.
+    complement certificate's invariant entries: they are the seed's, which
+    the twirl keeps, and T has no others.  Zero (to rounding) for every
+    spectrum; the identity certifies that the complement of the optimal
+    test is separable.  pair, build_optimal_separable_povm(s), and T's
+    entries target, optimal_test_entries(s), are built unless given.
     """
+    if pair is None:
+        pair = build_optimal_separable_povm(s)
     if target is None:
         target = optimal_test_entries(s)
-    seed = _complement_form(s, np.ones((1, 2)))
-    return _entries_deviation(seed.invariant_entries(), _complement_entries(target))
-
-
-def _complement_entries(target):
-    """The invariant entries of I - T, from those of T."""
     block, diag = target
-    return np.eye(len(block)) - block, 1.0 - diag
+    i_minus_t = np.eye(len(block)) - block, 1.0 - diag
+    return _entries_deviation(pair.complement_form.invariant_entries(), i_minus_t)
 
 
 def _entries_deviation(entries, target) -> float:
@@ -348,18 +347,15 @@ def _orbit_deviation(a, b, w, grid) -> float:
     )
 
 
-def certificate_deviation(pair: SeparablePovmPair, target, entries) -> float:
+def certificate_deviation(pair: SeparablePovmPair, target, entries, appendix: float) -> float:
     """Max deviation of pair from a certificate of the optimal test T of a
     spectrum s: of its forms' invariant entries from those of T and I - T,
     and of their terms from the structure that zeroes every other entry.
-    target is T's entries, optimal_test_entries(s), and entries T_form's,
-    pair.T_form.invariant_entries(), which the caller also reads for other
-    checks."""
-    return max(
-        _structure_deviation(pair),
-        _entries_deviation(entries, target),
-        _entries_deviation(pair.complement_form.invariant_entries(), _complement_entries(target)),
-    )
+    target is T's entries, optimal_test_entries(s), entries T_form's,
+    pair.T_form.invariant_entries(), and appendix the complement's
+    deviation, verify_appendix_identity(s, pair, target), which the caller
+    also reads for other checks."""
+    return max(_structure_deviation(pair), _entries_deviation(entries, target), appendix)
 
 
 def _structure_deviation(pair: SeparablePovmPair) -> float:

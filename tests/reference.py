@@ -8,6 +8,9 @@ povm_element_check) serve the tests only; no command needs them.
 The tests compare `cli._verify_checks` against `dense_verify_checks`, where
 each deviation must agree to rounding, and against
 `per_table_verify_checks`, where each must agree to the bit.
+
+`interior_optimum` is the two-way solve's exact oracle: the minimiser in
+closed form wherever all its entries are positive.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from loccdist.one_way import build_one_way_test
 from loccdist.operators import as_operator, eig_hermitian, support_mask, tensor
 from loccdist.optimize import beta_two_way_upper
 from loccdist.separable import (
-    _complement_form,
     _invariant_operator,
     beta_sep_pure,
     build_optimal_separable_povm,
@@ -30,8 +32,11 @@ from loccdist.two_way import (
     DeltaMatrix,
     build_two_way_protocol,
     build_two_way_T,
+    pair_factors,
     random_tables,
     simulate_protocol,
+    table_layout,
+    trace_T_batch,
     trace_T_closed_form,
     uniform_table,
     wilson_interval,
@@ -114,9 +119,43 @@ def alice_element(delta: DeltaMatrix, i: int) -> np.ndarray:
     return np.diag(diag)
 
 
+def complement_terms(s: SchmidtSpectrum, pair_grid) -> list:
+    """The complement seed term by term, as (w, |a><a|, |b><b|): for each
+    ordered pair i != j, half the projector onto abar_ij (x) bbar_ij under
+    each row (phase_i, phase_j) of pair_grid at weight 1 / len(pair_grid),
+    then its diagonal term q_ij |e_i f_j><e_i f_j|.  On
+    separable.sidon_phase_grid(2) these are the complement certificate's
+    terms."""
+    lam = s.lambdas
+    d = s.dim
+    root4 = lam**0.25
+    sq = np.sqrt(lam)
+    unit = np.eye(d, dtype=complex)
+    terms = []
+    for i in range(d):
+        for j in range(d):
+            if i == j:
+                continue
+            for pi, pj in pair_grid:
+                abar = np.zeros(d, dtype=complex)
+                abar[[i, j]] = pi * root4[j], -pj * root4[i]
+                bbar = np.zeros(d, dtype=complex)
+                bbar[[i, j]] = np.conj(pi) * root4[j], np.conj(pj) * root4[i]
+                terms.append(
+                    (0.5 / len(pair_grid), np.outer(abar, abar.conj()), np.outer(bbar, bbar.conj()))
+                )
+            q = float(lam.sum() - lam[i] - lam[j] + (sq[i] - sq[j]) ** 2)
+            terms.append((q, np.diag(unit[i]), np.diag(unit[j])))
+    return terms
+
+
 def complement_seed(s: SchmidtSpectrum) -> np.ndarray:
-    """The un-twirled complement seed (pair projectors plus diagonal terms)."""
-    return _complement_form(s, np.ones((1, 2))).assemble()
+    """The un-twirled complement seed (pair projectors plus diagonal terms),
+    assembled from its terms on the one-row grid of ones."""
+    seed = np.zeros((s.dim**2, s.dim**2), dtype=complex)
+    for w, A, B in complement_terms(s, np.ones((1, 2))):
+        seed += w * np.kron(A, B)
+    return seed
 
 
 def dense_appendix_identity(s: SchmidtSpectrum) -> float:
@@ -225,3 +264,57 @@ def per_table_verify_checks(s: SchmidtSpectrum, mc_samples: int, seed: int):
     accepted = min(round(rate_mix * mc_samples), mc_samples)
     lo, hi = wilson_interval(accepted, mc_samples, z=3.0)
     yield "monte-carlo-type-2", abs(rate_mix - beta), max(hi - lo, 1e-12)
+
+
+def interior_optimum(lam: np.ndarray):
+    """The minimiser of the two-way solve's objective for an effective
+    spectrum lam (d,) where all its entries are positive, solved from the
+    KKT conditions column by column: (table, value, gap), gap being the
+    table's Frank-Wolfe gap as the solve computes it, or None when no
+    positive table meets the conditions (at l_0 = l_1, say).
+
+    At such a minimum every free entry d_ki of row k has gradient mu_k, the
+    row's multiplier.  Column i's term is 1-homogeneous, so its direction y,
+    scaled to sum_k l_k y_k = 1, is y_k = N / 2 + mu_k / (2 a l_k) with
+    a = i + 1 and N = sum_k l_k y_k**2.  Column 0's term is d_00 itself, so
+    mu_0 = 1.  For i >= 1, put L = sum_{k <= i} l_k, P = sum_{k < i} mu_k,
+    Q = sum_{k < i} mu_k**2 / l_k and c = 2 a - P: the scaling gives
+    N = (c - mu_i) / (a L), and N = sum_k l_k y_k**2 then reads
+
+        (1 - L / l_i) mu_i**2 - 2 c mu_i + c**2 - L Q = 0,
+
+    of whose roots the one with a positive direction is kept.  In the last
+    column mu_i is the gradient of d_{d-1,d-1} = 1, which no row sum ties,
+    and the same quadratic holds.  The row sums then fix the column scales
+    from the last row up.
+    """
+    d = lam.size
+    mu = [1.0]
+    directions = np.zeros((d, d))
+    directions[0, 0] = 1.0
+    for i in range(1, d):
+        a, L = i + 1, lam[: i + 1].sum()
+        c = 2 * a - sum(mu)
+        Q = sum(m * m / l for m, l in zip(mu, lam))
+        A = 1.0 - L / lam[i]
+        disc = c * c - A * (c * c - L * Q)
+        if disc < 0:
+            return None
+        for root in ((c + np.sqrt(disc)) / A, (c - np.sqrt(disc)) / A):
+            y = (c - root) / (2 * a * L) + np.array([*mu, root]) / (2 * a * lam[: i + 1])
+            if np.all(y > 0):
+                break
+        else:
+            return None
+        mu.append(root)
+        directions[: i + 1, i] = y
+    scales = np.zeros(d)
+    for k in range(d - 1, -1, -1):
+        scales[k] = (1.0 - directions[k, k + 1 :] @ scales[k + 1 :]) / directions[k, k]
+    if not np.all(scales > 0):
+        return None
+    table = directions * scales
+    table /= table.sum(axis=1, keepdims=True)
+    value, g, _ = trace_T_batch(lam, table[None], pair_factors(lam))
+    vertex = np.where(table_layout(d).upper, g[0], np.inf).min(axis=1).sum()
+    return table, float(value[0]), float((g[0] * table).sum() - vertex)

@@ -692,6 +692,22 @@ def test_verify_builds_one_spectrum(capsys, monkeypatch):
     assert len(built) == 1
 
 
+def test_verify_builds_one_complement_certificate(capsys, monkeypatch):
+    """The appendix identity reads the complement certificate of the pair
+    the other separable checks read: a verify call builds it once."""
+    built = []
+    build = loccdist.separable._complement_form
+
+    def counted(s):
+        built.append(s)
+        return build(s)
+
+    monkeypatch.setattr(loccdist.separable, "_complement_form", counted)
+    code, out, _ = run(capsys, "verify", "--schmidt", "0.5,0.3,0.2,0", "--mc-samples", "2000")
+    assert code == 0 and "FAIL" not in out
+    assert len(built) == 1
+
+
 def test_verify_at_the_level_cap_holds_no_dense_matrix():
     """Below one complex D x D matrix (D = 32**2, 16 MiB) at its peak, on
     a call that fills the package's emptied caches and on a warm call
@@ -765,7 +781,8 @@ def test_verify_fails_on_a_phase_set_that_is_not_sidon(capsys, monkeypatch):
 
 def test_verify_fails_on_a_scaled_complement_diagonal_weight(capsys, monkeypatch):
     """The first pair's diagonal term times 1.01 keeps the term structure
-    and moves one entry of I - T; only its invariant entries show it."""
+    and moves one entry of I - T; only its invariant entries show it, which
+    the appendix identity reads off the same certificate."""
     def change(pair):
         form = pair.complement_form
         w = form.weights.copy()
@@ -778,6 +795,7 @@ def test_verify_fails_on_a_scaled_complement_diagonal_weight(capsys, monkeypatch
 
     _patched_pair(monkeypatch, change)
     _fails(capsys, "separable-form-assembly")
+    _fails(capsys, "appendix-identity")
 
 
 def test_verify_fails_on_a_negative_complement_weight(capsys, monkeypatch):

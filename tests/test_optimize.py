@@ -10,6 +10,7 @@ from loccdist.optimize import (
     beta_two_way_qubit_analytic,
     beta_two_way_upper,
     grid_oracle,
+    grid_size,
     solve_stack,
 )
 from loccdist.separable import beta_sep_pure, sep_traces
@@ -22,6 +23,7 @@ from loccdist.two_way import (
     trace_T_batch,
     trace_T_closed_form,
 )
+from reference import interior_optimum
 from test_batch import barrier_meets_analytic, stack
 from test_cli import fuzz_spectra
 
@@ -396,6 +398,60 @@ def test_hard_cases_converge_to_tol():
     for res in solved:
         assert res.converged[0] and res.gaps[0] <= TOL
     assert solved[0].iterations[0] <= 27
+
+
+def test_grid_size_counts_the_oracle_grid():
+    """grid_size's total is the number of tables grid_oracle enumerates:
+    the product over rows k of the compositions of `units` into d - k
+    parts."""
+    assert grid_size(3, 0.5) == (2, 18)  # 6 * 3 * 1
+    for d, step in ((1, 0.5), (2, 0.25), (3, 0.2), (4, 1 / 3), (5, 0.5)):
+        units, total = grid_size(d, step)
+        assert units == round(1 / step)
+        assert total == np.prod([len(optimize._compositions(units, d - k)) for k in range(d)])
+
+
+def interior_cases() -> list:
+    """Effective spectra of rank 2..16 for the exact interior optimum:
+    seeded Dirichlet spectra, fig2-fig6 grid points, the hard cases of rank
+    >= 2, and Dirichlet spectra with l_1 = l_0 (1 - 1e-12)."""
+    rng = np.random.default_rng(31)
+    dirichlet = [np.sort(rng.dirichlet(np.ones(d)))[::-1] for d in range(2, 17) for _ in range(3)]
+    near_tied = []
+    for d in range(3, 17, 3):
+        lam = np.sort(rng.dirichlet(np.ones(d)))[::-1]
+        lam[1] = lam[0] * (1.0 - 1e-12)
+        near_tied.append(lam / lam.sum())
+    figures = [
+        row[row > 0]
+        for name in ("fig2", "fig3", "fig4", "fig5", "fig6")
+        for row in BUILTIN_FAMILIES[name].spectra_array(BUILTIN_FAMILIES[name].grid(20))
+    ]
+    cases = [*dirichlet, *near_tied, *figures, *hard_cases()]
+    return [lam for lam in cases if lam.size >= 2]
+
+
+def test_solve_meets_the_exact_interior_optimum():
+    """Where the closed-form interior optimum certifies itself (its own
+    Frank-Wolfe gap at most 1e-13), the solve converges, lies no further
+    below it than rounding and no further above it than its own certified
+    gap; at rank 2 both give the same table.  The oracle certifies every
+    spectrum with l_0 > l_1 beyond rounding."""
+    certified = 0
+    for lam in interior_cases():
+        oracle = interior_optimum(lam)
+        if oracle is None or oracle[2] > 1e-13:
+            assert lam[0] - lam[1] <= 1e-15, lam
+            continue
+        certified += 1
+        table, value, _ = oracle
+        res = solve_stack(lam[None], TOL)
+        t_value, gap = res.t_values[0], res.gaps[0]
+        assert res.converged[0]
+        assert value - 1e-12 <= t_value <= value + min(gap, TOL) + 1e-12
+        if lam.size == 2:
+            assert np.abs(res.tables[0] - table).max() <= 1e-15
+    assert certified >= 150
 
 
 def test_passes_per_solve_ceiling_at_the_floor():

@@ -32,6 +32,7 @@ from loccdist.two_way import (
 )
 from reference import (
     complement_seed,
+    complement_terms,
     dense_appendix_identity,
     povm_element_check,
     split_invariant,
@@ -248,7 +249,7 @@ def test_distinguishable_set_bound():
     assert abs(distinguishable_set_bound([1, 1, 1, 1], 4) - 4.0) <= 1e-12
     assert abs(distinguishable_set_bound([2, 2], 4) - 2.0) <= 1e-12
     assert abs(distinguishable_set_bound([1, 2, 1], 9) - 6.75) <= 1e-12
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one"):
         distinguishable_set_bound([], 4)
     with pytest.raises(ValueError):
         distinguishable_set_bound([0.5], 4)
@@ -266,42 +267,15 @@ def equivalence_spectra():
     return out
 
 
-def reference_complement_terms(s, pair_grid):
-    """The pair seed term by term: for each ordered pair i != j, its grid
-    terms, then its diagonal term."""
-    lam = s.lambdas
-    d = s.dim
-    root4 = lam**0.25
-    sq = np.sqrt(lam)
-    unit = np.eye(d, dtype=complex)
-    terms = []
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            for pi, pj in pair_grid:
-                abar = np.zeros(d, dtype=complex)
-                abar[[i, j]] = pi * root4[j], -pj * root4[i]
-                bbar = np.zeros(d, dtype=complex)
-                bbar[[i, j]] = np.conj(pi) * root4[j], np.conj(pj) * root4[i]
-                terms.append(
-                    (0.5 / len(pair_grid), np.outer(abar, abar.conj()), np.outer(bbar, bbar.conj()))
-                )
-            q = float(lam.sum() - lam[i] - lam[j] + (sq[i] - sq[j]) ** 2)
-            terms.append((q, np.diag(unit[i]), np.diag(unit[j])))
-    return terms
-
-
 def test_complement_form_matches_term_loop():
     for s in equivalence_spectra():
-        for grid in (sidon_phase_grid(2), np.ones((1, 2))):
-            form = _complement_form(s, grid)
-            ref = reference_complement_terms(s, grid)
-            assert len(form.terms) == len(ref)
-            for (w, a, b), (w_ref, A_ref, B_ref) in zip(form.terms, ref):
-                assert abs(w - w_ref) <= 1e-15
-                assert np.max(np.abs(np.outer(a, a.conj()) - A_ref)) <= 1e-15
-                assert np.max(np.abs(np.outer(b, b.conj()) - B_ref)) <= 1e-15
+        form = _complement_form(s)
+        ref = complement_terms(s, sidon_phase_grid(2))
+        assert len(form.terms) == len(ref)
+        for (w, a, b), (w_ref, A_ref, B_ref) in zip(form.terms, ref):
+            assert abs(w - w_ref) <= 1e-15
+            assert np.max(np.abs(np.outer(a, a.conj()) - A_ref)) <= 1e-15
+            assert np.max(np.abs(np.outer(b, b.conj()) - B_ref)) <= 1e-15
 
 
 def test_min_term_eigenvalue_matches_per_factor_loop():
@@ -433,6 +407,16 @@ def test_optimal_test_entries_are_those_of_the_operator(s):
 @pytest.mark.parametrize("s", equivalence_spectra(), ids=lambda s: f"d{s.dim}")
 def test_appendix_identity_matches_its_dense_reference(s):
     assert abs(verify_appendix_identity(s) - dense_appendix_identity(s)) <= 1e-12
+
+
+def test_appendix_identity_reads_the_pair_it_is_given():
+    """Alone, verify_appendix_identity builds the pair and T's entries and
+    reads what a caller passing them reads, to the bit (test_cli fails a
+    pair whose complement certificate is off)."""
+    for s in equivalence_spectra():
+        pair = build_optimal_separable_povm(s)
+        target = optimal_test_entries(s)
+        assert verify_appendix_identity(s) == verify_appendix_identity(s, pair, target)
 
 
 def test_is_sidon():

@@ -572,6 +572,36 @@ def test_wilson_interval_sanity():
         wilson_interval(-1, 3)
 
 
+def test_wilson_interval_ends_solve_the_score_equation():
+    """Each end p of the Wilson interval that is not clipped solves the
+    score equation n (phat - p)**2 = z**2 p (1 - p), so dividing by
+    1 + z**2 / n, not multiplying, is what places it; and at 0 or n
+    successes, where rounding can leave the unclipped ends an ulp outside
+    [0, 1] (n = 16 and 21 at z = 1.96), the ends stay inside."""
+    for k, n, z in ((50, 100, 1.959963984540054), (3, 20, 3.0), (1990, 2000, 3.0), (1, 7, 1.0)):
+        phat = k / n
+        for p in wilson_interval(k, n, z):
+            assert abs(n * (phat - p) ** 2 - z**2 * p * (1.0 - p)) <= 1e-12 * z**2
+    for n in range(1, 101):
+        for k in (0, n):
+            lo, hi = wilson_interval(k, n)
+            assert 0.0 <= lo <= hi <= 1.0
+
+
+def test_a_column_is_live_above_one_denom_tol_per_outcome():
+    """Column i is live when D_i > (i + 1) DENOM_TOL: with D_i at (i + 1.5)
+    DENOM_TOL every column of the table below is live, and at (i + 0.5)
+    DENOM_TOL the first two are not."""
+    lam = np.array([0.5, 0.3, 0.2])
+    for offset, live in ((1.5, [True, True, True]), (0.5, [False, False, True])):
+        table = np.zeros((3, 3))
+        table[0, 0] = offset * DENOM_TOL / lam[0]  # D_0 = offset DENOM_TOL
+        table[1, 1] = (1 + offset) * DENOM_TOL / lam[1]  # D_1, as d_01 = 0
+        table[:2, 2] = 1.0 - table[:2, :2].sum(axis=1)
+        table[2, 2] = 1.0
+        assert _column_ratios(lam, table[None])[0][0].tolist() == live
+
+
 def equivalence_cases():
     """(spectrum, delta) pairs over random, tied, zero-padded (rank 2..4 ->
     d = 9) and 7 x 1/7 spectra, each with the uniform, a random and the
