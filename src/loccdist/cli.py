@@ -53,8 +53,8 @@ EXIT_INVARIANT = 3
 SEED_HELP = "accepted and ignored: the two-way solve is deterministic"
 
 # Most Schmidt coefficients (or family terms) an input may have.  On
-# 2 vCPUs a two-way solve takes about 0.07-0.10 s at 32 (d = 16: 7-8 ms)
-# and verify about 0.12-0.17 s (d = 16: 12-15 ms), the solve included;
+# 2 vCPUs a two-way solve takes about 0.05-0.06 s at 32 (d = 16: 4 ms)
+# and verify about 80 ms (d = 16: 6-7 ms), the solve included;
 # verify reads d x d blocks and factor vectors only, and its traced memory
 # peaks at about 12.8 MiB at 32 once the package's caches are warm (14.3
 # MiB on a process's first call), below one D x D complex matrix (16 MiB).
@@ -245,11 +245,12 @@ def check_verify(args):
 
 
 def cmd_verify(s, mc_samples, seed) -> int:
-    failures = 0
+    lines, failures = [], 0
     for name, dev, tol in _verify_checks(s, mc_samples, seed):
         ok = dev <= tol
         failures += 0 if ok else 1
-        print(f"{name:<28s} deviation={dev:.3e}  {'PASS' if ok else 'FAIL'}")
+        lines.append(f"{name:<28s} deviation={dev:.3e}  {'PASS' if ok else 'FAIL'}")
+    print("\n".join(lines))
     if failures:
         print(f"{failures} check(s) failed", file=sys.stderr)
         return EXIT_CHECK_FAILED

@@ -30,7 +30,11 @@ by one function (certificate_deviation): its invariant entries against the
 closed form of those of T or I - T (optimal_test_entries, T's one formula),
 and its term structure, each term the image of its seed under the grid's
 phase rows with an integer Sidon test on s, which makes every other entry
-average to zero.  The certified T then has no other entries, so its
+average to zero.  The complement's entries sit at integer flat positions
+built once per d (complement_layout): _complement_form writes its pair
+terms through them, and the check reads each factor array with one gather
+of the orbit entries and one real |.| pass over the rest, making no complex
+(pairs, g, d) temporary.  The certified T then has no other entries, so its
 spectrum is that of its d x d block plus its d (d - 1) off-diagonal
 scalars.  The average keeps the complement seed's invariant entries, so
 the appendix identity twirl(seed) = I - T is the complement's comparison.
@@ -41,6 +45,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -264,6 +269,40 @@ def _ordered_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(~np.eye(d, dtype=bool))
 
 
+class ComplementLayout(NamedTuple):
+    """Flat positions into the raveled (terms, d) factor arrays of a d x d
+    complement certificate, in _complement_form's term order, all
+    read-only.
+
+    Ordered pair p = (ii[p], jj[p]) holds g + 1 consecutive terms, g =
+    len(sidon_phase_grid(2)): its g grid terms, whose entries on levels
+    (i, j) sit at orbit[p], then its diagonal term, whose a entry on level
+    i sits at diag_a[p] and b entry on level j at diag_b[p].  Every other
+    entry of a valid certificate is 0.
+    """
+
+    ii: np.ndarray  # (pairs,)
+    jj: np.ndarray  # (pairs,)
+    orbit: np.ndarray  # (pairs, g, 2)
+    diag_a: np.ndarray  # (pairs,)
+    diag_b: np.ndarray  # (pairs,)
+
+
+@functools.cache
+def complement_layout(d: int) -> ComplementLayout:
+    """The ComplementLayout of d x d complement certificates, built once per d."""
+    ii, jj = _ordered_pairs(d)
+    g = len(sidon_phase_grid(2))
+    first = np.arange(ii.size) * ((g + 1) * d)  # each pair's first entry
+    rows = first[:, None] + np.arange(g) * d  # (pairs, g): its grid terms' first entries
+    orbit = rows[:, :, None] + np.stack([ii, jj], axis=1)[:, None, :]
+    last = first + g * d  # the diagonal term's first entry
+    layout = ComplementLayout(ii, jj, orbit, last + ii, last + jj)
+    for array in layout:
+        array.setflags(write=False)
+    return layout
+
+
 def _complement_form(s: SchmidtSpectrum) -> SeparableForm:
     """The certificate of I - T: the complement seed, each pair seed
     averaged over the rows (phase_i, phase_j) of sidon_phase_grid(2).
@@ -273,26 +312,25 @@ def _complement_form(s: SchmidtSpectrum) -> SeparableForm:
         abar_ij = l_j**(1/4) |e_i> - l_i**(1/4) |e_j>,
         bbar_ij = l_j**(1/4) |f_i> + l_i**(1/4) |f_j>,
     plus the already invariant diagonal term q_ij |e_i f_j><e_i f_j|.  The
-    terms of pair (i, j) are its grid terms, then its diagonal term.  The
-    average keeps the seed's invariant entries (verify_appendix_identity).
+    terms of pair (i, j) are its grid terms, then its diagonal term, each
+    entry written at its complement_layout(d) position.  The average keeps
+    the seed's invariant entries (verify_appendix_identity).
     """
     lam = s.lambdas
     d = s.dim
     root4 = lam**0.25
     sq = np.sqrt(lam)
-    ii, jj = _ordered_pairs(d)
-    pairs = np.arange(ii.size)
+    layout = complement_layout(d)
+    ii, jj = layout.ii, layout.jj
     pi, pj = sidon_phase_grid(2).T
     g = len(pi)
-    # Factor vectors (pairs, grid rows + 1, d); the last row is the diagonal term.
-    a = np.zeros((ii.size, g + 1, d), dtype=complex)
+    ri, rj = root4[ii][:, None], root4[jj][:, None]
+    a = np.zeros(ii.size * (g + 1) * d, dtype=complex)
     b = np.zeros_like(a)
-    a[pairs, :g, ii] = pi * root4[jj][:, None]
-    a[pairs, :g, jj] = -pj * root4[ii][:, None]
-    b[pairs, :g, ii] = np.conj(pi) * root4[jj][:, None]
-    b[pairs, :g, jj] = np.conj(pj) * root4[ii][:, None]
-    a[pairs, g, ii] = 1.0
-    b[pairs, g, jj] = 1.0
+    a[layout.orbit] = np.stack([pi * rj, -pj * ri], axis=2)
+    b[layout.orbit] = np.stack([np.conj(pi) * rj, np.conj(pj) * ri], axis=2)
+    a[layout.diag_a] = 1.0
+    b[layout.diag_b] = 1.0
     q = lam.sum() - lam[ii] - lam[jj] + (sq[ii] - sq[jj]) ** 2
     w = np.concatenate([np.full((ii.size, g), 0.5 / g), q[:, None]], axis=1)
     return SeparableForm((d, d), w, a, b)
@@ -366,42 +404,55 @@ def _structure_deviation(pair: SeparablePovmPair) -> float:
     T_form's N terms are its first term under the phase rows of
     sidon_phase_grid(d), N = 2 max(s) + 1.  The complement's terms come in
     blocks per ordered pair (i, j), as _complement_form lays them out: the
-    pair seed under sidon_phase_grid(2) on levels (i, j), then the
-    diagonal term.  Every factor of the pair vanishes off levels i and j,
-    and the diagonal term's a off level i and b off level j, so its one
-    entry is the invariant <ij|.|ij>.
+    pair seed under sidon_phase_grid(2) on levels (i, j), at equal weights,
+    then the diagonal term.  Its factors are read at complement_layout(d)'s
+    flat positions: the orbit entries, gathered in one take, against the
+    pair grid's rows, and every other entry, which must be 0, in one |.|
+    pass that zeroes the orbit entries and the diagonal term's a on level i
+    and b on level j, so that term's one entry is the invariant <ij|.|ij>.
     """
     d = pair.T_form.dims[0]
     grid, pair_grid = sidon_phase_grid(d), sidon_phase_grid(2)
-    g = len(pair_grid)
-    ii, jj = _ordered_pairs(d)
+    layout = complement_layout(d)
     form, comp = pair.T_form, pair.complement_form
     if not (is_sidon(sidon_set(d)) and is_sidon(sidon_set(2))):
         return np.inf
-    if form.weights.size != len(grid) or comp.weights.size != ii.size * (g + 1):
+    g = len(pair_grid)
+    if form.weights.size != len(grid) or comp.weights.size != layout.ii.size * (g + 1):
         return np.inf
-    a = comp.a.reshape(ii.size, g + 1, d)
-    b = comp.b.reshape(ii.size, g + 1, d)
-    w = comp.weights.reshape(ii.size, g + 1)
-    on_i, on_j = np.eye(d, dtype=bool)[ii], np.eye(d, dtype=bool)[jj]
-    on_pair = (on_i | on_j)[:, None]
-    outside = [(a[:, :g], on_pair), (b[:, :g], on_pair), (a[:, g], on_i), (b[:, g], on_j)]
-    off = max(float(np.abs(x * ~mask).max(initial=0.0)) for x, mask in outside)
-    levels = np.stack([ii, jj], axis=1)[:, None, :]  # (pairs, 1, 2)
-    on_levels = [np.take_along_axis(x[:, :g], levels, axis=2) for x in (a, b)]
+    w = comp.weights.reshape(layout.ii.size, g + 1)[:, :g]
     return max(
         _orbit_deviation(form.a, form.b, form.weights, grid),
-        _orbit_deviation(*on_levels, w[:, :g], pair_grid),
-        off,
+        float(np.abs(w - w[:, :1]).max(initial=0.0)),
+        _pair_factor_deviation(comp.a, layout.orbit, layout.diag_a, pair_grid),
+        _pair_factor_deviation(comp.b, layout.orbit, layout.diag_b, pair_grid.conj()),
     )
+
+
+def _pair_factor_deviation(x, orbit, own, grid) -> float:
+    """How far the factor array x (terms, d) of a complement certificate is
+    from its pair orbits: the entries at orbit (pairs, g, 2) from the images
+    of each pair's first grid term under the rows of grid (g, 2), and
+    every entry off orbit and off the diagonal terms' own levels own from 0."""
+    flat = x.reshape(-1)
+    on = flat.take(orbit)
+    off = np.abs(flat)
+    off[orbit] = 0.0
+    off[own] = 0.0
+    return max(float(np.abs(on - grid * on[:, :1]).max(initial=0.0)), float(off.max(initial=0.0)))
 
 
 def distinguishable_set_bound(values, D: int) -> float:
     """Upper bound D / mean(t values) on the size of a perfectly
-    distinguishable set of states with the given per-state t values."""
+    distinguishable set of states with the given per-state t values, each
+    finite and at least 1, in a finite dimension D > 0."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("need at least one t value")
+    if not np.isfinite(values).all():
+        raise ValueError("t values must be finite")
     if np.min(values) < 1.0 - 1e-9:
         raise ValueError("t values must be >= 1")
+    if not 0 < D < np.inf:
+        raise ValueError(f"D must be positive and finite, got {D!r}")
     return float(D / values.mean())

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .operators import eig_hermitian, psd_sqrt, support_mask
-from .separable import SeparableForm, form_schmidt_expectations, form_traces
+from .separable import SeparableForm, _squared_moduli, form_schmidt_expectations, form_traces
 from .states import SchmidtSpectrum
 
 DENOM_TOL = 1e-14  # branch weights below this never occur
@@ -337,9 +337,10 @@ def protocol_stack(lam: np.ndarray, tables: np.ndarray):
     blocks[~(inside[..., None] & inside[..., None, :])] = 0.0
     bob = np.zeros_like(blocks)
     bob[np.arange(len(tables))[:, None, None], n[:, None], order.transpose(0, 2, 1)] = blocks
-    v = np.sqrt(weights.transpose(0, 2, 1))[..., None] * bob.conj()
-    norm = np.linalg.norm(v, axis=-2, keepdims=True)
-    alice = np.divide(v, norm, out=np.zeros_like(v), where=norm > 0)
+    alice = np.sqrt(weights.transpose(0, 2, 1))[..., None] * bob.conj()
+    # Each nonzero v_ij times 1 / |v_ij|, the zero ones times 0.
+    norm = np.sqrt(_squared_moduli(alice).sum(axis=-2, keepdims=True))
+    alice *= np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0)
     for array in (outcomes, bob, alice):
         array.setflags(write=False)
     return outcomes, bob, alice

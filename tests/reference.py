@@ -8,6 +8,8 @@ povm_element_check) serve the tests only; no command needs them.
 The tests compare `cli._verify_checks` against `dense_verify_checks`, where
 each deviation must agree to rounding, and against
 `per_table_verify_checks`, where each must agree to the bit.
+`structure_deviation` is the certificate structure check through boolean
+level masks, which `separable._structure_deviation` must match to the bit.
 
 `interior_optimum` is the two-way solve's exact oracle: the minimiser in
 closed form wherever all its entries are positive.
@@ -23,9 +25,13 @@ from loccdist.operators import as_operator, eig_hermitian, support_mask, tensor
 from loccdist.optimize import beta_two_way_upper
 from loccdist.separable import (
     _invariant_operator,
+    _ordered_pairs,
     beta_sep_pure,
     build_optimal_separable_povm,
+    is_sidon,
     optimal_test_operator,
+    sidon_phase_grid,
+    sidon_set,
 )
 from loccdist.states import MaximallyCorrelatedState, SchmidtSpectrum, state_from_spectrum
 from loccdist.two_way import (
@@ -162,6 +168,47 @@ def dense_appendix_identity(s: SchmidtSpectrum) -> float:
     """Max deviation of twirl(complement seed) from I - T, on D x D matrices."""
     T = optimal_test_operator(s)
     return float(np.max(np.abs(twirl(complement_seed(s)) - (np.eye(s.dim**2) - T))))
+
+
+def orbit_deviation(a, b, w, grid) -> float:
+    """How far each stack (..., N, n) of terms is from the images of its
+    first term under the phase rows of grid (N, n), at equal weights: a
+    under the phases, b under their conjugates.  Row 0 of grid is all ones."""
+    return max(
+        float(np.abs(a - grid * a[..., :1, :]).max(initial=0.0)),
+        float(np.abs(b - grid.conj() * b[..., :1, :]).max(initial=0.0)),
+        float(np.abs(w - w[..., :1]).max(initial=0.0)),
+    )
+
+
+def structure_deviation(pair) -> float:
+    """separable._structure_deviation through boolean level masks: the
+    complement's factors reshaped to (pairs, g + 1, d), four masked scans
+    of the entries off each term's levels, and its orbit entries gathered
+    per pair with take_along_axis."""
+    d = pair.T_form.dims[0]
+    grid, pair_grid = sidon_phase_grid(d), sidon_phase_grid(2)
+    g = len(pair_grid)
+    ii, jj = _ordered_pairs(d)
+    form, comp = pair.T_form, pair.complement_form
+    if not (is_sidon(sidon_set(d)) and is_sidon(sidon_set(2))):
+        return np.inf
+    if form.weights.size != len(grid) or comp.weights.size != ii.size * (g + 1):
+        return np.inf
+    a = comp.a.reshape(ii.size, g + 1, d)
+    b = comp.b.reshape(ii.size, g + 1, d)
+    w = comp.weights.reshape(ii.size, g + 1)
+    on_i, on_j = np.eye(d, dtype=bool)[ii], np.eye(d, dtype=bool)[jj]
+    on_pair = (on_i | on_j)[:, None]
+    outside = [(a[:, :g], on_pair), (b[:, :g], on_pair), (a[:, g], on_i), (b[:, g], on_j)]
+    off = max(float(np.abs(x * ~mask).max(initial=0.0)) for x, mask in outside)
+    levels = np.stack([ii, jj], axis=1)[:, None, :]  # (pairs, 1, 2)
+    on_levels = [np.take_along_axis(x[:, :g], levels, axis=2) for x in (a, b)]
+    return max(
+        orbit_deviation(form.a, form.b, form.weights, grid),
+        orbit_deviation(*on_levels, w[:, :g], pair_grid),
+        off,
+    )
 
 
 def dense_validity_defect(protocol) -> float:

@@ -798,6 +798,73 @@ def test_verify_fails_on_a_scaled_complement_diagonal_weight(capsys, monkeypatch
     _fails(capsys, "appendix-identity")
 
 
+def _off_level_grid_entry(a, b, w):
+    a[0, 2] = 1e-5  # pair (0, 1)'s first grid term, on level 2
+
+
+def _grid_term_off_its_row(a, b, w):
+    # A phase on a and its conjugate on b keep every invariant entry.
+    a[1, 0] *= np.exp(0.3j)  # pair (0, 1)'s second grid term, level 0
+    b[1, 0] *= np.exp(-0.3j)
+
+
+def _unequal_orbit_weights(a, b, w):
+    # Every grid term of a pair has the same invariant entries, so moving
+    # weight between two of them keeps those of the sum.
+    w[1] += 0.01
+    w[2] -= 0.01
+
+
+def _diagonal_a_off_its_level(a, b, w):
+    a[3, 1] = 1e-5  # pair (0, 1)'s diagonal term: a is e_0, here also on level 1
+
+
+def _diagonal_b_off_its_level(a, b, w):
+    b[3, 0] = 1e-5  # its b is f_1, here also on level 0
+
+
+def _one_term_too_many(a, b, w):
+    # A zero term: the operator is as it was, the term count is not.
+    return np.append(a, 0 * a[:1], axis=0), np.append(b, 0 * b[:1], axis=0), np.append(w, 0.0)
+
+
+# Changes to a complement certificate at d >= 3 (pair (0, 1) holds terms
+# 0..3: three grid terms, then its diagonal term).  Each keeps the invariant
+# entries within 1e-9 of I - T and moves only the term structure.
+COMPLEMENT_TAMPERS = {
+    "off-level-grid-entry": _off_level_grid_entry,
+    "grid-term-off-its-row": _grid_term_off_its_row,
+    "unequal-orbit-weights": _unequal_orbit_weights,
+    "diagonal-a-off-its-level": _diagonal_a_off_its_level,
+    "diagonal-b-off-its-level": _diagonal_b_off_its_level,
+    "one-term-too-many": _one_term_too_many,
+}
+
+
+def tampered_pair(pair, tamper):
+    """pair with COMPLEMENT_TAMPERS[tamper] applied to copies of its
+    complement certificate's (a, b, weights)."""
+    form = pair.complement_form
+    a, b, w = form.a.copy(), form.b.copy(), form.weights.copy()
+    a, b, w = COMPLEMENT_TAMPERS[tamper](a, b, w) or (a, b, w)
+    return dataclasses.replace(pair, complement_form=SeparableForm(form.dims, w, a, b))
+
+
+@pytest.mark.parametrize("tamper", COMPLEMENT_TAMPERS)
+def test_verify_fails_on_a_complement_off_its_pair_structure(capsys, monkeypatch, tamper):
+    """Only the term structure shows each tamper: separable-form-assembly
+    is the one check that fails, and a wrong term count reads inf."""
+    _patched_pair(monkeypatch, lambda pair: tampered_pair(pair, tamper))
+    code, out, _ = run(capsys, "verify", "--schmidt", "0.5,0.3,0.2", "--mc-samples", "2000")
+    lines = out.strip().splitlines()
+    assert [line.split()[0] for line in lines if line.endswith("FAIL")] == [
+        "separable-form-assembly"
+    ], out
+    assert code == 1
+    if tamper == "one-term-too-many":
+        assert "separable-form-assembly      deviation=inf  FAIL" in lines
+
+
 def test_verify_fails_on_a_negative_complement_weight(capsys, monkeypatch):
     def change(pair):
         form = pair.complement_form

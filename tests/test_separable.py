@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from loccdist import cli
 from loccdist.operators import eig_hermitian
 from loccdist.separable import (
     SeparableForm,
@@ -8,6 +9,7 @@ from loccdist.separable import (
     _structure_deviation,
     beta_sep_pure,
     build_optimal_separable_povm,
+    complement_layout,
     distinguishable_set_bound,
     form_schmidt_expectations,
     form_traces,
@@ -36,9 +38,11 @@ from reference import (
     dense_appendix_identity,
     povm_element_check,
     split_invariant,
+    structure_deviation,
     twirl,
 )
-from test_cli import fuzz_spectra
+from test_cli import COMPLEMENT_TAMPERS, fuzz_spectra, tampered_pair
+from test_reach import clear_caches
 
 
 def random_spectrum(d, rng):
@@ -254,6 +258,15 @@ def test_distinguishable_set_bound():
     with pytest.raises(ValueError):
         distinguishable_set_bound([0.5], 4)
 
+    # NaN compares False with everything, so a bare `min < 1` check let
+    # [nan] through as nan and [inf] as 0.0.
+    for values in ([float("nan")], [1.0, float("nan")], [float("inf")], [1.0, -float("inf")]):
+        with pytest.raises(ValueError, match="^t values must be finite$"):
+            distinguishable_set_bound(values, 4)
+    for D in (0, -4, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^D must be positive and finite, got"):
+            distinguishable_set_bound([1.0], D)
+
 
 def equivalence_spectra():
     """Random, tied, zero-padded (rank 2..4 -> d = 9) and 7 x 1/7 spectra."""
@@ -430,3 +443,61 @@ def test_is_sidon():
 @pytest.mark.parametrize("s", equivalence_spectra(), ids=lambda s: f"d{s.dim}")
 def test_certificates_have_the_sidon_orbit_structure(s):
     assert _structure_deviation(build_optimal_separable_povm(s)) == 0.0
+
+
+def structure_spectra():
+    """fuzz_spectra(), then one seeded Dirichlet spectrum at each d = 1..9
+    and 32, with one more zero-padded to rank 3 at d >= 4."""
+    rng = np.random.default_rng(32)
+    out = [parse_spectrum(schmidt) for schmidt in fuzz_spectra()]
+    for d in [*range(1, 10), 32]:
+        out.append(random_spectrum(d, rng))
+        if d >= 4:
+            out.append(spectrum(np.concatenate([random_spectrum(3, rng).lambdas, np.zeros(d - 3)])))
+    return out
+
+
+def noisy_pair(pair, rng):
+    """pair with seeded noise of size 1e-3 on every factor entry and weight
+    of both forms, so that every part of the structure check reads nonzero."""
+    def noisy(form):
+        def jitter(x):
+            return x + 1e-3 * rng.standard_normal(x.shape) * (1 if x.dtype == float else 1 + 1j)
+
+        return SeparableForm(form.dims, jitter(form.weights), jitter(form.a), jitter(form.b))
+
+    return type(pair)(noisy(pair.T_form), noisy(pair.complement_form))
+
+
+@pytest.mark.parametrize("s", structure_spectra(), ids=lambda s: f"d{s.dim}")
+def test_structure_deviation_is_its_mask_reference_bit_for_bit(s):
+    """The flat-position check returns the masked reference's float, on the
+    certificates, on noisy copies of them and, at d >= 3, on every tamper
+    of test_cli."""
+    pair = build_optimal_separable_povm(s)
+    pairs = [pair, noisy_pair(pair, np.random.default_rng(s.dim))]
+    if s.dim >= 3:
+        pairs += [tampered_pair(pair, tamper) for tamper in COMPLEMENT_TAMPERS]
+    for changed in pairs:
+        assert _structure_deviation(changed).hex() == structure_deviation(changed).hex()
+    assert _structure_deviation(pair) == 0.0
+    assert s.dim == 1 or _structure_deviation(pairs[1]) > 1e-9  # one term has no orbit
+
+
+def test_complement_layout_is_built_once_per_d_and_read_only():
+    clear_caches()
+    assert complement_layout.cache_info().currsize == 0
+    g = len(sidon_phase_grid(2))
+    for d in (1, 2, 3, 9):
+        layout = complement_layout(d)
+        assert complement_layout(d) is layout
+        assert layout.orbit.shape == (d * (d - 1), g, 2)
+        assert all(not array.flags.writeable for array in layout)
+    assert complement_layout.cache_info().misses == 4
+    # A verify call builds its layout once, for the certificate and its check.
+    clear_caches()
+    list(cli._separable_checks(spectrum([0.5, 0.3, 0.2])))
+    info = complement_layout.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and info.hits >= 1
+    clear_caches()
+    assert complement_layout.cache_info().currsize == 0
