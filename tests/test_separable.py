@@ -461,10 +461,8 @@ def noisy_pair(pair, rng):
     """pair with seeded noise of size 1e-3 on every factor entry and weight
     of both forms, so that every part of the structure check reads nonzero."""
     def noisy(form):
-        def jitter(x):
-            return x + 1e-3 * rng.standard_normal(x.shape) * (1 if x.dtype == float else 1 + 1j)
-
-        return SeparableForm(form.dims, jitter(form.weights), jitter(form.a), jitter(form.b))
+        w, a, b = (x + 1e-3 * rng.standard_normal(x.shape) for x in (form.weights, form.a, form.b))
+        return SeparableForm(form.dims, w, a, b)
 
     return type(pair)(noisy(pair.T_form), noisy(pair.complement_form))
 
