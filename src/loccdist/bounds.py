@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,8 +45,10 @@ class BoundsReport:
         )
 
     def to_dict(self) -> dict:
-        """The fields in order, as JSON keys; spectrum as one string."""
-        return {**asdict(self), "spectrum": ",".join(format(x, ".12g") for x in self.spectrum)}
+        """The fields in order, as JSON keys; spectrum as one string.  Every
+        field is a number or a string, so the dict is read off the instance
+        without dataclasses.asdict's deep copies."""
+        return {**vars(self), "spectrum": ",".join(format(x, ".12g") for x in self.spectrum)}
 
 
 def _delta_strings(tables: np.ndarray) -> list[str]:

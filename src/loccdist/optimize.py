@@ -63,10 +63,11 @@ A Newton pass works on the table's m = d (d + 1) / 2 free entries x
 pairs, the entries that couple two free entries of one column, and the
 pass writes them into the flat KKT systems with one scatter; the barrier
 diagonal is added through a strided view.  The spectrum's part of those
-entries (two_way.pair_factors) is gathered once per stack and again only
-when rows leave it.  The same loop body damps the step: each Armijo
-trial runs on the whole stack, with a step length per row, and the
-accepted trial's value, gradient and pair Hessian start the next pass.
+entries (two_way.pair_factors) is gathered once per stack; a row that
+leaves drops out of them with the rest of the stack state.  The same
+loop body damps the step: each Armijo trial runs on the whole stack,
+with a step length per row, and the accepted trial's value, gradient and
+pair Hessian start the next pass.
 
 Some rows are certified before any pass.  Every three-step protocol is an
 LOCC test, and LOCC tests are separable, so no table's Tr T lies below the
@@ -230,7 +231,7 @@ def _barrier_newton(lam: np.ndarray, tol: float):
 
     X = np.repeat(uniform_table(d)[None], n, axis=0)
     x = X.reshape(n, -1).take(layout.entries, axis=1)  # the free entries of X
-    factors = pair_factors(lam)  # spectrum-only, gathered again only when rows leave
+    factors = pair_factors(lam)  # spectrum-only: gathered once, filtered as rows leave
     f, g, H = trace_T_batch(lam, X, factors)
     w = np.ones(n)  # the barrier weight, carried as 1 / t
     final = np.empty_like(X)
@@ -247,8 +248,8 @@ def _barrier_newton(lam: np.ndarray, tol: float):
             passes[live[done]] = it
             gaps[live[done]] = gap[done]
             stay = ~done
-            live, lam, w, gap, X, x, f, g, H = (a[stay] for a in (live, lam, w, gap, X, x, f, g, H))
-            factors = tuple(a[stay] for a in factors)
+            state = (live, lam, w, gap, X, x, f, g, H, *factors)
+            live, lam, w, gap, X, x, f, g, H, *factors = (a[stay] for a in state)
         if not live.size or it == MAX_ITERS:  # a row left undone keeps this gap's table
             break
         # At the centre for weight t, f - min f <= m / t: a weight below

@@ -17,12 +17,15 @@ pure state perfectly, and its type-2 error is
 
     Tr T = sum_i  r_i * (sum_{k<=i} l_k d_ki**2) / (sum_{k<=i} l_k d_ki)
 
-(trace_T_closed_form).  The paper's closed form puts r_i = i, which holds
-when every live column has full support; as a function of the table it is
-the convex envelope the optimiser minimises (trace_T_batch).  The
-protocol's outcome law is one closed-form table over (Alice's outcome,
-Bob's outcome, Alice's check), and the seeded Monte Carlo simulator draws
-all its samples from that table in one multinomial.
+(trace_T_closed_form), r_i = |S_i| being Bob's outcome count: the levels
+of column i above the support cutoff, none on a dead column (_supports,
+the one rule, which protocol_stack reads too).  The paper's closed form
+puts r_i = i, which holds when every live column has full support; as a
+function of the table it is the convex envelope the optimiser minimises
+(trace_T_batch).  The protocol's outcome law is one closed-form table
+over (Alice's outcome, Bob's outcome, Alice's check), and the seeded
+Monte Carlo simulator draws all its samples from that table in one
+multinomial.
 """
 
 from __future__ import annotations
@@ -46,18 +49,9 @@ class ZeroProbabilityError(ValueError):
     """Raised when conditioning on an outcome of probability zero."""
 
 
-@functools.cache
-def _upper(d: int) -> np.ndarray:
-    """Read-only (d, d) mask of the entries k <= i a table may hold
-    (TableLayout.upper)."""
-    mask = np.triu(np.ones((d, d), dtype=bool))
-    mask.setflags(write=False)
-    return mask
-
-
 def uniform_table(d: int) -> np.ndarray:
     """The table spreading level k evenly over outcomes i >= k: d_ki = 1 / (d - k)."""
-    return _upper(d) / np.arange(d, 0, -1)[:, None]
+    return table_layout(d).upper / np.arange(d, 0, -1)[:, None]
 
 
 def random_tables(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -97,7 +91,7 @@ def check_tables(tables: np.ndarray) -> np.ndarray:
         raise ValueError("delta entries must be finite")
     if lo < -1e-12:
         raise ValueError(f"negative delta entry {lo:.3e}")
-    if t[:, ~_upper(t.shape[-1])].any():
+    if t[:, ~table_layout(t.shape[-1]).upper].any():
         raise ValueError("entries with k > i must be structurally zero")
     deviation = np.abs(t.sum(axis=-1) - 1.0).max()
     if deviation > 1e-12:
@@ -233,7 +227,7 @@ class TableLayout(NamedTuple):
 @functools.cache
 def table_layout(d: int) -> TableLayout:
     """The TableLayout of d x d tables, built once per d."""
-    upper = _upper(d)
+    upper = np.triu(np.ones((d, d), dtype=bool))
     rows, cols = np.nonzero(upper)
     entries = rows * d + cols
     p, q = np.nonzero(cols[:, None] == cols)
@@ -270,26 +264,23 @@ def _column_ratios(lam: np.ndarray, tables: np.ndarray):
     return live, safe, np.where(live, (row @ (tables * tables))[:, 0], 0.0) / safe
 
 
-def _supports(lam: np.ndarray, tables: np.ndarray) -> np.ndarray:
-    """Masks of the column supports of a (d, d) table or an (n, d, d) stack
-    (with lam (d,) or (n, d)): level k lies in S_i when l_k d_ki > d eps
-    max_k l_k d_ki, the support_mask cutoff that build_mub_basis applies to
-    Bob's conditional state.  Branch i gives Bob |S_i| outcomes."""
-    return support_mask(lam[..., :, None] * tables, axis=-2)
-
-
-def _fourier(r, size: int) -> np.ndarray:
-    """exp(2 pi i j k / r) / sqrt(r) for j, k < size, the r x r Fourier unitary
-    at size = r; an array of r broadcast against (size, size) gives one per r."""
-    n = np.arange(size)
-    return np.exp(2j * np.pi * np.outer(n, n) / r) / np.sqrt(r)
+def _supports(lam: np.ndarray, tables: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Masks of the supports S_i of an (n, d, d) stack of tables (lam (d,)
+    or (n, d)) given their live columns (n, d), the one rule for Bob's
+    outcome counts r_i = |S_i|: level k lies in S_i when column i is live
+    and l_k d_ki > d eps max_k l_k d_ki, the support_mask cutoff that
+    build_mub_basis applies to Bob's conditional state."""
+    return support_mask(lam[..., :, None] * tables, axis=-2) & live[:, None, :]
 
 
 @functools.cache
 def _fourier_stack(d: int) -> np.ndarray:
-    """Read-only (d, d, d) stack of _fourier(r, d) at r = 1..d, built once
-    per d: entry r - 1 holds Bob's blocks for r outcomes."""
-    stack = _fourier(np.arange(1, d + 1)[:, None, None], d)
+    """Read-only (d, d, d) stack of Fourier blocks, built once per d: entry
+    r - 1 holds exp(2 pi i j k / r) / sqrt(r) for j, k < d, the r x r
+    Fourier unitary in its top-left corner, Bob's blocks for r outcomes."""
+    n = np.arange(d)
+    r = np.arange(1, d + 1)[:, None, None]
+    stack = np.exp(2j * np.pi * np.outer(n, n) / r) / np.sqrt(r)
     stack.setflags(write=False)
     return stack
 
@@ -308,7 +299,7 @@ def build_mub_basis(omega, r: int | None = None) -> np.ndarray:
         raise ValueError(f"requested rank {r} but omega has numerical rank {rank}")
     if rank == 0:
         raise ValueError("omega has empty support")
-    return v[:, :rank] @ _fourier(rank, rank)
+    return v[:, :rank] @ _fourier_stack(rank)[rank - 1]
 
 
 def protocol_stack(lam: np.ndarray, tables: np.ndarray):
@@ -327,7 +318,7 @@ def protocol_stack(lam: np.ndarray, tables: np.ndarray):
     d = lam.size
     weights = lam[:, None] * tables
     live, _, _ = _column_ratios(lam, tables)
-    support = _supports(lam, tables) & live[:, None, :]
+    support = _supports(lam, tables, live)
     outcomes = support.sum(axis=1)  # (n, d)
     # order[t, p, i]: the level at position p of S_i; levels outside S_i go last.
     order = np.argsort(np.where(support, -weights, np.inf), axis=1, kind="stable")
@@ -344,18 +335,6 @@ def protocol_stack(lam: np.ndarray, tables: np.ndarray):
     for array in (outcomes, bob, alice):
         array.setflags(write=False)
     return outcomes, bob, alice
-
-
-def build_two_way_protocols(s: SchmidtSpectrum, deltas) -> list[TwoWayProtocol]:
-    """The three-step protocols of a nonempty sequence of tables, without
-    their operators, built as one protocol_stack; each holds read-only
-    views of the stacked arrays."""
-    lam = s.effective
-    for delta in deltas:
-        if delta.d != lam.size:
-            raise ValueError(f"delta has d = {delta.d}, spectrum has effective rank {lam.size}")
-    arrays = protocol_stack(lam, np.stack([delta.table for delta in deltas]))
-    return [TwoWayProtocol(s, *parts) for parts in zip(deltas, *arrays)]
 
 
 def _accept_vectors(tables: np.ndarray, alice: np.ndarray) -> np.ndarray:
@@ -378,9 +357,12 @@ def accept_reads(lam: np.ndarray, tables: np.ndarray, bob: np.ndarray, alice: np
 
 
 def build_two_way_protocol(s: SchmidtSpectrum, delta: DeltaMatrix) -> TwoWayProtocol:
-    """The three-step protocol of the table delta, without its operator: the
-    stack of one of build_two_way_protocols."""
-    return build_two_way_protocols(s, [delta])[0]
+    """The three-step protocol of the table delta, without its operator:
+    row 0 of a protocol_stack of one, as read-only views."""
+    lam = s.effective
+    if delta.d != lam.size:
+        raise ValueError(f"delta has d = {delta.d}, spectrum has effective rank {lam.size}")
+    return TwoWayProtocol(s, delta, *(a[0] for a in protocol_stack(lam, delta.table[None])))
 
 
 def build_two_way_T(s: SchmidtSpectrum, delta: DeltaMatrix):
@@ -432,8 +414,9 @@ def trace_T_batch(lam: np.ndarray, tables: np.ndarray, factors: tuple | None = N
 
 def trace_T_closed_form(s: SchmidtSpectrum | np.ndarray, delta: DeltaMatrix | np.ndarray):
     """Tr T of the protocol build_two_way_T assembles: sum_i r_i N_i / D_i
-    over the live columns, with r_i = |S_i| Bob outcomes.  On full support
-    r_i = i + 1 and the value is trace_T_batch's to the bit.
+    over the live columns, with r_i = |S_i| Bob outcomes, counted as
+    protocol_stack counts them (_supports).  On full support r_i = i + 1
+    and the value is trace_T_batch's to the bit.
 
     Takes a SchmidtSpectrum and a DeltaMatrix and returns a float, or a
     stack: effective spectra (d,) or (n, d) and an (n, d, d) array of
@@ -446,8 +429,8 @@ def trace_T_closed_form(s: SchmidtSpectrum | np.ndarray, delta: DeltaMatrix | np
         lam, tables = s.effective, delta.table[None]
         if delta.d != lam.size:
             raise ValueError(f"delta has d = {delta.d}, spectrum has effective rank {lam.size}")
-    _, _, ratio = _column_ratios(lam, tables)
-    value = (ratio * _supports(lam, tables).sum(axis=1)).sum(axis=1)
+    live, _, ratio = _column_ratios(lam, tables)
+    value = (ratio * _supports(lam, tables, live).sum(axis=1)).sum(axis=1)
     return value if stacked else float(value[0])
 
 

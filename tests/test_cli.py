@@ -19,6 +19,7 @@ import loccdist.one_way
 import loccdist.operators
 import loccdist.separable
 import loccdist.two_way
+from loccdist.bounds import pure_state_report
 from loccdist.cli import MAX_LEVELS, main
 from loccdist.optimize import OptimizationResult, stack_size
 from loccdist.separable import SeparableForm
@@ -613,6 +614,19 @@ def seeded_spectra(dims=(8, 9), ranks=(None, 2, 3, 4), seed=2016):
             lam[: rank or d] = np.sort(rng.dirichlet(np.ones(rank or d)))[::-1]
             out.append(",".join(repr(float(x)) for x in lam))
     return out
+
+
+def test_report_dict_is_the_asdict_dict():
+    """BoundsReport.to_dict is the dict dataclasses.asdict builds, with the
+    spectrum as one string: the same keys in the same order, the same
+    values and the same JSON."""
+    for schmidt in fuzz_spectra() + seeded_spectra() + ["1", "0.5,0.5,0"]:
+        report = pure_state_report(parse_spectrum(schmidt))
+        spectrum = ",".join(format(x, ".12g") for x in report.spectrum)
+        expected = {**dataclasses.asdict(report), "spectrum": spectrum}
+        payload = report.to_dict()
+        assert list(payload.items()) == list(expected.items())
+        assert json.dumps(payload) == json.dumps(expected)
 
 
 @pytest.mark.parametrize("schmidt", fuzz_spectra() + seeded_spectra())

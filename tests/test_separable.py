@@ -26,8 +26,8 @@ from loccdist.optimize import beta_two_way_upper
 from loccdist.states import parse_spectrum, spectrum, state_from_spectrum
 from loccdist.two_way import (
     DeltaMatrix,
+    TwoWayProtocol,
     accept_reads,
-    build_two_way_protocols,
     protocol_stack,
     random_tables,
     uniform_table,
@@ -389,7 +389,8 @@ def test_verify_protocols_read_as_one_stack_are_each_form_alone_bit_for_bit():
         stack = np.stack([delta.table for delta in deltas])
         outcomes, bob, alice = protocol_stack(lam, stack)
         traces, detections = accept_reads(lam, stack, bob, alice)
-        forms = [p.accept_form() for p in build_two_way_protocols(s, deltas)]
+        rows = zip(deltas, outcomes, bob, alice)
+        forms = [TwoWayProtocol(s, *parts).accept_form() for parts in rows]
         assert traces.tolist() == [form.trace() for form in forms]
         assert detections.tolist() == [form.schmidt_expectation(lam) for form in forms]
         term_counts.add(len({form.weights.size for form in forms}))

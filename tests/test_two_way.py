@@ -21,20 +21,20 @@ from loccdist.two_way import (
     ZeroProbabilityError,
     _branch_probabilities,
     _column_ratios,
-    _supports,
     build_mub_basis,
     build_two_way_protocol,
-    build_two_way_protocols,
     build_two_way_T,
     check_tables,
     one_way_table,
     pair_factors,
+    protocol_stack,
     random_tables,
     sigma_A,
     simulate_protocol,
     table_layout,
     trace_T_batch,
     trace_T_closed_form,
+    uniform_table,
     wilson_interval,
 )
 
@@ -423,27 +423,31 @@ def stacked_protocol_cases():
 
 def test_stacked_protocols_are_each_table_alone_bit_for_bit():
     for s, deltas in stacked_protocol_cases():
-        protocols = build_two_way_protocols(s, deltas)
-        assert len(protocols) == len(deltas)
-        for delta, protocol in zip(deltas, protocols):
+        stacked = protocol_stack(s.effective, np.stack([delta.table for delta in deltas]))
+        assert all(len(array) == len(deltas) for array in stacked)
+        for j, delta in enumerate(deltas):
             alone = build_two_way_protocol(s, delta)
-            assert protocol.spectrum is s and protocol.delta is delta
-            for name in ("outcomes", "bob", "alice"):
-                got, want = getattr(protocol, name), getattr(alone, name)
+            for name, array in zip(("outcomes", "bob", "alice"), stacked):
+                got, want = array[j], getattr(alone, name)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), name
                 assert not got.flags.writeable
                 with pytest.raises(ValueError):
                     got[...] = 0
         if s.rank > 1:  # the dropped column has no outcome
-            assert protocols[5].outcomes[0] == 0
+            assert stacked[0][5, 0] == 0
 
 
 def test_stacked_protocols_refuse_a_table_of_another_rank():
+    """build_two_way_protocol names a table of another rank than the
+    spectrum's effective one, and protocol_stack refuses a stack of them."""
     s = spectrum([0.5, 0.3, 0.2])
-    deltas = [uniform_delta(3), uniform_delta(2), DeltaMatrix(one_way_table(3))]
+    for delta in (uniform_delta(3), DeltaMatrix(one_way_table(3))):
+        assert build_two_way_protocol(s, delta).d == 3
     with pytest.raises(ValueError, match="^delta has d = 2, spectrum has effective rank 3$"):
-        build_two_way_protocols(s, deltas)
+        build_two_way_protocol(s, uniform_delta(2))
+    with pytest.raises(ValueError):
+        protocol_stack(s.effective, uniform_table(2)[None])
 
 
 @pytest.mark.parametrize("d", range(1, 9))
@@ -591,14 +595,18 @@ def test_wilson_interval_ends_solve_the_score_equation():
 def test_a_column_is_live_above_one_denom_tol_per_outcome():
     """Column i is live when D_i > (i + 1) DENOM_TOL: with D_i at (i + 1.5)
     DENOM_TOL every column of the table below is live, and at (i + 0.5)
-    DENOM_TOL the first two are not."""
-    lam = np.array([0.5, 0.3, 0.2])
-    for offset, live in ((1.5, [True, True, True]), (0.5, [False, False, True])):
+    DENOM_TOL the first two are not, nor at exactly (i + 1) DENOM_TOL (the
+    spectrum's powers of two make every product and sum exact there)."""
+    lam = np.array([0.5, 0.25, 0.25])
+    cases = ((1.5, [True, True, True]), (0.5, [False, False, True]), (1.0, [False, False, True]))
+    for offset, live in cases:
         table = np.zeros((3, 3))
         table[0, 0] = offset * DENOM_TOL / lam[0]  # D_0 = offset DENOM_TOL
         table[1, 1] = (1 + offset) * DENOM_TOL / lam[1]  # D_1, as d_01 = 0
         table[:2, 2] = 1.0 - table[:2, :2].sum(axis=1)
         table[2, 2] = 1.0
+        if offset == 1.0:
+            assert (lam @ table)[:2].tolist() == [DENOM_TOL, 2 * DENOM_TOL]
         assert _column_ratios(lam, table[None])[0][0].tolist() == live
 
 
@@ -618,6 +626,39 @@ def equivalence_cases():
         for delta in (uniform_delta(d), random_delta(d, rng)):
             yield s, delta
         yield s, beta_two_way_upper(s).best_delta
+
+
+def gated_tables(lam):
+    """For each column i < d - 1, the uniform table with column i scaled to
+    D_i = (i + 0.5) DENOM_TOL and the rest of its weight moved to the last
+    column: a nonempty support under the live gate."""
+    d = lam.size
+    for i in range(d - 1):
+        table = uniform_table(d)
+        column = table[:, i] * ((i + 0.5) * DENOM_TOL / (lam @ table[:, i]))
+        table[:, -1] += table[:, i] - column
+        table[:, i] = column
+        yield i, DeltaMatrix(table)
+
+
+def test_closed_form_counts_the_protocol_outcomes():
+    """trace_T_closed_form is sum_i outcomes[i] N_i / D_i to the bit, with
+    protocol_stack's outcome counts on the same stack: one rule for r_i.  A
+    column under the live gate gives Bob no outcome, though its support
+    is not empty."""
+    cases = [(s, delta, None) for s, delta in equivalence_cases()]
+    for s, _, _ in cases[::3]:
+        cases += [(s, delta, i) for i, delta in gated_tables(s.effective)]
+    assert sum(i is not None for _, _, i in cases) >= 20
+    for s, delta, gated in cases:
+        lam, tables = s.effective, delta.table[None]
+        outcomes, _, _ = protocol_stack(lam, tables)
+        _, _, ratio = _column_ratios(lam, tables)
+        expected = (ratio * outcomes).sum(axis=1)
+        assert trace_T_closed_form(lam, tables).tolist() == expected.tolist()
+        assert trace_T_closed_form(s, delta) == float(expected[0])
+        if gated is not None:
+            assert outcomes[0, gated] == 0 and lam @ delta.table[:, gated] > 0
 
 
 def bob_basis(protocol, i):
@@ -755,7 +796,8 @@ def test_protocol_padding_invariant():
         d = lam.size
         _, protocol = build_two_way_T(s, delta)
         live = lam @ delta.table > (np.arange(d) + 1) * DENOM_TOL
-        counts = np.where(live, _supports(lam, delta.table).sum(axis=0), 0)
+        w = lam[:, None] * delta.table
+        counts = np.where(live, (w > d * np.finfo(float).eps * w.max(axis=0)).sum(axis=0), 0)
         assert np.issubdtype(protocol.outcomes.dtype, np.integer)
         assert np.array_equal(protocol.outcomes, counts)
         assert protocol.bob.shape == protocol.alice.shape == (d, d, d)
