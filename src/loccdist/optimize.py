@@ -4,7 +4,7 @@ The objective
 
     t(delta) = sum_i i * (sum_{k<=i} l_k d_ki**2) / (sum_{k<=i} l_k d_ki)
 
-(two_way.trace_T_batch) is minimised over a product of row simplices (one
+(two_way.trace_T_entries) is minimised over a product of row simplices (one
 simplex per level k, spread over outcomes i >= k).  It is convex: column
 i's term is ||diag(sqrt l) x||**2 / (l . x) for the column x, a
 quadratic-over-linear function of a linear map (Boyd & Vandenberghe,
@@ -59,15 +59,19 @@ solves many spectra bounds each stack to BATCH_BYTES of solver arrays
 (stack_size), as families.sweep_rows does.
 
 A Newton pass works on the table's m = d (d + 1) / 2 free entries x
-(two_way.table_layout).  trace_T_batch returns the Hessian as its column
-pairs, the entries that couple two free entries of one column, and the
-pass writes them into the flat KKT systems with one scatter; the barrier
-diagonal is added through a strided view.  The spectrum's part of those
-entries (two_way.pair_factors) is gathered once per stack; a row that
-leaves drops out of them with the rest of the stack state.  The same
-loop body damps the step: each Armijo trial runs on the whole stack,
-with a step length per row, and the accepted trial's value, gradient and
-pair Hessian start the next pass.
+(two_way.table_layout) alone: they are the only iterate, and a row's table
+is written once, when the row leaves.  two_way.trace_T_entries reads the
+value, the gradient at the free entries and the Hessian, as its column
+pairs, straight from x, and the pass writes those pairs into the flat KKT
+systems with one scatter; the barrier diagonal is added through a strided
+view.  The spectrum's part of those reads (two_way.pair_factors) is
+gathered once per stack; a row that leaves drops out of them with the
+rest of the stack state, and a stack whose last rows leave is not
+compacted.  The Frank-Wolfe gap reads its vertex term as the minimum of
+g over each row's contiguous segment of free entries.  The same loop
+body damps the step: each Armijo trial runs on the whole stack, with a
+step length per row, and the accepted trial's value, gradient, pair
+Hessian and sum log x start the next pass.
 
 Some rows are certified before any pass.  Every three-step protocol is an
 LOCC test, and LOCC tests are separable, so no table's Tr T lies below the
@@ -119,11 +123,13 @@ from .states import SchmidtSpectrum
 from .two_way import (
     DeltaMatrix,
     check_tables,
+    free_entries,
     one_way_table,
     pair_factors,
     table_layout,
     trace_T_batch,
     trace_T_closed_form,
+    trace_T_entries,
     uniform_table,
 )
 
@@ -184,10 +190,11 @@ def beta_two_way_qubit_analytic(lam: float) -> tuple[float, float]:
 def _item_bytes(d: int) -> int:
     """Bytes one spectrum of effective rank d adds to the peak of a batched
     solve: its KKT matrix, and a budget of 6 d**3 + 24 d**2 + 64 floats for
-    its table, free entries, gradient, pair Hessian and pair factors, the
-    damped step's two live trials and the temporaries of a trace_T_batch
-    call.  tracemalloc measures at most about 1.6 / 11.7 / 84 KB per
-    spectrum at d = 2 / 5 / 10, against 1.9 / 14.5 / 102 KB here."""
+    its final table, free entries, gradient, pair Hessian and pair
+    factors, the damped step's two live trials and the temporaries of a
+    trace_T_entries call.  On a full stack of Dirichlet spectra,
+    tracemalloc measures about 1.3 / 10 / 70 KB per spectrum at d = 2 / 5
+    / 10, against 1.9 / 14.5 / 102 KB here."""
     size = d * (d + 1) // 2 + d
     return 8 * (size * size + 6 * d**3 + 24 * d**2 + 64)
 
@@ -229,34 +236,38 @@ def _barrier_newton(lam: np.ndarray, tol: float):
     kkt[:, np.arange(m), m + layout.rows] = 1.0
     rhs = np.zeros((n, size, 1))  # 3-D: numpy 2 reads an (n, size) one as a matrix if n == size
 
-    X = np.repeat(uniform_table(d)[None], n, axis=0)
-    x = X.reshape(n, -1).take(layout.entries, axis=1)  # the free entries of X
+    x = np.repeat(free_entries(uniform_table(d)[None]), n, axis=0)
     factors = pair_factors(lam)  # spectrum-only: gathered once, filtered as rows leave
-    f, g, H = trace_T_batch(lam, X, factors)
+    f, g, H = trace_T_entries(lam, x, factors)
+    logs = np.log(x).sum(axis=1)  # the barrier's sum log x at x
     w = np.ones(n)  # the barrier weight, carried as 1 / t
-    final = np.empty_like(X)
+    final = np.zeros((n, d * d))
     passes = np.full(n, MAX_ITERS)
     gaps = np.empty(n)
     live = np.arange(n)  # the input row of each row still in the stack
     for it in range(1, MAX_ITERS + 1):
-        # By convexity f(X) - min f <= max over vertices V of g . (X - V).
-        vertex = np.where(layout.upper, g, np.inf).min(axis=2).sum(axis=1)
-        gap = (g * X).reshape(live.size, -1).sum(axis=1) - vertex
+        # By convexity f(x) - min f <= max over vertices v of g . (x - v),
+        # and the best vertex puts each row k on its smallest g_ki.
+        vertex = np.minimum.reduceat(g, layout.starts, axis=1).sum(axis=1)
+        gap = (g * x).sum(axis=1) - vertex
         done = gap <= tol
+        if it == MAX_ITERS:  # a row left undone keeps this gap's table
+            done[:] = True
         if np.count_nonzero(done):
-            final[live[done]] = X[done]
-            passes[live[done]] = it
-            gaps[live[done]] = gap[done]
+            leaving = live[done]
+            final[leaving[:, None], layout.entries] = x[done]
+            passes[leaving] = it
+            gaps[leaving] = gap[done]
+            if done.all():
+                break
             stay = ~done
-            state = (live, lam, w, gap, X, x, f, g, H, *factors)
-            live, lam, w, gap, X, x, f, g, H, *factors = (a[stay] for a in state)
-        if not live.size or it == MAX_ITERS:  # a row left undone keeps this gap's table
-            break
+            state = (live, lam, w, gap, x, f, g, H, logs, *factors)
+            live, lam, w, gap, x, f, g, H, logs, *factors = (a[stay] for a in state)
         # At the centre for weight t, f - min f <= m / t: a weight below
         # m / gap asks for less than the certificate has already shown.
         np.minimum(w, gap / (GAP_FLOOR * m), out=w)
         wx = w[:, None] / x
-        grad = g.reshape(live.size, -1).take(layout.entries, axis=1) - wx
+        grad = g - wx
         system = kkt[: live.size]
         flat = system.reshape(live.size, -1)
         flat[:, into_kkt] = H
@@ -266,21 +277,18 @@ def _barrier_newton(lam: np.ndarray, tol: float):
         decrement = -(grad[:, None, :] @ dx[:, :, None])[:, 0, 0]
         ratio = np.divide(-x, dx, out=np.full_like(x, np.inf), where=dx < 0)
         alpha = np.minimum(1.0, 0.99 * ratio.min(axis=1))
-        phi = f - np.log(x).sum(axis=1) * w
+        phi = f - logs * w
         slack = ARMIJO_SLACK * np.abs(phi)
         while True:
             trial = x + alpha[:, None] * dx
-            X = np.zeros((live.size, d, d))
-            X.reshape(live.size, -1)[:, layout.entries] = trial
-            f, g, H = trace_T_batch(lam, X, factors)
-            ok = f - np.log(trial).sum(axis=1) * w <= phi - 0.25 * alpha * decrement + slack
+            f, g, H = trace_T_entries(lam, trial, factors)
+            logs = np.log(trial).sum(axis=1)
+            ok = f - logs * w <= phi - 0.25 * alpha * decrement + slack
             if ok.all():
                 break
             alpha[~ok] *= 0.5
         x = trial
-    final[live] = X
-    gaps[live] = gap
-    return final, passes, gaps
+    return final.reshape(n, d, d), passes, gaps
 
 
 class StackSolve(NamedTuple):

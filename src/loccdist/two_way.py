@@ -22,7 +22,8 @@ of column i above the support cutoff, none on a dead column (_supports,
 the one rule, which protocol_stack reads too).  The paper's closed form
 puts r_i = i, which holds when every live column has full support; as a
 function of the table it is the convex envelope the optimiser minimises
-(trace_T_batch).  The protocol's outcome law is one closed-form table
+(trace_T_entries, on a table's free entries; trace_T_batch, on whole
+tables).  The protocol's outcome law is one closed-form table
 over (Alice's outcome, Bob's outcome, Alice's check), and the seeded
 Monte Carlo simulator draws all its samples from that table in one
 multinomial.
@@ -205,21 +206,22 @@ class TableLayout(NamedTuple):
     read-only.
 
     The free entries d_ki, k <= i, in row-major order, sit at rows, cols
-    (flat positions entries = rows * d + cols).  Only entries of one column
-    interact in trace_T_batch's Hessian: pair j couples free entries p[j]
-    and q[j] of one column, in row-major order over (p, q); pair_col and
-    pair_at hold the column and the flat positions of both entries of
-    every pair.
+    (flat positions entries = rows * d + cols); row k's are the segment
+    that begins at starts[k], and incidence[j, i] is 1 where free entry j
+    lies in column i.  Only entries of one column interact in the
+    objective's Hessian: pair j couples free entries p[j] and q[j] of
+    column pair_col[j], in row-major order over (p, q).
     """
 
     upper: np.ndarray  # (d, d) bool, k <= i
     rows: np.ndarray  # (m,)
     cols: np.ndarray  # (m,)
     entries: np.ndarray  # (m,)
+    starts: np.ndarray  # (d,)
+    incidence: np.ndarray  # (m, d) float, [cols[j] = i]
     p: np.ndarray  # (P,)
     q: np.ndarray  # (P,)
     pair_col: np.ndarray  # (P,) cols[p]
-    pair_at: np.ndarray  # (2, P) entries[p], entries[q]
     weights: np.ndarray  # (d,) i + 1 as floats
     gate: np.ndarray  # (d,) (i + 1) DENOM_TOL, the live-column threshold
 
@@ -229,39 +231,55 @@ def table_layout(d: int) -> TableLayout:
     """The TableLayout of d x d tables, built once per d."""
     upper = np.triu(np.ones((d, d), dtype=bool))
     rows, cols = np.nonzero(upper)
-    entries = rows * d + cols
     p, q = np.nonzero(cols[:, None] == cols)
     n = np.arange(d)
     layout = TableLayout(
-        upper, rows, cols, entries, p, q, cols[p], entries[[p, q]], n + 1.0, (n + 1) * DENOM_TOL
+        upper, rows, cols, rows * d + cols, np.searchsorted(rows, n), (cols[:, None] == n) * 1.0,
+        p, q, cols[p], n + 1.0, (n + 1) * DENOM_TOL,
     )
     for array in layout:
         array.setflags(write=False)
     return layout
 
 
+def free_entries(tables: np.ndarray) -> np.ndarray:
+    """The free entries (n, m) of an (n, d, d) stack of tables, in
+    table_layout(d)'s order."""
+    return tables.reshape(len(tables), -1).take(table_layout(tables.shape[-1]).entries, axis=1)
+
+
 def pair_factors(lam: np.ndarray):
-    """The spectrum's part of trace_T_batch's pair Hessian: (l_k l_k',
-    [k = k'] l_k) for every pair (d_ki, d_k'i), each (..., P) for a (d,)
-    or (n, d) lam."""
+    """The spectrum's part of the objective's derivatives, for a (d,) or
+    (n, d) lam: l_k at every free entry d_ki (..., m), then (l_k l_k',
+    [k = k'] l_k) at every pair (d_ki, d_k'i) (..., P)."""
     layout = table_layout(lam.shape[-1])
-    lk, lkk = (lam.take(layout.rows[e], axis=-1) for e in (layout.p, layout.q))
-    return lk * lkk, np.where(layout.p == layout.q, lk, 0.0)
+    lk = lam.take(layout.rows, axis=-1)
+    lp, lq = (lk.take(e, axis=-1) for e in (layout.p, layout.q))
+    return lk, lp * lq, np.where(layout.p == layout.q, lp, 0.0)
 
 
-def _column_ratios(lam: np.ndarray, tables: np.ndarray):
-    """(live, D, N / D) per column of a batch of (n, d, d) tables, with
-    D_i = sum_k l_k d_ki, Alice's outcome probability, and N_i = sum_k
-    l_k d_ki**2.  lam is one (d,) spectrum or an (n, d) spectrum per table.
-    Column i is live when D_i > (i + 1) DENOM_TOL: Bob's at most i + 1
-    outcomes then each have probability at least DENOM_TOL, so the protocol
-    never conditions on a zero-probability outcome.  D is 1 and N / D is 0
-    on the other columns."""
-    row = lam[..., None, :]  # one vector-matrix product per table, whatever the batch
-    den = (row @ tables)[:, 0]
-    live = den > table_layout(lam.shape[-1]).gate
+def _live_columns(terms: np.ndarray, layout: TableLayout):
+    """(live, D) of the terms l_k d_ki at a stack's free entries (n, m):
+    D_i = sum_k l_k d_ki, Alice's outcome probability, by a batched
+    (n, 1, m) @ (m, d) product, which gives each row the same bits in any
+    stack (a plain (n, m) @ (m, d) product does not).  Column i is live
+    when D_i > (i + 1) DENOM_TOL: Bob's at most i + 1 outcomes then each
+    have probability at least DENOM_TOL, so the protocol never conditions
+    on a zero-probability outcome.  The one live rule: the objective,
+    trace_T_closed_form and protocol_stack all read it."""
+    den = (terms[:, None, :] @ layout.incidence)[:, 0]
+    return den > layout.gate, den
+
+
+def _column_ratios(lk: np.ndarray, x: np.ndarray, layout: TableLayout):
+    """(live, D, N / D) per column of the free entries x (n, m), with
+    N_i = sum_k l_k d_ki**2, given l_k at every free entry (lk, (m,) or
+    (n, m)).  D is 1 and N / D is 0 on the columns that are not live."""
+    terms = lk * x
+    live, den = _live_columns(terms, layout)
     safe = np.where(live, den, 1.0)
-    return live, safe, np.where(live, (row @ (tables * tables))[:, 0], 0.0) / safe
+    num = ((terms * x)[:, None, :] @ layout.incidence)[:, 0]
+    return live, safe, np.where(live, num, 0.0) / safe
 
 
 def _supports(lam: np.ndarray, tables: np.ndarray, live: np.ndarray) -> np.ndarray:
@@ -317,7 +335,7 @@ def protocol_stack(lam: np.ndarray, tables: np.ndarray):
     """
     d = lam.size
     weights = lam[:, None] * tables
-    live, _, _ = _column_ratios(lam, tables)
+    live, _ = _live_columns(free_entries(weights), table_layout(d))
     support = _supports(lam, tables, live)
     outcomes = support.sum(axis=1)  # (n, d)
     # order[t, p, i]: the level at position p of S_i; levels outside S_i go last.
@@ -375,48 +393,65 @@ def build_two_way_T(s: SchmidtSpectrum, delta: DeltaMatrix):
     return protocol.accept_form().assemble(), protocol
 
 
-def trace_T_batch(lam: np.ndarray, tables: np.ndarray, factors: tuple | None = None):
+def trace_T_entries(lam: np.ndarray, x: np.ndarray, factors: tuple | None = None):
     """The paper's closed form sum_i (i + 1) N_i / D_i over the live columns
-    of a batch of (n, d, d) upper-triangular tables, under one (d,) spectrum
-    or an (n, d) spectrum per table: the convex envelope the optimiser
-    minimises.  It is the operator's Tr T (trace_T_closed_form)
-    when every live column has full support, as at every interior point.
+    of a stack of tables given by their free entries x (n, m), in
+    table_layout(d)'s order, under one (d,) spectrum or an (n, d) spectrum
+    per table: the convex envelope the optimiser minimises.  It is the
+    operator's Tr T (trace_T_closed_form) when every live column has full
+    support, as at every interior point.
 
     Given factors = pair_factors(lam) of the same lam, which a caller
-    evaluating many batches under one spectrum stack gathers once, returns
-    (value, g, H).  g is dTr T / dd_ki = (i + 1) l_k (2 d_ki - N_i / D_i) /
-    D_i, zero below the diagonal and on dropped columns.  H is the Hessian
-    as the (n, P) entries that couple two free entries of one column
-    (entries of different columns do not interact), in table_layout(d)'s
-    pair order: for the pair (d_ki, d_k'i), with s_i = (i + 1) / D_i and
-    r_i = N_i / D_i,
+    evaluating many stacks under one spectrum stack gathers once, returns
+    (value, g, H).  g (n, m) is dTr T / dd_ki = (i + 1) l_k (2 d_ki -
+    N_i / D_i) / D_i at every free entry, zero on dropped columns.  H is
+    the Hessian as the (n, P) entries that couple two free entries of one
+    column (entries of different columns do not interact), in
+    table_layout(d)'s pair order: for the pair (d_ki, d_k'i), with s_i =
+    (i + 1) / D_i and r_i = N_i / D_i,
 
         H = 2 s_i ([k = k'] l_k - l_k l_k' ((d_ki + d_k'i) - r_i) / D_i),
 
-    zero on dropped columns.
+    zero on dropped columns.  Every operation acts on each row alone, so a
+    row's outputs do not depend on the stack it is in.
     """
     layout = table_layout(lam.shape[-1])
-    live, safe, ratio = _column_ratios(lam, tables)
-    # A row reduction, not a matrix product, so a table's value does not
-    # depend on the batch it is evaluated in.
+    lk = lam.take(layout.rows, axis=-1) if factors is None else factors[0]
+    live, safe, ratio = _column_ratios(lk, x, layout)
+    # A row reduction, not a matrix product, so a row's value does not
+    # depend on the stack it is evaluated in.
     value = (ratio * layout.weights).sum(axis=1)
     if factors is None:
         return value
+    _, lk_lkk, diag = factors
     scale = np.where(live, layout.weights / safe, 0.0)
-    g = lam[..., :, None] * (2.0 * tables - ratio[:, None, :]) * scale[:, None, :]
-    g = np.where(layout.upper, g, 0.0)
-    lk_lkk, diag = factors
-    x_p, x_q = tables.reshape(len(tables), -1).take(layout.pair_at, axis=1).swapaxes(0, 1)
+    g = lk * (2.0 * x - ratio.take(layout.cols, axis=1)) * scale.take(layout.cols, axis=1)
     column = layout.pair_col
-    coupling = (x_p + x_q - ratio.take(column, axis=1)) / safe.take(column, axis=1)
+    pair_sum = x.take(layout.p, axis=1) + x.take(layout.q, axis=1)
+    coupling = (pair_sum - ratio.take(column, axis=1)) / safe.take(column, axis=1)
     return value, g, (2.0 * scale).take(column, axis=1) * (diag - lk_lkk * coupling)
+
+
+def trace_T_batch(lam: np.ndarray, tables: np.ndarray, factors: tuple | None = None):
+    """trace_T_entries of an (n, d, d) stack of upper-triangular tables,
+    read at their free entries (entries below the diagonal are not read),
+    with the gradient g returned as (n, d, d) tables, zero below the
+    diagonal."""
+    x = free_entries(tables)
+    if factors is None:
+        return trace_T_entries(lam, x)
+    value, g, H = trace_T_entries(lam, x, factors)
+    n, d = len(tables), tables.shape[-1]
+    table_g = np.zeros((n, d * d))
+    table_g[:, table_layout(d).entries] = g
+    return value, table_g.reshape(n, d, d), H
 
 
 def trace_T_closed_form(s: SchmidtSpectrum | np.ndarray, delta: DeltaMatrix | np.ndarray):
     """Tr T of the protocol build_two_way_T assembles: sum_i r_i N_i / D_i
     over the live columns, with r_i = |S_i| Bob outcomes, counted as
     protocol_stack counts them (_supports).  On full support r_i = i + 1
-    and the value is trace_T_batch's to the bit.
+    and the value is trace_T_entries's to the bit.
 
     Takes a SchmidtSpectrum and a DeltaMatrix and returns a float, or a
     stack: effective spectra (d,) or (n, d) and an (n, d, d) array of
@@ -429,7 +464,8 @@ def trace_T_closed_form(s: SchmidtSpectrum | np.ndarray, delta: DeltaMatrix | np
         lam, tables = s.effective, delta.table[None]
         if delta.d != lam.size:
             raise ValueError(f"delta has d = {delta.d}, spectrum has effective rank {lam.size}")
-    live, _, ratio = _column_ratios(lam, tables)
+    layout = table_layout(lam.shape[-1])
+    live, _, ratio = _column_ratios(lam.take(layout.rows, axis=-1), free_entries(tables), layout)
     value = (ratio * _supports(lam, tables, live).sum(axis=1)).sum(axis=1)
     return value if stacked else float(value[0])
 

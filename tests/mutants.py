@@ -1,24 +1,29 @@
-"""Mutation check of src/loccdist/two_way.py against the tests that read it.
+"""Mutation check of a module of src/loccdist against the tests that read it.
 
-A mutant changes one site of two_way.py: a comparison < <= > >= swapped
+A mutant changes one site of the module: a comparison < <= > >= swapped
 with its non-strict or strict twin, + with -, * with /, an int constant
 plus 1, a nonzero float constant times 2, a mask term a & b cut to a, or
 np.triu turned into np.tril.  A site is named "function op#k", the k-th
 site of that op in that function in source order ("<module>" outside any
 def).
 
-The sample is the FORCED mutants (the live gate of the support rule, the
-gate's strict threshold and the table mask) plus SAMPLE sites drawn with
-random.Random(SEED) from the rest.  Each sampled mutant has a record:
-KILLED names the test function (module::name, under tests/) that fails
-on it, EQUIVALENT says in one line why no test can.  Each mutant runs on
-a copy of the tree: a killed one must fail its named test, an equivalent
-one must pass every test of TESTS.  The check fails on a mutant without
-a record, on a survivor, and on an equivalent mutant that a test now
-kills (its record is then stale).  Editing two_way.py can move the
-sample; the check then names the unrecorded mutants and what kills them.
+Each TARGETS entry samples one module: its forced mutants plus `sample`
+sites drawn with random.Random(SEED) from the rest of its sites, or of
+the sites in its scope functions when it names some.  Each sampled mutant
+has a record: killed names the test function (module::name, under
+tests/) that fails on it, equivalent says in one line why no test can.
+Each mutant runs on a copy of the tree: a killed one must fail its named
+test (or run past TIMEOUT_S), an equivalent one must pass every test of
+the target's tests.  The
+check fails on a mutant without a record, on a survivor, and on an
+equivalent mutant that a test now kills (its record is then stale).
+Editing a module can move its sample; the check then names the
+unrecorded mutants and what kills them.
 
-Run from anywhere (about 30 s on 2 cores): python3 tests/mutants.py
+Run from anywhere, one target at a time:
+
+    python3 tests/mutants.py two_way    # about 30 s on 2 cores
+    python3 tests/mutants.py optimize   # about 40 s on 2 cores
 """
 
 from __future__ import annotations
@@ -32,40 +37,97 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-TARGET = Path("src/loccdist/two_way.py")
-TESTS = ("tests/test_two_way.py", "tests/test_separable.py", "tests/test_cli.py")
 SEED = 0
-SAMPLE = 18
-FORCED = ("_supports &#0", "_column_ratios >#0", "table_layout triu#0")
+# A mutant whose tests run this long counts as killed: a mutated barrier
+# can halve its step forever.  The unmutated test files take about 6 s.
+TIMEOUT_S = 60
 
-KILLED = {
-    "_supports &#0": "test_two_way::test_closed_form_counts_the_protocol_outcomes",
-    "_column_ratios >#0": "test_two_way::test_a_column_is_live_above_one_denom_tol_per_outcome",
-    "table_layout triu#0": "test_two_way::test_delta_validation",
-    "_accept_vectors int#0": "test_two_way::test_build_T_trivial_first_measurement",
-    "wilson_interval +#3": "test_two_way::test_simulate_mixed_matches_trace",
-    "trace_T_batch *#0": "test_two_way::test_closed_form_hand_arithmetic",
-    "one_way_table float#0": "test_two_way::test_delta_constructors",
-    "_column_ratios /#0": "test_two_way::test_closed_form_hand_arithmetic",
-    "trace_T_closed_form int#0": "test_two_way::test_closed_form_single_outcome",
-    "trace_T_batch float#1": "test_two_way::test_objective_gradient_matches_finite_differences",
-    "accept_reads float#1":
-        "test_separable::test_verify_protocols_read_as_one_stack_are_each_form_alone_bit_for_bit",
-    "simulate_protocol /#0": "test_cli::test_verify_fails_on_a_scaled_bob_vector",
-    "build_mub_basis int#1": "test_two_way::test_mub_balanced",
-    "trace_T_batch int#7": "test_two_way::test_objective_gradient_matches_finite_differences",
-    "protocol_stack int#8": "test_two_way::test_build_T_trivial_first_measurement",
-    "_branch_probabilities int#8": "test_two_way::test_simulate_mixed_matches_trace",
-    "table_layout int#0": "test_two_way::test_a_column_is_live_above_one_denom_tol_per_outcome",
-    "trace_T_batch *#6": "test_two_way::test_objective_gradient_matches_finite_differences",
-    "validity_defect int#0": "test_two_way::test_validity_defect_matches_its_loop_reference",
-    "_fourier_stack *#0": "test_two_way::test_mub_balanced",
-    "wilson_interval -#1": "test_two_way::test_simulate_mixed_matches_trace",
+
+class Target(NamedTuple):
+    path: Path  # the mutated module, relative to the root
+    tests: tuple  # the test files an unrecorded or equivalent mutant runs
+    scope: tuple  # the functions whose sites are sampled; () for the whole module
+    forced: tuple  # mutants always run
+    sample: int  # further sites drawn with random.Random(SEED)
+    killed: dict  # mutant -> "test_module::test_name" that fails on it
+    equivalent: dict  # mutant -> why no test can kill it
+
+
+TARGETS = {
+    "two_way": Target(
+        Path("src/loccdist/two_way.py"),
+        ("tests/test_two_way.py", "tests/test_separable.py", "tests/test_cli.py"),
+        (),
+        # The live gate of the support rule, the gate's strict threshold
+        # and the table mask.
+        ("_supports &#0", "_live_columns >#0", "table_layout triu#0"),
+        18,
+        {
+            "_supports &#0": "test_two_way::test_closed_form_counts_the_protocol_outcomes",
+            "_live_columns >#0":
+                "test_two_way::test_a_column_is_live_above_one_denom_tol_per_outcome",
+            "table_layout triu#0": "test_two_way::test_delta_validation",
+            "protocol_stack int#9": "test_two_way::test_build_T_trivial_first_measurement",
+            "wilson_interval -#0": "test_two_way::test_wilson_interval_ends_solve_the_score_equation",
+            "accept_reads float#0":
+                "test_separable::test_verify_protocols_read_as_one_stack_are_each_form_alone_bit_for_bit",
+            "one_way_table float#0": "test_two_way::test_delta_constructors",
+            "pair_factors *#0": "test_two_way::test_objective_gradient_matches_finite_differences",
+            "trace_T_entries int#9":
+                "test_two_way::test_objective_gradient_matches_finite_differences",
+            "trace_T_entries *#3": "test_two_way::test_objective_gradient_matches_finite_differences",
+            "protocol_stack >#0": "test_two_way::test_build_T_trivial_first_measurement",
+            "wilson_interval *#2": "test_two_way::test_wilson_interval_ends_solve_the_score_equation",
+            "simulate_protocol /#0": "test_cli::test_verify_fails_on_a_scaled_bob_vector",
+            "_fourier_stack +#0": "test_two_way::test_mub_balanced",
+            "trace_T_entries *#2": "test_two_way::test_objective_gradient_matches_finite_differences",
+            "protocol_stack -#0": "test_two_way::test_build_T_trivial_first_measurement",
+            "_branch_probabilities int#1": "test_two_way::test_simulate_type_one_error_is_zero",
+            "table_layout float#1": "test_two_way::test_closed_form_hand_arithmetic",
+            "trace_T_entries -#1": "test_two_way::test_objective_gradient_matches_finite_differences",
+            "validity_defect int#0": "test_two_way::test_validity_defect_matches_its_loop_reference",
+            "_column_ratios /#0": "test_two_way::test_closed_form_hand_arithmetic",
+        },
+        {},
+    ),
+    "optimize": Target(
+        Path("src/loccdist/optimize.py"),
+        ("tests/test_optimize.py", "tests/test_batch.py", "tests/test_solve_pins.py"),
+        ("_barrier_newton", "solve_stack"),
+        (),
+        18,
+        {
+            "_barrier_newton -#3": "test_optimize::test_passes_per_solve_ceiling_at_the_floor",
+            "_barrier_newton -#4": "test_optimize::test_passes_per_solve_ceiling_at_the_floor",
+            "_barrier_newton +#2": "test_optimize::test_rank_one_spectra_need_no_newton_step",
+            "_barrier_newton int#13": "test_optimize::test_rank_one_spectra_need_no_newton_step",
+            "solve_stack int#3": "test_optimize::test_rank_one_spectra_need_no_newton_step",
+            "_barrier_newton <=#0": "test_optimize::test_a_gap_equal_to_tol_stops_the_solve",
+            "solve_stack >#0": "test_optimize::test_a_slack_equal_to_tol_keeps_the_corner",
+            "_barrier_newton float#4": "test_optimize::test_hard_cases_converge_to_tol",
+            "solve_stack >#1": "test_optimize::test_a_tie_with_the_corner_reports_the_solved_table",
+            "_barrier_newton +#6":
+                "test_optimize::test_gap_at_the_iteration_cap_is_that_of_the_returned_table",
+            "_barrier_newton *#3":
+                "test_optimize::test_barrier_solve_of_two_outcome_rows_meets_the_analytic_value",
+            "_barrier_newton <#0": "test_optimize::test_rank_one_spectra_need_no_newton_step",
+            "_barrier_newton int#3": "test_solve_pins::test_solve_alone_is_pinned",
+            "_barrier_newton int#12": "test_optimize::test_rank_one_spectra_need_no_newton_step",
+            "_barrier_newton +#3": "test_optimize::test_rank_one_spectra_need_no_newton_step",
+            "_barrier_newton *#11":
+                "test_optimize::test_barrier_solve_of_two_outcome_rows_meets_the_analytic_value",
+        },
+        {
+            "_barrier_newton int#11":
+                "system.reshape(n, -2): numpy reads any negative size as the one it infers",
+            "_barrier_newton int#7":
+                "range(1, MAX_ITERS + 2): the loop always leaves by its break at it == MAX_ITERS",
+        },
+    ),
 }
-
-EQUIVALENT = {}  # none in the current sample; "name": "why no test can kill it"
 
 SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult}
@@ -125,36 +187,45 @@ class Mutator(ast.NodeTransformer):
 
 
 def mutant_source(source: str, target: str | None) -> str:
-    """two_way.py with the named site mutated (unparsed as is for None)."""
+    """The module with the named site mutated (unparsed as is for None)."""
     mutator = Mutator(target)
     tree = mutator.visit(ast.parse(source))
     if target is not None and target not in mutator.sites:
-        raise KeyError(f"no site {target!r} in {TARGET}")
+        raise KeyError(f"no site {target!r}")
     return ast.unparse(tree)
 
 
-def sample(source: str) -> list[str]:
+def sample(source: str, target: Target) -> list[str]:
     mutator = Mutator()
     mutator.visit(ast.parse(source))
-    rest = [name for name in mutator.sites if name not in FORCED]
-    return list(FORCED) + random.Random(SEED).sample(rest, SAMPLE)
+    sites = [n for n in mutator.sites if not target.scope or n.split()[0] in target.scope]
+    rest = [name for name in sites if name not in target.forced]
+    return list(target.forced) + random.Random(SEED).sample(rest, target.sample)
 
 
 def run_tests(tree: Path, tests) -> tuple[int, str]:
     """pytest's exit code on tests in the copy, and its first failing test
-    as module::name."""
+    as module::name; a run cut off after TIMEOUT_S counts as failed, with
+    code 1 and the name "timeout"."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(tree / "src")}
-    done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
-        cwd=tree, env=env, capture_output=True, text=True,
-    )
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return 1, "timeout"
     failed = re.search(r"^(?:FAILED|ERROR) tests/(\w+)\.py::(\w+)", done.stdout, re.M)
     return done.returncode, "::".join(failed.groups()) if failed else ""
 
 
-def main() -> int:
-    source = (ROOT / TARGET).read_text()
-    names = sample(source)
+def main(argv: list[str]) -> int:
+    if len(argv) != 1 or argv[0] not in TARGETS:
+        print(f"usage: python3 tests/mutants.py {{{','.join(TARGETS)}}}", file=sys.stderr)
+        return 2
+    target = TARGETS[argv[0]]
+    source = (ROOT / target.path).read_text()
+    names = sample(source, target)
     problems = []
     with tempfile.TemporaryDirectory() as scratch:
         tree = Path(scratch) / "tree"
@@ -162,29 +233,29 @@ def main() -> int:
             shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
         for part in ("conftest.py", "pyproject.toml"):
             shutil.copy(ROOT / part, tree / part)
-        (tree / TARGET).write_text(mutant_source(source, None))
-        code, failed = run_tests(tree, TESTS)
+        (tree / target.path).write_text(mutant_source(source, None))
+        code, failed = run_tests(tree, target.tests)
         if code != 0:
             print(f"the unmutated tree fails {failed}", file=sys.stderr)
             return 1
         for name in names:
-            (tree / TARGET).write_text(mutant_source(source, name))
-            if name in KILLED:
-                module, test = KILLED[name].split("::")
+            (tree / target.path).write_text(mutant_source(source, name))
+            if name in target.killed:
+                module, test = target.killed[name].split("::")
                 code, _ = run_tests(tree, [f"tests/{module}.py::{test}"])
-                verdict = "killed" if code in (1, 2) else f"SURVIVES {KILLED[name]}"
+                verdict = "killed" if code in (1, 2) else f"SURVIVES {target.killed[name]}"
             else:
-                code, failed = run_tests(tree, TESTS)
-                if name in EQUIVALENT:
+                code, failed = run_tests(tree, target.tests)
+                if name in target.equivalent:
                     verdict = "equivalent" if code == 0 else f"KILLED by {failed}: stale record"
                 else:
                     verdict = f"NO RECORD, killed by {failed}" if code else "NO RECORD, survives"
             print(f"{name:<28} {verdict}", flush=True)
             if verdict not in ("killed", "equivalent"):
                 problems.append(name)
-    print(f"{len(names)} mutants, {len(problems)} problem(s)")
+    print(f"{len(names)} mutants of {target.path}, {len(problems)} problem(s)")
     return 1 if problems else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

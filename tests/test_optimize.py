@@ -210,6 +210,45 @@ def test_slack_above_tol_still_solves():
     assert res.iterations > 1 and res.converged and res.t_value < 4
 
 
+def test_a_slack_equal_to_tol_keeps_the_corner():
+    """Only a row whose slack exceeds tol is solved: at tol equal to the
+    slack itself the row keeps the one-way corner, with that slack as its
+    certified gap, at d = 2 and at d = 4."""
+    rng = np.random.default_rng(35)
+    for d in (2, 4):
+        lam = random_spectrum(d, rng).effective[None]
+        tol = float(d - np.array(sep_traces(lam))[0])
+        solved = solve_stack(lam, tol)
+        assert solved.t_values[0] == d and solved.iterations[0] == 1
+        assert solved.gaps[0] == tol and solved.converged[0]
+        assert np.array_equal(solved.tables[0], one_way_table(d))
+
+
+def test_a_gap_equal_to_tol_stops_the_solve():
+    """A row stops at the first pass whose Frank-Wolfe gap is at most tol,
+    equality included: solved again with tol set to the gap it reported,
+    it stops at the same pass with the same table."""
+    rng = np.random.default_rng(36)
+    for d in (3, 5, 8):
+        lam = random_spectrum(d, rng).effective[None]
+        first = solve_stack(lam, TOL)
+        again = solve_stack(lam, float(first.gaps[0]))
+        assert first.gaps[0] > 0 and again.gaps[0] == first.gaps[0]
+        assert again.iterations[0] == first.iterations[0] > 1
+        assert np.array_equal(again.tables, first.tables)
+
+
+def test_a_tie_with_the_corner_reports_the_solved_table():
+    """1e-9 from uniform at d = 2 the exact two-outcome value rounds to
+    2 = d, the one-way corner's, while its slack (4.4e-16) still exceeds
+    tol: on that tie the solved table is reported."""
+    lam = np.array([[0.5 + 1e-9, 0.5 - 1e-9]])
+    solved = solve_stack(lam, 1e-16)
+    delta = float(optimize._qubit_delta_star(lam[0, 1]))
+    assert solved.t_values[0] == 2.0 and 0.0 < delta
+    assert solved.tables[0].tolist() == [[delta, 1.0 - delta], [0.0, 1.0]]
+
+
 def test_no_value_lies_below_the_separable_bound():
     for s in map(parse_spectrum, fuzz_spectra()):
         assert beta_two_way_upper(s).t_value >= s.rank - slack(s) - 1e-12

@@ -25,6 +25,7 @@ from loccdist.two_way import (
     build_two_way_protocol,
     build_two_way_T,
     check_tables,
+    free_entries,
     one_way_table,
     pair_factors,
     protocol_stack,
@@ -34,6 +35,7 @@ from loccdist.two_way import (
     table_layout,
     trace_T_batch,
     trace_T_closed_form,
+    trace_T_entries,
     uniform_table,
     wilson_interval,
 )
@@ -43,6 +45,13 @@ OPT_DELTA_EIGHTH = (1.0 - np.sqrt(0.25)) / (1.0 - 0.125)  # 4/7 at lam = 1/8
 
 def random_spectrum(d, rng):
     return spectrum(np.sort(rng.dirichlet(np.ones(d)))[::-1])
+
+
+def column_ratios(lam, tables):
+    """(live, D, N / D) per column of an (n, d, d) stack of tables, as the
+    objective and the closed form read them."""
+    layout = table_layout(lam.shape[-1])
+    return _column_ratios(lam.take(layout.rows, axis=-1), free_entries(tables), layout)
 
 
 def random_psd(d, rng, rank=None):
@@ -324,13 +333,37 @@ def test_objective_gradient_matches_finite_differences(d):
                 assert np.max(np.abs(hess[:, pairs] - fd_pairs)) <= 1e-7 * scale
                 others = np.arange(d) != i
                 assert np.max(np.abs(fd_hess[:, :, others])) <= 1e-7 * scale
-    # An (n, d) stack of spectra, one per table, gives each table the bits
-    # its spectrum gives it alone.
-    lams = np.stack([rng.dirichlet(np.ones(d)) for _ in range(len(tables))])
-    stacked = trace_T_batch(lams, tables, pair_factors(lams))
-    for j in range(len(tables)):
-        alone = trace_T_batch(lams[j], tables[j : j + 1], pair_factors(lams[j]))
-        assert all(np.array_equal(a[j], b[0]) for a, b in zip(stacked, alone))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 10, 32])
+def test_objective_of_a_stack_is_each_table_alone_bit_for_bit(d):
+    """trace_T_batch, its free-entry form trace_T_entries and
+    trace_T_closed_form give each table of a stack of 9 the bits it gets
+    alone, under one shared spectrum and under an (n, d) stack of spectra,
+    one per table.  The column sums are a batched (n, 1, m) @ (m, d)
+    product for this: a plain (n, m) @ (m, d) one changes a row's bits
+    with the stack around it."""
+    rng = np.random.default_rng(70 + d)
+    tables = np.stack([random_delta(d, rng).table for _ in range(8)] + [uniform_table(d)])
+    x = free_entries(tables)
+    shared = random_spectrum(d, rng).effective
+    lams = np.stack([random_spectrum(d, rng).effective for _ in range(len(tables))])
+    for lam in (shared, lams):
+        stacked = trace_T_batch(lam, tables, pair_factors(lam))
+        entries = trace_T_entries(lam, x, pair_factors(lam))
+        closed = trace_T_closed_form(lam, tables)
+        for j in range(len(tables)):
+            lam_j = lam if lam.ndim == 1 else lam[j]
+            alone = trace_T_batch(lam_j, tables[j : j + 1], pair_factors(lam_j))
+            assert all(a[j].tobytes() == b[0].tobytes() for a, b in zip(stacked, alone))
+            alone = trace_T_entries(lam_j, x[j : j + 1], pair_factors(lam_j))
+            assert all(a[j].tobytes() == b[0].tobytes() for a, b in zip(entries, alone))
+            assert closed[j] == trace_T_closed_form(lam_j, tables[j : j + 1])[0]
+        # The two forms are one implementation: the same value and pair
+        # Hessian, and the gradient at the free entries.
+        assert stacked[0].tobytes() == entries[0].tobytes()
+        assert stacked[2].tobytes() == entries[2].tobytes()
+        assert free_entries(stacked[1]).tobytes() == entries[1].tobytes()
 
 
 def dense_hessian_blocks(lam, tables):
@@ -340,7 +373,7 @@ def dense_hessian_blocks(lam, tables):
     d = lam.shape[-1]
     cols = np.arange(d)
     upper = cols[:, None] <= cols
-    live, safe, ratio = _column_ratios(lam, tables)
+    live, safe, ratio = column_ratios(lam, tables)
     scale = np.where(live, (cols + 1.0) / safe, 0.0)[:, None, :]
     x = np.swapaxes(tables, 1, 2)[..., None]  # d_ki at [n, i, k, 0]
     coupling = (x + np.swapaxes(x, 2, 3) - ratio[..., None, None]) / safe[..., None, None]
@@ -436,6 +469,23 @@ def test_stacked_protocols_are_each_table_alone_bit_for_bit():
                     got[...] = 0
         if s.rank > 1:  # the dropped column has no outcome
             assert stacked[0][5, 0] == 0
+
+
+def test_protocol_stack_gates_with_the_outcome_probabilities_alone():
+    """protocol_stack reads a table only through its weights l_k d_ki, and
+    gates its columns with D_i = sum_k l_k d_ki alone, never forming N_i =
+    sum_k l_k d_ki**2.  A stack scaled by 2**530, a power of 4, so that
+    every square root and norm scales exactly, gives the same protocols to
+    the bit, while squaring its entries would overflow, which errstate
+    turns into an error."""
+    rng = np.random.default_rng(34)
+    for d in (3, 9):
+        lam = random_spectrum(d, rng).effective
+        tables = np.stack([random_delta(d, rng).table for _ in range(4)] + [uniform_table(d)])
+        with np.errstate(over="raise"):
+            scaled = protocol_stack(lam, tables * 2.0**530)
+        for got, want in zip(scaled, protocol_stack(lam, tables)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_stacked_protocols_refuse_a_table_of_another_rank():
@@ -607,7 +657,7 @@ def test_a_column_is_live_above_one_denom_tol_per_outcome():
         table[2, 2] = 1.0
         if offset == 1.0:
             assert (lam @ table)[:2].tolist() == [DENOM_TOL, 2 * DENOM_TOL]
-        assert _column_ratios(lam, table[None])[0][0].tolist() == live
+        assert column_ratios(lam, table[None])[0][0].tolist() == live
 
 
 def equivalence_cases():
@@ -653,7 +703,7 @@ def test_closed_form_counts_the_protocol_outcomes():
     for s, delta, gated in cases:
         lam, tables = s.effective, delta.table[None]
         outcomes, _, _ = protocol_stack(lam, tables)
-        _, _, ratio = _column_ratios(lam, tables)
+        _, _, ratio = column_ratios(lam, tables)
         expected = (ratio * outcomes).sum(axis=1)
         assert trace_T_closed_form(lam, tables).tolist() == expected.tolist()
         assert trace_T_closed_form(s, delta) == float(expected[0])
