@@ -22,11 +22,11 @@ of column i above the support cutoff, none on a dead column (_supports,
 the one rule, which protocol_stack reads too).  The paper's closed form
 puts r_i = i, which holds when every live column has full support; as a
 function of the table it is the convex envelope the optimiser minimises
-(trace_T_entries, on a table's free entries; trace_T_batch, on whole
-tables).  The protocol's outcome law is one closed-form table
-over (Alice's outcome, Bob's outcome, Alice's check), and the seeded
-Monte Carlo simulator draws all its samples from that table in one
-multinomial.
+(trace_T_entries, with its derivatives, on a table's free entries;
+trace_T_batch, its value alone, on whole tables).  The protocol's
+outcome law is one closed-form table over (Alice's outcome, Bob's
+outcome, Alice's check), and the seeded Monte Carlo simulator draws all
+its samples from that table in one multinomial.
 """
 
 from __future__ import annotations
@@ -432,19 +432,11 @@ def trace_T_entries(lam: np.ndarray, x: np.ndarray, factors: tuple | None = None
     return value, g, (2.0 * scale).take(column, axis=1) * (diag - lk_lkk * coupling)
 
 
-def trace_T_batch(lam: np.ndarray, tables: np.ndarray, factors: tuple | None = None):
-    """trace_T_entries of an (n, d, d) stack of upper-triangular tables,
-    read at their free entries (entries below the diagonal are not read),
-    with the gradient g returned as (n, d, d) tables, zero below the
-    diagonal."""
-    x = free_entries(tables)
-    if factors is None:
-        return trace_T_entries(lam, x)
-    value, g, H = trace_T_entries(lam, x, factors)
-    n, d = len(tables), tables.shape[-1]
-    table_g = np.zeros((n, d * d))
-    table_g[:, table_layout(d).entries] = g
-    return value, table_g.reshape(n, d, d), H
+def trace_T_batch(lam: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """trace_T_entries's value on an (n, d, d) stack of upper-triangular
+    tables, read at their free entries (entries below the diagonal are not
+    read)."""
+    return trace_T_entries(lam, free_entries(tables))
 
 
 def trace_T_closed_form(s: SchmidtSpectrum | np.ndarray, delta: DeltaMatrix | np.ndarray):

@@ -7,16 +7,16 @@ np.triu turned into np.tril.  A site is named "function op#k", the k-th
 site of that op in that function in source order ("<module>" outside any
 def).
 
-Each TARGETS entry samples one module: its forced mutants plus `sample`
+Each TARGETS entry samples one module: its forced mutants plus SAMPLE
 sites drawn with random.Random(SEED) from the rest of its sites, or of
 the sites in its scope functions when it names some.  Each sampled mutant
 has a record: killed names the test function (module::name, under
 tests/) that fails on it, equivalent says in one line why no test can.
 Each mutant runs on a copy of the tree: a killed one must fail its named
-test (or run past TIMEOUT_S), an equivalent one must pass every test of
-the target's tests.  The
-check fails on a mutant without a record, on a survivor, and on an
-equivalent mutant that a test now kills (its record is then stale).
+test, an equivalent one must pass every test of the target's tests.  A
+run cut off after TIMEOUT_S kills nothing.  The check fails on a mutant
+without a record, on a survivor, and on an equivalent mutant that a test
+now kills (its record is then stale).
 Editing a module can move its sample; the check then names the
 unrecorded mutants and what kills them.
 
@@ -41,8 +41,9 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 0
-# A mutant whose tests run this long counts as killed: a mutated barrier
-# can halve its step forever.  The unmutated test files take about 6 s.
+SAMPLE = 18  # sites drawn per target besides its forced mutants
+# A run cut off after this long: a mutated barrier can halve its step
+# forever.  The unmutated test files take about 6 s.
 TIMEOUT_S = 60
 
 
@@ -51,7 +52,6 @@ class Target(NamedTuple):
     tests: tuple  # the test files an unrecorded or equivalent mutant runs
     scope: tuple  # the functions whose sites are sampled; () for the whole module
     forced: tuple  # mutants always run
-    sample: int  # further sites drawn with random.Random(SEED)
     killed: dict  # mutant -> "test_module::test_name" that fails on it
     equivalent: dict  # mutant -> why no test can kill it
 
@@ -64,14 +64,13 @@ TARGETS = {
         # The live gate of the support rule, the gate's strict threshold
         # and the table mask.
         ("_supports &#0", "_live_columns >#0", "table_layout triu#0"),
-        18,
         {
             "_supports &#0": "test_two_way::test_closed_form_counts_the_protocol_outcomes",
             "_live_columns >#0":
                 "test_two_way::test_a_column_is_live_above_one_denom_tol_per_outcome",
             "table_layout triu#0": "test_two_way::test_delta_validation",
             "protocol_stack int#9": "test_two_way::test_build_T_trivial_first_measurement",
-            "wilson_interval -#0": "test_two_way::test_wilson_interval_ends_solve_the_score_equation",
+            "wilson_interval /#4": "test_two_way::test_wilson_interval_ends_solve_the_score_equation",
             "accept_reads float#0":
                 "test_separable::test_verify_protocols_read_as_one_stack_are_each_form_alone_bit_for_bit",
             "one_way_table float#0": "test_two_way::test_delta_constructors",
@@ -80,12 +79,12 @@ TARGETS = {
                 "test_two_way::test_objective_gradient_matches_finite_differences",
             "trace_T_entries *#3": "test_two_way::test_objective_gradient_matches_finite_differences",
             "protocol_stack >#0": "test_two_way::test_build_T_trivial_first_measurement",
-            "wilson_interval *#2": "test_two_way::test_wilson_interval_ends_solve_the_score_equation",
-            "simulate_protocol /#0": "test_cli::test_verify_fails_on_a_scaled_bob_vector",
+            "wilson_interval +#2": "test_two_way::test_simulate_type_one_error_is_zero",
+            "simulate_protocol /#1": "test_two_way::test_simulate_type_one_error_is_zero",
             "_fourier_stack +#0": "test_two_way::test_mub_balanced",
             "trace_T_entries *#2": "test_two_way::test_objective_gradient_matches_finite_differences",
             "protocol_stack -#0": "test_two_way::test_build_T_trivial_first_measurement",
-            "_branch_probabilities int#1": "test_two_way::test_simulate_type_one_error_is_zero",
+            "_branch_probabilities *#3": "test_two_way::test_simulate_type_one_error_is_zero",
             "table_layout float#1": "test_two_way::test_closed_form_hand_arithmetic",
             "trace_T_entries -#1": "test_two_way::test_objective_gradient_matches_finite_differences",
             "validity_defect int#0": "test_two_way::test_validity_defect_matches_its_loop_reference",
@@ -98,7 +97,6 @@ TARGETS = {
         ("tests/test_optimize.py", "tests/test_batch.py", "tests/test_solve_pins.py"),
         ("_barrier_newton", "solve_stack"),
         (),
-        18,
         {
             "_barrier_newton -#3": "test_optimize::test_passes_per_solve_ceiling_at_the_floor",
             "_barrier_newton -#4": "test_optimize::test_passes_per_solve_ceiling_at_the_floor",
@@ -200,13 +198,13 @@ def sample(source: str, target: Target) -> list[str]:
     mutator.visit(ast.parse(source))
     sites = [n for n in mutator.sites if not target.scope or n.split()[0] in target.scope]
     rest = [name for name in sites if name not in target.forced]
-    return list(target.forced) + random.Random(SEED).sample(rest, target.sample)
+    return list(target.forced) + random.Random(SEED).sample(rest, SAMPLE)
 
 
-def run_tests(tree: Path, tests) -> tuple[int, str]:
+def run_tests(tree: Path, tests) -> tuple[int | None, str]:
     """pytest's exit code on tests in the copy, and its first failing test
-    as module::name; a run cut off after TIMEOUT_S counts as failed, with
-    code 1 and the name "timeout"."""
+    as module::name ("" for none); a run cut off after TIMEOUT_S returns
+    code None."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(tree / "src")}
     try:
         done = subprocess.run(
@@ -214,7 +212,7 @@ def run_tests(tree: Path, tests) -> tuple[int, str]:
             cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
         )
     except subprocess.TimeoutExpired:
-        return 1, "timeout"
+        return None, ""
     failed = re.search(r"^(?:FAILED|ERROR) tests/(\w+)\.py::(\w+)", done.stdout, re.M)
     return done.returncode, "::".join(failed.groups()) if failed else ""
 
@@ -240,16 +238,17 @@ def main(argv: list[str]) -> int:
             return 1
         for name in names:
             (tree / target.path).write_text(mutant_source(source, name))
-            if name in target.killed:
-                module, test = target.killed[name].split("::")
-                code, _ = run_tests(tree, [f"tests/{module}.py::{test}"])
-                verdict = "killed" if code in (1, 2) else f"SURVIVES {target.killed[name]}"
+            record = target.killed.get(name)
+            tests = [f"tests/{record.replace('::', '.py::')}"] if record else target.tests
+            code, failed = run_tests(tree, tests)
+            if code is None:
+                verdict = f"CUT OFF after {TIMEOUT_S} s"
+            elif record:
+                verdict = "killed" if code in (1, 2) else f"SURVIVES {record}"
+            elif name in target.equivalent:
+                verdict = "equivalent" if code == 0 else f"KILLED by {failed}: stale record"
             else:
-                code, failed = run_tests(tree, target.tests)
-                if name in target.equivalent:
-                    verdict = "equivalent" if code == 0 else f"KILLED by {failed}: stale record"
-                else:
-                    verdict = f"NO RECORD, killed by {failed}" if code else "NO RECORD, survives"
+                verdict = f"NO RECORD, killed by {failed}" if code else "NO RECORD, survives"
             print(f"{name:<28} {verdict}", flush=True)
             if verdict not in ("killed", "equivalent"):
                 problems.append(name)

@@ -38,12 +38,13 @@ from loccdist.two_way import (
     DeltaMatrix,
     build_two_way_protocol,
     build_two_way_T,
+    free_entries,
     pair_factors,
     random_tables,
     simulate_protocol,
     table_layout,
-    trace_T_batch,
     trace_T_closed_form,
+    trace_T_entries,
     uniform_table,
     wilson_interval,
 )
@@ -362,6 +363,8 @@ def interior_optimum(lam: np.ndarray):
         return None
     table = directions * scales
     table /= table.sum(axis=1, keepdims=True)
-    value, g, _ = trace_T_batch(lam, table[None], pair_factors(lam))
-    vertex = np.where(table_layout(d).upper, g[0], np.inf).min(axis=1).sum()
-    return table, float(value[0]), float((g[0] * table).sum() - vertex)
+    x = free_entries(table[None])
+    value, g, _ = trace_T_entries(lam, x, pair_factors(lam))
+    grad = np.full((d, d), np.inf)  # g at the free entries, inf below the diagonal
+    grad[table_layout(d).upper] = g[0]
+    return table, float(value[0]), float((g * x).sum() - grad.min(axis=1).sum())

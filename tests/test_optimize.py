@@ -17,11 +17,13 @@ from loccdist.separable import beta_sep_pure, sep_traces
 from loccdist.states import SchmidtSpectrum, check_spectra, parse_spectrum, spectrum
 from loccdist.two_way import (
     DeltaMatrix,
+    free_entries,
     one_way_table,
     pair_factors,
     table_layout,
     trace_T_batch,
     trace_T_closed_form,
+    trace_T_entries,
 )
 from reference import interior_optimum
 from test_batch import barrier_meets_analytic, stack
@@ -614,9 +616,12 @@ def test_gap_at_the_iteration_cap_is_that_of_the_returned_table(monkeypatch):
         res = beta_two_way_upper(s)
         assert not res.converged
         lam, table = s.effective, res.best_delta.table
-        _, g, _ = trace_T_batch(lam, table[None], pair_factors(lam))
-        vertex = np.where(table_layout(d).upper, g[0], np.inf).min(axis=1).sum()
-        assert abs((g[0] * table).sum() - vertex - res.certified_gap) <= 1e-12
+        x = free_entries(table[None])
+        _, g, _ = trace_T_entries(lam, x, pair_factors(lam))
+        grad = np.full((d, d), np.inf)  # g at the free entries, inf below the diagonal
+        grad[table_layout(d).upper] = g[0]
+        vertex = grad.min(axis=1).sum()
+        assert abs((g * x).sum() - vertex - res.certified_gap) <= 1e-12
 
 
 CERTIFY_CASES = fuzz_spectra() + [

@@ -307,37 +307,30 @@ def test_oracle_equivalence_corpus():
 def test_objective_gradient_matches_finite_differences(d):
     rng = np.random.default_rng(10 + d)
     lam = random_spectrum(d, rng).effective
-    tables = np.stack([random_delta(d, rng).table for _ in range(3)])
+    x = free_entries(np.stack([random_delta(d, rng).table for _ in range(3)]))
     factors = pair_factors(lam)
-    _, grad, hess = trace_T_batch(lam, tables, factors)
+    _, grad, hess = trace_T_entries(lam, x, factors)
     layout = table_layout(d)
     h = 1e-6
-    for k in range(d):
-        for i in range(d):
-            step = np.zeros((d, d))
-            step[k, i] = h
-            fd = (trace_T_batch(lam, tables + step) - trace_T_batch(lam, tables - step)) / (2 * h)
-            _, g_plus, _ = trace_T_batch(lam, tables + step, factors)
-            _, g_minus, _ = trace_T_batch(lam, tables - step, factors)
-            fd_hess = (g_plus - g_minus) / (2 * h)
-            if k > i:
-                assert np.all(grad[:, k, i] == 0.0)
-            else:
-                assert np.max(np.abs(grad[:, k, i] - fd)) <= 1e-7
-                # The pairs (d_ki, d_k'i) hold every second derivative
-                # through d_ki; other columns do not move.
-                entry = np.flatnonzero((layout.rows == k) & (layout.cols == i))[0]
-                pairs = layout.p == entry
-                scale = 1.0 + np.max(np.abs(hess[:, layout.pair_col == i]))
-                fd_pairs = fd_hess[:, layout.rows[layout.q[pairs]], i]
-                assert np.max(np.abs(hess[:, pairs] - fd_pairs)) <= 1e-7 * scale
-                others = np.arange(d) != i
-                assert np.max(np.abs(fd_hess[:, :, others])) <= 1e-7 * scale
+    for j, i in enumerate(layout.cols):
+        step = np.zeros(layout.cols.size)
+        step[j] = h
+        fd = (trace_T_entries(lam, x + step) - trace_T_entries(lam, x - step)) / (2 * h)
+        assert np.max(np.abs(grad[:, j] - fd)) <= 1e-7
+        _, g_plus, _ = trace_T_entries(lam, x + step, factors)
+        _, g_minus, _ = trace_T_entries(lam, x - step, factors)
+        fd_hess = (g_plus - g_minus) / (2 * h)
+        # The pairs (d_ki, d_k'i) hold every second derivative through
+        # d_ki; entries of other columns do not move.
+        pairs = layout.p == j
+        scale = 1.0 + np.max(np.abs(hess[:, layout.pair_col == i]))
+        assert np.max(np.abs(hess[:, pairs] - fd_hess[:, layout.q[pairs]])) <= 1e-7 * scale
+        assert np.max(np.abs(fd_hess[:, layout.cols != i])) <= 1e-7 * scale
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 10, 32])
 def test_objective_of_a_stack_is_each_table_alone_bit_for_bit(d):
-    """trace_T_batch, its free-entry form trace_T_entries and
+    """trace_T_entries, its value on whole tables trace_T_batch and
     trace_T_closed_form give each table of a stack of 9 the bits it gets
     alone, under one shared spectrum and under an (n, d) stack of spectra,
     one per table.  The column sums are a batched (n, 1, m) @ (m, d)
@@ -349,25 +342,21 @@ def test_objective_of_a_stack_is_each_table_alone_bit_for_bit(d):
     shared = random_spectrum(d, rng).effective
     lams = np.stack([random_spectrum(d, rng).effective for _ in range(len(tables))])
     for lam in (shared, lams):
-        stacked = trace_T_batch(lam, tables, pair_factors(lam))
         entries = trace_T_entries(lam, x, pair_factors(lam))
+        values = trace_T_batch(lam, tables)
         closed = trace_T_closed_form(lam, tables)
         for j in range(len(tables)):
             lam_j = lam if lam.ndim == 1 else lam[j]
-            alone = trace_T_batch(lam_j, tables[j : j + 1], pair_factors(lam_j))
-            assert all(a[j].tobytes() == b[0].tobytes() for a, b in zip(stacked, alone))
             alone = trace_T_entries(lam_j, x[j : j + 1], pair_factors(lam_j))
             assert all(a[j].tobytes() == b[0].tobytes() for a, b in zip(entries, alone))
+            assert values[j].tobytes() == trace_T_batch(lam_j, tables[j : j + 1])[0].tobytes()
             assert closed[j] == trace_T_closed_form(lam_j, tables[j : j + 1])[0]
-        # The two forms are one implementation: the same value and pair
-        # Hessian, and the gradient at the free entries.
-        assert stacked[0].tobytes() == entries[0].tobytes()
-        assert stacked[2].tobytes() == entries[2].tobytes()
-        assert free_entries(stacked[1]).tobytes() == entries[1].tobytes()
+        # The two forms are one implementation: the same value.
+        assert values.tobytes() == entries[0].tobytes()
 
 
 def dense_hessian_blocks(lam, tables):
-    """trace_T_batch's Hessian written out as (n, d, d, d) column blocks
+    """trace_T_entries's Hessian written out as (n, d, d, d) column blocks
     H[n, i, k, k'] = d2 Tr T / dd_ki dd_k'i, zero where k or k' > i: the
     reference for its column-pair entries."""
     d = lam.shape[-1]
@@ -514,7 +503,7 @@ def test_pair_hessian_is_the_dense_blocks_bit_for_bit(d):
     spectra = [random_spectrum(d, rng).effective, np.full(d, 1.0 / d)]
     spectra.append(np.stack([rng.dirichlet(np.ones(d)) for _ in range(len(tables))]))
     for lam in spectra:
-        _, _, pairs = trace_T_batch(lam, tables, pair_factors(lam))
+        _, _, pairs = trace_T_entries(lam, free_entries(tables), pair_factors(lam))
         assert pairs.shape == (len(tables), layout.p.size)
         blocks = np.zeros((len(tables), d, d, d))
         blocks[:, layout.pair_col, layout.rows[layout.p], layout.rows[layout.q]] = pairs
