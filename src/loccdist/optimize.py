@@ -32,6 +32,25 @@ gap * t / (m - d) read between 0.1 and 0.6.)  So every pass does the
 same: the gap of each row, retiring the rows that are done, the floor,
 and one damped Newton step.
 
+Near an interior minimiser Newton's method on f itself converges
+quadratically (ibid., 10.2), while the barrier's gap shrinks only about
+30-40 fold a pass.  So a row finishes without it: once its gap is at
+most sqrt(TOL) and no free entry lies within sqrt(w) of the boundary
+(min x**2 >= w, for the weight w = 1 / t its iterate was centred for:
+face pinning with an empty face), its Newton steps drop the barrier's
+w / x gradient and w / x**2 diagonal and keep the fraction to the
+boundary, Armijo (on f alone) and the stop at gap <= tol.  From a gap eps, one such step lands near eps**2, so sqrt(TOL)
+leaves one or two steps to the default tolerance; it is fixed by TOL,
+not by the tol of the call, so a solve to a tighter tol finishes in the
+same way.  The row keeps its finish (a flag in the stack state) until a
+plain step of its own reaches the fraction-to-boundary cap: that row
+returns to its kept weight w and takes the barrier step instead, with a
+second KKT solve in that pass.  Where the minimiser lies on the
+boundary (a top tie empties columns) the guard keeps the row on the
+barrier; without it, 17 of the hard test cases retook 66 steps.  On
+perfbench's pools the finish takes bounds-random from 10.58 to 9.38
+passes and certify from 7.75 to 6.88.
+
 GAP_FLOOR is 15, inside the usual 10 to 20 for the multiplier of t
 (ibid., 11.3.3, on choosing mu): a larger jump in t takes fewer passes
 until the steps after a jump no longer keep up.  Over floors 5, 8, 10,
@@ -42,10 +61,8 @@ slowest rank >= 3 spectrum of the certify pool takes 18 at 20 (12 at 15
 and 18, 14 at 5); 15 keeps clear of both.  From 5 to 15, Dirichlet
 spectra at d = 16..32 go from about 18 to 14 passes; two-level tied
 spectra gain least (27.4 to 26.0 on average, their slowest 37 to 38).
-The extra calls per second raise perfbench's peak RSS, which keeps a
-record per call, by at most about 2% in the median (bounds-random: 46.0
-to 47.0 MB; sweep +1.1%, certify +0.4%), inside the benchmark's 5%
-bound.
+perfbench keeps a record per call, so every gain in calls per second
+also raises its peak RSS (CHANGES.md has the figures of each change).
 
 solve_stack is the one engine: it solves a stack of spectra that share
 an effective rank (beta_two_way_upper is a stack of one, and a sweep
@@ -91,8 +108,8 @@ arXiv:0708.3154): for the pair (1 - l, l) with l <= 1/2,
     beta = 1/2 - (1 - sqrt(2 l))**2 / (4 (1 - l)),   delta* = (1 - sqrt(2 l)) / (1 - l)
 
 at the table [[delta*, 1 - delta*], [0, 1]].  A rank-2 row whose slack
-exceeds tol gets that table with iterations 1 and certified gap 0, exact
-by construction as a certified corner is; the barrier solve runs only at
+exceeds tol gets that table with iterations 1 and, as its certified gap,
+the rounding of its t_value (below); the barrier solve runs only at
 rank 3 and above, where no closed form is known.
 
 solve_stack then makes the whole stack into results at once: its
@@ -101,9 +118,12 @@ tables are renormalised and checked together
 gives the operator's Tr T at every table that was solved (a corner row
 keeps d, its closed form to the bit, and a stack of corners makes no
 call), and the smaller of that and the one-way corner's d is reported (the
-solved table on a tie).  The certified gap is reported as max(gap, 0): it
-is the rounded difference of two sums and can dip below 0 once the
-tolerance nears rounding.  The results are arrays (StackSolve), which a
+solved table on a tie).  The certified gap stays a bound in floats: the
+barrier adds 4 ulps of sum |g x| to the rounded difference of its two
+sums, and solve_stack clips that at 0 and adds 4 ulps of t_value to every
+solved row, the exact rank-2 rows included.  Once Newton lands on the
+minimiser to rounding, the unpadded gap could read 0 with t_value an ulp
+above the minimum.  The results are arrays (StackSolve), which a
 sweep reads directly (bounds.pure_state_reports); beta_two_way_upper
 wraps its one row in an OptimizationResult.
 
@@ -211,13 +231,14 @@ def _barrier_newton(lam: np.ndarray, tol: float):
 
     Returns the final tables (n, d, d) and, per row, the pass at which its
     Frank-Wolfe gap fell to tol (MAX_ITERS if it never did) and the gap of
-    its final table.
+    its final table plus the rounding bound of its sums.
     A row leaves the stack once it is done; every operation acts on each
     row alone, so a row's iterates do not depend on the rest of the stack.
 
     Each pass damps its Newton step dx: fraction to the boundary, then
-    Armijo halving on the barrier objective f - w sum log x, with a step
-    length per row.  Every trial runs on the whole stack and only the rows
+    Armijo halving on the barrier objective f - w sum log x (w = 0 for a
+    finishing row, module docstring), with a step length per row.  Every
+    trial runs on the whole stack and only the rows
     it rejects halve their step, so a row accepted earlier is accepted
     again at its unchanged step, with the same bits.  A slack of a few ulps
     of that objective lets through a step whose predicted decrease is below
@@ -236,11 +257,32 @@ def _barrier_newton(lam: np.ndarray, tol: float):
     kkt[:, np.arange(m), m + layout.rows] = 1.0
     rhs = np.zeros((n, size, 1))  # 3-D: numpy 2 reads an (n, size) one as a matrix if n == size
 
+    def newton(x, g, H, weight):
+        """The Newton step dx of k rows at their barrier weights, solved
+        in the first k KKT systems, and the gradient it descends."""
+        k = len(x)
+        wx = weight[:, None] / x
+        grad = g - wx
+        system = kkt[:k]
+        flat = system.reshape(k, -1)
+        flat[:, into_kkt] = H
+        barrier = flat[:, diagonal]  # a strided view, updated in place
+        barrier += wx / x
+        np.negative(grad, out=rhs[:k, :m, 0])
+        return grad, np.linalg.solve(system, rhs[:k])[:, :m, 0]
+
+    def step_cap(x, dx):
+        """Fraction to the boundary: the longest step, at most 1, that
+        keeps 1% of every entry, 0.99 / max(-dx / x)."""
+        return 0.99 / np.maximum((-dx / x).max(axis=1), 0.99)
+
     x = np.repeat(free_entries(uniform_table(d)[None]), n, axis=0)
     factors = pair_factors(lam)  # spectrum-only: gathered once, filtered as rows leave
     f, g, H = trace_T_entries(lam, x, factors)
     logs = np.log(x).sum(axis=1)  # the barrier's sum log x at x
     w = np.ones(n)  # the barrier weight, carried as 1 / t
+    near_gap = TOL ** 0.5  # a gap eps finishes in about one step to eps**2
+    finish = np.zeros(n, dtype=bool)  # rows taking plain Newton steps on f
     final = np.zeros((n, d * d))
     passes = np.full(n, MAX_ITERS)
     gaps = np.empty(n)
@@ -249,7 +291,8 @@ def _barrier_newton(lam: np.ndarray, tol: float):
         # By convexity f(x) - min f <= max over vertices v of g . (x - v),
         # and the best vertex puts each row k on its smallest g_ki.
         vertex = np.minimum.reduceat(g, layout.starts, axis=1).sum(axis=1)
-        gap = (g * x).sum(axis=1) - vertex
+        gx = g * x
+        gap = gx.sum(axis=1) - vertex
         done = gap <= tol
         if it == MAX_ITERS:  # a row left undone keeps this gap's table
             done[:] = True
@@ -257,33 +300,43 @@ def _barrier_newton(lam: np.ndarray, tol: float):
             leaving = live[done]
             final[leaving[:, None], layout.entries] = x[done]
             passes[leaving] = it
-            gaps[leaving] = gap[done]
+            # A few ulps of sum |g x| bound the rounding of the gap.
+            gaps[leaving] = gap[done] + 4.0 * np.spacing(np.abs(gx[done]).sum(axis=1))
             if done.all():
                 break
             stay = ~done
-            state = (live, lam, w, gap, x, f, g, H, logs, *factors)
-            live, lam, w, gap, x, f, g, H, logs, *factors = (a[stay] for a in state)
+            state = (live, lam, w, finish, gap, x, f, g, H, logs, *factors)
+            live, lam, w, finish, gap, x, f, g, H, logs, *factors = (a[stay] for a in state)
+        # The finish: a row within sqrt(TOL) of the minimum, with no free
+        # entry within sqrt(w) of the boundary for the weight w its iterate
+        # was centred for, steps on f alone.
+        near = gap <= near_gap
+        finishing = np.count_nonzero(near) or np.count_nonzero(finish)
+        if finishing:
+            finish |= near & ((x * x).min(axis=1) >= w)
         # At the centre for weight t, f - min f <= m / t: a weight below
         # m / gap asks for less than the certificate has already shown.
         np.minimum(w, gap / (GAP_FLOOR * m), out=w)
-        wx = w[:, None] / x
-        grad = g - wx
-        system = kkt[: live.size]
-        flat = system.reshape(live.size, -1)
-        flat[:, into_kkt] = H
-        flat[:, diagonal] += wx / x  # a strided view, updated in place
-        rhs[: live.size, :m, 0] = -grad
-        dx = np.linalg.solve(system, rhs[: live.size])[:, :m, 0]
+        weight = np.where(finish, 0.0, w) if finishing else w
+        grad, dx = newton(x, g, H, weight)
+        alpha = step_cap(x, dx)
+        if finishing:
+            # A finishing row whose step the cap cuts returns to its
+            # weight w and takes the barrier step instead.
+            capped = np.flatnonzero(finish & (alpha < 1.0))
+            if capped.size:
+                finish[capped] = False
+                weight[capped] = w[capped]
+                grad[capped], dx[capped] = newton(x[capped], g[capped], H[capped], w[capped])
+                alpha[capped] = step_cap(x[capped], dx[capped])
         decrement = -(grad[:, None, :] @ dx[:, :, None])[:, 0, 0]
-        ratio = np.divide(-x, dx, out=np.full_like(x, np.inf), where=dx < 0)
-        alpha = np.minimum(1.0, 0.99 * ratio.min(axis=1))
-        phi = f - logs * w
+        phi = f - logs * weight
         slack = ARMIJO_SLACK * np.abs(phi)
         while True:
             trial = x + alpha[:, None] * dx
             f, g, H = trace_T_entries(lam, trial, factors)
             logs = np.log(trial).sum(axis=1)
-            ok = f - logs * w <= phi - 0.25 * alpha * decrement + slack
+            ok = f - logs * weight <= phi - 0.25 * alpha * decrement + slack
             if ok.all():
                 break
             alpha[~ok] *= 0.5
@@ -308,8 +361,8 @@ def solve_stack(lam: np.ndarray, tol: float) -> StackSolve:
     No table's Tr T lies below (sum_k sqrt(l_k))**2 (separable.sep_traces),
     and the one-way corner's is d.  Every row starts at the corner after
     one pass, with that slack as its gap; the rows whose slack exceeds tol
-    are overwritten by the exact two-outcome table at d = 2 (gap 0) and by
-    one stacked barrier solve above, and the whole stack is finished
+    are overwritten by the exact two-outcome table at d = 2 and by one
+    stacked barrier solve above, and the whole stack is finished
     together.  Every operation acts on each row alone, so a row's result
     does not depend on the rest of the stack.  Raises ValueError unless
     0 < tol < inf (check_tol).
@@ -338,7 +391,10 @@ def solve_stack(lam: np.ndarray, tol: float) -> StackSolve:
     # cutoff.
     tables[values > d] = one_way_table(d)
     values = np.minimum(values, d)
-    gaps = np.maximum(gaps, 0.0)  # a rounded difference of two sums can dip below 0
+    # A rounded difference of two sums can dip below 0, and a solved row's
+    # t_value carries rounding of its own: a few ulps of it.
+    gaps = np.maximum(gaps, 0.0)
+    gaps[solve] += 4.0 * np.spacing(values[solve])
     return StackSolve(check_tables(tables), values, passes, gaps, gaps <= tol)
 
 

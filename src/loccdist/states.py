@@ -33,7 +33,12 @@ def check_spectra(lams: np.ndarray) -> np.ndarray:
     at or below RANK_TOL set to 0, a sum within SUM_TOL of 1, then
     renormalised and sorted non-increasing.  Returns the checked rows as a
     new (n, d) array, each row bit for bit its SchmidtSpectrum's lambdas;
-    raises ValueError at the first rule a row breaks."""
+    raises ValueError at the first rule a row breaks.
+
+    A row whose sum is 1 to rounding (within d eps, the most that summing
+    d renormalised coefficients can miss it by) is not divided, so a
+    checked row checks to itself; only a level that renormalising moves
+    to or below RANK_TOL is zeroed by a second check."""
     lam = np.asarray(lams, dtype=float)
     if not np.all(np.isfinite(lam)):
         raise ValueError("Schmidt coefficients must be finite")
@@ -46,6 +51,7 @@ def check_spectra(lams: np.ndarray) -> np.ndarray:
     off = np.abs(total - 1.0) > SUM_TOL
     if off.any():
         raise ValueError(f"coefficients sum to {float(total[off][0])}, not 1")
+    total[np.abs(total - 1.0) <= lam.shape[1] * np.finfo(float).eps] = 1.0
     return -np.sort(-(lam / total), axis=1)  # ties are equal values: no order to keep
 
 

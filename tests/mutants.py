@@ -95,34 +95,40 @@ TARGETS = {
     "optimize": Target(
         Path("src/loccdist/optimize.py"),
         ("tests/test_optimize.py", "tests/test_batch.py", "tests/test_solve_pins.py"),
-        ("_barrier_newton", "solve_stack"),
-        (),
+        ("_barrier_newton", "newton", "step_cap", "solve_stack"),
+        # The finish: its sqrt(TOL) threshold, its guard min x**2 >= w and
+        # the cap test that returns a row to its weight w.
+        ("_barrier_newton float#2", "_barrier_newton *#5", "_barrier_newton <#0"),
         {
-            "_barrier_newton -#3": "test_optimize::test_passes_per_solve_ceiling_at_the_floor",
-            "_barrier_newton -#4": "test_optimize::test_passes_per_solve_ceiling_at_the_floor",
-            "_barrier_newton +#2": "test_optimize::test_rank_one_spectra_need_no_newton_step",
+            "_barrier_newton float#2": "test_optimize::test_the_finish_cuts_the_passes_at_the_floor",
+            "_barrier_newton *#5": "test_optimize::test_no_hard_case_finishes_near_the_boundary",
+            "_barrier_newton <#0": "test_optimize::test_the_finish_cuts_the_passes_at_the_floor",
             "_barrier_newton int#13": "test_optimize::test_rank_one_spectra_need_no_newton_step",
-            "solve_stack int#3": "test_optimize::test_rank_one_spectra_need_no_newton_step",
-            "_barrier_newton <=#0": "test_optimize::test_a_gap_equal_to_tol_stops_the_solve",
-            "solve_stack >#0": "test_optimize::test_a_slack_equal_to_tol_keeps_the_corner",
-            "_barrier_newton float#4": "test_optimize::test_hard_cases_converge_to_tol",
-            "solve_stack >#1": "test_optimize::test_a_tie_with_the_corner_reports_the_solved_table",
-            "_barrier_newton +#6":
-                "test_optimize::test_gap_at_the_iteration_cap_is_that_of_the_returned_table",
+            "_barrier_newton *#8": "test_optimize::test_the_finish_cuts_the_passes_at_the_floor",
+            "_barrier_newton +#2": "test_optimize::test_rank_one_spectra_need_no_newton_step",
             "_barrier_newton *#3":
                 "test_optimize::test_barrier_solve_of_two_outcome_rows_meets_the_analytic_value",
-            "_barrier_newton <#0": "test_optimize::test_rank_one_spectra_need_no_newton_step",
-            "_barrier_newton int#3": "test_solve_pins::test_solve_alone_is_pinned",
-            "_barrier_newton int#12": "test_optimize::test_rank_one_spectra_need_no_newton_step",
-            "_barrier_newton +#3": "test_optimize::test_rank_one_spectra_need_no_newton_step",
-            "_barrier_newton *#11":
+            "_barrier_newton float#6":
+                "test_optimize::test_every_damped_step_is_accepted_after_a_few_halvings",
+            "_barrier_newton -#3": "test_optimize::test_the_finish_cuts_the_passes_at_the_floor",
+            "_barrier_newton *#7": "test_optimize::test_rank_one_spectra_need_no_newton_step",
+            "_barrier_newton int#11": "test_optimize::test_rank_one_spectra_need_no_newton_step",
+            "_barrier_newton *#12":
                 "test_optimize::test_barrier_solve_of_two_outcome_rows_meets_the_analytic_value",
+            "_barrier_newton *#6": "test_optimize::test_slack_above_tol_still_solves",
+            "_barrier_newton *#2": "test_optimize::test_rank_one_spectra_need_no_newton_step",
+            "newton /#1": "test_optimize::test_certified_gap_fuzz",
+            "_barrier_newton <=#0": "test_optimize::test_a_gap_equal_to_tol_stops_the_solve",
+            "solve_stack -#0": "test_optimize::test_rank_one_spectra_need_no_newton_step",
+            "_barrier_newton *#4":
+                "test_optimize::test_barrier_solve_of_two_outcome_rows_meets_the_analytic_value",
+            "solve_stack float#0": "test_optimize::test_two_outcome_rows_are_solved_in_closed_form",
         },
         {
-            "_barrier_newton int#11":
-                "system.reshape(n, -2): numpy reads any negative size as the one it infers",
-            "_barrier_newton int#7":
-                "range(1, MAX_ITERS + 2): the loop always leaves by its break at it == MAX_ITERS",
+            "_barrier_newton <=#2":
+                "an Armijo trial with f - w sum log x < its bound: the two sides never tie exactly",
+            "_barrier_newton float#1":
+                "A^T doubled in the KKT systems: dx is the same, only the unread row multipliers halve",
         },
     ),
 }

@@ -424,7 +424,8 @@ def test_optimize_at_a_tiny_tol_still_solves_the_uniform_qutrit(capsys):
 def test_optimize_two_outcomes_at_a_loose_tol_converge(capsys, schmidt, tol):
     """At d = 2 a loose --tol converges after one pass without a
     RuntimeWarning, whether the row is solved in closed form (0.99,0.01:
-    its slack 0.80 exceeds 0.5, and it gets the exact table with gap 0) or
+    its slack 0.80 exceeds 0.5, and it gets the exact table with a gap of
+    4 ulps) or
     the corner is certified (0.6,0.4: its slack 0.020 is within 0.1)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from loccdist.families import BUILTIN_FAMILIES
 from loccdist.operators import eig_hermitian
 from loccdist.states import (
     RANK_TOL,
@@ -13,6 +14,7 @@ from loccdist.states import (
     sqrt_trace_reduced,
     state_from_spectrum,
 )
+from test_cli import fuzz_spectra
 
 
 def test_spectrum_sorted_and_normalised():
@@ -82,7 +84,8 @@ def test_stacked_check_is_each_spectrum_alone(d):
     rows[3, -1], rows[3, 0] = 0.0, rows[3, 0] + rows[3, -1]
     for row, lam in zip(rows, check_spectra(rows)):
         alone = np.where(row > RANK_TOL, row, 0.0)
-        alone = alone / alone.sum()
+        total = alone.sum()
+        alone = alone / (1.0 if abs(total - 1.0) <= d * np.finfo(float).eps else total)
         alone = alone[np.argsort(-alone, kind="stable")]
         for got in (lam, SchmidtSpectrum(row).lambdas):
             assert got.view(np.uint64).tolist() == alone.view(np.uint64).tolist()
@@ -92,6 +95,30 @@ def test_stacked_check_is_each_spectrum_alone(d):
         bad[4, at] = value
         with pytest.raises(ValueError, match=message):
             check_spectra(bad)
+
+
+def test_a_checked_spectrum_checks_to_itself():
+    """check_spectra divides a row by its sum only when the sum misses 1 by
+    more than rounding, so checking a checked row moves no bit: on the
+    fig1-fig6 grids at 13, 23, 49 and 50 points (71 of whose 810 rows moved
+    in the last bit when every row was divided), on fuzz_spectra() and on
+    Dirichlet rows at d = 1..32 scaled off 1 by up to 1e-9."""
+    grids = [
+        family.spectra_array(family.grid(points))
+        for name, family in BUILTIN_FAMILIES.items()
+        if name.startswith("fig")
+        for points in (13, 23, 49, 50)
+    ]
+    fuzz = [parse_spectrum(s).lambdas[None] for s in fuzz_spectra()]
+    rng = np.random.default_rng(22)
+    dirichlet = [
+        rng.dirichlet(np.ones(d), size=50) * (1.0 + rng.uniform(-1e-9, 1e-9, (50, 1)))
+        for d in range(1, 33)
+    ]
+    assert sum(len(rows) for rows in grids) == 810
+    for rows in [*grids, *fuzz, *dirichlet]:
+        once = check_spectra(rows)
+        assert once.view(np.uint64).tolist() == check_spectra(once).view(np.uint64).tolist()
 
 
 def test_parse_spectrum():
