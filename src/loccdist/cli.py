@@ -23,12 +23,22 @@ from .bounds import _delta_strings, embedding_dim, pure_state_report
 from .families import SWEEP_HEADER, check_points, get_family, sweep_line, sweep_rows
 from .one_way import one_way_test_form
 from .operators import eig_hermitian
-from .optimize import TOL, beta_two_way_upper, check_tol, grid_oracle, grid_size
+from .optimize import (
+    TOL,
+    beta_two_way_qubit_analytic,
+    beta_two_way_upper,
+    check_tol,
+    dual_bound,
+    grid_oracle,
+    grid_size,
+    row_multipliers,
+)
 from .separable import (
     beta_sep_pure,
     build_optimal_separable_povm,
     certificate_deviation,
     optimal_test_entries,
+    sep_traces,
     verify_appendix_identity,
 )
 from .states import SchmidtSpectrum, parse_spectrum
@@ -226,6 +236,7 @@ def _two_way_checks(s, mc_samples: int, seed: int):
     yield "two-way-optimal-detection", abs(float(detections[-1]) - 1.0), 1e-9
     protocol = TwoWayProtocol(s, result.best_delta, outcomes[-1], bob[-1], alice[-1])
     yield "two-way-optimal-validity", protocol.validity_defect(), 1e-9
+    yield "two-way-optimal-dual", _dual_deviation(lam, result), 1e-10
     rate_psi, _ = simulate_protocol(protocol, "psi", mc_samples, seed)
     yield "monte-carlo-type-1", abs(rate_psi - 1.0), 0.0
     rate_mix, _ = simulate_protocol(protocol, "mixed", mc_samples, seed + 1)
@@ -233,6 +244,26 @@ def _two_way_checks(s, mc_samples: int, seed: int):
     accepted = min(round(rate_mix * mc_samples), mc_samples)  # the float product can exceed n
     lo, hi = wilson_interval(accepted, mc_samples, z=3.0)
     yield "monte-carlo-type-2", abs(rate_mix - beta), max(hi - lo, 1e-12)
+
+
+def _dual_deviation(lam, result) -> float:
+    """How far the optimal table's t_value lies above an independent lower
+    bound on the minimum by more than its certificate: max(0, t_value - L
+    - certified_gap).  L is the largest of optimize.dual_bound, with mu_k
+    the least gradient over row k's live entries, the separable optimum
+    (sum_k sqrt(l_k))**2, the bound that certifies a one-way corner, and at
+    effective rank 2 the exact two-outcome minimum.  The dual bound reads
+    each column's term itself, not just the gradient, so a wrong gradient
+    or a table far from the minimum reported with a small gap fails.  At
+    rank 2 near rank 1 it cannot confirm the closed form's 4-ulp gap: a
+    rounded table entry near 1e-6 moves the gradient by about 1e-10 there
+    (up to 1.4e-10 at l_1 = 1.06e-12).  A solve that did not converge is
+    held to TOL, not to its own gap."""
+    _, mu = row_multipliers(lam[None], result.best_delta.table[None])
+    lower = max(float(dual_bound(lam[None], mu)[0]), sep_traces(lam[None])[0])
+    if lam.size == 2:
+        lower = max(lower, 4.0 * beta_two_way_qubit_analytic(float(lam[1]))[0])
+    return max(0.0, result.t_value - lower - min(result.certified_gap, TOL))
 
 
 def check_verify(args):

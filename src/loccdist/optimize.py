@@ -33,23 +33,29 @@ same: the gap of each row, retiring the rows that are done, the floor,
 and one damped Newton step.
 
 Near an interior minimiser Newton's method on f itself converges
-quadratically (ibid., 10.2), while the barrier's gap shrinks only about
-30-40 fold a pass.  So a row finishes without it: once its gap is at
-most sqrt(TOL) and no free entry lies within sqrt(w) of the boundary
-(min x**2 >= w, for the weight w = 1 / t its iterate was centred for:
-face pinning with an empty face), its Newton steps drop the barrier's
-w / x gradient and w / x**2 diagonal and keep the fraction to the
-boundary, Armijo (on f alone) and the stop at gap <= tol.  From a gap eps, one such step lands near eps**2, so sqrt(TOL)
-leaves one or two steps to the default tolerance; it is fixed by TOL,
-not by the tol of the call, so a solve to a tighter tol finishes in the
-same way.  The row keeps its finish (a flag in the stack state) until a
-plain step of its own reaches the fraction-to-boundary cap: that row
-returns to its kept weight w and takes the barrier step instead, with a
-second KKT solve in that pass.  Where the minimiser lies on the
-boundary (a top tie empties columns) the guard keeps the row on the
-barrier; without it, 17 of the hard test cases retook 66 steps.  On
-perfbench's pools the finish takes bounds-random from 10.58 to 9.38
-passes and certify from 7.75 to 6.88.
+quadratically (ibid., 10.2): one step takes a gap eps to about eps**2,
+while a barrier pass only divides it by 30 to 40.  Already at eps = 1e-2
+a plain step lands near 1e-4 against a barrier pass's 3e-4, and the next
+near 1e-8.  So a row finishes without the barrier: once its gap is at most
+FINISH_GAP = 1e-2 and no free entry lies within sqrt(max(w, gap / 20)) of
+the boundary (min x**2 >= max(w, gap / 20), for the weight w = 1 / t its
+iterate was centred for: face pinning with an empty face), its Newton
+steps drop the barrier's w / x gradient and w / x**2 diagonal and keep
+the fraction to the boundary, Armijo (on f alone) and the stop at gap <=
+tol.  The gap / 20 term keeps on the barrier a row whose Newton step,
+about the size of its gap, is about the size of its distance to the
+nearest free entry.  FINISH_GAP is fixed, not set by the tol of the call,
+so a solve to a tighter tol finishes in the same way.  The row keeps its
+finish (a flag in the stack state) until a plain step of its own reaches
+the fraction-to-boundary cap: that row returns to its kept weight w and
+takes the barrier step instead, with a second KKT solve in that pass.
+Where the minimiser lies on the boundary the guard keeps the row on the
+barrier.  Without the gap threshold one of the hard test cases retook a
+step; without the gap / 20 term fig2's top 20 points at 400 took 424
+passes, against 357 with it and 362 on the barrier alone.  On perfbench's
+pools the finish takes bounds-random from 10.58 passes to 8.46 and
+certify from 7.75 to 6.25 (9.38 and 6.88 when it started at gap
+sqrt(TOL)).
 
 GAP_FLOOR is 15, inside the usual 10 to 20 for the multiplier of t
 (ibid., 11.3.3, on choosing mu): a larger jump in t takes fewer passes
@@ -109,8 +115,44 @@ arXiv:0708.3154): for the pair (1 - l, l) with l <= 1/2,
 
 at the table [[delta*, 1 - delta*], [0, 1]].  A rank-2 row whose slack
 exceeds tol gets that table with iterations 1 and, as its certified gap,
-the rounding of its t_value (below); the barrier solve runs only at
-rank 3 and above, where no closed form is known.
+the rounding of its t_value (below).
+
+Above rank 2 a top tie l_0 = ... = l_{r-1} (r >= 2, each l_k within a
+relative TIE_RTOL = 1e-9 of l_0) has its minimiser on a known face: the r
+tied rows are equal and columns 0 .. r - 2 are empty.  Merging the tied
+levels into one level of weight l_0 + ... + l_{r-1} leaves a problem of
+rank d - r + 1 whose columns have weights r, r + 1, ..., d, and whose
+minimiser, on every top-tied spectrum tried, has no empty entry.  There
+(and at r = 1 wherever l_0 > l_1, the interior optimum) the KKT
+conditions solve column by column (face_tables): one quadratic per column
+for its row multiplier, then the column scales by back substitution of
+the row sums.  Such a row gets that table with iterations 1, certified by
+the dual bound below, and goes to the barrier only if its gap exceeds tol
+(a tie of relative width delta costs about 1.25 delta of gap).  The
+barrier never empties those columns: its finish's guard keeps such a row
+on the barrier weight, which stops about 1e-6 to 1e-5 short of the face
+after 9 to 39 passes.
+
+The Frank-Wolfe gap cannot certify a table with empty columns: there g
+reads 0, a valid but loose subgradient.  dual_bound can: by Lagrange
+duality on the row sums, for every multiplier vector mu,
+
+    min Tr T >= L(mu) = sum_k mu_k - max(0, max_i eps_i) sum_k l_k,
+
+where eps_i bounds mu . x - h_i(x) over the columns x with sum_k l_k x_k
+= 1, h_i being column i's term; h_i is 1-homogeneous, so
+mu . x - h_i(x) <= eps_i sum_k l_k x_k for every column, and summed over
+the columns that is at most max_i eps_i sum_k l_k on a feasible table.
+In y_k = l_k x_k, eps_i is a maximum over the simplex of a concave
+quadratic, which water-filling gives exactly.  With mu_k the least
+gradient over row k's live entries, L meets t_value to rounding at the
+face's exact minimiser (a dual gap of at most 3.6e-15 on the tied solve
+pins, before the rounding pads below).  At a table whose entries are all
+positive the same mu gives eps_i <= 0 by convexity and L = t_value minus
+the Frank-Wolfe gap, so `verify`'s two-way-optimal-dual line (cli) reads
+each column's term against the reported certificate on every table.  The
+barrier solve runs at rank 3 and above, for the rows no closed form
+covers.
 
 solve_stack then makes the whole stack into results at once: its
 tables are renormalised and checked together
@@ -121,7 +163,8 @@ call), and the smaller of that and the one-way corner's d is reported (the
 solved table on a tie).  The certified gap stays a bound in floats: the
 barrier adds 4 ulps of sum |g x| to the rounded difference of its two
 sums, and solve_stack clips that at 0 and adds 4 ulps of t_value to every
-solved row, the exact rank-2 rows included.  Once Newton lands on the
+solved row, the exact rank-2 and face rows included (a face row's gap
+is t_value - L(mu) plus 4 ulps of sum |mu_k|).  Once Newton lands on the
 minimiser to rounding, the unpadded gap could read 0 with t_value an ulp
 above the minimum.  The results are arrays (StackSolve), which a
 sweep reads directly (bounds.pure_state_reports); beta_two_way_upper
@@ -159,6 +202,8 @@ GAP_FLOOR = 15.0  # t >= GAP_FLOOR * m / gap after every gap
 ARMIJO_SLACK = 8.0 * np.finfo(float).eps  # relative to the barrier objective
 BATCH_BYTES = 1 << 20  # peak solver arrays of one batched solve (_item_bytes each)
 TOL = 1e-9  # default certified bound on t_value minus the minimum of Tr T
+FINISH_GAP = 1e-2  # a row whose gap is at most this may take plain Newton steps
+TIE_RTOL = 1e-9  # levels with l_k >= l_0 (1 - TIE_RTOL) are tied with l_0
 MAX_GRID_POINTS = 50_000_000  # grid_oracle's largest grid
 GRID_CHUNK = 1 << 18  # grid points per trace_T_batch call in grid_oracle
 
@@ -281,7 +326,6 @@ def _barrier_newton(lam: np.ndarray, tol: float):
     f, g, H = trace_T_entries(lam, x, factors)
     logs = np.log(x).sum(axis=1)  # the barrier's sum log x at x
     w = np.ones(n)  # the barrier weight, carried as 1 / t
-    near_gap = TOL ** 0.5  # a gap eps finishes in about one step to eps**2
     finish = np.zeros(n, dtype=bool)  # rows taking plain Newton steps on f
     final = np.zeros((n, d * d))
     passes = np.full(n, MAX_ITERS)
@@ -310,10 +354,10 @@ def _barrier_newton(lam: np.ndarray, tol: float):
         # The finish: a row within sqrt(TOL) of the minimum, with no free
         # entry within sqrt(w) of the boundary for the weight w its iterate
         # was centred for, steps on f alone.
-        near = gap <= near_gap
+        near = gap <= FINISH_GAP
         finishing = np.count_nonzero(near) or np.count_nonzero(finish)
         if finishing:
-            finish |= near & ((x * x).min(axis=1) >= w)
+            finish |= near & ((x * x).min(axis=1) >= np.maximum(w, gap / 20.0))
         # At the centre for weight t, f - min f <= m / t: a weight below
         # m / gap asks for less than the certificate has already shown.
         np.minimum(w, gap / (GAP_FLOOR * m), out=w)
@@ -342,6 +386,112 @@ def _barrier_newton(lam: np.ndarray, tol: float):
             alpha[~ok] *= 0.5
         x = trial
     return final.reshape(n, d, d), passes, gaps
+
+
+def top_ties(lam: np.ndarray) -> np.ndarray:
+    """The multiplicity r of the top level of every row of an (n, d) stack
+    of effective spectra: the number of levels with l_k >= l_0 (1 -
+    TIE_RTOL)."""
+    return np.count_nonzero(lam >= lam[:, :1] * (1.0 - TIE_RTOL), axis=1)
+
+
+def face_tables(lam: np.ndarray, r: int):
+    """The minimiser on the face of a top tie of multiplicity r, for every
+    row of an (n, d) stack of effective spectra, from the KKT conditions
+    column by column (module docstring): (tables (n, d, d), ok (n,)), ok
+    false where no positive table meets the conditions.
+
+    The r tied levels are merged into one level of weight l_0 + ... +
+    l_{r-1}, whose row spreads over columns r - 1 .. d - 1, so that the
+    merged problem's column j has weight a = r + j and its first column's
+    term is r d_00, with multiplier mu_0 = r.  Column j's direction y (k <=
+    j), scaled to sum_k l_k y_k = 1, is y_k = N / 2 + mu_k / (2 a l_k); with
+    L = sum_{k <= j} l_k, P = sum_{k < j} mu_k, Q = sum_{k < j} mu_k**2 /
+    l_k and c = 2 a - P, its multiplier mu_j solves
+
+        (1 - L / l_j) mu_j**2 - 2 c mu_j + c**2 - L Q = 0.
+
+    Of its roots, (c - sqrt(disc)) / (1 - L / l_j) is kept: the other gave
+    no positive direction in 35 370 column solves on Dirichlet spectra at
+    d = 3..16 with r = 1..4, and a row whose kept root gives none is not
+    ok (tests/reference.py's interior_optimum tries both).  The row sums
+    then fix the column scales from the last row up, and the merged row
+    is copied into the r tied rows, whose columns 0 .. r - 2 stay empty.
+    Sums are elementwise products reduced along an axis, no matrix
+    product, so a row's table does not depend on the BLAS kernel or on its
+    stack.  At r = 1 this is the interior optimum."""
+    n, d = lam.shape
+    e = d - r + 1
+    merged = np.concatenate([lam[:, :r].sum(axis=1, keepdims=True), lam[:, r:]], axis=1)
+    mu = np.empty((n, e))
+    mu[:, 0] = r
+    y = np.zeros((n, e, e))  # column j's direction in y[:, :j + 1, j]
+    y[:, 0, 0] = 1.0
+    ok = np.ones(n, dtype=bool)
+    for j in range(1, e):
+        a = r + j
+        head = merged[:, : j + 1]
+        L = head.sum(axis=1)
+        c = 2.0 * a - mu[:, :j].sum(axis=1)
+        Q = (mu[:, :j] ** 2 / merged[:, :j]).sum(axis=1)
+        A = 1.0 - L / merged[:, j]  # <= -1: l_0's merged weight is at least l_j
+        disc = c * c - A * (c * c - L * Q)
+        mu[:, j] = (c - np.sqrt(np.maximum(disc, 0.0))) / A
+        column = ((c - mu[:, j]) / (2.0 * a * L))[:, None] + mu[:, : j + 1] / (2.0 * a * head)
+        ok &= (disc >= 0.0) & (column > 0.0).all(axis=1)
+        y[:, : j + 1, j] = np.where(ok[:, None], column, 1.0)  # a failed row stays finite
+    scales = np.empty((n, e))
+    for k in range(e - 1, -1, -1):
+        scales[:, k] = (1.0 - (y[:, k, k + 1 :] * scales[:, k + 1 :]).sum(axis=1)) / y[:, k, k]
+    ok &= (scales > 0.0).all(axis=1)
+    merged_table = y * np.where(ok[:, None], scales, 1.0)[:, None, :]
+    tables = np.zeros((n, d, d))
+    tables[:, r - 1 :, r - 1 :] = merged_table
+    tables[:, : r - 1, r - 1 :] = merged_table[:, :1]
+    return _clean(tables), ok
+
+
+def row_multipliers(lam: np.ndarray, tables: np.ndarray):
+    """(value, mu) of every table of an (n, d, d) stack under its effective
+    spectrum lam (n, d): trace_T_entries's value, and mu_k, the least
+    gradient g_ki over row k's live entries (d_ki > 0).  An empty column's
+    g reads 0, a subgradient too loose to certify with, which the live
+    entries leave out."""
+    x = free_entries(tables)
+    value, g, _ = trace_T_entries(lam, x, pair_factors(lam))
+    starts = table_layout(lam.shape[1]).starts
+    return value, np.minimum.reduceat(np.where(x > 0.0, g, np.inf), starts, axis=1)
+
+
+def dual_bound(lam: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """L(mu) = sum_k mu_k - max(0, max_i eps_i) sum_k l_k, a lower bound on
+    the minimum of Tr T for every multiplier vector mu (n, d) of an (n, d)
+    stack of effective spectra (module docstring): eps_i bounds mu . x -
+    h_i(x) over the columns x with sum_k l_k x_k = 1, h_i being column i's
+    term.
+
+    With y_k = l_k x_k and r_k = mu_k / l_k, eps_i is the maximum over the
+    simplex of r . y - a sum_k y_k**2 / l_k (a = i + 1), and for every level
+    nu, nu + sum_k l_k (r_k - nu)_+**2 / (4 a) bounds it from above
+    (Lagrange duality on sum_k y_k = 1), with equality at the water-filling
+    level: the nu at which y_k = l_k (r_k - nu)_+ / (2 a) sums to 1.  One
+    sort per column, on (n, d, d) arrays padded with r = -inf below the
+    diagonal, finds it."""
+    n, d = lam.shape
+    layout = table_layout(d)
+    inside, a = layout.upper, layout.weights  # level k lies in column i; a = i + 1
+    ratio = np.where(inside, (mu / lam)[:, :, None], -np.inf)
+    rows, cols = np.arange(n)[:, None, None], np.arange(d)
+    order = np.argsort(-ratio, axis=1)
+    ranked = ratio[rows, order, cols]
+    cum_l = np.where(inside, lam[:, :, None], 0.0)[rows, order, cols].cumsum(axis=1)
+    cum_mu = np.where(inside, mu[:, :, None], 0.0)[rows, order, cols].cumsum(axis=1)
+    levels = (cum_mu - 2.0 * a) / cum_l
+    active = np.count_nonzero(ranked > levels, axis=1)  # at least 1: the largest r_k
+    nu = levels[rows[:, 0], active - 1, cols]
+    excess = np.maximum(ratio - nu[:, None, :], 0.0)  # 0 below the diagonal
+    eps = nu + (lam[:, :, None] * excess * excess).sum(axis=1) / (4.0 * a)
+    return mu.sum(axis=1) - np.maximum(eps.max(axis=1), 0.0) * lam.sum(axis=1)
 
 
 class StackSolve(NamedTuple):
@@ -378,7 +528,22 @@ def solve_stack(lam: np.ndarray, tol: float) -> StackSolve:
         tables[solve, 0] = np.stack([delta, 1.0 - delta], axis=1)
         gaps[solve] = 0.0
     elif solve.any():
-        tables[solve], passes[solve], gaps[solve] = _barrier_newton(lam[solve], tol)
+        # Top-tied rows are solved on their face and certified by the dual
+        # bound, with 4 ulps of sum |mu_k| for the rounding of that sum;
+        # those certified to tol (r set to 0) leave the barrier's stack.
+        ties = np.where(solve, top_ties(lam), 1)
+        for r in sorted(set(ties[ties > 1].tolist())):
+            rows = np.flatnonzero(ties == r)
+            face, ok = face_tables(lam[rows], r)
+            value, mu = row_multipliers(lam[rows], face)
+            face_gaps = value - dual_bound(lam[rows], mu) + 4.0 * np.spacing(np.abs(mu).sum(axis=1))
+            certified = ok & (face_gaps <= tol)
+            tables[rows[certified]] = face[certified]
+            gaps[rows[certified]] = face_gaps[certified]
+            ties[rows[certified]] = 0
+        barrier = solve & (ties > 0)
+        if barrier.any():
+            tables[barrier], passes[barrier], gaps[barrier] = _barrier_newton(lam[barrier], tol)
     tables = _clean(tables)
     values = np.full(n, float(d))
     if solve.any():

@@ -23,7 +23,7 @@ unrecorded mutants and what kills them.
 Run from anywhere, one target at a time:
 
     python3 tests/mutants.py two_way    # about 30 s on 2 cores
-    python3 tests/mutants.py optimize   # about 40 s on 2 cores
+    python3 tests/mutants.py optimize   # about 25 s on 2 cores
 """
 
 from __future__ import annotations
@@ -95,41 +95,54 @@ TARGETS = {
     "optimize": Target(
         Path("src/loccdist/optimize.py"),
         ("tests/test_optimize.py", "tests/test_batch.py", "tests/test_solve_pins.py"),
-        ("_barrier_newton", "newton", "step_cap", "solve_stack"),
-        # The finish: its sqrt(TOL) threshold, its guard min x**2 >= w and
-        # the cap test that returns a row to its weight w.
-        ("_barrier_newton float#2", "_barrier_newton *#5", "_barrier_newton <#0"),
+        ("_barrier_newton", "newton", "step_cap", "solve_stack", "top_ties", "face_tables",
+         "row_multipliers", "dual_bound"),
+        # The finish: its threshold FINISH_GAP, its guard min x**2 >=
+        # max(w, gap / 20) (the square and the gap term) and the cap test
+        # that returns a row to its weight w.  The face solve: the tie
+        # tolerance, the column weight r + j, the expansion's column
+        # offset, the root, and dual_bound's water-filling level.
+        ("<module> float#3", "_barrier_newton *#5", "_barrier_newton /#0", "_barrier_newton <#0",
+         "<module> float#4", "face_tables +#1", "face_tables -#10", "face_tables -#5",
+         "dual_bound -#0"),
         {
-            "_barrier_newton float#2": "test_optimize::test_the_finish_cuts_the_passes_at_the_floor",
+            # A larger threshold is no worse on pass counts (the guard's
+            # gap term holds the rows it would let through), so only the
+            # pinned pass counts and bits see it.
+            "<module> float#3": "test_solve_pins::test_solve_alone_is_pinned",
             "_barrier_newton *#5": "test_optimize::test_no_hard_case_finishes_near_the_boundary",
+            "_barrier_newton /#0": "test_optimize::test_the_finish_cuts_the_passes_at_the_floor",
             "_barrier_newton <#0": "test_optimize::test_the_finish_cuts_the_passes_at_the_floor",
-            "_barrier_newton int#13": "test_optimize::test_rank_one_spectra_need_no_newton_step",
-            "_barrier_newton *#8": "test_optimize::test_the_finish_cuts_the_passes_at_the_floor",
-            "_barrier_newton +#2": "test_optimize::test_rank_one_spectra_need_no_newton_step",
-            "_barrier_newton *#3":
-                "test_optimize::test_barrier_solve_of_two_outcome_rows_meets_the_analytic_value",
+            "<module> float#4": "test_optimize::test_the_tie_tolerance_is_relative_to_the_top_level",
+            "face_tables +#1": "test_optimize::test_a_top_tie_is_solved_on_its_face",
+            "face_tables -#10": "test_optimize::test_a_top_tie_is_solved_on_its_face",
+            "face_tables -#5": "test_optimize::test_a_top_tie_is_solved_on_its_face",
+            "dual_bound -#0": "test_optimize::test_the_dual_bound_lies_below_every_value",
+            "face_tables *#3": "test_optimize::test_a_top_tie_is_solved_on_its_face",
+            "solve_stack int#8": "test_optimize::test_a_top_tie_is_solved_on_its_face",
+            "face_tables /#3": "test_optimize::test_a_top_tie_is_solved_on_its_face",
+            # A doubled in the KKT systems: 2 A dx = 0 is A dx = 0, so only
+            # the rounding of dx moves.
+            "_barrier_newton float#0": "test_solve_pins::test_solve_alone_is_pinned",
             "_barrier_newton float#6":
                 "test_optimize::test_every_damped_step_is_accepted_after_a_few_halvings",
-            "_barrier_newton -#3": "test_optimize::test_the_finish_cuts_the_passes_at_the_floor",
-            "_barrier_newton *#7": "test_optimize::test_rank_one_spectra_need_no_newton_step",
-            "_barrier_newton int#11": "test_optimize::test_rank_one_spectra_need_no_newton_step",
-            "_barrier_newton *#12":
+            "face_tables +#7": "test_optimize::test_no_value_lies_below_the_separable_bound",
+            "face_tables int#16": "test_optimize::test_a_top_tie_is_solved_on_its_face",
+            "face_tables -#6": "test_optimize::test_a_top_tie_is_solved_on_its_face",
+            "solve_stack *#1": "test_optimize::test_two_outcome_rows_are_solved_in_closed_form",
+            "face_tables int#2": "test_optimize::test_no_value_lies_below_the_separable_bound",
+            "face_tables int#15": "test_optimize::test_a_top_tie_is_solved_on_its_face",
+            "face_tables /#0": "test_optimize::test_a_top_tie_is_solved_on_its_face",
+            "row_multipliers int#1": "test_optimize::test_no_value_lies_below_the_separable_bound",
+            "_barrier_newton *#9": "test_optimize::test_rank_one_spectra_need_no_newton_step",
+            "face_tables int#19": "test_optimize::test_no_value_lies_below_the_separable_bound",
+            "_barrier_newton -#0":
                 "test_optimize::test_barrier_solve_of_two_outcome_rows_meets_the_analytic_value",
-            "_barrier_newton *#6": "test_optimize::test_slack_above_tol_still_solves",
-            "_barrier_newton *#2": "test_optimize::test_rank_one_spectra_need_no_newton_step",
-            "newton /#1": "test_optimize::test_certified_gap_fuzz",
-            "_barrier_newton <=#0": "test_optimize::test_a_gap_equal_to_tol_stops_the_solve",
-            "solve_stack -#0": "test_optimize::test_rank_one_spectra_need_no_newton_step",
-            "_barrier_newton *#4":
-                "test_optimize::test_barrier_solve_of_two_outcome_rows_meets_the_analytic_value",
-            "solve_stack float#0": "test_optimize::test_two_outcome_rows_are_solved_in_closed_form",
+            "top_ties int#1": "test_optimize::test_rank_one_spectra_need_no_newton_step",
+            "solve_stack &#0":
+                "test_optimize::test_a_tied_row_that_misses_tol_is_solved_by_the_barrier",
         },
-        {
-            "_barrier_newton <=#2":
-                "an Armijo trial with f - w sum log x < its bound: the two sides never tie exactly",
-            "_barrier_newton float#1":
-                "A^T doubled in the KKT systems: dx is the same, only the unread row multipliers halve",
-        },
+        {},
     ),
 }
 
@@ -235,7 +248,8 @@ def main(argv: list[str]) -> int:
         tree = Path(scratch) / "tree"
         for part in ("src", "tests"):  # no bytecode: each mutant compiles from source
             shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
-        for part in ("conftest.py", "pyproject.toml"):
+        for part in ("conftest.py", "pyproject.toml", "perfbench/reference.json"):
+            (tree / part).parent.mkdir(exist_ok=True)
             shutil.copy(ROOT / part, tree / part)
         (tree / target.path).write_text(mutant_source(source, None))
         code, failed = run_tests(tree, target.tests)

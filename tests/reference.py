@@ -12,17 +12,19 @@ each deviation must agree to rounding, and against
 level masks, which `separable._structure_deviation` must match to the bit.
 
 `interior_optimum` is the two-way solve's exact oracle: the minimiser in
-closed form wherever all its entries are positive.
+closed form wherever all its entries are positive.  `loop_dual_bound` is
+optimize.dual_bound as loops over rows and columns, with the gradient
+written out and the water-filling level found by a scan.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from loccdist.cli import _separable_checks
+from loccdist.cli import _dual_deviation, _separable_checks
 from loccdist.one_way import build_one_way_test
 from loccdist.operators import as_operator, eig_hermitian, support_mask, tensor
-from loccdist.optimize import beta_two_way_upper
+from loccdist.optimize import TOL, beta_two_way_qubit_analytic, beta_two_way_upper
 from loccdist.separable import (
     _invariant_operator,
     _ordered_pairs,
@@ -277,6 +279,11 @@ def dense_verify_checks(s: SchmidtSpectrum, seed: int) -> dict:
     out["two-way-optimal-trace"] = abs(float(np.trace(T).real) - result.t_value)
     out["two-way-optimal-detection"] = abs(float(np.real(psi_eff.conj() @ T @ psi_eff)) - 1.0)
     out["two-way-optimal-validity"] = dense_validity_defect(protocol)
+    lower = max(loop_dual_bound(s.effective, result.best_delta.table), beta_sep_pure(s, 1))
+    if d == 2:
+        lower = max(lower, 4.0 * beta_two_way_qubit_analytic(float(s.effective[1]))[0])
+    gap = min(result.certified_gap, TOL)
+    out["two-way-optimal-dual"] = max(0.0, result.t_value - lower - gap)
     return out
 
 
@@ -305,6 +312,7 @@ def per_table_verify_checks(s: SchmidtSpectrum, mc_samples: int, seed: int):
     yield "two-way-optimal-trace", abs(form.trace() - result.t_value), 1e-9
     yield "two-way-optimal-detection", abs(form.schmidt_expectation(lam) - 1.0), 1e-9
     yield "two-way-optimal-validity", protocol.validity_defect(), 1e-9
+    yield "two-way-optimal-dual", _dual_deviation(lam, result), 1e-10
     rate_psi, _ = simulate_protocol(protocol, "psi", mc_samples, seed)
     yield "monte-carlo-type-1", abs(rate_psi - 1.0), 0.0
     rate_mix, _ = simulate_protocol(protocol, "mixed", mc_samples, seed + 1)
@@ -368,3 +376,37 @@ def interior_optimum(lam: np.ndarray):
     grad = np.full((d, d), np.inf)  # g at the free entries, inf below the diagonal
     grad[table_layout(d).upper] = g[0]
     return table, float(value[0]), float((g * x).sum() - grad.min(axis=1).sum())
+
+
+def loop_dual_bound(lam: np.ndarray, table: np.ndarray) -> float:
+    """L(mu) = sum_k mu_k - max(0, max_i eps_i) sum_k l_k for one effective
+    spectrum lam (d,) and table (d, d), mu_k the least gradient over row
+    k's entries d_ki > 0: g_ki = (i + 1) l_k (2 d_ki - N_i / D_i) / D_i.
+    eps_i is the maximum over the simplex of r . y - (i + 1) sum_k y_k**2 /
+    l_k over k <= i, r_k = mu_k / l_k, at y_k = l_k (r_k - nu)_+ / (2 (i +
+    1)), nu being the level at which y sums to 1."""
+    d = lam.size
+    grad = np.full((d, d), np.inf)
+    for i in range(d):
+        x = table[: i + 1, i]
+        D = float(lam[: i + 1] @ x)
+        if D <= 0.0:
+            continue
+        N = float(lam[: i + 1] @ (x * x))
+        for k in range(i + 1):
+            if x[k] > 0.0:
+                grad[k, i] = (i + 1) * lam[k] * (2.0 * x[k] - N / D) / D
+    mu = grad.min(axis=1)
+    eps = []
+    for i in range(d):
+        a = i + 1
+        r = mu[:a] / lam[:a]
+        order = np.argsort(-r)
+        for j in range(a, 0, -1):  # the largest set of top ratios above its level
+            top = order[:j]
+            nu = (mu[top].sum() - 2.0 * a) / lam[top].sum()
+            if r[order[j - 1]] > nu:
+                break
+        y = lam[:a] * np.maximum(r - nu, 0.0) / (2.0 * a)
+        eps.append(float(r @ y - a * (y * y / lam[:a]).sum()))
+    return float(mu.sum() - max(0.0, max(eps)) * lam.sum())

@@ -17,6 +17,7 @@ import loccdist.cli
 import loccdist.families
 import loccdist.one_way
 import loccdist.operators
+import loccdist.optimize
 import loccdist.separable
 import loccdist.two_way
 from loccdist.bounds import pure_state_report
@@ -24,7 +25,7 @@ from loccdist.cli import MAX_LEVELS, main
 from loccdist.optimize import OptimizationResult, stack_size
 from loccdist.separable import SeparableForm
 from loccdist.states import SchmidtSpectrum, parse_spectrum
-from loccdist.two_way import DeltaMatrix
+from loccdist.two_way import DeltaMatrix, trace_T_closed_form, uniform_table
 from reference import dense_verify_checks, per_table_verify_checks
 from test_reach import clear_caches
 
@@ -44,6 +45,7 @@ VERIFY_CHECKS = [
     "two-way-optimal-trace",
     "two-way-optimal-detection",
     "two-way-optimal-validity",
+    "two-way-optimal-dual",
     "monte-carlo-type-1",
     "monte-carlo-type-2",
 ]
@@ -285,7 +287,7 @@ def test_verify_exactly_uniform_spectrum(capsys, schmidt):
     code, out, _ = run(capsys, "verify", "--schmidt", schmidt, "--mc-samples", "5000")
     assert code == 0
     lines = out.strip().splitlines()
-    assert len(lines) == 14
+    assert len(lines) == 15
     for line in lines:
         assert line.endswith("PASS")
 
@@ -915,3 +917,42 @@ def test_verify_fails_on_an_optimal_trace_off_by_1e_6(capsys, monkeypatch):
 
     monkeypatch.setattr(loccdist.cli, "beta_two_way_upper", shifted)
     _fails(capsys, "two-way-optimal-trace")
+
+
+def test_verify_fails_on_a_table_cut_off_at_three_passes(capsys, monkeypatch):
+    """A solve cut off after MAX_ITERS = 3 passes reports its table's own
+    gap, but no converged certificate: the dual line holds it to TOL."""
+    monkeypatch.setattr(loccdist.optimize, "MAX_ITERS", 3)
+    _fails(capsys, "two-way-optimal-dual")
+
+
+def test_verify_fails_on_the_uniform_table_reported_as_optimal(capsys, monkeypatch):
+    """The uniform table with its own Tr T as t_value and the solve's
+    certified gap: every protocol check passes, and the dual bound shows
+    that the table is far from the minimum."""
+    solve = loccdist.cli.beta_two_way_upper
+
+    def uniform(s):
+        result = solve(s)
+        delta = DeltaMatrix(uniform_table(s.rank))
+        t_value = trace_T_closed_form(s, delta)
+        return dataclasses.replace(result, best_delta=delta, t_value=t_value,
+                                   beta_value=t_value / result.D)
+
+    monkeypatch.setattr(loccdist.cli, "beta_two_way_upper", uniform)
+    code, out, _ = run(capsys, "verify", "--schmidt", "0.5,0.3,0.2", "--mc-samples", "2000")
+    failed = [line.split()[0] for line in out.strip().splitlines() if line.endswith("FAIL")]
+    assert failed == ["two-way-optimal-dual"] and code == 1
+
+
+@pytest.mark.parametrize("small", [1.0564397019654596e-12, 1.0472494122981476e-12, 2e-12, 1e-11])
+def test_verify_passes_on_a_pair_near_rank_one(capsys, small):
+    """At (1 - l, l) with l just above RANK_TOL, the closed-form table's
+    entry 1 - delta*, about 1e-6, is rounded, which moves the gradient by
+    about 1e-10: the dual bound alone reads up to 1.4e-10 below t_value,
+    against a 4-ulp gap.  The exact two-outcome minimum is a lower bound
+    too, so two-way-optimal-dual passes."""
+    schmidt = f"{1.0 - small!r},{small!r}"
+    assert parse_spectrum(schmidt).rank == 2
+    code, out, _ = run(capsys, "verify", "--schmidt", schmidt, "--mc-samples", "2000")
+    assert all(line.endswith("PASS") for line in out.strip().splitlines()) and code == 0

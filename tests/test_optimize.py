@@ -1,3 +1,7 @@
+import json
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,11 +13,16 @@ from loccdist.optimize import (
     MAX_ITERS,
     TOL,
     _barrier_newton,
+    _clean,
     beta_two_way_qubit_analytic,
     beta_two_way_upper,
+    dual_bound,
+    face_tables,
     grid_oracle,
     grid_size,
+    row_multipliers,
     solve_stack,
+    top_ties,
 )
 from loccdist.separable import beta_sep_pure, sep_traces
 from loccdist.states import SchmidtSpectrum, check_spectra, parse_spectrum, spectrum
@@ -26,10 +35,12 @@ from loccdist.two_way import (
     trace_T_batch,
     trace_T_closed_form,
     trace_T_entries,
+    uniform_table,
 )
-from reference import interior_optimum
+from reference import interior_optimum, loop_dual_bound
 from test_batch import barrier_meets_analytic, stack
 from test_cli import fuzz_spectra
+from test_solve_pins import solve_cases
 
 
 def random_spectrum(d, rng):
@@ -533,18 +544,18 @@ def test_passes_per_solve_ceiling_at_the_floor():
 
 
 def test_the_finish_cuts_the_passes_at_the_floor(monkeypatch):
-    """A row within sqrt(TOL) of the minimum, no free entry within sqrt(w)
-    of the boundary, finishes with plain Newton steps on Tr T, which
-    converge quadratically near the interior minimiser: the seeded set of
-    test_passes_per_solve_ceiling_at_the_floor averages at most 9.5
-    passes (9.33), against 10.56 with the finish turned off (TOL patched
-    to 0, so that no gap lies within its root)."""
+    """A row within FINISH_GAP of the minimum, no free entry within
+    sqrt(max(w, gap / 20)) of the boundary, finishes with plain Newton
+    steps on Tr T, which converge quadratically near the interior
+    minimiser: the seeded set of test_passes_per_solve_ceiling_at_the_floor
+    averages at most 8.5 passes (8.38), against 10.56 with the finish
+    turned off (FINISH_GAP patched to 0, so that no gap lies within it)."""
     rng = np.random.default_rng(24)
     spectra = [random_spectrum(d, rng) for d in range(5, 11) for _ in range(8)]
     finished = np.mean([beta_two_way_upper(s).iterations for s in spectra])
-    monkeypatch.setattr(optimize, "TOL", 0.0)
+    monkeypatch.setattr(optimize, "FINISH_GAP", 0.0)
     barrier = np.mean([beta_two_way_upper(s).iterations for s in spectra])
-    assert finished <= 9.5 < barrier
+    assert finished <= 8.5 < barrier
 
 
 def test_every_damped_step_is_accepted_after_a_few_halvings(monkeypatch):
@@ -599,9 +610,9 @@ def test_a_finishing_step_that_the_cap_cuts_is_taken_at_the_weight(monkeypatch):
     run into the fraction-to-boundary cap.  Such a row returns to its
     barrier weight w and takes the barrier step instead, with a second KKT
     solve in that pass: over the top 20 points of the 400-point grid some
-    pass does so, and the rows take fewer passes in all than with the
-    finish turned off (TOL patched to 0): 338 against 362.  Taking the
-    cut plain step instead cost 364."""
+    pass does so (24 in all), and the rows take fewer passes in all than
+    with the finish turned off (FINISH_GAP patched to 0): 357 against 362.
+    Without the guard's gap / 20 term they took 424."""
     family = BUILTIN_FAMILIES["fig2"]
     lams = [lam[lam > 0] for lam in family.spectra_array(family.grid(400))[380:]]
     solves = count_kkt_solves(monkeypatch)
@@ -609,7 +620,7 @@ def test_a_finishing_step_that_the_cap_cuts_is_taken_at_the_weight(monkeypatch):
     assert all(res.converged[0] for res in finished)
     passes = sum(int(res.iterations[0]) for res in finished)
     retaken = sum(solves) - sum(int(res.iterations[0]) - 1 for res in finished if res.iterations[0] > 1)
-    monkeypatch.setattr(optimize, "TOL", 0.0)
+    monkeypatch.setattr(optimize, "FINISH_GAP", 0.0)
     barrier = sum(int(solve_stack(lam[None], TOL).iterations[0]) for lam in lams)
     assert retaken > 0 and passes < barrier
 
@@ -745,3 +756,218 @@ def test_result_lies_within_its_certified_gap(schmidt):
     assert res.converged and tight.converged
     ulps = 8 * np.spacing(tight.t_value)  # rounding in the values and their gaps
     assert -tight.certified_gap - ulps <= res.t_value - tight.t_value <= res.certified_gap + ulps
+
+
+PERFBENCH_POOLS = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def pool_spectra(workload: str) -> list:
+    """The spectra of a perfbench workload's committed pool."""
+    strata = json.loads(PERFBENCH_POOLS.read_text())[workload]["strata"]
+    return [entry["schmidt"] for entries in strata.values() for entry in entries]
+
+
+def test_the_perfbench_pools_take_few_passes():
+    """The finish from gap FINISH_GAP = 1e-2 takes the bounds-random pool
+    to 8.46 passes on average (9.38 from sqrt(TOL)) and the certify pool to
+    6.25 (6.88)."""
+    for workload, ceiling in (("bounds-random", 8.6), ("certify", 6.4)):
+        results = [beta_two_way_upper(parse_spectrum(s)) for s in pool_spectra(workload)]
+        assert all(r.converged for r in results)
+        assert np.mean([r.iterations for r in results]) <= ceiling, workload
+
+
+def test_hard_cases_take_few_passes():
+    """The hard cases take 508 passes in all and at most 27: their
+    top-tied rows are solved on their face in one pass (867 and 33 with
+    the barrier alone, from its finish at gap sqrt(TOL))."""
+    passes = [int(solve_stack(lam[None], TOL).iterations[0]) for lam in hard_cases()]
+    assert sum(passes) <= 867 and max(passes) <= 33
+
+
+def top_tied(r: int, d: int, width: float, rng: np.random.Generator) -> np.ndarray:
+    """An effective spectrum of rank d whose top r levels are tied:
+    l_1 .. l_{r-1} lie a relative width below l_0, above a Dirichlet tail."""
+    tail = np.sort(rng.dirichlet(np.ones(d - r)))[::-1]
+    top = np.full(r, tail[0] * rng.uniform(1.05, 3.0))
+    top[1:] *= 1.0 - width
+    lam = np.concatenate([top, tail])
+    return lam / lam.sum()
+
+
+TIE_WIDTHS = (0.0, 1e-16, 1e-15, 1e-14, 1e-13, 1e-12)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_a_top_tie_is_solved_on_its_face(r):
+    """A top tie of multiplicity r, exact or up to a relative width of
+    1e-12, is solved in one pass on its face: the tied rows share one row,
+    columns 0 .. r - 2 are exactly 0, the certified gap is at most tol, and
+    the value lies at or below the barrier solve's to tol 1e-12."""
+    rng = np.random.default_rng(70 + r)
+    for d in range(r + 1, r + 5):
+        for width in TIE_WIDTHS:
+            lam = top_tied(r, d, width, rng)
+            assert top_ties(lam[None])[0] == r
+            res = solve_stack(lam[None], TOL)
+            table = res.tables[0]
+            assert res.iterations[0] == 1 and res.converged[0] and res.gaps[0] <= TOL
+            assert (table[:, : r - 1] == 0.0).all()
+            assert (table[1:r] == table[0]).all()
+            tables, _, _ = _barrier_newton(lam[None], 1e-12)
+            assert res.t_values[0] <= trace_T_closed_form(lam[None], _clean(tables))[0]
+
+
+def test_the_recursion_at_r_1_is_the_interior_optimum():
+    """At r = 1 the face recursion is the exact interior optimum of
+    tests/reference.py, to 2e-15 in every entry, wherever that certifies
+    itself, and finds no table wherever the oracle finds none."""
+    certified = 0
+    for lam in interior_cases():
+        oracle = interior_optimum(lam)
+        tables, ok = face_tables(lam[None], 1)
+        if oracle is None:
+            assert not ok[0]
+            continue
+        assert ok[0]
+        if oracle[2] <= 1e-13:
+            certified += 1
+            assert np.abs(tables[0] - oracle[0]).max() <= 2e-15
+    assert certified >= 150
+
+
+def dual_cases() -> list:
+    """Effective spectra for the dual bound: fuzz_spectra(), the solve pins
+    and both perfbench pools."""
+    pools = pool_spectra("bounds-random") + pool_spectra("certify")
+    spectra = fuzz_spectra() + solve_cases() + pools
+    return [parse_spectrum(s).effective for s in spectra]
+
+
+def test_the_dual_bound_lies_below_every_value():
+    """L(mu) <= t_value on every solved table, within 1e-12 of its loop
+    reference, and within the certified gap of t_value wherever the
+    corner's slack does not certify the row, each to rounding (4 ulps of
+    t_value: at an exact rank-2 table L can read an ulp above t_value).  A table solved on its face
+    is certified by the dual itself, to 1e-13."""
+    for lam in dual_cases():
+        res = solve_stack(lam[None], TOL)
+        _, mu = row_multipliers(lam[None], res.tables)
+        lower = dual_bound(lam[None], mu)[0]
+        ulps = 4 * np.spacing(res.t_values[0])
+        assert lower <= res.t_values[0] + ulps, lam
+        assert abs(lower - loop_dual_bound(lam, res.tables[0])) <= 1e-12, lam
+        if lam.size - sep_traces(lam[None])[0] > TOL:
+            assert res.t_values[0] - lower <= res.gaps[0] + ulps, lam
+        if lam.size > 2 and top_ties(lam[None])[0] > 1 and res.iterations[0] == 1:
+            assert res.t_values[0] - lower <= 1e-13, lam
+
+
+def test_the_dual_bound_is_loose_on_a_poor_table(monkeypatch):
+    """Far from the minimum L(mu) still lies below it, but t_value - L
+    exceeds the converged solve's certified gap by far: at the uniform
+    table, and at a table cut off after MAX_ITERS = 3 passes."""
+    rng = np.random.default_rng(71)
+    spectra = [random_spectrum(d, rng).effective[None] for d in (3, 5, 8)]
+    best = [solve_stack(lam, TOL) for lam in spectra]
+    monkeypatch.setattr(optimize, "MAX_ITERS", 3)
+    for lam, solved in zip(spectra, best):
+        cut = solve_stack(lam, TOL)
+        assert not cut.converged[0]
+        for table in (uniform_table(lam.shape[1])[None], cut.tables):
+            value, mu = row_multipliers(lam, table)
+            lower = dual_bound(lam, mu)[0]
+            assert lower <= solved.t_values[0]
+            assert value[0] - lower > 1e3 * solved.gaps[0]
+
+
+def test_a_stack_of_tied_and_untied_rows_is_each_row_alone():
+    """Top ties of multiplicity 2 and 3, a near tie that misses tol, a tie
+    below the top and untied rows in one stack: each row gets its stack of
+    one result, to the bit, in any order."""
+    rng = np.random.default_rng(72)
+    d = 6
+    lams = [top_tied(2, d, 0.0, rng), random_spectrum(d, rng).effective, top_tied(3, d, 1e-14, rng),
+            top_tied(2, d, 5e-10, rng), top_tied(3, d, 0.0, rng), top_tied(2, d, 1e-16, rng)]
+    tail_tie = np.sort(rng.dirichlet(np.ones(d)))[::-1]
+    tail_tie[2] = tail_tie[1]
+    lams.append(tail_tie / tail_tie.sum())
+    lam = np.stack(lams)
+    single = [solve_stack(lam[i : i + 1], 1e-10) for i in range(len(lam))]
+    on_face = [int(one.iterations[0]) == 1 for one in single]
+    assert on_face == [True, False, True, False, True, True, False]
+    for order in (np.arange(len(lam)), rng.permutation(len(lam))):
+        solved = solve_stack(lam[order], 1e-10)
+        for row, i in enumerate(order):
+            assert all(np.array_equal(a[row], b[0]) for a, b in zip(solved, single[i]))
+
+
+def test_a_tied_row_that_misses_tol_is_solved_by_the_barrier():
+    """The face's dual gap grows as about 1.25 times the tie's width: a
+    width of 5e-10 certifies to TOL on the face but not to 1e-10, where
+    the barrier solves the row instead, to that tol."""
+    lam = top_tied(2, 5, 5e-10, np.random.default_rng(73))[None]
+    face = solve_stack(lam, TOL)
+    assert face.iterations[0] == 1 and face.gaps[0] <= TOL
+    barrier = solve_stack(lam, 1e-10)
+    assert barrier.iterations[0] > 1 and barrier.converged[0] and barrier.gaps[0] <= 1e-10
+    assert barrier.tables[0][0, 0] > 0.0
+
+
+def test_the_tie_tolerance_is_relative_to_the_top_level():
+    """A level within TIE_RTOL = 1e-9 of l_0, relatively, is tied with it and
+    one 1.5e-9 below is not: at tol 1e-6, which the face's gap meets at
+    either width, the first is solved on its face and the second by the
+    barrier."""
+    rng = np.random.default_rng(74)
+    for width, face in ((0.5e-9, True), (1.5e-9, False)):
+        lam = top_tied(2, 5, width, rng)[None]
+        res = solve_stack(lam, 1e-6)
+        assert top_ties(lam)[0] == (2 if face else 1)
+        assert (res.iterations[0] == 1) == face and res.converged[0]
+
+
+def test_the_face_solve_emits_no_runtime_warning():
+    """The face solve runs under -W error in the demos: a tie, a near tie,
+    a full tie and rows on which the recursion finds no table (r = 1 at
+    l_0 = l_1) raise no RuntimeWarning."""
+    rng = np.random.default_rng(75)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for r in (2, 3):
+            lam = np.stack([top_tied(r, 6, width, rng) for width in (0.0, 1e-13, 5e-10)])
+            solve_stack(lam, TOL)
+        assert solve_stack(np.full((1, 3), 1.0 / 3), 1e-300).iterations[0] > 1
+        tied = np.stack([top_tied(2, 5, 0.0, rng), top_tied(3, 7, 0.0, rng)[:5] / 0.9])
+        _, ok = face_tables(tied / tied.sum(axis=1, keepdims=True), 1)
+        assert not ok.any()
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig4", "fig6"])
+def test_the_top_of_a_tied_family_is_solved_on_its_face(name):
+    """fig3, fig4 and fig6 end at a top tie (their top levels about 1e-16
+    apart): at 12 points the top row takes 1 pass in its stack, with
+    column 0 exactly empty, so the stack's slowest row is an interior one
+    (8, 7 and 9 passes; 10, 10 and 11 before)."""
+    family = BUILTIN_FAMILIES[name]
+    lams = family.spectra_array(family.grid(12))
+    for rows, solved in optimize.solve_spectra(lams, TOL):
+        if rows[-1] == len(lams) - 1:
+            assert solved.iterations[-1] == 1 and solved.converged[-1]
+            assert (solved.tables[-1][:, 0] == 0.0).all()
+            assert solved.iterations.max() <= 9
+
+
+def test_every_top_tied_pin_is_solved_on_its_face():
+    """Every solve pin with a top tie and a slack above tol takes one pass,
+    with columns 0 .. r - 2 exactly 0."""
+    tied = 0
+    for schmidt in solve_cases():
+        lam = parse_spectrum(schmidt).effective
+        r = int(top_ties(lam[None])[0])
+        if lam.size <= 2 or r < 2 or lam.size - sep_traces(lam[None])[0] <= TOL:
+            continue
+        tied += 1
+        res = solve_stack(lam[None], TOL)
+        assert res.iterations[0] == 1 and (res.tables[0][:, : r - 1] == 0.0).all(), schmidt
+    assert tied >= 7
